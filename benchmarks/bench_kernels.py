@@ -2,12 +2,15 @@
 """Batch-SSA engine throughput: numpy inner loops vs JIT kernels.
 
 Runs the batch engine (:class:`repro.cwc.batch.BatchFlatSimulator`) over
-the Neurospora network at batch size 1024 with each requested
-``engine_kernel`` and reports steps per second.  Before timing anything
-it verifies the kernels are *bit-identical*: every kernel must produce
-exactly the same states and times as the numpy oracle, else its speed is
-meaningless (see ``tests/cwc/test_kernels.py`` for the fine-grained
-equivalence suite).
+the Neurospora network at each requested batch size (default 64, 256
+and 1024: the paper's block size, the sweep planes' and the large-batch
+regime) with each available ``engine_kernel`` and reports steps per
+second next to microseconds per lockstep iteration -- at 64 rows an
+iteration is dispatch-bound, so that is the number a kernel change
+moves there.  Before timing anything it verifies the kernels are
+*bit-identical*: every kernel must produce exactly the same states and
+times as the numpy oracle, else its speed is meaningless (see
+``tests/cwc/test_kernels.py`` for the fine-grained equivalence suite).
 
 The numba leg JIT-compiles on first touch; a warm-up run keeps
 compilation out of the timings (``cache=True`` also persists the
@@ -18,7 +21,7 @@ useful locally; CI installs numba and asserts the speedup floor.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py \
-        [--batch 1024] [--t-end 0.5] [--omega 100] [--repeat 3] \
+        [--batch 64 256 1024] [--t-end 0.5] [--omega 100] [--repeat 3] \
         [--json BENCH_kernels.json] [--assert-speedup 3]
 """
 
@@ -37,17 +40,21 @@ from repro.models import neurospora_network
 
 
 def run_once(network, kernel: str, batch: int, t_end: float,
-             seed: int) -> tuple[int, float, np.ndarray]:
+             seed: int) -> tuple[int, float, np.ndarray, int]:
+    """Steps fired, wall seconds, final counts and lockstep iterations
+    (one ``advance`` runs until its longest row is through)."""
     sim = BatchFlatSimulator(network, batch, seed=seed, kernel=kernel)
     started = time.perf_counter()
     sim.advance(t_end)
     elapsed = time.perf_counter() - started
-    return sim.total_steps, elapsed, sim.counts.copy()
+    return (sim.total_steps, elapsed, sim.counts.copy(),
+            int(sim.steps.max()) + 1)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--batch", type=int, default=1024)
+    parser.add_argument("--batch", type=int, nargs="+",
+                        default=[64, 256, 1024])
     parser.add_argument("--t-end", type=float, default=0.5)
     parser.add_argument("--omega", type=int, default=100)
     parser.add_argument("--repeat", type=int, default=3)
@@ -55,7 +62,8 @@ def main(argv=None) -> int:
     parser.add_argument("--json", default="BENCH_kernels.json")
     parser.add_argument("--assert-speedup", type=float, default=None,
                         help="fail unless every available JIT kernel "
-                             "beats numpy by at least this factor")
+                             "beats numpy by at least this factor at "
+                             "the largest batch")
     parser.add_argument("--require", action="append", default=[],
                         metavar="KERNEL",
                         help="fail (exit 1) if this kernel is not "
@@ -74,46 +82,44 @@ def main(argv=None) -> int:
               f"{', '.join(required_missing)}", file=sys.stderr)
         return 1
 
-    # correctness gate: same seed => bit-identical states for every
-    # kernel (the cupy kernel is excluded -- its device scan is not
-    # bit-pinned; it gets a statistical sanity check instead)
-    oracle_steps, _, oracle_counts = run_once(
-        network, "numpy", args.batch, args.t_end, args.seed)
-    for kernel in kernels:
-        if kernel == "cupy":
-            _, _, counts = run_once(network, kernel, args.batch,
-                                    args.t_end, args.seed)
-            assert (counts >= 0).all(), "cupy kernel produced bad states"
-            continue
-        steps, _, counts = run_once(network, kernel, args.batch,
-                                    args.t_end, args.seed)
-        if steps != oracle_steps or counts.tobytes() != \
-                oracle_counts.tobytes():
-            print(f"FAIL: kernel {kernel!r} diverged from the numpy "
-                  f"oracle (steps {steps} vs {oracle_steps})",
-                  file=sys.stderr)
-            return 1
+    report = {"t_end": args.t_end, "omega": args.omega,
+              "missing_kernels": missing, "batches": {}}
+    for batch in args.batch:
+        # correctness gate: same seed => bit-identical states for every
+        # kernel (the cupy kernel is excluded -- its device scan is not
+        # bit-pinned; it gets a statistical sanity check instead)
+        oracle_steps, _, oracle_counts, _ = run_once(
+            network, "numpy", batch, args.t_end, args.seed)
+        for kernel in kernels:
+            steps, _, counts, _ = run_once(network, kernel, batch,
+                                           args.t_end, args.seed)
+            if kernel == "cupy":
+                assert (counts >= 0).all(), \
+                    "cupy kernel produced bad states"
+            elif steps != oracle_steps or counts.tobytes() != \
+                    oracle_counts.tobytes():
+                print(f"FAIL: kernel {kernel!r} diverged from the numpy "
+                      f"oracle at batch {batch} (steps {steps} vs "
+                      f"{oracle_steps})", file=sys.stderr)
+                return 1
 
-    report = {"batch": args.batch, "t_end": args.t_end,
-              "omega": args.omega, "missing_kernels": missing,
-              "kernels": {}}
-    for kernel in kernels:
-        best_rate, steps = 0.0, 0
-        for _ in range(args.repeat + 1):  # first lap = JIT/alloc warm-up
-            steps, elapsed, _ = run_once(network, kernel, args.batch,
-                                         args.t_end, args.seed)
-            best_rate = max(best_rate, steps / elapsed)
-        report["kernels"][kernel] = {"steps": steps,
-                                     "steps_per_s": best_rate}
-        print(f"{kernel:>6}: {best_rate:,.0f} steps/s "
-              f"({steps:,} steps, batch {args.batch})")
-
-    base = report["kernels"]["numpy"]["steps_per_s"]
-    for kernel in kernels:
-        speedup = report["kernels"][kernel]["steps_per_s"] / base
-        report["kernels"][kernel]["speedup_vs_numpy"] = speedup
-        if kernel != "numpy":
-            print(f"{kernel:>6}: {speedup:.2f}x vs numpy")
+        timings = report["batches"][str(batch)] = {}
+        for kernel in kernels:
+            best, steps, iterations = float("inf"), 0, 1
+            for _ in range(args.repeat + 1):  # first lap = JIT warm-up
+                steps, elapsed, _, iterations = run_once(
+                    network, kernel, batch, args.t_end, args.seed)
+                best = min(best, elapsed)
+            timings[kernel] = {
+                "steps": steps, "steps_per_s": steps / best,
+                "us_per_iteration": best / iterations * 1e6}
+            timings[kernel]["speedup_vs_numpy"] = (
+                timings[kernel]["steps_per_s"]
+                / timings["numpy"]["steps_per_s"])
+            print(f"batch {batch:>5} {kernel:>6}: "
+                  f"{steps / best:>12,.0f} steps/s "
+                  f"{best / iterations * 1e6:>8.1f} us/iteration "
+                  f"{timings[kernel]['speedup_vs_numpy']:>6.2f}x vs numpy")
     if missing:
         print(f"not installed here (skipped): {', '.join(missing)}")
 
@@ -128,11 +134,13 @@ def main(argv=None) -> int:
                   "installed", file=sys.stderr)
             return 1
         failed = False
+        largest = report["batches"][str(max(args.batch))]
         for kernel in jit:
-            speedup = report["kernels"][kernel]["speedup_vs_numpy"]
+            speedup = largest[kernel]["speedup_vs_numpy"]
             if speedup < args.assert_speedup:
                 print(f"FAIL: {kernel} speedup {speedup:.2f}x < "
-                      f"{args.assert_speedup:.1f}x", file=sys.stderr)
+                      f"{args.assert_speedup:.1f}x at batch "
+                      f"{max(args.batch)}", file=sys.stderr)
                 failed = True
         if failed:
             return 1

@@ -7,10 +7,11 @@ NumPy array operations over the batch.  The building blocks:
 
 * :class:`CompiledNetwork` precompiles a
   :class:`~repro.cwc.network.ReactionNetwork` into a stoichiometry matrix,
-  a reactant-order matrix and vectorized propensity evaluators (mass-action
-  ``comb(n, 1)``/``comb(n, 2)`` fast paths; the rate laws of
-  :mod:`repro.cwc.rates` are translated to array expressions; arbitrary
-  callables fall back to a per-trajectory loop);
+  a reactant-order matrix and a *propensity plan*: the propensity matrix
+  as a flat list of NumPy calls (mass-action ``comb(n, 1)``/``comb(n, 2)``
+  fast paths; the rate laws of :mod:`repro.cwc.rates` in closed form;
+  arbitrary callables fall back to a per-trajectory loop) that
+  :class:`~repro.cwc.kernels.NumpyKernel` binds to preallocated buffers;
 * :class:`BatchFlatSimulator` holds the batched state (counts matrix,
   per-trajectory clocks and step counters) and one
   :class:`numpy.random.Generator`.  Every lockstep iteration draws all
@@ -36,6 +37,7 @@ from typing import Any, Callable, Optional, Sequence, Union
 import numpy as np
 
 from repro.cwc.gillespie import SSAResult
+from repro.cwc.kernels import NumpyKernel, make_kernel
 from repro.cwc.model import Model
 from repro.cwc.network import ReactionNetwork, StateView
 from repro.cwc.rates import (
@@ -134,6 +136,19 @@ def _vectorize_rate_law(rate, index: dict[str, int]
     return generic
 
 
+#: laws reading one species (``law.species``) and nothing else
+_ONE_SPECIES_LAWS = (Linear, HillRepression, HillActivation, MichaelisMenten)
+
+
+# plan steps that are not plain ufuncs, in the ufunc calling convention
+def _evaluate(law: Callable, X: np.ndarray, out: np.ndarray) -> None:
+    np.copyto(out, law(X))
+
+
+def _gate(n: np.ndarray, need: float, out: np.ndarray) -> None:
+    out[n < need] = 0.0
+
+
 class CompiledNetwork:
     """A :class:`ReactionNetwork` precompiled for batched evaluation.
 
@@ -144,6 +159,8 @@ class CompiledNetwork:
       firing (products minus reactants);
     * ``order`` -- ``(n_reactions, n_species)`` reactant multiplicities
       (the ``m`` of each ``comb(n, m)`` factor);
+    * ``plan`` -- the propensity matrix as bindable NumPy calls
+      (:meth:`_compile_plan`);
     * ``propensities(X)`` -- the batched propensity matrix.
     """
 
@@ -186,15 +203,15 @@ class CompiledNetwork:
         #: columns of species consumed by at least one reaction -- the
         #: populations whose scale decides the hybrid leap/exact switch
         self.reactant_columns = np.flatnonzero(self.order.any(axis=0))
+        #: the propensity matrix as bindable NumPy calls (immutable, so
+        #: shared by every simulator of this network)
+        self.plan = self._compile_plan()
 
-    def __getstate__(self) -> dict:
-        # the vectorized rate-law closures are not picklable; ship the
-        # network and recompile on the receiving side (cheap, and exactly
-        # what a distributed worker would do anyway)
-        return {"network": self.network}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__init__(state["network"])
+    def __reduce__(self):
+        # the vectorized rate-law closures are not picklable: ship the
+        # network and resolve it through the compile cache on the other
+        # side, so a task crossing a pipe every quantum compiles once
+        return compile_network, (self.network,)
 
     @property
     def n_reactions(self) -> int:
@@ -204,39 +221,76 @@ class CompiledNetwork:
     def n_species(self) -> int:
         return self.stoich.shape[1]
 
-    def _combinatorics(self, X: np.ndarray, j: int) -> np.ndarray:
-        """``prod_i comb(X[:, i], order[j, i])`` for reaction ``j``.
+    def _compile_plan(self) -> list[tuple]:
+        """The propensity matrix as a flat list of ``(op, a, b, out)``
+        NumPy calls over symbolic operands (bound to buffers by
+        :class:`~repro.cwc.kernels.NumpyKernel`), one reaction after
+        the other, each writing its own row -- so the ``accumulate``
+        down the reaction axis sees the original order.
 
-        ``comb(n, 1) = n`` and ``comb(n, 2) = n(n-1)/2`` cover virtually
-        every mass-action reaction in practice; higher orders use the
-        falling-factorial product.  All cases yield exactly 0 whenever a
-        reactant is short (``n < m``), so availability gating is implicit.
+        Mass action is ``rate * prod_i comb(x_i, need_i)``: ``comb(n,
+        1) = n`` needs no call, ``comb(n, 2) = n(n-1)/2`` and the
+        falling-factorial product of higher orders yield exactly 0
+        whenever a reactant is short, so availability gating is
+        implicit.  Functional rates run their :func:`_vectorize_rate_law`
+        closure and give the full propensity; their reactant list only
+        gates on availability (as in ``Reaction.propensity``).  Operand
+        order and association match the scalar expressions, so the
+        results are bit-identical.
         """
-        h: Union[float, np.ndarray] = 1.0
-        for col, need in self._reactants[j]:
-            n = X[:, col]
-            if need == 1:
-                h = h * n
-            elif need == 2:
-                h = h * (n * (n - 1) * 0.5)
-            else:
-                factor = n.astype(np.float64)
-                term = factor.copy()
-                for d in range(1, need):
-                    term = term * (factor - d)
-                h = h * (term / math.factorial(need))
-        if isinstance(h, float):
-            return np.full(X.shape[0], h)
-        return h.astype(np.float64, copy=False)
+        plan: list[tuple] = []
+
+        def emit(op, a, b, out):
+            plan.append((op, a, b, out))
+        laws = dict(self._functional)
+        for j, reaction in enumerate(self.network.reactions):
+            out, f, s, t = ("a", j), ("f", j), ("s", j), ("t", j)
+            law, rate = laws.get(j), reaction.rate
+            if law is None:
+                h = None
+                for col, need in self._reactants[j]:
+                    factor = x = ("x", col)
+                    if need > 1:
+                        factor = f if h is None else s
+                        emit(np.subtract, x, 1.0, factor)
+                        emit(np.multiply, x, factor, factor)
+                        for d in range(2, need):
+                            emit(np.subtract, x, float(d), t)
+                            emit(np.multiply, factor, t, factor)
+                        if need == 2:
+                            emit(np.multiply, factor, 0.5, factor)
+                        else:
+                            emit(np.divide, factor,
+                                 float(math.factorial(need)), factor)
+                    if h is not None:
+                        emit(np.multiply, h, factor, f)
+                        factor = f
+                    h = factor
+                emit(np.multiply, ("k", j), 1.0 if h is None else h, out)
+                continue
+            emit(_evaluate, law, ("X", 0), out)
+            # a one-species law that is +0.0 at zero copies is its own
+            # gate on consuming one copy of that species (counts are
+            # non-negative integers: short of one means zero)
+            own = None
+            if isinstance(rate, _ONE_SPECIES_LAWS):
+                with np.errstate(all="ignore"):
+                    at_zero = law(np.zeros((1, self.n_species)))[0]
+                if at_zero == 0.0 and not np.signbit(at_zero):
+                    own = (self.species_index[rate.species], 1)
+            for col, need in self._reactants[j]:
+                if (col, need) != own:
+                    emit(_gate, ("x", col), float(need), out)
+        return plan
 
     def propensities_T(self, X: np.ndarray,
                        rates_rows: Optional[np.ndarray] = None
                        ) -> np.ndarray:
         """The ``(n_reactions, n_trajectories)`` propensity matrix at the
-        batched state ``X``.
+        batched state ``X`` (non-negative integer counts).
 
         Transposed layout: each reaction's values are contiguous, which
-        makes both the assembly here and the cumulative-sum reaction
+        makes both the assembly and the cumulative-sum reaction
         selection of the lockstep loop stride-1 operations.
 
         ``rates_rows`` (optional, ``(n_trajectories, n_reactions)``)
@@ -249,22 +303,8 @@ class CompiledNetwork:
         are not per-row parameterised (sweeps vary mass-action constants
         only); their rows ignore ``rates_rows``.
         """
-        out = np.empty((self.n_reactions, X.shape[0]))
-        for j in range(self.n_reactions):
-            if j in self._functional_set:
-                continue
-            rate = (self._rates[j] if rates_rows is None
-                    else rates_rows[:, j])
-            np.multiply(rate, self._combinatorics(X, j), out=out[j])
-        for j, law in self._functional:
-            value = law(X)
-            # functional rates give the full propensity; the reactant list
-            # only gates the reaction on availability (as in
-            # Reaction.propensity)
-            for col, need in self._reactants[j]:
-                value = np.where(X[:, col] >= need, value, 0.0)
-            out[j] = value
-        return out
+        return NumpyKernel(self).propensities_T(
+            np.asarray(X, dtype=np.float64), rates_rows)
 
     def propensities(self, X: np.ndarray,
                      rates_rows: Optional[np.ndarray] = None) -> np.ndarray:
@@ -357,6 +397,66 @@ def clear_network_cache() -> None:
         _compile_cache.clear()
         for key in _compile_stats:
             _compile_stats[key] = 0
+
+
+class _Workspace:
+    """The working set of one ``advance_to`` call.
+
+    The rows still short of their target are gathered once, advanced in
+    place (float64 counts, exact for any realistic population) and
+    written back only when they retire.  Everything sized by the number
+    of active rows lives here -- row state, the exact loop's per-phase
+    buffers, the per-stream draw views -- and is rebuilt only by
+    :meth:`retire`, so the loop itself allocates nothing between two
+    retirements.
+    """
+
+    def __init__(self, sim: "BatchFlatSimulator", targets: np.ndarray,
+                 n_tallies: int = 0):
+        self.sim, self.targets = sim, targets
+        active = np.flatnonzero(~sim.exhausted & (sim.times < targets))
+        self.active = active
+        self.X = sim.counts[active].astype(np.float64)
+        self.tw, self.trg = sim.times[active], targets[active]
+        self.new_times = np.empty(active.size)
+        self.rr = None if sim.row_rates is None else sim.row_rates[active]
+        self.rs = None if sim._stream_of is None else sim._stream_of[active]
+        #: per-row counters the leap loop adds to steps / leaps /
+        #: exact_steps at retirement (the exact loop counts in lockstep)
+        self.tally = np.zeros((n_tallies, active.size), dtype=np.int64)
+        self._size_buffers()
+
+    def _size_buffers(self) -> None:
+        m = self.active.size
+        self.e, self.u = np.empty(m), np.empty(m)
+        self.flag = np.empty(m, dtype=bool)
+        #: (generator, exponential view, uniform view) per RNG stream
+        self.spans = [(rng, self.e[lo:hi], self.u[lo:hi]) for rng, lo, hi
+                      in self.sim._stream_spans(self.rs)]
+
+    def retire(self, done: np.ndarray, steps: int = 0,
+               exhausted: bool = False) -> np.ndarray:
+        """Write the ``done`` rows back (each fired ``steps`` times plus
+        its tally) and compact the working set; returns the keep mask."""
+        sim, idx = self.sim, self.active[done]
+        sim.counts[idx] = self.X[done].astype(np.int64)
+        sim.times[idx] = self.targets[idx]
+        sim.steps[idx] += steps
+        for total, new in zip((sim.steps, sim.leaps, sim.exact_steps),
+                              self.tally):
+            total[idx] += new[done]
+        if exhausted:
+            sim.exhausted[idx] = True
+        keep = ~done
+        self.active, self.X = self.active[keep], self.X[keep]
+        self.tw, self.trg = self.tw[keep], self.trg[keep]
+        self.new_times, self.tally = self.new_times[keep], self.tally[:, keep]
+        if self.rr is not None:
+            self.rr = self.rr[keep]
+        if self.rs is not None:
+            self.rs = self.rs[keep]
+        self._size_buffers()
+        return keep
 
 
 class BatchFlatSimulator:
@@ -474,31 +574,24 @@ class BatchFlatSimulator:
             self._stream_of = np.repeat(
                 np.arange(len(sizes), dtype=np.int64), sizes)
             self.rng = self._streams[0]
-        #: inner-loop kernel name ("numpy" keeps the inline vectorised
-        #: expressions; "numba"/"cupy" route the three hot computations
-        #: through repro.cwc.kernels).  Every RNG draw stays right here
-        #: in advance_to regardless, so the numba kernel reproduces the
-        #: numpy trajectories bit for bit.
+        #: inner-loop kernel name; the three hot computations always go
+        #: through the kernel object (repro.cwc.kernels).  Every RNG draw
+        #: stays right here in advance_to regardless, so the numba kernel
+        #: reproduces the numpy trajectories bit for bit.
         self.kernel_name = kernel
-        self._kernel = None
-        if kernel != "numpy":
-            self._kernel = self._build_kernel()  # fail fast, not mid-run
-
-    def _build_kernel(self):
-        from repro.cwc.kernels import make_kernel
-        return make_kernel(self.kernel_name, self.compiled)
+        # built now to fail fast, not mid-run
+        self._kernel = make_kernel(kernel, self.compiled)
 
     def __getstate__(self) -> dict:
-        # kernel objects hold jitted dispatchers / device handles; ship
-        # the name and rebuild on the receiving side
-        state = self.__dict__.copy()
-        state["_kernel"] = None
-        return state
+        # kernel objects hold workspace buffers / jitted dispatchers /
+        # device handles; ship the name, rebuild on first use over there
+        return {**self.__dict__, "_kernel": None}
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        if self.kernel_name != "numpy":
-            self._kernel = self._build_kernel()
+    @property
+    def kernel(self):
+        if not self._kernel:
+            self._kernel = make_kernel(self.kernel_name, self.compiled)
+        return self._kernel
 
     @property
     def model(self) -> ReactionNetwork:
@@ -545,79 +638,41 @@ class BatchFlatSimulator:
         self.times[self.exhausted] = targets[self.exhausted]
         if self.method != "exact":
             return self._advance_to_leap(targets)
-        active = np.flatnonzero(~self.exhausted & (self.times < targets))
-        if not active.size:
-            return self.times
-        X = self.counts[active].astype(np.float64)
-        tw = self.times[active].copy()
-        trg = targets[active]
-        new_steps = np.zeros(active.size, dtype=np.int64)
-        rr = None if self.row_rates is None else self.row_rates[active]
-        rs = None if self._stream_of is None else self._stream_of[active]
+        ws = _Workspace(self, targets)
+        kernel = self.kernel
         stoich = self.compiled.stoich.astype(np.float64)
-        n_reactions = self.compiled.n_reactions
-
-        def retire(done: np.ndarray, exhausted: bool = False):
-            """Write retired rows back; compact the working arrays."""
-            nonlocal active, X, tw, trg, new_steps, rr, rs
-            idx = active[done]
-            self.counts[idx] = X[done].astype(np.int64)
-            self.times[idx] = targets[idx]
-            self.steps[idx] += new_steps[done]
-            if exhausted:
-                self.exhausted[idx] = True
-            keep = ~done
-            active, X, tw = active[keep], X[keep], tw[keep]
-            trg, new_steps = trg[keep], new_steps[keep]
-            if rr is not None:
-                rr = rr[keep]
-            if rs is not None:
-                rs = rs[keep]
-            return keep
-
-        kernel = self._kernel
-        while active.size:
+        # lockstep: every row still active fired once per past iteration
+        steps = 0
+        while ws.active.size:
             # (n_reactions, m) cumulative propensities: the running sums
             # drive reaction selection and their last row is the totals
-            if kernel is None:
-                cumulative = np.cumsum(self.compiled.propensities_T(X, rr),
-                                       axis=0)
-            else:
-                cumulative = kernel.propensities_cumsum_T(X, rr)
+            cumulative = kernel.propensities_cumsum_T(ws.X, ws.rr)
             totals = cumulative[-1]
+            if np.count_nonzero(np.less_equal(totals, 0.0, out=ws.flag)):
+                # no draw happened yet: start over on the survivors
+                ws.retire(ws.flag, steps, exhausted=True)
+                continue
 
-            dead = totals <= 0.0
-            if dead.any():
-                keep = retire(dead, exhausted=True)
-                if not active.size:
-                    break
-                cumulative = cumulative[:, keep]
-                totals = cumulative[-1]
-
-            taus = self._draw(rs, active.size, False) / totals
-            new_times = tw + taus
-            over = new_times >= trg
-            if over.any():
+            for rng, e, _ in ws.spans:
+                rng.standard_exponential(out=e)
+            taus = np.divide(ws.e, totals, out=ws.e)
+            new_times = np.add(ws.tw, taus, out=ws.new_times)
+            if np.count_nonzero(
+                    np.greater_equal(new_times, ws.trg, out=ws.flag)):
                 # exact: discard the residual exponential (memoryless);
                 # a landing exactly on the target also retires
-                keep = retire(over)
-                if not active.size:
+                cumulative = cumulative[:, ws.retire(ws.flag, steps)]
+                if not ws.active.size:
                     break
-                cumulative = cumulative[:, keep]
                 totals = cumulative[-1]
-                new_times = new_times[keep]
 
-            picks = self._draw(rs, active.size, True) * totals
-            if kernel is None:
-                chosen = (cumulative < picks[None, :]).sum(axis=0)
-                # numerical slack: never index past the last reaction
-                np.clip(chosen, 0, n_reactions - 1, out=chosen)
-                X += stoich[chosen]
-            else:
-                chosen = kernel.select_events(cumulative, picks)
-                kernel.apply_stoich(X, stoich, chosen)
-            tw = new_times
-            new_steps += 1
+            for rng, _, u in ws.spans:
+                rng.random(out=u)
+            picks = np.multiply(ws.u, totals, out=ws.u)
+            kernel.apply_stoich(ws.X, stoich,
+                                kernel.select_events(cumulative, picks))
+            ws.tw, ws.new_times = ws.new_times, ws.tw
+            steps += 1
         return self.times
 
     def _advance_to_leap(self, targets: np.ndarray) -> np.ndarray:
@@ -636,73 +691,32 @@ class BatchFlatSimulator:
         exact step.  Leaps are clamped to the row's remaining time, so
         quantum boundaries are honoured exactly like the exact path.
         """
-        active = np.flatnonzero(~self.exhausted & (self.times < targets))
-        if not active.size:
-            return self.times
-        X = self.counts[active].astype(np.float64)
-        tw = self.times[active].copy()
-        trg = targets[active]
-        new_steps = np.zeros(active.size, dtype=np.int64)
-        new_leaps = np.zeros(active.size, dtype=np.int64)
-        new_exact = np.zeros(active.size, dtype=np.int64)
-        rr = None if self.row_rates is None else self.row_rates[active]
-        rs = None if self._stream_of is None else self._stream_of[active]
+        ws = _Workspace(self, targets, n_tallies=3)
+        kernel = self.kernel
         stoich = self.compiled.stoich.astype(np.float64)
-        n_reactions = self.compiled.n_reactions
         rcols = self.compiled.reactant_columns
-        kernel = self._kernel
-        from repro.cwc.kernels import numpy_leap_fire, numpy_leap_tau
-
-        def retire(done: np.ndarray, exhausted: bool = False):
-            nonlocal active, X, tw, trg, new_steps, new_leaps, new_exact
-            nonlocal rr, rs
-            idx = active[done]
-            self.counts[idx] = X[done].astype(np.int64)
-            self.times[idx] = targets[idx]
-            self.steps[idx] += new_steps[done]
-            self.leaps[idx] += new_leaps[done]
-            self.exact_steps[idx] += new_exact[done]
-            if exhausted:
-                self.exhausted[idx] = True
-            keep = ~done
-            active, X, tw = active[keep], X[keep], tw[keep]
-            trg, new_steps = trg[keep], new_steps[keep]
-            new_leaps, new_exact = new_leaps[keep], new_exact[keep]
-            if rr is not None:
-                rr = rr[keep]
-            if rs is not None:
-                rs = rs[keep]
-            return keep
-
-        while active.size:
-            if kernel is None:
-                cumulative = np.cumsum(self.compiled.propensities_T(X, rr),
-                                       axis=0)
-            else:
-                cumulative = kernel.propensities_cumsum_T(X, rr)
+        while ws.active.size:
+            X, tw, trg, rs = ws.X, ws.tw, ws.trg, ws.rs
+            new_steps, new_leaps, new_exact = ws.tally
+            cumulative = kernel.propensities_cumsum_T(X, ws.rr)
             totals = cumulative[-1]
             dead = totals <= 0.0
             if dead.any():
-                keep = retire(dead, exhausted=True)
-                if not active.size:
-                    break
-                cumulative = cumulative[:, keep]
-                totals = cumulative[-1]
+                # no draw happened yet: start over on the survivors
+                ws.retire(dead, exhausted=True)
+                continue
 
             # raw propensities back out of the running sums (tau is an
             # approximation bound; no bit-pinning requirement here)
             a = np.empty_like(cumulative)
             a[0] = cumulative[0]
             a[1:] = cumulative[1:] - cumulative[:-1]
-            if kernel is None:
-                tau_cgp = numpy_leap_tau(a, X, stoich, self.epsilon)
-            else:
-                tau_cgp = kernel.leap_tau(a, X, stoich, self.epsilon)
+            tau_cgp = kernel.leap_tau(a, X, stoich, self.epsilon)
             leap = tau_cgp * totals >= self.ssa_threshold
             if self.method == "hybrid" and rcols.size:
                 leap &= X[:, rcols].min(axis=1) >= self.pop_threshold
 
-            retire_mask = np.zeros(active.size, dtype=bool)
+            retire_mask = np.zeros(tw.size, dtype=bool)
 
             def exact_step(sub: np.ndarray) -> None:
                 """One exact SSA step for the row subset ``sub``
@@ -717,16 +731,11 @@ class BatchFlatSimulator:
                     return
                 picks = self._draw(None if rs is None else rs[go],
                                    go.size, True) * totals[go]
-                cum_go = np.ascontiguousarray(cumulative[:, go])
-                if kernel is None:
-                    chosen = (cum_go < picks[None, :]).sum(axis=0)
-                    np.clip(chosen, 0, n_reactions - 1, out=chosen)
-                    X[go] += stoich[chosen]
-                else:
-                    chosen = kernel.select_events(cum_go, picks)
-                    Xg = X[go]
-                    kernel.apply_stoich(Xg, stoich, chosen)
-                    X[go] = Xg
+                chosen = kernel.select_events(
+                    np.ascontiguousarray(cumulative[:, go]), picks)
+                Xg = X[go]
+                kernel.apply_stoich(Xg, stoich, chosen)
+                X[go] = Xg
                 tw[go] = nt[~over]
                 new_steps[go] += 1
                 new_exact[go] += 1
@@ -746,10 +755,7 @@ class BatchFlatSimulator:
                     fires = self._draw_poisson(
                         None if rs is None else rs[pending], lam)
                     Xp = X[pending]
-                    if kernel is None:
-                        ok = numpy_leap_fire(Xp, stoich, fires)
-                    else:
-                        ok = kernel.leap_fire(Xp, stoich, fires)
+                    ok = kernel.leap_fire(Xp, stoich, fires)
                     X[pending] = Xp
                     committed = pending[ok]
                     if committed.size:
@@ -772,8 +778,28 @@ class BatchFlatSimulator:
                     exact_step(pending)
 
             if retire_mask.any():
-                retire(retire_mask)
+                ws.retire(retire_mask)
         return self.times
+
+    def _stream_spans(self, rs: Optional[np.ndarray]
+                      ) -> list[tuple[np.random.Generator, int, Any]]:
+        """``(generator, lo, hi)`` for every RNG stream owning rows of a
+        working subset, ``rs`` being the rows' stream ids.
+
+        Single-stream blocks (``rs`` None) have one span over
+        everything, so they draw once from ``self.rng`` (the historical
+        call, bit-compatible).  In multi-stream blocks ``rs`` stays
+        sorted under keep-compaction and sorted sub-indexing, so each
+        group is one contiguous span and receives exactly the array its
+        solo block would have drawn at this phase -- same generator,
+        same call, same size.
+        """
+        if rs is None:
+            return [(self.rng, 0, None)]
+        bounds = np.searchsorted(
+            rs, np.arange(len(self._streams) + 1)).tolist()
+        return [(rng, lo, hi) for rng, lo, hi
+                in zip(self._streams, bounds, bounds[1:]) if hi > lo]
 
     def _draw_poisson(self, rs_sub: Optional[np.ndarray],
                       lam: np.ndarray) -> np.ndarray:
@@ -784,42 +810,21 @@ class BatchFlatSimulator:
         groups draw separately like :meth:`_draw`, so a fused block's
         per-point streams stay independent under leaping too.
         """
-        if rs_sub is None:
-            return self.rng.poisson(lam).astype(np.float64)
         out = np.empty(lam.shape)
-        bounds = np.searchsorted(
-            rs_sub, np.arange(len(self._streams) + 1))
-        for s, rng in enumerate(self._streams):
-            lo, hi = int(bounds[s]), int(bounds[s + 1])
-            if hi > lo:
-                out[lo:hi] = rng.poisson(lam[lo:hi])
+        for rng, lo, hi in self._stream_spans(rs_sub):
+            out[lo:hi] = rng.poisson(lam[lo:hi])
         return out
 
     def _draw(self, rs: Optional[np.ndarray], m: int,
               uniform: bool) -> np.ndarray:
-        """One phase's random draws for the ``m`` active rows.
-
-        Single-stream blocks draw once from ``self.rng`` (the historical
-        call, bit-compatible).  Multi-stream blocks draw each group's
-        values from its own generator: ``rs`` (the active rows' stream
-        ids) stays sorted under the keep-compaction of ``retire``, so
-        each group is one contiguous span and receives exactly the
-        array its solo block would have drawn at this phase -- same
-        generator, same call, same size.
-        """
-        if rs is None:
-            return (self.rng.random(m) if uniform
-                    else self.rng.exponential(1.0, size=m))
+        """One phase's random draws for a subset of ``m`` active rows
+        (the leap loop's exact steps; see :meth:`_stream_spans`)."""
         draws = np.empty(m)
-        bounds = np.searchsorted(
-            rs, np.arange(len(self._streams) + 1))
-        for s, rng in enumerate(self._streams):
-            lo, hi = int(bounds[s]), int(bounds[s + 1])
-            if hi > lo:
-                if uniform:
-                    draws[lo:hi] = rng.random(hi - lo)
-                else:
-                    draws[lo:hi] = rng.exponential(1.0, size=hi - lo)
+        for rng, lo, hi in self._stream_spans(rs):
+            if uniform:
+                rng.random(out=draws[lo:hi])
+            else:
+                rng.standard_exponential(out=draws[lo:hi])
         return draws
 
     # ------------------------------------------------------------------

@@ -20,8 +20,8 @@ bound from stoichiometry moments) and **leap_fire** (batched scatter of
 Poisson firing counts with negative-population rejection).  The Poisson
 draws themselves stay in Python, like every other random draw.
 
-* ``"numpy"`` -- the reference implementation, byte-for-byte the
-  vectorised expressions the simulator always used.  Always available;
+* ``"numpy"`` -- the reference implementation: the compiled network's
+  propensity plan replayed on preallocated buffers.  Always available;
   the correctness oracle for everything else.
 * ``"numba"`` -- ``@njit``-compiled fused loops.  **Bit-identical** to
   numpy for the same seeds: every random draw stays in Python (same
@@ -286,8 +286,7 @@ def _leap_fire(X, stoich, fires, ok) -> None:
 
 # ---------------------------------------------------------------------------
 # numpy reference implementations of the leap primitives (the oracle the
-# jitted loops are tested against; also the inline path of the batch
-# simulator when no kernel object is selected)
+# jitted loops are tested against)
 # ---------------------------------------------------------------------------
 
 def numpy_leap_tau(a: np.ndarray, X: np.ndarray, stoich: np.ndarray,
@@ -336,30 +335,79 @@ def numpy_leap_fire(X: np.ndarray, stoich: np.ndarray,
 # ---------------------------------------------------------------------------
 
 class NumpyKernel:
-    """The reference backend: delegates to the compiled network's
-    vectorised expressions (the exact code the simulator inlines when no
-    kernel is selected)."""
+    """The reference backend: replays the compiled network's propensity
+    plan on a preallocated workspace.
+
+    ``compiled.plan`` is a list of ``(op, a, b, out)`` NumPy calls with
+    symbolic operands -- ``("x", col)`` a species column of the state,
+    ``("k", j)`` reaction ``j``'s rate constant (or per-row rates),
+    ``("a"|"f"|"s"|"t", j)`` row ``j`` of the propensity matrix / three
+    scratch matrices.  :meth:`_bind` resolves them into views once per
+    working set (the lockstep loop hands over the same ``X`` until rows
+    retire), so an iteration is one ``op(a, b, out=out)`` per plan entry
+    plus ``add.accumulate``: no Python loop over reactant lists and no
+    temporaries for mass action.  Every element sees the operations of
+    the plain loops above in the same order, hence the same bits.
+    """
 
     name = "numpy"
 
     def __init__(self, compiled) -> None:
         self.compiled = compiled
+        self._bind(np.empty((0, compiled.n_species)), None)
+
+    def _bind(self, X: np.ndarray,
+              rates_rows: "np.ndarray | None") -> None:
+        compiled = self.compiled
+        self._X, self._rates_rows = X, rates_rows
+        shape = (compiled.n_reactions, X.shape[0])
+        self._raw, f, s, t, self._cum = np.empty((5,) + shape)
+        # operand kind -> its row views (list() splits in one C pass)
+        operands = {
+            "a": list(self._raw), "f": list(f), "s": list(s), "t": list(t),
+            "x": list(X.T), "X": (X,),
+            "k": list(compiled._rates if rates_rows is None
+                      else rates_rows.T)}
+        self._program = [
+            tuple(operands[o[0]][o[1]] if isinstance(o, tuple) else o
+                  for o in call) for call in compiled.plan]
+        self._below = np.empty(shape, dtype=bool)
+        self._chosen = np.empty(X.shape[0], dtype=np.intp)
+        self._delta = np.empty_like(X)
+
+    def __reduce__(self):
+        return type(self), (self.compiled,)  # the buffers are a cache
+
+    def propensities_T(self, X: np.ndarray,
+                       rates_rows: "np.ndarray | None" = None
+                       ) -> np.ndarray:
+        if X is not self._X or rates_rows is not self._rates_rows:
+            self._bind(X, rates_rows)
+        for op, a, b, out in self._program:
+            op(a, b, out=out)
+        return self._raw
 
     def propensities_cumsum_T(self, X: np.ndarray,
                               rates_rows: "np.ndarray | None" = None
                               ) -> np.ndarray:
-        return np.cumsum(self.compiled.propensities_T(X, rates_rows),
-                         axis=0)
+        return np.add.accumulate(self.propensities_T(X, rates_rows),
+                                 axis=0, out=self._cum)
 
     def select_events(self, cumulative: np.ndarray,
                       picks: np.ndarray) -> np.ndarray:
-        chosen = (cumulative < picks[None, :]).sum(axis=0)
-        np.clip(chosen, 0, self.compiled.n_reactions - 1, out=chosen)
-        return chosen
+        below, chosen = self._below, self._chosen
+        if cumulative.shape != below.shape:  # rows retired since the bind
+            below = chosen = None
+        below = np.less(cumulative, picks, out=below)
+        chosen = np.add.reduce(below, axis=0, dtype=np.intp, out=chosen)
+        # numerical slack: never index past the last reaction
+        return np.minimum(chosen, cumulative.shape[0] - 1, out=chosen)
 
     def apply_stoich(self, X: np.ndarray, stoich: np.ndarray,
                      chosen: np.ndarray) -> None:
-        X += stoich[chosen]
+        delta = self._delta if X.shape == self._delta.shape else None
+        np.add(X, np.take(stoich, chosen, axis=0, out=delta, mode="clip"),
+               out=X)
 
     def leap_tau(self, a: np.ndarray, X: np.ndarray, stoich: np.ndarray,
                  epsilon: float) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.cwc.batch import CompiledNetwork, compile_network
 from repro.cwc.gillespie import SSAResult
-from repro.cwc.kernels import numpy_leap_fire, numpy_leap_tau
+from repro.cwc.kernels import NumpyKernel, numpy_leap_fire, numpy_leap_tau
 from repro.cwc.network import FlatSimulator, ReactionNetwork
 
 
@@ -87,6 +87,8 @@ class TauLeapSimulator:
         self.network = self.compiled.network
         self._x = self.compiled.initial.astype(np.float64)[None, :].copy()
         self._stoich = self.compiled.stoich.astype(np.float64)
+        # stays bound to the one-row state, which only changes in place
+        self._kernel = NumpyKernel(self.compiled)
         self.time = 0.0
         self.steps = 0       # reaction firings (sum of leap counts)
         self.leaps = 0
@@ -124,7 +126,7 @@ class TauLeapSimulator:
 
     def step(self, t_max: float = math.inf) -> bool:
         """One leap (or one exact SSA step in the hybrid regime)."""
-        aT = self.compiled.propensities_T(self._x)
+        aT = self._kernel.propensities_T(self._x)
         total = float(aT.sum())
         if total <= 0.0:
             if t_max < math.inf:

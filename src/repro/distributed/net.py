@@ -901,7 +901,8 @@ def run_workflow_cluster(model, config, controller=None, tracer=None,
                        config.quantum, config.sample_every,
                        seed=config.seed, engine=config.engine,
                        batch_size=config.batch_size,
-                       engine_kernel=config.engine_kernel)
+                       engine_kernel=config.engine_kernel,
+                       method=config.method)
     stop_requested = (
         (lambda: controller.stop_requested) if controller is not None
         else None)

@@ -1,5 +1,7 @@
 """The process-level compiled-network cache."""
 
+import pickle
+
 import pytest
 
 from repro.cwc.batch import (CompiledNetwork, clear_network_cache,
@@ -61,6 +63,45 @@ class TestMemoization:
             "hits": 0, "misses": 0, "uncacheable": 0}
         compile_network(neurospora_network(omega=20))
         assert network_cache_stats()["misses"] == 1
+
+
+def _picklable_opaque_law(X):
+    return X[:, 0] * 0.1
+
+
+class TestUnpickling:
+    """A batch task crosses the pool pipe / the wire twice per quantum;
+    its compiled network must resolve through the cache, not recompile
+    (and rebuild the propensity plan) on every arrival."""
+
+    def test_unpickles_share_one_compilation(self):
+        blob = pickle.dumps(CompiledNetwork(neurospora_network(omega=20)))
+        first, second = pickle.loads(blob), pickle.loads(blob)
+        assert second is first
+        assert first is compile_network(neurospora_network(omega=20))
+        stats = network_cache_stats()
+        assert stats["misses"] == 1 and stats["hits"] == 2
+
+    def test_unpickled_network_simulates_identically(self):
+        from repro.cwc.batch import BatchFlatSimulator
+        sim = BatchFlatSimulator(neurospora_network(omega=20), 4, seed=1)
+        clone = pickle.loads(pickle.dumps(sim))
+        assert clone.compiled is not sim.compiled
+        sim.advance_to(2.0)
+        clone.advance_to(2.0)
+        assert clone.counts.tobytes() == sim.counts.tobytes()
+        assert clone.times.tobytes() == sim.times.tobytes()
+
+    def test_opaque_networks_still_compile_fresh(self):
+        network = ReactionNetwork(
+            "opaque", {"a": 10},
+            [Reaction.make("decay", {"a": 1}, {}, _picklable_opaque_law)],
+            observables=("a",))
+        blob = pickle.dumps(CompiledNetwork(network))
+        first, second = pickle.loads(blob), pickle.loads(blob)
+        assert second is not first
+        stats = network_cache_stats()
+        assert stats["uncacheable"] == 2 and stats["hits"] == 0
 
 
 class TestFingerprint:

@@ -41,6 +41,20 @@ class TestClusterWorkflow:
                                  config(backend="cluster"))
         assert stats_of(threaded) == stats_of(clustered)
 
+    def test_method_reaches_the_workers(self):
+        """``method`` used to be dropped on the way to ``make_tasks``:
+        ``--backend cluster --method tau`` silently ran exact SSA."""
+        from repro.models import neurospora_network
+        network = neurospora_network(omega=400)
+
+        def run(backend, method):
+            return run_workflow(network, config(
+                backend=backend, method=method, engine="batch",
+                batch_size=3, t_end=4.0))
+        clustered = run("cluster", "tau")
+        assert clustered.windows == run("processes", "tau").windows
+        assert stats_of(clustered) != stats_of(run("cluster", "exact"))
+
     def test_workers_flag_controls_pool(self, neurospora_small):
         chaos = _Recorder()
         run_workflow_cluster(neurospora_small,
