@@ -18,11 +18,16 @@ compiled loops between processes).  Without numba installed the script
 degrades to the numpy baseline and reports the missing kernels --
 useful locally; CI installs numba and asserts the speedup floor.
 
+``--streams N`` times the same rows a second time as ``N`` equal RNG
+streams (``rng_streams``, what a fused lockstep task of ``N`` seed
+blocks runs) and prints us/iteration for both, so the cost of the two
+extra generator calls per stream per iteration is a number.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py \
         [--batch 64 256 1024] [--t-end 0.5] [--omega 100] [--repeat 3] \
-        [--json BENCH_kernels.json] [--assert-speedup 3]
+        [--streams 8] [--json BENCH_kernels.json] [--assert-speedup 3]
 """
 
 from __future__ import annotations
@@ -40,15 +45,34 @@ from repro.models import neurospora_network
 
 
 def run_once(network, kernel: str, batch: int, t_end: float,
-             seed: int) -> tuple[int, float, np.ndarray, int]:
+             seed: int, streams: int = 1
+             ) -> tuple[int, float, np.ndarray, int]:
     """Steps fired, wall seconds, final counts and lockstep iterations
-    (one ``advance`` runs until its longest row is through)."""
-    sim = BatchFlatSimulator(network, batch, seed=seed, kernel=kernel)
+    (one ``advance`` runs until its longest row is through).  With
+    ``streams`` > 1 the rows are split into that many equal RNG streams,
+    seeded like consecutive seed blocks."""
+    if streams == 1:
+        sim = BatchFlatSimulator(network, batch, seed=seed, kernel=kernel)
+    else:
+        rows = batch // streams
+        sim = BatchFlatSimulator(
+            network, batch, kernel=kernel,
+            rng_streams=[(rows, seed + i * rows) for i in range(streams)])
     started = time.perf_counter()
     sim.advance(t_end)
     elapsed = time.perf_counter() - started
     return (sim.total_steps, elapsed, sim.counts.copy(),
             int(sim.steps.max()) + 1)
+
+
+def best_lap(network, kernel: str, batch: int, t_end: float, seed: int,
+             repeat: int, streams: int = 1) -> tuple[int, float, int]:
+    """Steps, wall seconds and iterations of the fastest of ``repeat +
+    1`` laps (the first lap is the JIT warm-up)."""
+    laps = [run_once(network, kernel, batch, t_end, seed, streams)
+            for _ in range(repeat + 1)]
+    steps, elapsed, _, iterations = min(laps, key=lambda lap: lap[1])
+    return steps, elapsed, iterations
 
 
 def main(argv=None) -> int:
@@ -59,6 +83,10 @@ def main(argv=None) -> int:
     parser.add_argument("--omega", type=int, default=100)
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--streams", type=int, default=1,
+                        help="also time every batch split into this "
+                             "many equal RNG streams (a fused lockstep "
+                             "task) and print us/iteration for both")
     parser.add_argument("--json", default="BENCH_kernels.json")
     parser.add_argument("--assert-speedup", type=float, default=None,
                         help="fail unless every available JIT kernel "
@@ -72,6 +100,8 @@ def main(argv=None) -> int:
                              "install fails the job instead of "
                              "silently shipping a numpy-only artifact")
     args = parser.parse_args(argv)
+    if args.streams < 1 or any(b % args.streams for b in args.batch):
+        parser.error("--streams must be >= 1 and divide every --batch")
 
     network = neurospora_network(omega=args.omega)
     kernels = [k for k in KERNEL_NAMES if kernel_available(k)]
@@ -105,11 +135,8 @@ def main(argv=None) -> int:
 
         timings = report["batches"][str(batch)] = {}
         for kernel in kernels:
-            best, steps, iterations = float("inf"), 0, 1
-            for _ in range(args.repeat + 1):  # first lap = JIT warm-up
-                steps, elapsed, _, iterations = run_once(
-                    network, kernel, batch, args.t_end, args.seed)
-                best = min(best, elapsed)
+            steps, best, iterations = best_lap(
+                network, kernel, batch, args.t_end, args.seed, args.repeat)
             timings[kernel] = {
                 "steps": steps, "steps_per_s": steps / best,
                 "us_per_iteration": best / iterations * 1e6}
@@ -120,6 +147,19 @@ def main(argv=None) -> int:
                   f"{steps / best:>12,.0f} steps/s "
                   f"{best / iterations * 1e6:>8.1f} us/iteration "
                   f"{timings[kernel]['speedup_vs_numpy']:>6.2f}x vs numpy")
+            if args.streams > 1:
+                # other seeds, other trajectories: compare per iteration
+                _, elapsed, split_iterations = best_lap(
+                    network, kernel, batch, args.t_end, args.seed,
+                    args.repeat, args.streams)
+                split = elapsed / split_iterations * 1e6
+                one = timings[kernel]["us_per_iteration"]
+                timings[kernel]["streams"] = args.streams
+                timings[kernel]["us_per_iteration_streams"] = split
+                print(f"      as {args.streams:>3} streams: "
+                      f"{split:>8.1f} us/iteration "
+                      f"({(split - one) / (args.streams - 1):+.2f} us per "
+                      "extra stream)")
     if missing:
         print(f"not installed here (skipped): {', '.join(missing)}")
 

@@ -30,7 +30,8 @@ from repro.cwc.model import Model, Observable
 from repro.cwc.matching import match_multiplicity, enumerate_matches
 from repro.cwc.gillespie import CWCSimulator, SSAResult
 from repro.cwc.network import Reaction, ReactionNetwork, FlatSimulator
-from repro.cwc.batch import BatchFlatSimulator, CompiledNetwork, batch_simulator
+from repro.cwc.batch import (BatchFlatSimulator, CompiledNetwork,
+                             PopulationOverflow, batch_simulator)
 from repro.cwc.methods import FirstReactionSimulator, TauLeapSimulator
 from repro.cwc.invariants import conservation_laws, verify_conservation
 from repro.cwc.ode import integrate_ode
@@ -58,6 +59,7 @@ __all__ = [
     "FlatSimulator",
     "BatchFlatSimulator",
     "CompiledNetwork",
+    "PopulationOverflow",
     "batch_simulator",
     "FirstReactionSimulator",
     "TauLeapSimulator",

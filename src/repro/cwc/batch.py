@@ -399,12 +399,41 @@ def clear_network_cache() -> None:
             _compile_stats[key] = 0
 
 
+#: largest population the float64 working set holds exactly
+MAX_POPULATION = float(2 ** 53)
+
+
+class PopulationOverflow(ValueError):
+    """A trajectory's population left the range in which float64 counts
+    are exact integers (``2**53``): the model has escaped (e.g.
+    Lotka-Volterra prey under tau-leaping once the predators die out)
+    and nothing past this point would be a simulation of it.  The
+    simulator that raised must not be advanced further."""
+
+
+def _require_exact(sim: "BatchFlatSimulator", X: np.ndarray,
+                   rows: np.ndarray, times: np.ndarray) -> None:
+    """Raise :class:`PopulationOverflow` unless every population in the
+    working rows ``X`` (block rows ``rows``, clocks ``times``) is at most
+    :data:`MAX_POPULATION`.  NaN (inf - inf of an escaped row) fails the
+    comparison too, so the int64 cast behind this check is always
+    defined."""
+    if X.size and not X.max() <= MAX_POPULATION:
+        i, col = np.argwhere(~(X <= MAX_POPULATION))[0]
+        raise PopulationOverflow(
+            f"trajectory row {rows[i]} of {sim.network.name!r}: "
+            f"population of {sim.network.species[col]!r} reached "
+            f"{X[i, col]:.6g} at t={times[i]:.6g}, above 2**53 "
+            "(float64 counts are no longer exact)")
+
+
 class _Workspace:
     """The working set of one ``advance_to`` call.
 
     The rows still short of their target are gathered once, advanced in
-    place (float64 counts, exact for any realistic population) and
-    written back only when they retire.  Everything sized by the number
+    place (float64 counts, exact up to :data:`MAX_POPULATION`; beyond it
+    :func:`_require_exact` ends the run) and written back only when they
+    retire.  Everything sized by the number
     of active rows lives here -- row state, the exact loop's per-phase
     buffers, the per-stream draw views -- and is rebuilt only by
     :meth:`retire`, so the loop itself allocates nothing between two
@@ -439,8 +468,10 @@ class _Workspace:
         """Write the ``done`` rows back (each fired ``steps`` times plus
         its tally) and compact the working set; returns the keep mask."""
         sim, idx = self.sim, self.active[done]
-        sim.counts[idx] = self.X[done].astype(np.int64)
-        sim.times[idx] = self.targets[idx]
+        X_done, reached = self.X[done], self.targets[idx]
+        _require_exact(sim, X_done, idx, reached)
+        sim.counts[idx] = X_done.astype(np.int64)
+        sim.times[idx] = reached
         sim.steps[idx] += steps
         for total, new in zip((sim.steps, sim.leaps, sim.exact_steps),
                               self.tally):
@@ -760,6 +791,10 @@ class BatchFlatSimulator:
                     committed = pending[ok]
                     if committed.size:
                         tw[committed] += ptau[ok]
+                        # rejected rows are unchanged, so one reduce over
+                        # all of Xp vets exactly the committed ones
+                        _require_exact(self, Xp, ws.active[pending],
+                                       tw[pending])
                         new_steps[committed] += fires[ok].sum(
                             axis=1).astype(np.int64)
                         new_leaps[committed] += 1

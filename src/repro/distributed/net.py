@@ -864,17 +864,23 @@ class KillWorkerAfter:
 
 class ClusterSourceNode(SourceNode):
     """Source stage streaming a :class:`ClusterMaster`'s results into the
-    graph; exports the master's counters to the run report on finish."""
+    graph; exports the master's counters (and ``task_counters``, what
+    :meth:`TaskGenerator.build_tasks` said about the tasks it was built
+    with) to the run report on finish."""
 
-    def __init__(self, master: ClusterMaster, name: str = "cluster-master"):
+    def __init__(self, master: ClusterMaster,
+                 task_counters: Optional[dict] = None,
+                 name: str = "cluster-master"):
         super().__init__(name=name)
         self.master = master
+        self.task_counters = task_counters or {}
 
     def generate(self):
         return self.master.run()
 
     def svc_end(self) -> None:
-        for counter, value in self.master.counters().items():
+        counters = {**self.task_counters, **self.master.counters()}
+        for counter, value in counters.items():
             if value:
                 self.trace_incr(counter, value)
 
@@ -894,21 +900,17 @@ def run_workflow_cluster(model, config, controller=None, tracer=None,
     from repro.ff.executor import run as ff_run
     from repro.ff.pipeline import Pipeline
     from repro.pipeline.builder import (WorkflowResult, analysis_stages,
-                                        make_aligner)
-    from repro.sim.task import make_tasks
+                                        make_aligner, task_generator)
 
-    tasks = make_tasks(model, config.n_simulations, config.t_end,
-                       config.quantum, config.sample_every,
-                       seed=config.seed, engine=config.engine,
-                       batch_size=config.batch_size,
-                       engine_kernel=config.engine_kernel,
-                       method=config.method)
+    n_workers = config.cluster_workers or config.n_sim_workers
+    tasks, task_counters = task_generator(
+        model, config, n_workers).build_tasks()
     stop_requested = (
         (lambda: controller.stop_requested) if controller is not None
         else None)
     master = ClusterMaster(
         tasks,
-        n_workers=config.cluster_workers or config.n_sim_workers,
+        n_workers=n_workers,
         inflight_window=config.cluster_inflight,
         heartbeat_interval=config.heartbeat_interval,
         heartbeat_timeout=config.heartbeat_timeout,
@@ -918,7 +920,8 @@ def run_workflow_cluster(model, config, controller=None, tracer=None,
     if controller is not None:
         controller.attach_scheduler(master)
     cut_store: Optional[list] = [] if config.keep_cuts else None
-    stages: list = [ClusterSourceNode(master), make_aligner(config)]
+    stages: list = [ClusterSourceNode(master, task_counters),
+                    make_aligner(config)]
     stages.extend(analysis_stages(config, cut_store=cut_store,
                                   controller=controller))
     windows = ff_run(Pipeline(stages, name="cluster-workflow"),

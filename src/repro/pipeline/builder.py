@@ -138,6 +138,26 @@ def analysis_stages(config: WorkflowConfig,
     return stages
 
 
+def task_generator(model: Union[Model, ReactionNetwork],
+                   config: WorkflowConfig, n_workers: int) -> TaskGenerator:
+    """The task source of a run on ``n_workers`` simulation workers.
+
+    Knowing the worker count lets the batch engine fuse seed blocks into
+    wider lockstep tasks (DESIGN.md par.8) -- except under
+    ``adaptive_repriority``, whose unit of scheduling is the task: only
+    tasks beyond the dispatch slots wait in the re-keyable backlog, and
+    fusing down to even three tasks per worker left it nothing to
+    reorder (EXPERIMENTS.md, "Lockstep width").
+    """
+    return TaskGenerator(
+        model, config.n_simulations, config.t_end, config.quantum,
+        config.sample_every, seed=config.seed, engine=config.engine,
+        batch_size=config.batch_size,
+        engine_kernel=config.engine_kernel,
+        method=config.method,
+        n_workers=None if config.adaptive_repriority else n_workers)
+
+
 def build_workflow(model: Union[Model, ReactionNetwork],
                    config: WorkflowConfig,
                    controller: Optional[SteeringController] = None,
@@ -155,12 +175,7 @@ def build_workflow(model: Union[Model, ReactionNetwork],
     """
     if engine_factory is None:
         engine_factory = lambda i: SimEngineNode(name=f"sim-eng-{i}")  # noqa: E731
-    generator = TaskGenerator(
-        model, config.n_simulations, config.t_end, config.quantum,
-        config.sample_every, seed=config.seed, engine=config.engine,
-        batch_size=config.batch_size,
-        engine_kernel=config.engine_kernel,
-        method=config.method)
+    generator = task_generator(model, config, config.n_sim_workers)
     stop_requested = (
         (lambda: controller.stop_requested) if controller is not None
         else None)

@@ -31,7 +31,10 @@ class WorkflowConfig:
     histogram_bins: Optional[int] = None
     seed: Optional[int] = 0
     engine: str = "auto"          # "flat" | "cwc" | "auto" | "batch"
-    batch_size: int = 64          # trajectories per block (engine="batch")
+    #: trajectories per RNG stream (engine="batch"): fixes the seed
+    #: blocks a recorded seed reproduces; the runtime may advance several
+    #: streams in one lockstep task
+    batch_size: int = 64
     #: inner-loop kernel of the batch engine: "numpy" (the default and
     #: the correctness oracle), "numba" (JIT-compiled, bit-identical to
     #: numpy for the same seeds) or "cupy" (real-GPU arrays); the latter

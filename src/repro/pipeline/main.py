@@ -59,8 +59,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--engine", choices=("auto", "flat", "cwc", "batch"),
                         default="auto")
     parser.add_argument("--batch-size", type=int, default=64,
-                        help="trajectories per lockstep block "
-                             "(--engine batch)")
+                        help="trajectories per RNG stream (--engine "
+                             "batch); the runtime may advance several "
+                             "streams in one lockstep task")
     parser.add_argument("--engine-kernel",
                         choices=("numpy", "numba", "cupy"),
                         default="numpy",

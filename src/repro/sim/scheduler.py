@@ -36,6 +36,7 @@ class TaskGenerator(SourceNode):
                  engine: str = "auto", batch_size: int = 64,
                  engine_kernel: str = "numpy",
                  method: str = "exact",
+                 n_workers: Optional[int] = None,
                  name: str = "task-gen"):
         super().__init__(name=name)
         if n_simulations < 1:
@@ -50,8 +51,16 @@ class TaskGenerator(SourceNode):
         self.batch_size = batch_size
         self.engine_kernel = engine_kernel
         self.method = method
+        #: how many tasks the runtime wants to keep runnable: lets the
+        #: batch engine fuse seed blocks into wider lockstep tasks
+        #: (:func:`~repro.sim.task.make_batch_tasks`); None keeps one
+        #: task per seed block
+        self.n_workers = n_workers
 
-    def generate(self) -> Iterable[SimulationTask]:
+    def build_tasks(self) -> tuple[list[SimulationTask], dict[str, int]]:
+        """The run's tasks and the run-report counters describing them
+        (for runtimes that hand the tasks to their own scheduler instead
+        of streaming them from this node, e.g. the TCP cluster)."""
         from repro.cwc.batch import network_cache_stats
         hits_before = network_cache_stats()["hits"]
         tasks = make_tasks(self.model, self.n_simulations, self.t_end,
@@ -59,10 +68,26 @@ class TaskGenerator(SourceNode):
                            seed=self.seed, engine=self.engine,
                            batch_size=self.batch_size,
                            engine_kernel=self.engine_kernel,
-                           method=self.method)
-        hits = network_cache_stats()["hits"] - hits_before
-        if hits:
-            self.trace_incr("sim.network_cache_hits", hits)
+                           method=self.method, n_workers=self.n_workers)
+        # what width actually ran: seed blocks are the RNG streams the
+        # recorded seed fixes, tasks what the runtime made of them
+        batch = self.engine == "batch"
+        return tasks, {
+            "sim.network_cache_hits":
+                network_cache_stats()["hits"] - hits_before,
+            "sim.tasks_generated": len(tasks),
+            "sim.seed_blocks":
+                -(-self.n_simulations // self.batch_size) if batch
+                else self.n_simulations,
+            "sim.lockstep_rows_max":
+                max(task.n for task in tasks) if batch else 1,
+        }
+
+    def generate(self) -> Iterable[SimulationTask]:
+        tasks, counters = self.build_tasks()
+        for counter, value in counters.items():
+            if value:
+                self.trace_incr(counter, value)
         return iter(tasks)
 
 

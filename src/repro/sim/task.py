@@ -504,16 +504,20 @@ def make_tasks(model: Union[Model, ReactionNetwork], n_simulations: int,
                batch_size: int = 64,
                engine_kernel: str = "numpy",
                coalesce: bool = False,
-               method: str = "exact") -> list[SimulationTask]:
+               method: str = "exact",
+               n_workers: Optional[int] = None) -> list[SimulationTask]:
     """Create tasks covering ``n_simulations`` trajectories of ``model``.
 
     ``engine`` selects the simulator: ``"flat"`` (plain Gillespie; requires
     a :class:`ReactionNetwork` or a compartment-free model), ``"cwc"``
     (tree-term engine), ``"auto"`` (flat when possible) or ``"batch"``
-    (the NumPy lockstep engine: trajectories are grouped into
-    :class:`BatchSimulationTask` blocks of ``batch_size``).  Seeds are
-    derived as ``seed + task_id`` (per block for ``"batch"``) so runs are
-    reproducible and trajectories independent.
+    (the NumPy lockstep engine: trajectories are grouped into seed blocks
+    of ``batch_size``, one RNG stream each, and -- when ``n_workers`` is
+    given -- consecutive seed blocks into wider
+    :class:`BatchSimulationTask` lockstep tasks, see
+    :func:`make_batch_tasks`).  Seeds are derived as ``seed + task_id``
+    (per seed block for ``"batch"``) so runs are reproducible and
+    trajectories independent.  The scalar engines ignore ``n_workers``.
 
     ``engine_kernel`` picks the batch engine's inner loop
     (:mod:`repro.cwc.kernels`); the scalar engines ignore it.
@@ -534,7 +538,8 @@ def make_tasks(model: Union[Model, ReactionNetwork], n_simulations: int,
                                 sample_every, seed=seed,
                                 batch_size=batch_size,
                                 engine_kernel=engine_kernel,
-                                coalesce=coalesce, method=method)
+                                coalesce=coalesce, method=method,
+                                n_workers=n_workers)
     tasks = []
     for task_id in range(n_simulations):
         task_seed = None if seed is None else seed + task_id
@@ -544,27 +549,73 @@ def make_tasks(model: Union[Model, ReactionNetwork], n_simulations: int,
     return tasks
 
 
+#: widest lockstep task block fusion builds, in rows.  The NumPy kernel's
+#: cost per event stops falling about here (EXPERIMENTS.md, "Lockstep
+#: width"), while the working set and the per-quantum result payload keep
+#: growing with the width.
+MAX_FUSED_ROWS = 512
+
+
+def seed_block_groups(n_simulations: int, batch_size: int,
+                      n_workers: Optional[int] = None) -> list[list[range]]:
+    """Split ``n_simulations`` trajectory ids into seed blocks of
+    ``batch_size`` and group *consecutive* blocks into lockstep tasks.
+
+    Without ``n_workers`` every seed block is its own task.  With it,
+    blocks are spread as evenly as possible over the fewest groups that
+    still leave ``n_workers`` tasks (or one per block, if there are
+    fewer blocks than that) and keep every fused task within
+    :data:`MAX_FUSED_ROWS` rows; a ``batch_size`` above half the cap
+    therefore never fuses.
+    """
+    blocks = [range(base, min(base + batch_size, n_simulations))
+              for base in range(0, n_simulations, batch_size)]
+    per_task = MAX_FUSED_ROWS // batch_size
+    if n_workers is None or per_task < 2:
+        return [[block] for block in blocks]
+    n_groups = max(min(len(blocks), n_workers),
+                   -(-len(blocks) // per_task))
+    size, extra = divmod(len(blocks), n_groups)
+    groups, start = [], 0
+    for g in range(n_groups):
+        stop = start + size + (g < extra)
+        groups.append(blocks[start:stop])
+        start = stop
+    return groups
+
+
 def make_batch_tasks(model: Union[Model, ReactionNetwork],
                      n_simulations: int, t_end: float, quantum: float,
                      sample_every: float, seed: Optional[int] = 0,
                      batch_size: int = 64,
                      engine_kernel: str = "numpy",
                      coalesce: bool = False,
-                     method: str = "exact"
+                     method: str = "exact",
+                     n_workers: Optional[int] = None
                      ) -> list[BatchSimulationTask]:
     """Group ``n_simulations`` trajectories into lockstep batch tasks.
 
-    The network is compiled once and shared by every block (the compiled
+    ``batch_size`` is the number of trajectories per *seed block*: each
+    block draws from its own generator seeded ``seed + first_task_id``,
+    which is what a recorded seed reproduces.  How many seed blocks one
+    task advances in lockstep is an execution decision: ``n_workers``
+    (how many tasks the runtime wants to keep runnable) lets
+    :func:`seed_block_groups` fuse consecutive blocks into one
+    :class:`~repro.cwc.batch.BatchFlatSimulator` with one RNG stream per
+    block, so every block draws exactly its solo sequence and the
+    trajectories are byte-identical to the unfused run while the kernel
+    is entered once per task instead of once per block.  ``None`` (the
+    default) keeps one task per seed block.
+
+    The network is compiled once and shared by every task (the compiled
     matrices are immutable) through the process-wide compile cache, so
     repeated runs of the same model -- the service's per-RunSpec case and
-    every sweep point -- skip recompilation entirely; each block draws
-    from its own generator seeded ``seed + first_task_id`` for
-    reproducibility.  ``engine_kernel`` selects the inner-loop kernel
-    (:mod:`repro.cwc.kernels`); seeds and draw order are
-    kernel-independent, so ``"numba"`` reproduces the ``"numpy"``
-    trajectories bit for bit.  ``coalesce`` makes each block return one
-    :class:`ResultBlock` per quantum instead of per-member results.
-    ``method`` picks the stepping algorithm per
+    every sweep point -- skip recompilation entirely.  ``engine_kernel``
+    selects the inner-loop kernel (:mod:`repro.cwc.kernels`); seeds and
+    draw order are kernel-independent, so ``"numba"`` reproduces the
+    ``"numpy"`` trajectories bit for bit.  ``coalesce`` makes each task
+    return one :class:`ResultBlock` per quantum instead of per-member
+    results.  ``method`` picks the stepping algorithm per
     :class:`~repro.cwc.batch.BatchFlatSimulator` (``"exact"``, ``"tau"``
     or ``"hybrid"``).
     """
@@ -575,12 +626,22 @@ def make_batch_tasks(model: Union[Model, ReactionNetwork],
     else:
         network = ReactionNetwork.from_model(model)
     compiled = compile_network(network)
+
+    def block_seed(block: range) -> Optional[int]:
+        return None if seed is None else seed + block.start
+
     tasks = []
-    for base in range(0, n_simulations, batch_size):
-        ids = range(base, min(base + batch_size, n_simulations))
-        block_seed = None if seed is None else seed + base
-        batch = BatchFlatSimulator(compiled, len(ids), seed=block_seed,
-                                   kernel=engine_kernel, method=method)
+    for group in seed_block_groups(n_simulations, batch_size, n_workers):
+        ids = range(group[0].start, group[-1].stop)
+        if len(group) == 1:
+            # the historical constructor: single-block tasks do not even
+            # change code path
+            streams = {"seed": block_seed(group[0])}
+        else:
+            streams = {"rng_streams": [(len(block), block_seed(block))
+                                       for block in group]}
+        batch = BatchFlatSimulator(compiled, len(ids), kernel=engine_kernel,
+                                   method=method, **streams)
         tasks.append(BatchSimulationTask(ids, batch, t_end, quantum,
                                          sample_every, coalesce=coalesce))
     return tasks

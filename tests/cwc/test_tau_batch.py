@@ -23,7 +23,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cwc import Reaction, ReactionNetwork
-from repro.cwc.batch import BatchFlatSimulator, CompiledNetwork
+from repro.cwc.batch import (MAX_POPULATION, BatchFlatSimulator,
+                             CompiledNetwork, PopulationOverflow)
 from repro.cwc.kernels import (
     _leap_fire,
     _leap_tau,
@@ -253,6 +254,43 @@ class TestLeapEngineInvariants:
                                  seed=3, method="hybrid")
         sim.advance(0.1)
         assert sim.leaps.sum() > 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPopulationOverflow:
+    """An escaped model ends in a named error, not in an undefined
+    float -> int64 cast (``RuntimeWarning: invalid value encountered in
+    cast``, then garbage counts)."""
+
+    def test_escaped_prey_raises_at_the_committed_leap(self):
+        # prey escapes once a row's predators die out (around t = 10.5
+        # for this seed) and then grows ~e^10 per time unit
+        sim = BatchFlatSimulator(lotka_volterra_network(omega=1000), 8,
+                                 seed=1, method="tau")
+        with pytest.raises(PopulationOverflow) as caught:
+            sim.advance_to(np.full(8, 40.0))
+        message = str(caught.value)
+        assert "row " in message and "'prey'" in message and "t=" in message
+        # nothing out of range was ever written back
+        assert sim.counts.max() <= MAX_POPULATION
+        assert isinstance(caught.value, ValueError)
+
+    def test_write_back_is_guarded_in_the_exact_loop(self):
+        birth = ReactionNetwork("birth", {"a": 2 ** 53 + 2}, [
+            Reaction.make("birth", "", "a", 1.0)])
+        sim = BatchFlatSimulator(birth, 2, seed=0)
+        before = sim.counts.copy()
+        with pytest.raises(PopulationOverflow, match="row 0.*'a'.*t=0.5"):
+            sim.advance_to(np.full(2, 0.5))
+        assert (sim.counts == before).all()
+
+    def test_populations_at_the_limit_pass(self):
+        idle = ReactionNetwork("idle", {"a": 2 ** 53, "b": 1}, [
+            Reaction.make("flip", "b", "c", 1.0)])
+        sim = BatchFlatSimulator(idle, 2, seed=0)
+        sim.advance_to(np.full(2, 50.0))
+        assert (sim.counts[:, sim.compiled.species_index["a"]]
+                == 2 ** 53).all()
 
 
 # ---------------------------------------------------------------------------

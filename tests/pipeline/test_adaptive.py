@@ -279,6 +279,23 @@ class TestRepriorityEndToEnd:
         assert counters.get("adapt.reprioritized", 0) == sum(rekeys)
 
 
+    def test_batch_engine_keeps_its_backlog(self, neurospora_small):
+        """Block fusion would leave one task per worker and nothing in
+        the backlog to re-key; a re-prioritising run keeps one task per
+        seed block instead.  The sequential backend's schedule is
+        deterministic, so the move count is too."""
+        cfg = WorkflowConfig(n_simulations=32, t_end=20.0, sample_every=0.5,
+                             quantum=2.0, window_size=10, seed=3,
+                             engine="batch", batch_size=2, n_sim_workers=2,
+                             backend="sequential", trace=True)
+        fused = run_workflow(neurospora_small, cfg).trace_report.counters
+        assert fused["sim.tasks_generated"] == 2
+        cfg.adaptive_repriority = True
+        counters = run_workflow(neurospora_small, cfg).trace_report.counters
+        assert counters["sim.tasks_generated"] == counters["sim.seed_blocks"]
+        assert counters["adapt.reprioritized"] > 0
+
+
 class TestAdaptiveSweep:
     def _points(self, neurospora_small):
         from repro.models import neurospora_network

@@ -113,6 +113,22 @@ class TestMain:
         data = json.loads(path.read_text())
         assert data["counters"]["sim.trajectories_retired"] == 4
 
+    def test_trace_report_says_what_width_ran(self, tmp_path):
+        import json
+
+        path = tmp_path / "report.json"
+        code = main(["--model", "enzyme", "--simulations", "20",
+                     "--t-end", "2", "--quantum", "1",
+                     "--sample-every", "0.5", "--window", "4",
+                     "--engine", "batch", "--batch-size", "4",
+                     "--sim-workers", "2", "--quiet",
+                     "--trace-report", str(path)])
+        assert code == 0
+        counters = json.loads(path.read_text())["counters"]
+        assert counters["sim.seed_blocks"] == 5
+        assert counters["sim.tasks_generated"] == 2
+        assert counters["sim.lockstep_rows_max"] == 12
+
 
 class TestSweepCLI:
     def test_sweep_run_with_store(self, tmp_path, capsys):
