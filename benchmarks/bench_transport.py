@@ -18,6 +18,12 @@ member):
   pickle/unpickle round trip of the result list (what the pool's future
   pipe does without the ring).
 
+``--round-trip`` measures the other direction of the cluster wire
+instead: what one *scalar* quantum's master -> worker -> master round
+trip costs in codec + ``StreamDecoder`` work (kernel excluded) when the
+live task travels both ways, against a worker-resident task
+(``TaskMsg(None, key)`` out, checkpoint blob + results back).
+
 Everything runs in-process (no sockets, no pool) so the numbers isolate
 serialisation and copy cost from transport latency.
 
@@ -26,6 +32,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_transport.py \
         [--n-traj 1024] [--samples 16] [--n-obs 3] [--repeat 5] \
         [--json BENCH_transport.json] [--assert-reduction 5]
+    PYTHONPATH=src python benchmarks/bench_transport.py --round-trip
 """
 
 from __future__ import annotations
@@ -39,13 +46,15 @@ import time
 import numpy as np
 
 from repro.distributed.message import (
+    FrameCodec,
+    StreamDecoder,
     decode_frame,
     encode_frame,
     encode_frame_oob,
     encode_frame_segments,
     segments_nbytes,
 )
-from repro.distributed.net import ResultMsg
+from repro.distributed.net import Checkpoint, ResultMsg, TaskMsg
 from repro.distributed.shm import (make_prefix, map_results,
                                    publish_results, sweep_orphans)
 from repro.sim.task import QuantumResult
@@ -145,6 +154,46 @@ def bench_shm(results, repeat: int) -> dict:
     }
 
 
+def bench_round_trip(repeat: int, rounds: int = 500) -> dict:
+    """Codec + decoder cost of one scalar enzyme quantum's round trip,
+    for both ways of moving the task; the kernel runs once, up front."""
+    from repro.models import mm_enzyme_network
+    from repro.sim.task import make_tasks
+
+    (task,) = make_tasks(mm_enzyme_network(), 1, 4.0, 0.25, 0.5, seed=0)
+    results = (task.run_quantum(),)
+    key = task.task_id
+
+    def live(master, worker, to_worker, to_master):
+        (msg,) = to_worker.feed(b"".join(
+            master.encode_segments(TaskMsg(task))))
+        to_master.feed(b"".join(worker.encode_segments(
+            ResultMsg(0, msg.task, results))))
+
+    def resident(master, worker, to_worker, to_master):
+        to_worker.feed(b"".join(master.encode_segments(TaskMsg(None, key))))
+        to_master.feed(b"".join(worker.encode_segments(
+            ResultMsg(0, Checkpoint.of(task, key), results))))
+
+    report = {}
+    for name, round_trip in (("live", live), ("resident", resident)):
+        ends = (FrameCodec("master"), FrameCodec("worker"),
+                StreamDecoder(), StreamDecoder())
+        round_trip(*ends)
+        report[f"{name}_bytes_out"] = ends[0].bytes_out
+        report[f"{name}_bytes_in"] = ends[1].bytes_out
+
+        def many():
+            for _ in range(rounds):
+                round_trip(*ends)
+
+        report[f"{name}_us"] = 1e6 / rounds * time_loop(many, repeat)
+    report["bytes_out_reduction"] = (report["live_bytes_out"]
+                                     / report["resident_bytes_out"])
+    report["speedup"] = report["live_us"] / report["resident_us"]
+    return report
+
+
 def verify(results) -> None:
     """The fast path must not change a byte before we trust its timing."""
     msg = ResultMsg(0, None, tuple(results))
@@ -182,7 +231,24 @@ def main(argv=None) -> int:
                              "least this fraction of v1's (guards "
                              "against decode regressions hiding behind "
                              "the byte counts)")
+    parser.add_argument("--round-trip", action="store_true",
+                        help="measure one scalar quantum's task round "
+                             "trip (live task both ways vs worker-"
+                             "resident task + checkpoint) and exit")
     args = parser.parse_args(argv)
+
+    if args.round_trip:
+        trip = bench_round_trip(args.repeat)
+        for name in ("live", "resident"):
+            print(f"{name:8s} task: {trip[f'{name}_bytes_out']:,} B out + "
+                  f"{trip[f'{name}_bytes_in']:,} B back, "
+                  f"{trip[f'{name}_us']:.1f} us per round trip")
+        print(f"resident: {trip['bytes_out_reduction']:.0f}x fewer bytes "
+              f"master->worker, {trip['speedup']:.2f}x round trips/s")
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump({"round_trip": trip}, fh, indent=2)
+        print(f"wrote {args.json}")
+        return 0
 
     results = make_quantum(args.n_traj, args.samples, args.n_obs)
     verify(results)

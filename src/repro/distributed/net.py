@@ -6,26 +6,39 @@ processes*.  Unlike :mod:`repro.distributed.cluster` (the in-process
 virtual cluster), everything here really crosses the network:
 
 * the master listens on a TCP port, spawns (or waits for) worker
-  processes, and ships :class:`~repro.sim.task.SimulationTask` objects to
-  them framed by :mod:`repro.distributed.message`;
-* workers run one simulation quantum per task message and return the
-  updated task state *and* the quantum results in a single atomic frame;
-* the master streams the :class:`~repro.sim.task.QuantumResult` objects
-  into the unchanged alignment/analysis half of the workflow.
+  processes, and ships each :class:`~repro.sim.task.SimulationTask` to
+  its worker **once**, framed by :mod:`repro.distributed.message`;
+* the worker keeps the live task it advances (as in the paper, a
+  trajectory lives on the host that simulates it): a steady-state task
+  message names the task by key and carries no state.  Per quantum the
+  worker returns a :class:`Checkpoint` -- the pickled post-quantum task
+  as one opaque blob -- *and* the quantum results in a single atomic
+  frame;
+* the master keeps the latest checkpoint of every task without ever
+  unpickling it (scheduling needs only ``key/done/time/steps``) and
+  streams the :class:`~repro.sim.task.QuantumResult` objects into the
+  unchanged alignment/analysis half of the workflow.
 
 Scheduling mirrors the shared-memory farm: **host affinity** (a task is
-pinned to the worker that holds the warm path for it; pins only move when
-a worker dies), **bounded in-flight windows** per worker (backpressure:
-the master never buffers more than ``inflight_window`` tasks on a
-worker's socket), and on-demand refill as results come back.
+pinned to the worker that holds it; pins only move when a worker dies),
+**bounded in-flight windows** per worker (backpressure: the master never
+buffers more than ``inflight_window`` tasks on a worker's socket), and
+on-demand refill as results come back -- a dispatch pass stops as soon as
+no window has headroom, so its cost follows the free slots, not the
+backlog.
 
 Fault tolerance: workers send heartbeats; the master declares a worker
-dead on connection loss or heartbeat timeout, then re-pins and re-sends
-that worker's in-flight tasks to the survivors.  Because a task carries
-its complete simulator state (including the RNG state) and the master
-only advances its copy when the result frame has fully arrived, a
-replayed quantum is *bit-identical* to the lost one: killing a worker
-mid-run never changes the results.
+dead on connection loss or heartbeat timeout, then re-pins that worker's
+tasks to the survivors and re-sends their checkpoints verbatim.  Because
+a checkpoint holds the complete simulator state (including the RNG
+state) and the master only replaces it when the result frame has fully
+arrived, a replayed quantum is *bit-identical* to the lost one: killing
+a worker mid-run never changes the results.
+
+Serve mode (:meth:`ClusterMaster.serve`) keeps the process-pool
+contract instead: every quantum is submitted with its state and the
+caller gets the advanced task back, so nothing stays resident on a
+long-lived fleet.
 
 The wire protocol (also see :mod:`repro.distributed.worker` for how to
 join remote hosts):
@@ -33,10 +46,13 @@ join remote hosts):
 ====================  =============  =======================================
 message               direction      meaning
 ====================  =============  =======================================
-:class:`Hello`        worker->master first frame after connect: register
+:class:`Hello`        worker->master first frame after connect: register,
+                                     state the wire-protocol number
 :class:`Heartbeat`    worker->master liveness beacon, every ``interval`` s
-:class:`TaskMsg`      master->worker run one quantum of the carried task
-:class:`ResultMsg`    worker->master updated task state + quantum results
+:class:`TaskMsg`      master->worker run one quantum: of the resident task
+                                     ``key``, or of the carried checkpoint
+:class:`ResultMsg`    worker->master checkpoint + quantum results
+:class:`Forget`       master->worker a new run starts: drop resident tasks
 :class:`WorkerFailure` worker->master unrecoverable worker-side error
 :class:`Shutdown`     master->worker run is over, exit cleanly
 ====================  =============  =======================================
@@ -44,13 +60,14 @@ message               direction      meaning
 
 from __future__ import annotations
 
+import pickle
 import queue
 import socket
 import threading
 import time
-from collections import deque
+from bisect import insort
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from repro.distributed.message import (FrameCodec, FrameError, StreamDecoder,
                                        send_segments)
@@ -66,13 +83,21 @@ class ClusterError(RuntimeError):
 # wire protocol
 # ----------------------------------------------------------------------
 
+#: wire-protocol number, stated in :class:`Hello`.  1 = every quantum
+#: ships the live task both ways (frames of that era carry no number);
+#: 2 = worker-resident tasks, :class:`Checkpoint` results, :class:`Forget`.
+PROTOCOL = 2
+
+
 @dataclass(frozen=True)
 class Hello:
     """First frame a worker sends: registers ``worker_id`` (and its OS
-    pid, for diagnostics) with the master."""
+    pid, for diagnostics) with the master and states the wire protocol
+    it speaks, so version skew is refused at the door."""
 
     worker_id: int
     pid: int
+    protocol: int = PROTOCOL
 
 
 @dataclass(frozen=True)
@@ -85,25 +110,65 @@ class Heartbeat:
 
 
 @dataclass(frozen=True)
+class Checkpoint:
+    """What the master holds of a task: its scheduling facts and its
+    complete state as an opaque blob (``pickle.dumps(task, 5)``, made
+    where the live task is).  The blob crosses the wire as one buffer
+    (out of band on zero-copy links) and is only ever unpickled by a
+    worker -- or by serve mode, which owes its caller a live task."""
+
+    key: Any
+    done: bool
+    time: float
+    steps: int
+    state: Any
+
+    @classmethod
+    def of(cls, task: Any, key: Any = None) -> "Checkpoint":
+        return cls(_task_key(task) if key is None else key, task.done,
+                   task.time, task.steps, pickle.dumps(task, 5))
+
+    def __reduce__(self):
+        return (Checkpoint, (self.key, self.done, self.time, self.steps,
+                             pickle.PickleBuffer(self.state)))
+
+
+@dataclass(frozen=True)
 class TaskMsg:
-    """Master -> worker: advance the carried task by one quantum."""
+    """Master -> worker: advance a task by one quantum.
+
+    ``TaskMsg(None, key)`` names the task the worker already holds --
+    the steady state.  A state-carrying message brings a
+    :class:`Checkpoint` (first dispatch, replay after a worker death,
+    every serve-mode quantum) or a live task; the worker keeps the
+    advanced task resident only if ``keep`` says so.
+    """
 
     task: Any
+    key: Any = None
+    keep: bool = False
 
 
 @dataclass(frozen=True)
 class ResultMsg:
-    """Worker -> master: the post-quantum task state plus its results.
+    """Worker -> master: the post-quantum :class:`Checkpoint` (in
+    ``task``) plus the quantum's results.
 
     State and results travel in *one* frame on purpose: the master either
-    sees both (task advanced, results forwarded downstream) or neither
-    (worker died mid-quantum, task replayed from the previous state) --
-    the atomicity deterministic reassignment relies on.
+    sees both (checkpoint replaced, results forwarded downstream) or
+    neither (worker died mid-quantum, task replayed from the previous
+    checkpoint) -- the atomicity deterministic reassignment relies on.
     """
 
     worker_id: int
     task: Any
     results: tuple
+
+
+@dataclass(frozen=True)
+class Forget:
+    """Master -> worker: a new run starts, drop every resident task
+    (what a steered stop retired mid-horizon is never asked for again)."""
 
 
 @dataclass(frozen=True)
@@ -140,9 +205,10 @@ class NamespacedTask:
     The service multiplexes many tenant runs over one cluster: their
     task ids all start at 0, so scheduling state (affinity pins,
     in-flight windows, result futures) must key on
-    ``(namespace, task_id)``.  The envelope rides the wire whole -- the
-    worker just calls :meth:`run_quantum` and ships the same (advanced)
-    object back -- so the worker loop needs no notion of tenancy.
+    ``(namespace, task_id)``.  The envelope rides the wire whole, inside
+    the checkpoint blob -- the worker just calls :meth:`run_quantum` and
+    checkpoints the same (advanced) object -- so the worker loop needs no
+    notion of tenancy.
     """
 
     __slots__ = ("namespace", "task")
@@ -191,9 +257,11 @@ class WorkerHandle:
         self.decoder = StreamDecoder(codec=self.codec)
         self.alive = True
         self.last_seen = time.monotonic()
-        #: task key -> last task state this worker was sent (the replay
-        #: point if the worker dies before returning the result)
-        self.in_flight: dict[Any, Any] = {}
+        #: task key -> the checkpoint this worker was asked to advance
+        #: (the replay point if it dies before returning the result)
+        self.in_flight: dict[Any, Checkpoint] = {}
+        #: keys of the tasks resident on this worker
+        self.holds: set = set()
         self.items_done = 0
         self.send_blocked_s = 0.0
 
@@ -270,7 +338,8 @@ class ClusterMaster:
         self.zero_copy = zero_copy
 
         self.workers: dict[int, WorkerHandle] = {}
-        self.ready: deque = deque()
+        #: checkpoints waiting for a window slot, in dispatch order
+        self.ready: list[Checkpoint] = []
         #: task key -> worker id (host affinity; re-pinned only on death)
         self.assignment: dict[Any, int] = {}
         self.completed = 0
@@ -281,12 +350,18 @@ class ClusterMaster:
         self.stale_results = 0
         self.tasks_completed_full = 0
         self.tasks_retired = 0
+        self.state_sends = 0
+        self.resident_sends = 0
+        self.state_bytes_in = 0
         self.inflight_wait_s = 0.0
         self.wall_time = 0.0
-        #: current backlog priority key (None -> arrival order); set via
-        #: :meth:`repriority` from the analysis thread, applied by
-        #: :meth:`_dispatch` on the master thread
+        #: requested backlog priority key (None -> arrival order); set via
+        #: :meth:`repriority` from the analysis thread.  :meth:`_dispatch`
+        #: takes it up on the master thread (``_resort``) and from then on
+        #: keeps ``ready`` sorted by it (``_sorted_by``)
         self._priority_key: Optional[Callable[[Any], float]] = None
+        self._resort = False
+        self._sorted_by: Optional[Callable[[Any], float]] = None
 
         self._inbox: "queue.Queue[tuple[str, int, Any]]" = queue.Queue()
         self._procs: dict[int, Any] = {}
@@ -349,8 +424,12 @@ class ClusterMaster:
         self.completed = 0
         self._stopping = False
         self.assignment.clear()
-        self.ready.clear()
-        self.ready.extend(self.tasks)
+        self.ready = [Checkpoint.of(task) for task in self.tasks]
+        self._resort = True  # a key outlives the run: sort the new backlog
+        for handle in self.workers.values():
+            handle.holds.clear()
+            if handle.alive:
+                self._send(handle, Forget())
         try:
             self._dispatch()
             yield from self._event_loop()
@@ -442,6 +521,13 @@ class ClusterMaster:
         hello = messages[0]
         if not isinstance(hello, Hello):
             raise ClusterError(f"expected Hello, got {hello!r}")
+        # a Hello pickled by a pre-versioning checkout has no such field
+        protocol = vars(hello).get("protocol", 1)
+        if protocol != PROTOCOL:
+            raise ClusterError(
+                f"worker {hello.worker_id} speaks wire protocol "
+                f"{protocol}, this master speaks {PROTOCOL}: run both "
+                f"ends from the same checkout")
         if hello.worker_id in self.workers:
             raise ClusterError(f"duplicate worker id {hello.worker_id}")
         sock.settimeout(None)
@@ -496,61 +582,87 @@ class ClusterMaster:
         thread at the next :meth:`_dispatch`.  Returns the number of
         queued tasks subject to the re-ordering."""
         self._priority_key = key
+        self._resort = True
         return len(self.ready)
+
+    def _enqueue(self, checkpoint: Checkpoint) -> None:
+        """Queue a checkpoint for dispatch: at the tail, or -- with a
+        priority key applied -- in key order after its equals.  A queued
+        checkpoint's key cannot change while it waits, so this keeps
+        ``ready`` exactly as a stable sort of the whole backlog would."""
+        if self._sorted_by is None:
+            self.ready.append(checkpoint)
+        else:
+            insort(self.ready, checkpoint, key=self._sorted_by)
 
     def _dispatch(self) -> None:
         """Send ready tasks to their pinned (or newly pinned) workers, up
-        to each worker's in-flight window.  When an adaptive priority key
-        is installed, the backlog drains in key order (laggards first for
+        to each worker's in-flight window, scanning the backlog in order
+        only while some alive worker has window headroom (what is not
+        reached stays where it is).  When an adaptive priority key is
+        installed, the backlog drains in key order (laggards first for
         the default lag key): queued low-priority tasks simply starve
         behind the window bound until re-keyed work has been sent."""
-        key = self._priority_key
-        if key is not None and len(self.ready) > 1:
-            self.ready = deque(sorted(self.ready, key=key))
-        while True:
-            sent_any = False
-            backlog, self.ready = self.ready, deque()
-            while backlog:
-                task = backlog.popleft()
-                key = _task_key(task)
-                worker_id = self.assignment.get(key)
-                if worker_id is not None and not self.workers[worker_id].alive:
-                    self.reassignments += 1
-                    self.assignment.pop(key)
-                    worker_id = None
-                if worker_id is None:
-                    # pin only when a window slot is actually free -- an
-                    # eager pin would glue queued tasks to whichever
-                    # worker tie-broke lowest and serialise the run
-                    worker_id = self._least_loaded()
-                    if worker_id is None:
-                        self.ready.append(task)
-                        continue
-                    self.assignment[key] = worker_id
-                handle = self.workers[worker_id]
-                if len(handle.in_flight) >= self.inflight_window:
-                    self.ready.append(task)
-                    continue
-                if self._send_task(handle, task):
-                    sent_any = True
-            if not sent_any or not self.ready:
-                return
+        if self._resort:
+            self._resort = False
+            self._sorted_by = self._priority_key
+            if self._sorted_by is not None:
+                self.ready.sort(key=self._sorted_by)
+        ready = self.ready
+        free = self._headroom()
+        i = 0
+        while free and i < len(ready):
+            checkpoint = ready[i]
+            key = checkpoint.key
+            worker_id = self.assignment.get(key)
+            if worker_id is not None and not self.workers[worker_id].alive:
+                self.reassignments += 1
+                self.assignment.pop(key)
+                worker_id = None
+            if worker_id is None:
+                # pin only when a window slot is actually free -- an
+                # eager pin would glue queued tasks to whichever
+                # worker tie-broke lowest and serialise the run
+                worker_id = self.assignment[key] = self._least_loaded()
+            handle = self.workers[worker_id]
+            if len(handle.in_flight) >= self.inflight_window:
+                i += 1
+                continue
+            del ready[i]
+            if self._send_task(handle, checkpoint):
+                free -= 1
+            else:
+                # the worker died under the send and its in-flight tasks
+                # are back in the backlog: start over
+                free, i = self._headroom(), 0
 
-    def _least_loaded(self) -> Optional[int]:
+    def _headroom(self) -> int:
+        """Free in-flight window slots over all alive workers."""
+        return sum(self.inflight_window - len(h.in_flight)
+                   for h in self.workers.values()
+                   if h.alive and len(h.in_flight) < self.inflight_window)
+
+    def _least_loaded(self) -> int:
         """The alive worker with the most window headroom (ties to the
-        lowest id), or None when every window is full (or no worker is
-        alive)."""
-        candidates = [h for h in self.workers.values()
-                      if h.alive and len(h.in_flight) < self.inflight_window]
-        if not candidates:
-            return None
-        return min(candidates,
+        lowest id); only asked while :meth:`_headroom` is positive."""
+        return min((h for h in self.workers.values() if h.alive),
                    key=lambda h: (len(h.in_flight), h.worker_id)).worker_id
 
-    def _send_task(self, handle: WorkerHandle, task: Any) -> bool:
-        handle.in_flight[_task_key(task)] = task
+    def _send_task(self, handle: WorkerHandle, checkpoint: Checkpoint) -> bool:
+        key = checkpoint.key
+        handle.in_flight[key] = checkpoint
         self.tasks_dispatched += 1
-        return self._send(handle, TaskMsg(task))
+        if key in handle.holds:
+            self.resident_sends += 1
+            return self._send(handle, TaskMsg(None, key))
+        # first dispatch, or replay on a survivor: the state goes along.
+        # Serve mode owes every caller its task back, so nothing it
+        # submits stays on the worker
+        keep = self._serve_thread is None
+        if keep:
+            handle.holds.add(key)
+        self.state_sends += 1
+        return self._send(handle, TaskMsg(checkpoint, keep=keep))
 
     def _send(self, handle: WorkerHandle, obj: Any) -> bool:
         started = time.monotonic()
@@ -567,32 +679,38 @@ class ClusterMaster:
         return True
 
     def _on_result(self, msg: ResultMsg):
-        handle = self.workers.get(msg.worker_id)
-        if handle is None or not handle.alive:
-            # the worker was declared dead and its tasks reassigned; the
-            # replayed quantum supersedes this frame
-            self.stale_results += 1
+        checkpoint = self._acknowledge(msg)
+        if checkpoint is None:
             return
-        task = msg.task
-        key = _task_key(task)
-        if key not in handle.in_flight:
-            self.stale_results += 1
-            return
-        del handle.in_flight[key]
-        handle.items_done += 1
-        self.results_received += 1
-        if task.done or self._stopping:
+        if checkpoint.done or self._stopping:
             self.completed += 1
-            self.assignment.pop(key, None)
-            if task.done:
+            self.assignment.pop(checkpoint.key, None)
+            self.workers[msg.worker_id].holds.discard(checkpoint.key)
+            if checkpoint.done:
                 self.tasks_completed_full += 1
             else:
                 self.tasks_retired += 1  # steering retired it mid-horizon
         else:
-            self.ready.append(task)
+            self._enqueue(checkpoint)
         for result in msg.results:
             if len(result) or result.done:
                 yield result
+
+    def _acknowledge(self, msg: ResultMsg) -> Optional[Checkpoint]:
+        """Take a result frame's checkpoint off its worker's window;
+        None (a stale result) if the worker has been declared dead --
+        its tasks are reassigned and the replayed quantum supersedes
+        this frame -- or no longer owes that task."""
+        handle = self.workers.get(msg.worker_id)
+        checkpoint = msg.task
+        if (handle is None or not handle.alive
+                or handle.in_flight.pop(checkpoint.key, None) is None):
+            self.stale_results += 1
+            return None
+        handle.items_done += 1
+        self.results_received += 1
+        self.state_bytes_in += len(checkpoint.state)
+        return checkpoint
 
     def _poll_stop(self) -> None:
         if self._stopping:
@@ -627,10 +745,12 @@ class ClusterMaster:
             pass
         if handle.proc is not None:
             _kill_process(handle.proc)
-        # replay every in-flight task from its last acknowledged state;
-        # _dispatch re-pins it to a survivor (counted there)
-        self.ready.extend(handle.in_flight.values())
+        # replay every in-flight task from its last acknowledged
+        # checkpoint; _dispatch re-pins it to a survivor (counted there)
+        for checkpoint in handle.in_flight.values():
+            self._enqueue(checkpoint)
         handle.in_flight.clear()
+        handle.holds.clear()
         if not any(h.alive for h in self.workers.values()):
             raise ClusterError(
                 f"all workers dead (last: worker {worker_id}: {reason})")
@@ -676,7 +796,8 @@ class ClusterMaster:
                 f"cluster fleet is down: {self._serve_error or 'closed'}")
         future: Future = Future()
         env = task if namespace is None else NamespacedTask(namespace, task)
-        self._inbox.put(("submit", -1, (env, future)))
+        # checkpointed here, in the caller's thread, not on the scheduler's
+        self._inbox.put(("submit", -1, (Checkpoint.of(env), future)))
         return future
 
     def _serve_forever(self) -> None:
@@ -689,9 +810,9 @@ class ClusterMaster:
                 except queue.Empty:
                     continue
                 if kind == "submit":
-                    env, future = payload
-                    self._futures[_task_key(env)] = future
-                    self.ready.append(env)
+                    checkpoint, future = payload
+                    self._futures[checkpoint.key] = future
+                    self._enqueue(checkpoint)
                     self._dispatch()
                 elif kind == "dead":
                     self._worker_dead(worker_id, payload)
@@ -718,26 +839,18 @@ class ClusterMaster:
         """Serve-mode result handling: one quantum done, resolve its
         future (the per-run emitters above the fleet own rescheduling,
         so nothing is re-enqueued here)."""
-        handle = self.workers.get(msg.worker_id)
-        if handle is None or not handle.alive:
-            self.stale_results += 1
+        checkpoint = self._acknowledge(msg)
+        if checkpoint is None:
             return
-        env = msg.task
-        key = _task_key(env)
-        if key not in handle.in_flight:
-            self.stale_results += 1
-            return
-        del handle.in_flight[key]
-        handle.items_done += 1
-        self.results_received += 1
         self.completed += 1
-        if env.done:
+        if checkpoint.done:
             # the tenant run is finished with this lane: drop the pin so
             # the affinity map cannot grow without bound across runs
-            self.assignment.pop(key, None)
-        future = self._futures.pop(key, None)
-        task = env.task if isinstance(env, NamespacedTask) else env
+            self.assignment.pop(checkpoint.key, None)
+        future = self._futures.pop(checkpoint.key, None)
         if future is not None and not future.done():
+            env = pickle.loads(checkpoint.state)
+            task = env.task if isinstance(env, NamespacedTask) else env
             future.set_result((task, list(msg.results)))
 
     # -- teardown --------------------------------------------------------
@@ -804,6 +917,11 @@ class ClusterMaster:
             "net.workers_failed": self.workers_failed,
             "net.stale_results": self.stale_results,
             "net.inflight_wait_s": self.inflight_wait_s,
+            # dispatches that carried a checkpoint / named a resident
+            # task, and checkpoint bytes the workers sent back
+            "net.state_sends": self.state_sends,
+            "net.resident_sends": self.resident_sends,
+            "net.state_bytes_in": self.state_bytes_in,
             # uniform scheduler counters (same names as the shared-memory
             # emitter, one task message == one quantum) so run reports and
             # the adaptive benchmark read a single vocabulary

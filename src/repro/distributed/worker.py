@@ -1,18 +1,25 @@
 """repro.distributed.worker: the cluster worker process.
 
-One worker = one TCP connection to the master = one simulation lane.  The
-loop is deliberately dumb -- all scheduling intelligence (affinity,
-windows, reassignment) lives master-side:
+One worker = one TCP connection to the master = one simulation lane.  All
+scheduling intelligence (affinity, windows, reassignment) lives
+master-side; what lives here is the simulation itself -- the worker keeps
+the live tasks it advances, the master only their checkpoints:
 
-1. connect to the master and send :class:`~repro.distributed.net.Hello`;
+1. connect to the master and send :class:`~repro.distributed.net.Hello`
+   (which states the wire-protocol number);
 2. start a heartbeat thread
    (:class:`~repro.distributed.net.Heartbeat` every ``interval`` seconds);
-3. for every :class:`~repro.distributed.net.TaskMsg`: run **one**
-   simulation quantum and send a single
+3. for every :class:`~repro.distributed.net.TaskMsg`: take the task from
+   the message (a :class:`~repro.distributed.net.Checkpoint` to unpickle,
+   or a live task) or, for ``TaskMsg(None, key)``, from ``resident``; run
+   **one** simulation quantum and send a single
    :class:`~repro.distributed.net.ResultMsg` frame carrying the advanced
-   task state *and* the quantum results (atomic: the master never sees
-   one without the other);
-4. exit on :class:`~repro.distributed.net.Shutdown` or connection loss.
+   task's checkpoint *and* the quantum results (atomic: the master never
+   sees one without the other).  The task stays resident if the master
+   asked for that and it is not done; a key the worker does not hold is
+   a :class:`~repro.distributed.net.WorkerFailure`;
+4. drop all resident tasks on :class:`~repro.distributed.net.Forget`;
+5. exit on :class:`~repro.distributed.net.Shutdown` or connection loss.
 
 Localhost clusters spawn this via ``multiprocessing``
 (:class:`~repro.distributed.net.ClusterMaster` does it for you).  For
@@ -25,13 +32,16 @@ with a distinct ``--id`` per worker (ids are the master's scheduling
 handle; duplicates are rejected).  The machines only need this package
 importable and TCP reachability to the master -- frames are
 length-prefixed, checksummed pickles (:mod:`repro.distributed.message`),
-so both ends must run compatible Python/package versions.
+so both ends must run compatible Python versions and the same wire
+protocol (:data:`~repro.distributed.net.PROTOCOL`; the master refuses a
+worker from a checkout that speaks another one at the handshake).
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import pickle
 import socket
 import sys
 import threading
@@ -41,6 +51,8 @@ from typing import Optional
 from repro.distributed.message import (FrameCodec, FrameError, StreamDecoder,
                                        send_segments)
 from repro.distributed.net import (
+    Checkpoint,
+    Forget,
     Heartbeat,
     Hello,
     ResultMsg,
@@ -69,14 +81,19 @@ def _connect(host: str, port: int, retries: int = 50,
 
 def worker_main(host: str, port: int, worker_id: int,
                 heartbeat_interval: float = 0.5,
-                zero_copy: bool = True) -> int:
+                zero_copy: bool = True,
+                resident: Optional[dict] = None) -> int:
     """Run the worker loop until shutdown; returns quanta executed.
 
     With ``zero_copy`` (the default) result frames ship their numpy
-    payloads as out-of-band buffer segments -- the task state and the
-    quantum's sample arrays cross the wire without being copied into the
-    pickle stream.  The master decodes both formats transparently.
+    payloads as out-of-band buffer segments -- the checkpoint blob and
+    the quantum's sample arrays cross the wire without being copied into
+    the pickle stream.  The master decodes both formats transparently.
+    ``resident`` (task key -> live task) is where the worker keeps the
+    tasks it holds; an in-thread caller may pass its own dict to watch it.
     """
+    if resident is None:
+        resident = {}
     sock = _connect(host, port)
     codec = FrameCodec(name=f"worker{worker_id}")
     send_lock = threading.Lock()
@@ -126,8 +143,10 @@ def worker_main(host: str, port: int, worker_id: int,
                 if isinstance(msg, Shutdown):
                     done = True
                     break
-                if isinstance(msg, TaskMsg):
-                    quanta += _run_one(send, worker_id, msg.task)
+                if isinstance(msg, Forget):
+                    resident.clear()
+                elif isinstance(msg, TaskMsg):
+                    quanta += _run_one(send, worker_id, msg, resident)
             if done:
                 break
     finally:
@@ -139,17 +158,32 @@ def worker_main(host: str, port: int, worker_id: int,
     return quanta
 
 
-def _run_one(send, worker_id: int, task) -> int:
-    """Advance ``task`` one quantum and ship state+results atomically."""
+def _run_one(send, worker_id: int, msg: TaskMsg, resident: dict) -> int:
+    """Advance the task ``msg`` names or carries by one quantum and ship
+    its checkpoint + results atomically."""
     try:
+        task, key = msg.task, msg.key
+        if task is None:
+            task = resident.get(key)
+            if task is None:
+                raise LookupError(f"no resident task for key {key!r}")
+        elif isinstance(task, Checkpoint):
+            key, task = task.key, pickle.loads(task.state)
         outcome = task.run_quantum()
     except Exception as exc:  # noqa: BLE001 - reported to the master
         _try_send(send, WorkerFailure(
             worker_id, f"{type(exc).__name__}: {exc}"))
         raise
+    checkpoint = Checkpoint.of(task, key)
+    # arriving state supersedes whatever was held under its key, and is
+    # held in turn only if the master asked for that
+    if (msg.keep or msg.task is None) and not task.done:
+        resident[checkpoint.key] = task
+    else:
+        resident.pop(checkpoint.key, None)
     # a batch task yields one QuantumResult per member trajectory
     results = tuple(outcome) if isinstance(outcome, list) else (outcome,)
-    send(ResultMsg(worker_id, task, results))
+    send(ResultMsg(worker_id, checkpoint, results))
     return 1
 
 

@@ -1,0 +1,397 @@
+"""Worker-resident tasks, master-held checkpoints (ISSUE 20).
+
+The worker keeps the live task it advances; the master keeps an opaque
+:class:`Checkpoint` per task and never unpickles one in ``run_tasks``
+mode.  What must hold: state crosses master->worker once per task (and
+once more per re-pin after a worker death), replay from a checkpoint is
+bit-identical, dispatch does not walk a backlog nobody has room for, the
+worker's ``resident`` map cannot grow across runs or tenants, and a
+protocol mismatch or a lost resident task ends in a ``ClusterError``.
+"""
+
+from __future__ import annotations
+
+import pickle
+import socket
+import threading
+import time
+import types
+
+import pytest
+
+from repro.distributed import net
+from repro.distributed.message import (StreamDecoder, encode_frame,
+                                       encode_frame_oob)
+from repro.distributed.net import (PROTOCOL, Checkpoint, ClusterError,
+                                   ClusterMaster, Hello, KillWorkerAfter,
+                                   ResultMsg, TaskMsg, WorkerFailure,
+                                   WorkerHandle, run_workflow_cluster)
+from repro.distributed.worker import worker_main
+from repro.pipeline import WorkflowConfig, run_workflow
+from repro.pipeline.adaptive import task_lag_key
+from repro.sim.task import make_tasks
+
+N_TASKS, N_QUANTA = 6, 4
+
+
+def scalar_tasks(model, n=N_TASKS, t_end=float(N_QUANTA), seed=0):
+    return make_tasks(model, n, t_end, 1.0, 0.5, seed=seed)
+
+
+def config(**overrides):
+    base = dict(n_simulations=8, t_end=6.0, sample_every=0.5, quantum=1.0,
+                n_sim_workers=2, window_size=4, seed=2)
+    base.update(overrides)
+    return WorkflowConfig(**base)
+
+
+class _Peer:
+    """The master's end of one hand-driven worker connection."""
+
+    def __init__(self, **worker_kwargs):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.error: list = []
+        self.thread = threading.Thread(
+            target=self._work, args=(self.listener.getsockname()[1],),
+            kwargs=worker_kwargs, daemon=True)
+        self.thread.start()
+        self.sock, _addr = self.listener.accept()
+        self.sock.settimeout(30.0)
+        self.decoder = StreamDecoder()
+        self.inbox: list = []
+
+    def _work(self, port, **kwargs):
+        try:
+            worker_main("127.0.0.1", port, 0, heartbeat_interval=30.0,
+                        **kwargs)
+        except Exception as exc:  # noqa: BLE001 - what the test asks about
+            self.error.append(exc)
+
+    def send(self, obj) -> None:
+        self.sock.sendall(encode_frame_oob(obj))
+
+    def recv(self):
+        while not self.inbox:
+            self.inbox.extend(self.decoder.feed(self.sock.recv(1 << 16)))
+        return self.inbox.pop(0)
+
+    def close(self) -> None:
+        self.sock.close()
+        self.listener.close()
+        self.thread.join(timeout=10.0)
+        assert not self.thread.is_alive()
+
+
+class TestStateCrossesOnce:
+    def test_one_worker_counts(self, enzyme_small, monkeypatch):
+        """(a) N scalar tasks x Q quanta on one worker: N dispatches
+        carry state, the other N(Q-1) name a resident task in a frame
+        of ~100 B -- and the master never unpickles a task state."""
+        loads = []
+        monkeypatch.setattr(net, "pickle", types.SimpleNamespace(
+            dumps=pickle.dumps, PickleBuffer=pickle.PickleBuffer,
+            loads=lambda *a, **k: loads.append(a) or pickle.loads(*a, **k)))
+        tasks = scalar_tasks(enzyme_small)
+        first_sends = sum(
+            len(encode_frame_oob(TaskMsg(Checkpoint.of(t), keep=True)))
+            for t in tasks)
+        master = ClusterMaster(tasks, n_workers=1)
+        done = [r for r in master.run() if r.done]
+        assert len(done) == N_TASKS
+        counters = master.counters()
+        later = N_TASKS * (N_QUANTA - 1)
+        assert counters["net.tasks_dispatched"] == N_TASKS * N_QUANTA
+        assert counters["net.state_sends"] == N_TASKS
+        assert counters["net.resident_sends"] == later
+        assert counters["net.bytes_out"] < first_sends + 200 * later
+        # one checkpoint comes back per quantum, each about a first send
+        assert counters["net.state_bytes_in"] > first_sends * (N_QUANTA - 1)
+        assert loads == []
+
+    def test_trace_report_carries_the_counters(self, tmp_path):
+        import json
+
+        from repro.pipeline.main import main
+        path = tmp_path / "report.json"
+        code = main(["--model", "enzyme", "--simulations", "4",
+                     "--t-end", "5", "--quantum", "1",
+                     "--sample-every", "0.5", "--window", "4", "--quiet",
+                     "--backend", "cluster", "--workers", "2",
+                     "--trace-report", str(path)])
+        assert code == 0
+        counters = json.loads(path.read_text())["counters"]
+        assert counters["net.state_sends"] == 4
+        assert counters["net.resident_sends"] == 16
+        assert counters["net.state_bytes_in"] > 0
+
+
+class TestReplayFromCheckpoint:
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"zero_copy": False},
+        {"engine": "batch", "batch_size": 2, "n_simulations": 12},
+    ], ids=["scalar", "legacy-frames", "batch-task"])
+    def test_survivor_gets_full_checkpoints(self, neurospora_small,
+                                            overrides):
+        """(b) SIGKILL one of two workers: every task re-pinned to the
+        survivor is sent there as a full checkpoint exactly once, and the
+        windows equal the threads backend's."""
+        threaded = run_workflow(neurospora_small, config(**overrides))
+        chaos = KillWorkerAfter(n_results=3, worker_id=0)
+        clustered = run_workflow_cluster(
+            neurospora_small, config(backend="cluster", **overrides),
+            fault_hook=chaos)
+        master = chaos.master
+        assert chaos.fired and master.workers_failed == 1
+        assert master.reassignments >= 1
+        assert master.state_sends == master.n_tasks + master.reassignments
+        assert (master.state_sends + master.resident_sends
+                == master.tasks_dispatched)
+        assert clustered.windows == threaded.windows
+
+
+def _full_handle(worker_id, window):
+    handle = WorkerHandle(worker_id, sock=None)
+    handle.in_flight = {("busy", worker_id, i): None for i in range(window)}
+    return handle
+
+
+def _checkpoints(n):
+    return [Checkpoint(key, False, float(n - key), 0, b"") for key in range(n)]
+
+
+class TestDispatchFollowsFreeSlots:
+    def test_full_windows_leave_the_backlog_alone(self):
+        """(c) nobody has headroom: ``ready`` is not walked, re-keyed or
+        rebuilt, however long it is."""
+        calls = []
+
+        def counting_key(checkpoint):
+            calls.append(checkpoint)
+            return checkpoint.time
+
+        master = ClusterMaster([], n_workers=2, inflight_window=2)
+        master.workers = {i: _full_handle(i, 2) for i in range(2)}
+        master.repriority(counting_key)
+        master._dispatch()  # takes the key up: the one sort
+        master.ready.extend(sorted(_checkpoints(1000), key=task_lag_key))
+        before = list(master.ready)
+        calls.clear()
+        for _ in range(50):
+            master._dispatch()
+        assert calls == []
+        assert master.ready == before
+        assert all(a is b for a, b in zip(master.ready, before))
+        assert master.tasks_dispatched == 0
+
+    def test_skips_to_the_task_of_the_free_worker(self):
+        """(c) two workers, worker 0 full: a task pinned to it is skipped
+        in place, a later one pinned to worker 1 is sent."""
+        sent = []
+        master = ClusterMaster([], n_workers=2, inflight_window=2)
+        master.workers = {0: _full_handle(0, 2), 1: WorkerHandle(1, None)}
+        master._send = lambda handle, msg: sent.append(
+            (handle.worker_id, msg)) or True
+        master.ready.extend(_checkpoints(6))
+        master.assignment = {0: 0, 1: 0, 2: 1, 3: 0, 4: 1, 5: 1}
+        master._dispatch()
+        assert [(w, m.task.key) for w, m in sent] == [(1, 2), (1, 4)]
+        assert [c.key for c in master.ready] == [0, 1, 3, 5]
+        assert master.state_sends == 2 and master.resident_sends == 0
+
+    def test_returning_checkpoints_are_inserted_in_key_order(self):
+        """The priority path: one sort when the key is installed, then
+        ``insort`` after equals -- what re-sorting everything (stably) on
+        every result used to give."""
+        master = ClusterMaster([], n_workers=1)
+        master.workers = {0: _full_handle(0, 2)}
+        times = [3.0, 1.0, 2.0, 1.0, 3.0, 2.0, 0.5, 1.0]
+        arrivals = [Checkpoint(i, False, t, 0, b"")
+                    for i, t in enumerate(times)]
+        master.ready.extend(arrivals[:4])
+        master.repriority(task_lag_key)
+        master._dispatch()
+        oracle = sorted(arrivals[:4], key=task_lag_key)
+        assert master.ready == oracle
+        for checkpoint in arrivals[4:]:
+            master._enqueue(checkpoint)
+            oracle = sorted(oracle + [checkpoint], key=task_lag_key)
+            assert [c.key for c in master.ready] == [c.key for c in oracle]
+        master.repriority(None)  # arrival order again: append at the tail
+        master._dispatch()
+        master._enqueue(Checkpoint(99, False, 0.0, 0, b""))
+        assert master.ready[-1].key == 99
+
+
+class TestWorkerMemory:
+    def test_stop_then_second_run_leaves_nothing_resident(self,
+                                                          neurospora_small):
+        """(d) a steered stop retires tasks mid-horizon: the worker still
+        holds them when the run ends, forgets them when the next run
+        starts, and holds nothing once that one has run to completion."""
+        resident: dict = {}
+        master = ClusterMaster([], n_workers=1, spawn_local=False)
+        starter = threading.Thread(target=master.start)
+        starter.start()
+        while not master.port:
+            time.sleep(0.01)
+        worker = threading.Thread(
+            target=worker_main, args=("127.0.0.1", master.port, 0),
+            kwargs={"resident": resident}, daemon=True)
+        worker.start()
+        starter.join(timeout=30.0)
+        try:
+            seen = []
+            master.stop_requested = lambda: len(seen) >= 3
+            seen.extend(master.run_tasks(
+                scalar_tasks(neurospora_small, t_end=20.0)))
+            assert master.tasks_retired > 0
+            assert resident, "retired tasks stay until the next run"
+            master.stop_requested = None
+            second = scalar_tasks(neurospora_small, n=3, seed=50)
+            done = [r for r in master.run_tasks(second) if r.done]
+            assert len(done) == 3
+        finally:
+            master.close()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        assert resident == {}
+
+    def test_worker_keeps_a_task_only_when_asked(self, enzyme_small):
+        """Serve-mode traffic (``keep`` unset) and finished tasks leave
+        nothing behind; arriving state replaces what was resident."""
+        resident: dict = {}
+        peer = _Peer(resident=resident)
+        try:
+            assert isinstance(peer.recv(), Hello)
+            task, other = scalar_tasks(enzyme_small, n=2, t_end=2.0)
+            peer.send(TaskMsg(Checkpoint.of(task, ("tenant", 0))))
+            assert peer.recv().task.key == ("tenant", 0)
+            assert resident == {}
+            peer.send(TaskMsg(Checkpoint.of(task), keep=True))
+            first = peer.recv().task
+            assert list(resident) == [task.task_id] and not first.done
+            # a checkpoint for a held key supersedes the held task
+            peer.send(TaskMsg(Checkpoint.of(other, task.task_id), keep=True))
+            assert peer.recv().task.time == first.time
+            assert resident[task.task_id].task_id == other.task_id
+            peer.send(TaskMsg(None, task.task_id))
+            last = peer.recv().task
+            assert last.done and resident == {}
+        finally:
+            peer.close()
+        assert peer.error == []
+
+    def test_live_task_messages_still_run(self, enzyme_small):
+        """``TaskMsg(task)`` with a live task (what the benchmark's
+        hand-driven reference builds) runs like a checkpoint, and the
+        checkpoint that comes back equals a local quantum's."""
+        (task,) = scalar_tasks(enzyme_small, n=1)
+        peer = _Peer()
+        try:
+            peer.recv()
+            peer.send(TaskMsg(task))
+            reply = peer.recv()
+        finally:
+            peer.close()
+        local = task.run_quantum()
+        assert isinstance(reply, ResultMsg)
+        assert reply.task.key == task.task_id
+        assert bytes(reply.task.state) == pickle.dumps(task, 5)
+        assert reply.results[0].samples == local.samples
+        # ... and ResultMsg(worker_id, live task, results) still frames
+        (back,) = StreamDecoder().feed(
+            encode_frame_oob(ResultMsg(0, task, (local,))))
+        assert pickle.dumps(back.task, 5) == pickle.dumps(task, 5)
+
+
+class TestLostResidentTask:
+    def test_worker_names_the_key(self):
+        peer = _Peer()
+        try:
+            peer.recv()
+            peer.send(TaskMsg(None, ("ghost", 7)))
+            failure = peer.recv()
+        finally:
+            peer.close()
+        assert isinstance(failure, WorkerFailure)
+        assert "('ghost', 7)" in failure.error
+        assert isinstance(peer.error[0], LookupError)
+
+    def test_master_raises_instead_of_hanging(self, enzyme_small):
+        """Two workers, so that the master noticing worker 0's exit
+        before it reads the failure frame is a replay on worker 1, not
+        "all workers dead": either way the failure is read next."""
+        asked = []
+
+        def ask_for_a_ghost(master):
+            if not asked:
+                asked.append(master._send(master.workers[0],
+                                          TaskMsg(None, "ghost")))
+
+        master = ClusterMaster(scalar_tasks(enzyme_small), n_workers=2,
+                               fault_hook=ask_for_a_ghost)
+        with pytest.raises(ClusterError, match="no resident task.*ghost"):
+            list(master.run())
+        assert asked == [True]
+
+
+class TestProtocolNumber:
+    def test_hello_states_it(self):
+        peer = _Peer()
+        try:
+            assert peer.recv().protocol == PROTOCOL
+        finally:
+            peer.close()
+
+    def test_old_checkout_is_refused_at_the_handshake(self):
+        """A worker from a checkout that predates the protocol number
+        pickles a ``Hello`` without one."""
+        old_hello = Hello(worker_id=0, pid=1)
+        object.__delattr__(old_hello, "protocol")
+        assert "protocol" not in pickle.loads(pickle.dumps(old_hello)).__dict__
+        master = ClusterMaster([], n_workers=1, spawn_local=False,
+                               accept_timeout=30.0)
+        failure = []
+
+        def start():
+            try:
+                master.start()
+            except ClusterError as exc:
+                failure.append(str(exc))
+
+        starter = threading.Thread(target=start)
+        starter.start()
+        while not master.port:
+            time.sleep(0.01)
+        with socket.create_connection(("127.0.0.1", master.port)) as sock:
+            sock.sendall(encode_frame(old_hello))
+            starter.join(timeout=30.0)
+        assert not starter.is_alive()
+        assert len(failure) == 1
+        assert "protocol 1" in failure[0]
+        assert f"speaks {PROTOCOL}" in failure[0]
+        assert not master.workers
+
+
+class TestServeModeContract:
+    def test_execute_returns_the_live_advanced_task(self, enzyme_small):
+        """(e) the process-pool contract: the future resolves to a live
+        task equal, pickle for pickle, to a local ``run_quantum()``'s --
+        and the worker keeps nothing."""
+        (task,) = scalar_tasks(enzyme_small, n=1)
+        (local,) = scalar_tasks(enzyme_small, n=1)
+        master = ClusterMaster([], n_workers=1)
+        master.serve()
+        try:
+            for _ in range(2):
+                task, results = master.execute(
+                    task, namespace="tenant").result(timeout=60)
+                expected = local.run_quantum()
+                assert type(task) is type(local)
+                assert pickle.dumps(task, 5) == pickle.dumps(local, 5)
+                assert results[0].samples == expected.samples
+            assert master.state_sends == 2 and master.resident_sends == 0
+            assert not master.workers[0].holds
+        finally:
+            master.close()
