@@ -14,13 +14,17 @@ existing code".  This package is the functional half of that story (the
 * :mod:`repro.distributed.cluster` -- a virtual cluster: the Fig. 2
   workflow re-wired as *farm of simulation pipelines* whose workers sit
   behind serialisation boundaries with per-host task affinity;
-* :mod:`repro.distributed.procfarm` -- a process-backed simulation farm:
-  tasks cross real process boundaries (multiprocessing), giving true
-  multi-core execution in CPython (``backend="processes"``);
 * :mod:`repro.distributed.net` / :mod:`repro.distributed.worker` -- the
-  real thing (``backend="cluster"``): a TCP master/worker runtime with
-  host affinity, bounded in-flight windows, heartbeat failure detection
-  and deterministic task reassignment on worker death.
+  one out-of-process runtime (``backend="processes"`` and
+  ``backend="cluster"`` are two names for it): a TCP master/worker
+  runtime with worker-resident tasks, host affinity, bounded in-flight
+  windows, heartbeat failure detection and deterministic task
+  reassignment on worker death;
+* :mod:`repro.distributed.shm` -- its local data plane: workers the
+  master spawned on its own host return quantum results through
+  shared-memory segments instead of the socket;
+* :mod:`repro.distributed.procfarm` -- the engine node that drives a
+  tenant run's quanta through the service's shared fleet.
 """
 
 from repro.distributed.message import (
@@ -39,7 +43,7 @@ from repro.distributed.net import (
     KillWorkerAfter,
     run_workflow_cluster,
 )
-from repro.distributed.procfarm import ProcessSimEngineNode, run_workflow_multiprocess
+from repro.distributed.procfarm import ProcessSimEngineNode
 
 __all__ = [
     "FrameCodec",
@@ -57,5 +61,4 @@ __all__ = [
     "KillWorkerAfter",
     "run_workflow_cluster",
     "ProcessSimEngineNode",
-    "run_workflow_multiprocess",
 ]

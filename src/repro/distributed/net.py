@@ -35,10 +35,17 @@ state) and the master only replaces it when the result frame has fully
 arrived, a replayed quantum is *bit-identical* to the lost one: killing
 a worker mid-run never changes the results.
 
-Serve mode (:meth:`ClusterMaster.serve`) keeps the process-pool
-contract instead: every quantum is submitted with its state and the
-caller gets the advanced task back, so nothing stays resident on a
-long-lived fleet.
+Serve mode (:meth:`ClusterMaster.serve`) keeps the executor contract
+instead: every quantum is submitted with its state and the caller gets
+the advanced task back, so nothing stays resident on a long-lived fleet.
+
+Local data plane: workers the master spawned itself share its
+``/dev/shm``, so it hands them a :func:`~repro.distributed.shm.make_prefix`
+namespace and they return quantum results through the shared-memory
+result ring (``ResultMsg.results`` is then a
+:class:`~repro.distributed.shm.ShmBlock` the master maps); workers that
+joined over the network get no prefix and send the results in band.
+This is also the ``processes`` backend: same master, same workers.
 
 The wire protocol (also see :mod:`repro.distributed.worker` for how to
 join remote hosts):
@@ -71,6 +78,8 @@ from typing import Any, Callable, Optional
 
 from repro.distributed.message import (FrameCodec, FrameError, StreamDecoder,
                                        send_segments)
+from repro.distributed.shm import (ShmBlock, make_prefix, map_results,
+                                   sweep_orphans)
 from repro.ff.node import SourceNode
 
 
@@ -113,9 +122,9 @@ class Heartbeat:
 class Checkpoint:
     """What the master holds of a task: its scheduling facts and its
     complete state as an opaque blob (``pickle.dumps(task, 5)``, made
-    where the live task is).  The blob crosses the wire as one buffer
-    (out of band on zero-copy links) and is only ever unpickled by a
-    worker -- or by serve mode, which owes its caller a live task."""
+    where the live task is).  The blob crosses the wire as one
+    out-of-band buffer and is only ever unpickled by a worker -- or by
+    serve mode, which owes its caller a live task."""
 
     key: Any
     done: bool
@@ -152,7 +161,9 @@ class TaskMsg:
 @dataclass(frozen=True)
 class ResultMsg:
     """Worker -> master: the post-quantum :class:`Checkpoint` (in
-    ``task``) plus the quantum's results.
+    ``task``) plus the quantum's results -- a tuple, or the
+    :class:`~repro.distributed.shm.ShmBlock` a worker with a shm prefix
+    published them into.
 
     State and results travel in *one* frame on purpose: the master either
     sees both (checkpoint replaced, results forwarded downstream) or
@@ -162,7 +173,7 @@ class ResultMsg:
 
     worker_id: int
     task: Any
-    results: tuple
+    results: Any
 
 
 @dataclass(frozen=True)
@@ -298,11 +309,6 @@ class ClusterMaster:
     fault_hook:
         Test/chaos hook ``hook(master)`` invoked after every processed
         result (see :class:`KillWorkerAfter`).
-    zero_copy:
-        Frame numpy payloads as out-of-band buffer segments (pickle
-        protocol 5) instead of copying them through the pickle stream,
-        on both directions of every link; workers inherit the setting.
-        Replay after a worker death is bit-identical either way.
     """
 
     def __init__(self, tasks: list, n_workers: int, *,
@@ -314,8 +320,7 @@ class ClusterMaster:
                  accept_timeout: float = 30.0,
                  poll_interval: float = 0.05,
                  stop_requested: Optional[Callable[[], bool]] = None,
-                 fault_hook: Optional[Callable[["ClusterMaster"], None]] = None,
-                 zero_copy: bool = True):
+                 fault_hook: Optional[Callable[["ClusterMaster"], None]] = None):
         if n_workers < 1:
             raise ValueError("need >= 1 worker")
         if inflight_window < 1:
@@ -335,7 +340,9 @@ class ClusterMaster:
         self.poll_interval = poll_interval
         self.stop_requested = stop_requested
         self.fault_hook = fault_hook
-        self.zero_copy = zero_copy
+        #: segment namespace of the workers this master spawned (they
+        #: share its /dev/shm); None when workers join from elsewhere
+        self.shm_prefix = make_prefix() if spawn_local else None
 
         self.workers: dict[int, WorkerHandle] = {}
         #: checkpoints waiting for a window slot, in dispatch order
@@ -353,6 +360,10 @@ class ClusterMaster:
         self.state_sends = 0
         self.resident_sends = 0
         self.state_bytes_in = 0
+        self.shm_blocks = 0
+        self.shm_bytes = 0
+        self.steps = 0
+        self.trajectories_retired = 0
         self.inflight_wait_s = 0.0
         self.wall_time = 0.0
         #: requested backlog priority key (None -> arrival order); set via
@@ -439,31 +450,39 @@ class ClusterMaster:
     def _event_loop(self):
         while self.completed < self.n_tasks:
             self._poll_stop()
-            self._check_heartbeats()
-            throttled = bool(self.ready)
-            waited = time.monotonic()
-            try:
-                kind, worker_id, payload = self._inbox.get(
-                    timeout=self.poll_interval)
-            except queue.Empty:
-                if throttled:
-                    self.inflight_wait_s += time.monotonic() - waited
-                continue
+            yield from self._step(self._on_result)
+
+    def _step(self, on_result: Callable[[ResultMsg], Any]):
+        """One turn of the master loop, batch or serve mode: check the
+        heartbeats, wait for one inbox item, react to it and refill the
+        windows.  Returns what ``on_result`` made of a result frame."""
+        self._check_heartbeats()
+        throttled = bool(self.ready)
+        waited = time.monotonic()
+        try:
+            kind, worker_id, payload = self._inbox.get(
+                timeout=self.poll_interval)
+        except queue.Empty:
+            return ()
+        finally:
             if throttled:
                 self.inflight_wait_s += time.monotonic() - waited
-            if kind == "dead":
-                self._worker_dead(worker_id, payload)
-                self._dispatch()
-                continue
-            msg = payload
-            if isinstance(msg, ResultMsg):
-                yield from self._on_result(msg)
-                if self.fault_hook is not None:
-                    self.fault_hook(self)
-                self._dispatch()
-            elif isinstance(msg, WorkerFailure):
-                raise ClusterError(
-                    f"worker {worker_id} failed: {msg.error}")
+        out = ()
+        if kind == "submit":
+            checkpoint, future = payload
+            self._futures[checkpoint.key] = future
+            self._enqueue(checkpoint)
+        elif kind == "dead":
+            self._worker_dead(worker_id, payload)
+        elif isinstance(payload, ResultMsg):
+            out = on_result(payload)
+            if self.fault_hook is not None:
+                self.fault_hook(self)
+        elif isinstance(payload, WorkerFailure):
+            raise ClusterError(
+                f"worker {worker_id} failed: {payload.error}")
+        self._dispatch()
+        return out
 
     def _listen(self) -> None:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -485,7 +504,7 @@ class ClusterMaster:
                 target=worker_main,
                 args=(self.bind_host, self.port, worker_id),
                 kwargs={"heartbeat_interval": self.heartbeat_interval,
-                        "zero_copy": self.zero_copy},
+                        "shm_prefix": self.shm_prefix},
                 daemon=True, name=f"cluster-worker-{worker_id}")
             proc.start()
             self._procs[worker_id] = proc
@@ -667,21 +686,19 @@ class ClusterMaster:
     def _send(self, handle: WorkerHandle, obj: Any) -> bool:
         started = time.monotonic()
         try:
-            if self.zero_copy:
-                send_segments(handle.sock,
-                              handle.codec.encode_segments(obj))
-            else:
-                handle.sock.sendall(handle.codec.encode(obj))
+            send_segments(handle.sock, handle.codec.encode_segments(obj))
         except OSError as exc:
             self._worker_dead(handle.worker_id, f"send failed: {exc}")
             return False
         handle.send_blocked_s += time.monotonic() - started
         return True
 
-    def _on_result(self, msg: ResultMsg):
+    def _on_result(self, msg: ResultMsg) -> list:
+        """Batch-mode result handling: requeue or retire the task,
+        return the results worth streaming downstream."""
         checkpoint = self._acknowledge(msg)
         if checkpoint is None:
-            return
+            return []
         if checkpoint.done or self._stopping:
             self.completed += 1
             self.assignment.pop(checkpoint.key, None)
@@ -692,25 +709,50 @@ class ClusterMaster:
                 self.tasks_retired += 1  # steering retired it mid-horizon
         else:
             self._enqueue(checkpoint)
-        for result in msg.results:
+        forwarded = []
+        for result in self._map(msg):
             if len(result) or result.done:
-                yield result
+                forwarded.append(result)
+            else:
+                result.release()
+        return forwarded
 
     def _acknowledge(self, msg: ResultMsg) -> Optional[Checkpoint]:
         """Take a result frame's checkpoint off its worker's window;
-        None (a stale result) if the worker has been declared dead --
-        its tasks are reassigned and the replayed quantum supersedes
-        this frame -- or no longer owes that task."""
+        None (a stale result, its segment given back here) if the worker
+        has been declared dead -- its tasks are reassigned and the
+        replayed quantum supersedes this frame -- or no longer owes that
+        task."""
         handle = self.workers.get(msg.worker_id)
         checkpoint = msg.task
-        if (handle is None or not handle.alive
-                or handle.in_flight.pop(checkpoint.key, None) is None):
+        sent = (handle.in_flight.pop(checkpoint.key, None)
+                if handle is not None and handle.alive else None)
+        if sent is None:
             self.stale_results += 1
+            if isinstance(msg.results, ShmBlock):
+                _release(map_results(msg.results))
             return None
         handle.items_done += 1
         self.results_received += 1
         self.state_bytes_in += len(checkpoint.state)
+        self.steps += checkpoint.steps - sent.steps
         return checkpoint
+
+    def _map(self, msg: ResultMsg) -> list:
+        """The frame's quantum results: as sent, or mapped from the
+        segment a local worker published them into.  Whoever drops a
+        mapped result owes it one ``release()``; the aligner releases
+        what it ingests."""
+        results = msg.results
+        if isinstance(results, ShmBlock):
+            if results.name is not None:
+                self.shm_blocks += 1
+                self.shm_bytes += results.payload_nbytes
+            results = map_results(results)
+        for result in results:
+            if result.done:
+                self.trajectories_retired += getattr(result, "n_members", 1)
+        return list(results)
 
     def _poll_stop(self) -> None:
         if self._stopping:
@@ -803,30 +845,7 @@ class ClusterMaster:
     def _serve_forever(self) -> None:
         try:
             while not self._serve_stop.is_set():
-                self._check_heartbeats()
-                try:
-                    kind, worker_id, payload = self._inbox.get(
-                        timeout=self.poll_interval)
-                except queue.Empty:
-                    continue
-                if kind == "submit":
-                    checkpoint, future = payload
-                    self._futures[checkpoint.key] = future
-                    self._enqueue(checkpoint)
-                    self._dispatch()
-                elif kind == "dead":
-                    self._worker_dead(worker_id, payload)
-                    self._dispatch()
-                elif kind == "msg":
-                    msg = payload
-                    if isinstance(msg, ResultMsg):
-                        self._serve_result(msg)
-                        if self.fault_hook is not None:
-                            self.fault_hook(self)
-                        self._dispatch()
-                    elif isinstance(msg, WorkerFailure):
-                        raise ClusterError(
-                            f"worker {worker_id} failed: {msg.error}")
+                self._step(self._serve_result)
         except BaseException as exc:  # noqa: BLE001 - fail every caller
             self._serve_error = exc
             failed, self._futures = self._futures, {}
@@ -847,11 +866,14 @@ class ClusterMaster:
             # the tenant run is finished with this lane: drop the pin so
             # the affinity map cannot grow without bound across runs
             self.assignment.pop(checkpoint.key, None)
+        results = self._map(msg)
         future = self._futures.pop(checkpoint.key, None)
         if future is not None and not future.done():
             env = pickle.loads(checkpoint.state)
             task = env.task if isinstance(env, NamespacedTask) else env
-            future.set_result((task, list(msg.results)))
+            future.set_result((task, results))
+        else:
+            _release(results)  # nobody waits for them any more
 
     # -- teardown --------------------------------------------------------
     def close(self) -> None:
@@ -885,7 +907,8 @@ class ClusterMaster:
         for handle in self.workers.values():
             if handle.alive:
                 try:
-                    handle.sock.sendall(handle.codec.encode(Shutdown()))
+                    send_segments(handle.sock,
+                                  handle.codec.encode_segments(Shutdown()))
                 except OSError:
                     pass
         for handle in self.workers.values():
@@ -902,6 +925,10 @@ class ClusterMaster:
                 _kill_process(proc)
                 proc.join(timeout=1.0)
         self._procs.clear()
+        if self.shm_prefix is not None:
+            # the net under the per-result releases: a worker killed
+            # between publishing a segment and sending its frame
+            sweep_orphans(self.shm_prefix)
 
     def _shutdown(self) -> None:
         """Backwards-compatible alias of :meth:`close`."""
@@ -922,12 +949,18 @@ class ClusterMaster:
             "net.state_sends": self.state_sends,
             "net.resident_sends": self.resident_sends,
             "net.state_bytes_in": self.state_bytes_in,
+            # quanta whose results came back through a shared segment
+            "net.shm_blocks": self.shm_blocks,
+            "net.shm_bytes": self.shm_bytes,
             # uniform scheduler counters (same names as the shared-memory
-            # emitter, one task message == one quantum) so run reports and
-            # the adaptive benchmark read a single vocabulary
+            # emitter and engines, one task message == one quantum) so run
+            # reports and the adaptive benchmark read a single vocabulary
             "sim.quanta_dispatched": self.tasks_dispatched,
             "sim.tasks_completed": self.tasks_completed_full,
             "sim.tasks_retired": self.tasks_retired,
+            "sim.quanta": self.results_received,
+            "sim.steps": self.steps,
+            "sim.trajectories_retired": self.trajectories_retired,
         }
         totals = {"bytes_out": 0, "bytes_in": 0,
                   "messages_out": 0, "messages_in": 0,
@@ -950,6 +983,11 @@ class ClusterMaster:
         for name, value in totals.items():
             counters[f"net.{name}"] = value
         return counters
+
+
+def _release(results) -> None:
+    for result in results:
+        result.release()
 
 
 def _kill_process(proc) -> None:
@@ -1033,8 +1071,7 @@ def run_workflow_cluster(model, config, controller=None, tracer=None,
         heartbeat_interval=config.heartbeat_interval,
         heartbeat_timeout=config.heartbeat_timeout,
         stop_requested=stop_requested,
-        fault_hook=fault_hook,
-        zero_copy=config.zero_copy)
+        fault_hook=fault_hook)
     if controller is not None:
         controller.attach_scheduler(master)
     cut_store: Optional[list] = [] if config.keep_cuts else None

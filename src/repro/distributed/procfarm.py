@@ -1,67 +1,45 @@
-"""A process-backed simulation farm: real multi-core in CPython.
+"""The simulation engine of a run whose quanta execute on a shared fleet.
 
-The thread-per-node runtime of :mod:`repro.ff` is faithful to FastFlow's
-architecture but GIL-bound for pure-Python stages.  For users who want the
-actual wall-clock win on a multi-core box, this module swaps the
-simulation engines for process-backed ones: each engine thread submits its
-quantum to a ``ProcessPoolExecutor`` and blocks (releasing the GIL) while
-a worker *process* runs the SSA.  Tasks really cross process boundaries
-(pickled), which is the same serialisation contract as the distributed
-version.  Reachable from the CLI and :func:`repro.pipeline.run_workflow`
-as ``backend="processes"``.
+``backend="processes"`` used to be a farm of these nodes over a private
+process pool; it is now the localhost TCP cluster of
+:mod:`repro.distributed.net` (``run_workflow_cluster``), whose locally
+spawned workers return results through the shared-memory ring.  What is
+left here is the engine the *service* puts in each tenant's farm:
+:class:`ProcessSimEngineNode` submits every quantum to an executor
+facade (:class:`~repro.service.fleet.FleetClient`) and blocks, GIL
+released, until the fleet -- a thread pool, or a served
+:class:`~repro.distributed.net.ClusterMaster` -- hands the advanced task
+and its results back.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from typing import Optional, Union
+from typing import Any, Union
 
-from repro.cwc.model import Model
-from repro.cwc.network import ReactionNetwork
-from repro.distributed.shm import (make_prefix, map_results,
-                                   publish_results, sweep_orphans)
 from repro.ff.node import GO_ON, Node
-from repro.ff.trace import Tracer
-from repro.pipeline.builder import WorkflowResult, build_workflow
-from repro.pipeline.config import WorkflowConfig
-from repro.pipeline.steering import SteeringController
-from repro.sim.task import BatchSimulationTask, ResultBlock, SimulationTask
+from repro.sim.task import BatchSimulationTask, SimulationTask
 
 
 def _run_quantum(task):
-    """Executed in a worker process: one quantum, state returned."""
+    """What a thread fleet runs per submission: one quantum, state
+    returned (a served master runs the same on its workers)."""
     result = task.run_quantum()
     return task, result
 
 
-def _run_quantum_shm(task, prefix):
-    """Like :func:`_run_quantum`, but the sample arrays are published to
-    the shared-memory result ring: the future carries only the advanced
-    task state and a small descriptor block."""
-    outcome = task.run_quantum()
-    results = outcome if isinstance(outcome, list) else [outcome]
-    return task, publish_results(results, prefix)
-
-
 class ProcessSimEngineNode(Node):
-    """Drop-in for :class:`~repro.sim.engine.SimEngineNode` backed by a
-    shared process pool.  The engine thread blocks on the future (GIL
-    released) while the quantum runs in another process.
+    """Drop-in for :class:`~repro.sim.engine.SimEngineNode` that runs
+    its quanta through ``pool.submit(_run_quantum, task)``.
 
-    With ``shm_prefix`` set, quantum results come back through the
-    shared-memory result ring (:mod:`repro.distributed.shm`): the worker
-    publishes the sample arrays into shared pages and this node maps
-    them into zero-copy :class:`~repro.sim.task.QuantumResult` views.
-    Every mapped result must be released exactly once -- results this
-    node drops (empty, not done) are released here; forwarded ones are
-    released by the aligner after ingest.
+    Results may be views over shared-memory pages (a served master maps
+    what its local workers published), and every such result must be
+    released exactly once: results this node drops (empty, not done)
+    are released here; forwarded ones by the aligner after ingest.
     """
 
-    def __init__(self, pool: ProcessPoolExecutor, name: str = "psim-eng",
-                 shm_prefix: Optional[str] = None):
+    def __init__(self, pool: Any, name: str = "psim-eng"):
         super().__init__(name=name)
         self.pool = pool
-        self.shm_prefix = shm_prefix
         self.quanta_executed = 0
 
     def svc_init(self) -> None:
@@ -69,84 +47,22 @@ class ProcessSimEngineNode(Node):
 
     def svc(self, task: Union[SimulationTask, BatchSimulationTask]):
         steps_before = task.steps
-        if self.shm_prefix is not None:
-            updated, block = self.pool.submit(
-                _run_quantum_shm, task, self.shm_prefix).result()
-            results = map_results(block)
-            if block.name is not None:
-                self.trace_incr("proc.shm_blocks", 1)
-                self.trace_incr("proc.shm_bytes", block.payload_nbytes)
-        else:
-            updated, outcome = self.pool.submit(_run_quantum, task).result()
-            # a batch task yields one QuantumResult per member trajectory
-            results = outcome if isinstance(outcome, list) else [outcome]
+        updated, outcome = self.pool.submit(_run_quantum, task).result()
+        # a batch task yields one QuantumResult per member trajectory
+        results = outcome if isinstance(outcome, list) else [outcome]
         self.quanta_executed += 1
-        steps = updated.steps - steps_before
         retired = 0
         for result in results:
-            # a coalescing batch task retires all members at once
-            n_done = (result.n_members if isinstance(result, ResultBlock)
-                      else 1)
             if result.done:
-                retired += n_done
+                # a coalescing batch task retires all members at once
+                retired += getattr(result, "n_members", 1)
             if len(result) or result.done:
                 self.ff_send_out(result)
             else:
                 result.release()  # dropped: give back its segment ref now
-        self.trace_incr("sim.steps", steps)
+        self.trace_incr("sim.steps", updated.steps - steps_before)
         self.trace_incr("sim.quanta", 1)
-        self.trace_incr("proc.quanta_offloaded", 1)
         if retired:
             self.trace_incr("sim.trajectories_retired", retired)
         self.send_feedback(updated)
         return GO_ON
-
-
-def run_workflow_multiprocess(model: Union[Model, ReactionNetwork],
-                              config: WorkflowConfig,
-                              controller: Optional[SteeringController] = None,
-                              tracer: Optional[Tracer] = None,
-                              pool: Optional[ProcessPoolExecutor] = None
-                              ) -> WorkflowResult:
-    """Like :func:`repro.pipeline.run_workflow`, with process-backed
-    simulation engines.  Requires a picklable model (all bundled models
-    are; avoid lambda rate laws).
-
-    With ``config.zero_copy`` (the default) quantum results return
-    through the shared-memory result ring instead of the future pipe;
-    any segment leaked by a worker dying mid-publish is swept when the
-    run ends.  Results are bit-identical either way.
-
-    Adaptive scheduling comes for free: the farm is built by
-    :func:`~repro.pipeline.builder.build_workflow`, so the emitter's
-    priority backlog bounds the quanta outstanding on the pool and an
-    attached :class:`~repro.pipeline.adaptive.AdaptiveController` can
-    re-key it mid-run -- the engine processes only ever see the next
-    quantum the backlog releases.
-
-    ``pool`` reuses an already-running executor (the farm is then
-    *attached*, not owned: the caller keeps it alive across runs and
-    shuts it down once -- how the service amortises worker startup over
-    many tenant runs).  Without it, a pool is created and torn down for
-    this run, the historical behaviour.
-    """
-    from repro.ff.executor import run as ff_run
-
-    cut_store: Optional[list] = [] if config.keep_cuts else None
-    prefix = make_prefix() if config.zero_copy else None
-    owned = pool is None
-    if owned:
-        pool = ProcessPoolExecutor(max_workers=config.n_sim_workers)
-    try:
-        workflow = build_workflow(
-            model, config, controller=controller, cut_store=cut_store,
-            engine_factory=lambda i: ProcessSimEngineNode(
-                pool, name=f"psim-eng-{i}", shm_prefix=prefix))
-        windows = ff_run(workflow, backend="threads", trace=tracer)
-    finally:
-        if owned:
-            pool.shutdown(wait=True)
-        if prefix is not None:
-            sweep_orphans(prefix)
-    return WorkflowResult(config=config, windows=windows,
-                          cuts=cut_store or [])

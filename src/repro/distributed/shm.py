@@ -1,15 +1,15 @@
-"""Shared-memory result ring for the processes backend.
+"""Shared-memory result ring: the local data plane of the cluster runtime.
 
-The process farm's original result path pickles every
-:class:`~repro.sim.task.QuantumResult` through the
-``ProcessPoolExecutor`` future pipe -- for a 1024-trajectory batch
-quantum that is megabytes of sample arrays copied into a pickle stream,
-out of it, and once more into the aligner's ring.  This module gives the
-worker process a way to *publish* those arrays into
-:mod:`multiprocessing.shared_memory` pages instead: the future carries
-only a small picklable descriptor (:class:`ShmBlock`), and the master
-maps the pages and hands the aligner NumPy views straight over shared
-memory.
+A worker the master spawned on its own host (``backend="processes"`` /
+``"cluster"``, the service's served fleet) does not push a quantum's
+sample arrays through its socket -- for a 1024-trajectory batch quantum
+that is megabytes copied into a frame, out of it, and once more into
+the aligner's ring.  It *publishes* them into
+:mod:`multiprocessing.shared_memory` pages instead: the result frame
+carries only a small picklable descriptor (:class:`ShmBlock`), and the
+master maps the pages and hands the aligner NumPy views straight over
+shared memory.  Workers that joined over the network never get a
+prefix and keep sending results in band.
 
 Lifecycle is explicit and master-owned:
 
@@ -20,12 +20,13 @@ Lifecycle is explicit and master-owned:
 * the **master** attaches, also detaches the tracker registration, and
   wraps the mapping in a refcounted :class:`Segment` shared by every
   result decoded from the block.  Each consumer calls
-  ``QuantumResult.release()`` after ingesting the samples; the last
-  release closes *and unlinks* the segment;
-* segment names embed a per-run prefix (master pid + random token), so
-  :func:`sweep_orphans` can reclaim pages leaked by a worker that died
-  mid-publish (or a master that crashed before releasing) without ever
-  touching another run's segments.
+  ``QuantumResult.release()`` after ingesting the samples (the master
+  itself for results it drops: empty, stale, or nobody waiting); the
+  last release closes *and unlinks* the segment;
+* segment names embed a per-master prefix (master pid + random token),
+  so :func:`sweep_orphans` -- run by ``ClusterMaster.close()`` -- can
+  reclaim pages leaked by a worker that died between publishing and
+  sending without ever touching another master's segments.
 
 Results that are tiny, empty or in row form ride inline in the
 descriptor -- shared-memory setup costs more than pickling below
@@ -46,13 +47,13 @@ import numpy as np
 
 from repro.sim.task import QuantumResult, ResultBlock
 
-#: every segment name starts with this; the per-run prefix appends the
+#: every segment name starts with this; the per-master prefix appends the
 #: master pid and a random token (see :func:`make_prefix`)
 SEGMENT_PREFIX = "repro-shm"
 
-#: below this many payload bytes per quantum, plain pickling wins (one
+#: below this many payload bytes per quantum, the socket wins (one
 #: shm_open + ftruncate + mmap + unlink round trip costs more than
-#: copying a few KB through the future pipe)
+#: copying a few KB through the result frame)
 SHM_MIN_BYTES = 4096
 
 _ALIGN = 8
@@ -65,14 +66,13 @@ _SHM_DIR = "/dev/shm"
 
 def make_prefix(master_pid: Optional[int] = None,
                 tag: Optional[str] = None) -> str:
-    """A per-run segment-name prefix: ``repro-shm-<masterpid>-<token>``
+    """A per-master segment-name prefix: ``repro-shm-<masterpid>-<token>``
     (or ``repro-shm-<masterpid>-<tag>-<token>`` with a ``tag``).
 
     The pid scopes leak detection to this master process; the random
-    token keeps concurrent runs inside one process (e.g. parallel test
-    threads, or the service's tenant runs) from sweeping each other's
-    segments.  ``tag`` embeds a human-readable namespace -- the service
-    passes its run id, so ``ls /dev/shm`` attributes pages to tenants.
+    token keeps concurrent masters inside one process (e.g. parallel
+    test threads) from sweeping each other's segments.  ``tag`` embeds
+    a human-readable namespace for ``ls /dev/shm``.
     """
     pid = os.getpid() if master_pid is None else master_pid
     middle = f"-{tag}" if tag else ""
@@ -94,8 +94,8 @@ def _pid_alive(pid: int) -> bool:
 def sweep_dead_owners() -> list[str]:
     """Reclaim segments whose owning master process is gone.
 
-    Per-run sweeps (:func:`sweep_orphans`) only cover runs whose prefix
-    the sweeping process still knows.  A master that *crashed* -- or a
+    Per-master sweeps (:func:`sweep_orphans`) only cover prefixes the
+    sweeping process still knows.  A master that *crashed* -- or a
     service that was SIGKILLed mid-run -- leaves segments behind that no
     surviving prefix names.  Segment names embed the owner's pid
     (``repro-shm-<pid>-...``), so a long-lived service can reclaim them
@@ -146,7 +146,7 @@ class Segment:
     decoded from the same block.
 
     Consumers decrement via :meth:`release`; the last release closes the
-    mapping and unlinks the backing pages.  Thread-safe: the engine
+    mapping and unlinks the backing pages.  Thread-safe: the master
     thread releases results it drops while the aligner thread releases
     the ones it ingests.
     """
@@ -321,7 +321,7 @@ def publish_results(results: list[QuantumResult],
     shm = shared_memory.SharedMemory(name=name, create=True, size=total)
     try:
         # from here the segment exists on disk: if this process dies
-        # before the return value reaches the master, only the per-run
+        # before the return value reaches the master, only the master's
         # sweep can reclaim it -- exactly the orphan case sweep_orphans
         # and the chaos test cover
         _untrack(name)
@@ -418,11 +418,12 @@ def leaked_segments(prefix: str) -> list[str]:
 
 
 def sweep_orphans(prefix: str) -> list[str]:
-    """Unlink every leftover segment of this run; returns their names.
+    """Unlink every leftover segment under ``prefix``; returns their
+    names.
 
-    Called when a run ends (normally or not): a worker that died between
-    creating a segment and the master mapping it leaves pages nobody
-    will ever release.  Safe against concurrent releases -- both sides
+    Called when a master closes (normally or not): a worker that died
+    between creating a segment and the master mapping it leaves pages
+    nobody will ever release.  Safe against concurrent releases -- both sides
     tolerate an already-unlinked segment.
     """
     swept = []

@@ -15,7 +15,10 @@ the live tasks it advances, the master only their checkpoints:
    **one** simulation quantum and send a single
    :class:`~repro.distributed.net.ResultMsg` frame carrying the advanced
    task's checkpoint *and* the quantum results (atomic: the master never
-   sees one without the other).  The task stays resident if the master
+   sees one without the other) -- the results themselves, or, for a
+   worker its master spawned with a shared-memory prefix, the
+   :class:`~repro.distributed.shm.ShmBlock` they were published into.
+   The task stays resident if the master
    asked for that and it is not done; a key the worker does not hold is
    a :class:`~repro.distributed.net.WorkerFailure`;
 4. drop all resident tasks on :class:`~repro.distributed.net.Forget`;
@@ -60,6 +63,7 @@ from repro.distributed.net import (
     TaskMsg,
     WorkerFailure,
 )
+from repro.distributed.shm import publish_results
 
 
 def _connect(host: str, port: int, retries: int = 50,
@@ -81,16 +85,19 @@ def _connect(host: str, port: int, retries: int = 50,
 
 def worker_main(host: str, port: int, worker_id: int,
                 heartbeat_interval: float = 0.5,
-                zero_copy: bool = True,
-                resident: Optional[dict] = None) -> int:
+                resident: Optional[dict] = None,
+                shm_prefix: Optional[str] = None) -> int:
     """Run the worker loop until shutdown; returns quanta executed.
 
-    With ``zero_copy`` (the default) result frames ship their numpy
-    payloads as out-of-band buffer segments -- the checkpoint blob and
-    the quantum's sample arrays cross the wire without being copied into
-    the pickle stream.  The master decodes both formats transparently.
-    ``resident`` (task key -> live task) is where the worker keeps the
-    tasks it holds; an in-thread caller may pass its own dict to watch it.
+    Frames ship their numpy payloads as out-of-band buffer segments:
+    the checkpoint blob and the quantum's sample arrays cross the wire
+    without being copied into the pickle stream.  ``resident`` (task key
+    -> live task) is where the worker keeps the tasks it holds; an
+    in-thread caller may pass its own dict to watch it.  ``shm_prefix``
+    is set only by a master that spawned this worker on its own host:
+    quantum results then go through the shared-memory result ring
+    (:func:`~repro.distributed.shm.publish_results`) and the frame
+    carries their descriptor.
     """
     if resident is None:
         resident = {}
@@ -99,13 +106,8 @@ def worker_main(host: str, port: int, worker_id: int,
     send_lock = threading.Lock()
 
     def send(obj) -> None:
-        if zero_copy:
-            with send_lock:
-                send_segments(sock, codec.encode_segments(obj))
-        else:
-            frame = codec.encode(obj)
-            with send_lock:
-                sock.sendall(frame)
+        with send_lock:
+            send_segments(sock, codec.encode_segments(obj))
 
     send(Hello(worker_id, os.getpid()))
     stop_heartbeats = threading.Event()
@@ -146,7 +148,8 @@ def worker_main(host: str, port: int, worker_id: int,
                 if isinstance(msg, Forget):
                     resident.clear()
                 elif isinstance(msg, TaskMsg):
-                    quanta += _run_one(send, worker_id, msg, resident)
+                    quanta += _run_one(send, worker_id, msg, resident,
+                                       shm_prefix)
             if done:
                 break
     finally:
@@ -158,7 +161,8 @@ def worker_main(host: str, port: int, worker_id: int,
     return quanta
 
 
-def _run_one(send, worker_id: int, msg: TaskMsg, resident: dict) -> int:
+def _run_one(send, worker_id: int, msg: TaskMsg, resident: dict,
+             shm_prefix: Optional[str]) -> int:
     """Advance the task ``msg`` names or carries by one quantum and ship
     its checkpoint + results atomically."""
     try:
@@ -182,8 +186,10 @@ def _run_one(send, worker_id: int, msg: TaskMsg, resident: dict) -> int:
     else:
         resident.pop(checkpoint.key, None)
     # a batch task yields one QuantumResult per member trajectory
-    results = tuple(outcome) if isinstance(outcome, list) else (outcome,)
-    send(ResultMsg(worker_id, checkpoint, results))
+    results = outcome if isinstance(outcome, list) else [outcome]
+    send(ResultMsg(worker_id, checkpoint,
+                   tuple(results) if shm_prefix is None
+                   else publish_results(results, shm_prefix)))
     return 1
 
 
@@ -206,10 +212,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="unique worker id within the cluster")
     parser.add_argument("--heartbeat-interval", type=float, default=0.5,
                         help="seconds between liveness beacons")
-    parser.add_argument("--no-zero-copy", action="store_true",
-                        help="copy numpy payloads through the pickle "
-                             "stream instead of framing them as "
-                             "out-of-band buffer segments")
     return parser
 
 
@@ -221,8 +223,7 @@ def main(argv: Optional[list[str]] = None) -> int:
               file=sys.stderr)
         return 2
     quanta = worker_main(host, int(port), args.worker_id,
-                         heartbeat_interval=args.heartbeat_interval,
-                         zero_copy=not args.no_zero_copy)
+                         heartbeat_interval=args.heartbeat_interval)
     print(f"worker {args.worker_id}: {quanta} quanta executed")
     return 0
 

@@ -170,7 +170,7 @@ def build_workflow(model: Union[Model, ReactionNetwork],
     :class:`~repro.analysis.engines.WindowStatistics` objects as its
     output; run it with :func:`repro.ff.run` or via :func:`run_workflow`.
     ``engine_factory`` (index -> worker node) swaps the simulation engine
-    implementation -- the process-backed farm uses it to substitute
+    implementation -- the service uses it to substitute
     :class:`~repro.distributed.procfarm.ProcessSimEngineNode`.
     """
     if engine_factory is None:
@@ -215,10 +215,10 @@ def run_workflow(model: Union[Model, ReactionNetwork],
     ``config.trace_report_path`` is set, as a JSON file on disk.
 
     ``config.backend`` selects the runtime: the in-process executors
-    (``"threads"`` / ``"sequential"``), the process-pool simulation farm
-    (``"processes"``, :mod:`repro.distributed.procfarm`) or the real TCP
-    master/worker cluster (``"cluster"``, :mod:`repro.distributed.net`).
-    All of them produce bit-identical results for the same seeds.
+    (``"threads"`` / ``"sequential"``) or the TCP master/worker runtime
+    of :mod:`repro.distributed.net` with worker processes spawned on
+    this host (``"processes"`` and ``"cluster"`` both name it).  All of
+    them produce bit-identical results for the same seeds.
     """
     if controller is None and config.adaptive:
         # lazy import: repro.pipeline.adaptive imports this module back
@@ -226,12 +226,7 @@ def run_workflow(model: Union[Model, ReactionNetwork],
         controller = make_adaptive_controller(config)
     if tracer is None and (config.trace or config.adaptive):
         tracer = Tracer()
-    if config.backend == "processes":
-        from repro.distributed.procfarm import run_workflow_multiprocess
-        result = run_workflow_multiprocess(model, config,
-                                           controller=controller,
-                                           tracer=tracer)
-    elif config.backend == "cluster":
+    if config.backend in ("processes", "cluster"):
         from repro.distributed.net import run_workflow_cluster
         result = run_workflow_cluster(model, config, controller=controller,
                                       tracer=tracer)

@@ -48,9 +48,10 @@ class WorkflowConfig:
     #: bit-identical.
     method: str = "exact"
     scheduling: str = "ondemand"  # farm dispatch policy
-    #: "threads" | "sequential" (in-process executors), "processes"
-    #: (thread runtime + process-pool simulation engines) or "cluster"
-    #: (real TCP master/worker runtime, repro.distributed.net)
+    #: "threads" | "sequential" (in-process executors), or "processes" /
+    #: "cluster": two names for one runtime, the TCP master/worker
+    #: cluster of repro.distributed.net with its workers spawned on this
+    #: host (they return results through shared memory)
     backend: str = "threads"
     #: columnar analysis plane: NumPy-backed aligner emitting CutBlock
     #: batches, ring-buffer sliding window, vectorised stat engines.
@@ -59,13 +60,7 @@ class WorkflowConfig:
     keep_cuts: bool = False       # retain raw cuts (memory!) for examples
     trace: bool = False           # record runtime metrics (run report)
     trace_report_path: Optional[str] = None  # write the JSON report here
-    #: zero-copy result transport: out-of-band buffer frames on the
-    #: cluster backend, a shared-memory result ring on the processes
-    #: backend.  False falls back to plain pickled payloads (the
-    #: before/after axis of benchmarks/bench_transport.py); results are
-    #: bit-identical either way.
-    zero_copy: bool = True
-    # -- cluster backend knobs (backend="cluster") ----------------------
+    # -- out-of-process runtime (backend="processes" / "cluster") -------
     cluster_workers: Optional[int] = None  # None -> n_sim_workers
     cluster_inflight: int = 2     # bounded in-flight window per worker
     heartbeat_interval: float = 0.5

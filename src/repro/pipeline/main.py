@@ -81,25 +81,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "rows on exact SSA); tau/hybrid trade "
                              "bit-reproducibility for an order-of-"
                              "magnitude speedup at large omega")
-    parser.add_argument("--no-zero-copy", action="store_true",
-                        help="disable the zero-copy result transport "
-                             "(shared-memory ring on the processes "
-                             "backend, out-of-band frames on the "
-                             "cluster backend) and pickle results "
-                             "instead")
     parser.add_argument("--backend",
                         choices=("threads", "sequential", "processes",
                                  "cluster"),
                         default="threads",
                         help="runtime: in-process executors (threads/"
-                             "sequential), process-pool simulation "
-                             "engines (processes) or the real TCP "
-                             "master/worker cluster (cluster)")
+                             "sequential) or the TCP master/worker "
+                             "runtime with worker processes on this "
+                             "host (processes and cluster name the "
+                             "same thing)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="cluster worker processes "
-                             "(--backend cluster; default: --sim-workers)")
+                        help="worker processes (--backend processes/"
+                             "cluster; default: --sim-workers)")
     parser.add_argument("--inflight", type=int, default=2,
-                        help="bounded in-flight tasks per cluster worker "
+                        help="bounded in-flight tasks per worker process "
                              "(backpressure window)")
     parser.add_argument("--adaptive", metavar="SPEC", default=None,
                         help="convergence-stop policy, e.g. 'ci:0.05' "
@@ -222,7 +217,6 @@ def main(argv: list[str] | None = None) -> int:
             histogram_bins=args.histogram,
             seed=args.seed, engine=args.engine, batch_size=args.batch_size,
             engine_kernel=args.engine_kernel, method=args.method,
-            zero_copy=not args.no_zero_copy,
             backend=args.backend, keep_cuts=True,
             cluster_workers=args.workers, cluster_inflight=args.inflight,
             adaptive_ci=adaptive_ci, adaptive_relative=adaptive_relative,

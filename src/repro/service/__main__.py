@@ -39,14 +39,11 @@ def main(argv=None) -> int:
     parser.add_argument("--max-inflight", type=int, default=None,
                         help="default per-tenant bound on quanta "
                              "occupying workers (default: --workers)")
-    parser.add_argument("--no-zero-copy", action="store_true",
-                        help="disable shared-memory result transport")
     args = parser.parse_args(argv)
 
     app = ServiceApp(host=args.host, port=args.port,
                      n_workers=args.workers, backend=args.backend,
-                     max_inflight=args.max_inflight,
-                     zero_copy=not args.no_zero_copy)
+                     max_inflight=args.max_inflight)
     print(f"repro.service: {args.backend} fleet x{args.workers}, "
           f"listening on {args.host}:{args.port}", flush=True)
     try:

@@ -30,13 +30,11 @@ class ServiceApp:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8642,
                  n_workers: int = 4, backend: str = "processes",
-                 max_inflight: Optional[int] = None,
-                 zero_copy: bool = True):
+                 max_inflight: Optional[int] = None):
         self.host = host
         self.port = port
         self.fleet = SharedFleet(n_workers, backend=backend,
-                                 max_inflight=max_inflight,
-                                 zero_copy=zero_copy)
+                                 max_inflight=max_inflight)
         self.manager = RunManager(self.fleet)
         self.api = ServiceAPI(self.manager)
         self._loop: Optional[asyncio.AbstractEventLoop] = None

@@ -1,7 +1,7 @@
 """One shared worker fleet, many tenant runs: the service's muscle.
 
-A batch run owns its backend: ``backend="processes"`` creates a process
-pool, runs, and tears it down.  The service inverts that: one
+A batch run owns its backend: ``backend="processes"`` spawns worker
+processes, runs, and tears them down.  The service inverts that: one
 :class:`SharedFleet` outlives every run, and each tenant run submits its
 simulation quanta through a :class:`FleetClient` facade that looks
 exactly like an executor (``submit(fn, *args) -> Future``), so the
@@ -20,12 +20,12 @@ Between the facade and the workers sits the fair-share layer:
   (:class:`~repro.service.fairshare.StrideScheduler`) whenever a worker
   slot frees up.
 
-Backends: ``"processes"`` (a shared ``ProcessPoolExecutor`` -- quanta
-optionally return through the shared-memory result ring),
-``"threads"`` (in-process, for tests and tiny deployments) and
-``"cluster"`` (a persistent TCP :class:`~repro.distributed.net.
-ClusterMaster` in serve mode -- worker processes that may live on other
-hosts, task keys namespaced per tenant).
+Backends: ``"threads"`` (an in-process pool, for tests and tiny
+deployments) or a persistent :class:`~repro.distributed.net.
+ClusterMaster` in serve mode (``"processes"`` and ``"cluster"`` both
+name it): worker processes spawned on this host, task keys namespaced
+per tenant, results back through the shared-memory ring, replay on
+worker death.
 
 Per-tenant results are **independent of dispatch order** -- each quantum
 is a pure function of its task state -- so fair-share interleaving never
@@ -43,7 +43,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Optional
 
 from repro.distributed.shm import sweep_dead_owners
@@ -75,9 +75,9 @@ class _Tenant:
 class FleetClient:
     """Executor facade for one tenant: what a run's engine nodes hold.
 
-    Quacks like a ``ProcessPoolExecutor`` (``submit`` returning a
-    future), so :class:`~repro.distributed.procfarm.ProcessSimEngineNode`
-    can be pointed at the shared fleet without modification.
+    Quacks like an executor (``submit`` returning a future), which is
+    all :class:`~repro.distributed.procfarm.ProcessSimEngineNode` asks
+    of its pool.
     """
 
     def __init__(self, fleet: "SharedFleet", tenant: str):
@@ -98,23 +98,20 @@ class SharedFleet:
     Parameters
     ----------
     n_workers:
-        Worker slots (processes, threads or cluster worker processes).
+        Worker slots (threads, or the served master's worker processes).
     backend:
-        ``"processes"`` | ``"threads"`` | ``"cluster"``.
+        ``"threads"``, or ``"processes"`` / ``"cluster"`` (one runtime).
     max_inflight:
         Default per-tenant bound on quanta occupying worker slots
         (clients may lower it per run).  Defaults to ``n_workers`` -- a
         lone tenant saturates the fleet; under contention the stride
         scheduler shares slots out fairly anyway.
-    zero_copy:
-        Cluster backend: frame numpy payloads out-of-band.
     """
 
     BACKENDS = ("threads", "processes", "cluster")
 
     def __init__(self, n_workers: int, backend: str = "processes",
-                 max_inflight: Optional[int] = None,
-                 zero_copy: bool = True):
+                 max_inflight: Optional[int] = None):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if backend not in self.BACKENDS:
@@ -126,7 +123,6 @@ class SharedFleet:
         self.n_workers = n_workers
         self.backend = backend
         self.max_inflight = max_inflight or n_workers
-        self.zero_copy = zero_copy
 
         self._sched = StrideScheduler()
         self._lock = threading.Lock()
@@ -152,19 +148,16 @@ class SharedFleet:
         if self._started:
             return self
         self._swept_at_start = sweep_dead_owners()
-        if self.backend == "processes":
-            self._pool = ProcessPoolExecutor(max_workers=self.n_workers)
-        elif self.backend == "threads":
+        if self.backend == "threads":
             self._pool = ThreadPoolExecutor(
                 max_workers=self.n_workers,
                 thread_name_prefix="fleet-worker")
-        else:  # cluster
+        else:
             from repro.distributed.net import ClusterMaster
             self._master = ClusterMaster(
                 [], n_workers=self.n_workers,
                 inflight_window=max(
-                    1, -(-self.max_inflight // self.n_workers)),
-                zero_copy=self.zero_copy)
+                    1, -(-self.max_inflight // self.n_workers)))
             self._master.serve()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, daemon=True, name="fleet-dispatch")
@@ -276,10 +269,10 @@ class SharedFleet:
         started = time.monotonic()
         try:
             if self._master is not None:
-                # cluster serve mode runs ``task.run_quantum()`` remotely
-                # and resolves to (advanced_task, [results]) -- the same
-                # contract as ``fn`` in a pool, so ``fn`` itself never
-                # crosses the wire
+                # the served master runs ``task.run_quantum()`` on a
+                # worker and resolves to (advanced_task, [results]) --
+                # the same contract as ``fn`` in a pool, so ``fn`` itself
+                # never crosses the wire
                 inner = self._master.execute(args[0], namespace=tenant)
             else:
                 inner = self._pool.submit(fn, *args)

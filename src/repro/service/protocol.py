@@ -61,14 +61,15 @@ MODEL_FACTORIES = {
     "enzyme": lambda omega: mm_enzyme_network(omega=omega),
 }
 
-#: WorkflowConfig fields a tenant may set.  Backend, transport and
-#: tracing are the *service's* business (one fleet, per-run tracers):
-#: a spec naming them is rejected loudly rather than silently ignored.
+#: WorkflowConfig fields a tenant may set.  Backend, tracing and the
+#: choice of analysis plane (``columnar=False`` would put the scalar
+#: oracle engines on the shared main process) are the *service's*
+#: business: a spec naming them is rejected loudly, not silently ignored.
 CONFIG_FIELDS = frozenset({
     "n_simulations", "t_end", "sample_every", "quantum",
     "n_sim_workers", "n_stat_workers", "window_size", "window_slide",
     "kmeans_k", "filter_width", "histogram_bins", "seed",
-    "engine", "batch_size", "engine_kernel", "method", "columnar",
+    "engine", "batch_size", "engine_kernel", "method",
     "adaptive_ci", "adaptive_relative", "adaptive_min_windows",
     "adaptive_species", "adaptive_repriority",
 })

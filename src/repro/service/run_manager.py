@@ -5,9 +5,9 @@ Each submitted :class:`~repro.service.protocol.RunSpec` becomes a
 aligner, windows, ordered stat farm), its own
 :class:`~repro.pipeline.steering.SteeringController` (or
 :class:`~repro.pipeline.adaptive.AdaptiveController` when the spec asks
-for adaptive policies), its own :class:`~repro.ff.trace.Tracer`, and its
-own shared-memory namespace -- nothing run-scoped is shared between
-tenants, which is what the concurrent-steering isolation suite pins.
+for adaptive policies) and its own :class:`~repro.ff.trace.Tracer` --
+nothing run-scoped is shared between tenants, which is what the
+concurrent-steering isolation suite pins.
 
 Only the *simulation quanta* leave the run: the engine stages submit
 them to the :class:`~repro.service.fleet.SharedFleet` under the run's
@@ -33,7 +33,6 @@ import traceback
 from typing import Any, Optional
 
 from repro.distributed.procfarm import ProcessSimEngineNode
-from repro.distributed.shm import make_prefix, sweep_orphans
 from repro.ff.executor import run as ff_run
 from repro.ff.trace import Tracer
 from repro.pipeline.adaptive import make_adaptive_controller, task_lag_key
@@ -70,7 +69,6 @@ class RunHandle:
         self.elapsed_s: Optional[float] = None
         self.windows: list = []
         self.sweep_result = None  # SweepResult for sweep specs
-        self.shm_prefix: Optional[str] = None
 
         self._lock = threading.Lock()
         self._events: list[dict[str, Any]] = []
@@ -194,13 +192,10 @@ class RunManager:
         client = None
         try:
             model = spec.build_model()
-            use_shm = self.fleet.backend == "processes"
-            handle.shm_prefix = make_prefix(tag=run_id) if use_shm else None
             client = self.fleet.client(run_id, weight=spec.weight,
                                        max_inflight=spec.max_inflight)
             engine_factory = lambda i: ProcessSimEngineNode(  # noqa: E731
-                client, name=f"{run_id}-eng-{i}",
-                shm_prefix=handle.shm_prefix)
+                client, name=f"{run_id}-eng-{i}")
             if spec.sweep is not None:
                 from repro.sweep import run_sweep
                 cfg = spec.config
@@ -250,11 +245,6 @@ class RunManager:
                                     - handle.started_monotonic)
             if client is not None:
                 client.close()
-            if handle.shm_prefix is not None:
-                # run teardown hygiene: reclaim anything this tenant's
-                # workers left behind (e.g. a quantum published right as
-                # the run was cancelled and never mapped)
-                sweep_orphans(handle.shm_prefix)
             handle.publish({
                 "type": "end",
                 "run_id": run_id,

@@ -52,8 +52,10 @@ class TestClusterWorkflow:
                 backend=backend, method=method, engine="batch",
                 batch_size=3, t_end=4.0))
         clustered = run("cluster", "tau")
-        assert clustered.windows == run("processes", "tau").windows
+        assert clustered.windows == run("threads", "tau").windows
         assert stats_of(clustered) != stats_of(run("cluster", "exact"))
+        assert run("processes", "hybrid").windows \
+            == run("threads", "hybrid").windows
 
     def test_workers_flag_controls_pool(self, neurospora_small):
         chaos = _Recorder()

@@ -1,55 +1,60 @@
-"""Process-backed simulation farm (real multiprocessing)."""
+"""``backend="processes"``: the localhost cluster runtime under its
+other name (``threads`` is the byte reference)."""
 
-import pytest
-
-from repro.distributed.procfarm import run_workflow_multiprocess
+from repro.distributed import net
 from repro.pipeline import WorkflowConfig, run_workflow
 
 
-def config(**overrides):
+def run(model, **overrides):
     base = dict(n_simulations=4, t_end=5.0, sample_every=0.5, quantum=2.5,
                 n_sim_workers=2, window_size=5, seed=0, keep_cuts=True)
-    base.update(overrides)
-    return WorkflowConfig(**base)
+    return run_workflow(model, WorkflowConfig(**{**base, **overrides}))
 
 
 class TestProcessFarm:
     def test_results_identical_to_thread_farm(self, neurospora_small):
-        """Crossing process boundaries must not change results: same
-        seeds, same trajectories, same statistics."""
-        threaded = run_workflow(neurospora_small, config())
-        processed = run_workflow_multiprocess(neurospora_small, config())
-        assert [(s.grid_index, s.mean) for s in threaded.cut_statistics()] \
-            == [(s.grid_index, s.mean) for s in processed.cut_statistics()]
+        """Crossing process boundaries must not change results."""
+        assert run(neurospora_small, backend="processes").windows \
+            == run(neurospora_small).windows
 
     def test_trajectories_reassemble(self, neurospora_small):
-        result = run_workflow_multiprocess(neurospora_small, config())
+        result = run(neurospora_small, backend="processes")
         trajectories = result.trajectories()
         assert len(trajectories) == 4
         assert all(len(t) == 11 for t in trajectories)
 
     def test_cwc_model_crosses_processes(self, neurospora_cwc_small):
-        cfg = config(n_simulations=2, t_end=2.0, engine="cwc")
-        result = run_workflow_multiprocess(neurospora_cwc_small, cfg)
+        cfg = dict(n_simulations=2, t_end=2.0, engine="cwc")
+        result = run(neurospora_cwc_small, backend="processes", **cfg)
         assert result.n_windows >= 1
+        assert result.windows == run(neurospora_cwc_small, **cfg).windows
 
 
 class TestBackendDispatch:
-    def test_reachable_as_processes_backend(self, neurospora_small):
-        """``backend="processes"`` in run_workflow is the same runtime."""
-        threaded = run_workflow(neurospora_small, config())
-        processed = run_workflow(neurospora_small,
-                                 config(backend="processes"))
-        assert [(s.grid_index, s.mean) for s in threaded.cut_statistics()] \
-            == [(s.grid_index, s.mean) for s in processed.cut_statistics()]
+    def test_reachable_as_processes_backend(self, neurospora_small,
+                                            monkeypatch):
+        """``processes`` and ``cluster`` are one code path."""
+        real, seen = net.run_workflow_cluster, []
+        monkeypatch.setattr(
+            net, "run_workflow_cluster",
+            lambda model, cfg, **kw: seen.append(cfg.backend)
+            or real(model, cfg, **kw))
+        threaded = run(neurospora_small)
+        for backend in ("processes", "cluster"):
+            assert run(neurospora_small, backend=backend).windows \
+                == threaded.windows
+        assert seen == ["processes", "cluster"]
 
-    def test_trace_covers_process_backend(self, neurospora_small):
-        """``--trace`` works through the process farm: the domain
-        counters (sim.* plus the offload counter) land in the report."""
-        result = run_workflow(neurospora_small,
-                              config(backend="processes", trace=True))
-        counters = result.trace_report.counters
+    def test_trace_covers_process_backend(self, enzyme_small):
+        """``--trace`` reads one vocabulary on every backend: the
+        engines' ``sim.*`` names come from the master.  A scalar run's
+        quanta are far below ``SHM_MIN_BYTES``: none goes through shm."""
+        counters = run(enzyme_small, backend="processes",
+                       trace=True).trace_report.counters
         assert counters["sim.trajectories_retired"] == 4
-        assert counters["sim.quanta"] >= 4
+        assert counters["sim.tasks_completed"] == 4
+        assert counters["sim.quanta"] == counters["net.results_received"] == 8
         assert counters["sim.steps"] > 0
-        assert counters["proc.quanta_offloaded"] == counters["sim.quanta"]
+        assert counters["net.state_sends"] == 4  # tasks + 0 reassignments
+        assert counters["net.resident_sends"] == 4
+        assert "net.shm_blocks" not in counters

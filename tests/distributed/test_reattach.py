@@ -3,21 +3,17 @@
 The service keeps one worker fleet alive across many tenant runs, so
 the lifecycle pieces under it must be reentrant: a ClusterMaster's
 ``start()`` / ``run_tasks()`` / ``close()`` split has to survive
-repeated runs and repeated closes, serve mode must multiplex namespaces
-without key collisions, and ``run_workflow_multiprocess`` must accept a
-caller-owned pool and leave it running.
+repeated runs and repeated closes, and serve mode must multiplex
+namespaces without key collisions.
 """
 
 from __future__ import annotations
 
 import copy
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.distributed.net import ClusterError, ClusterMaster, NamespacedTask
-from repro.distributed.procfarm import run_workflow_multiprocess
-from repro.pipeline import WorkflowConfig, run_workflow
 from repro.sim.task import make_tasks
 
 pytestmark = pytest.mark.slow
@@ -196,26 +192,3 @@ class TestNamespacedTaskEnvelope:
         back = pickle.loads(pickle.dumps(wrapped))
         assert back.namespace == "tenant-1"
         assert back.task.task_id == task.task_id
-
-
-class TestProcessFarmPoolReuse:
-    def test_caller_owned_pool_survives_runs(self, neurospora_small):
-        """Two workflows over one pool: results identical to the
-        owned-pool path, and the pool still works afterwards."""
-        cfg = WorkflowConfig(n_simulations=4, t_end=4.0, sample_every=0.5,
-                             quantum=2.0, n_sim_workers=2, window_size=5,
-                             seed=3, keep_cuts=True)
-        baseline = run_workflow(neurospora_small, cfg)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            first = run_workflow_multiprocess(neurospora_small, cfg,
-                                              pool=pool)
-            second = run_workflow_multiprocess(neurospora_small, cfg,
-                                              pool=pool)
-            # the farm did not shut the caller's pool down
-            assert pool.submit(pow, 2, 5).result(timeout=30) == 32
-        expect = [(s.grid_index, s.mean, s.variance)
-                  for s in baseline.cut_statistics()]
-        assert [(s.grid_index, s.mean, s.variance)
-                for s in first.cut_statistics()] == expect
-        assert [(s.grid_index, s.mean, s.variance)
-                for s in second.cut_statistics()] == expect

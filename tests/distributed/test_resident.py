@@ -11,6 +11,7 @@ protocol mismatch or a lost resident task ends in a ``ClusterError``.
 
 from __future__ import annotations
 
+import os
 import pickle
 import socket
 import threading
@@ -26,6 +27,7 @@ from repro.distributed.net import (PROTOCOL, Checkpoint, ClusterError,
                                    ClusterMaster, Hello, KillWorkerAfter,
                                    ResultMsg, TaskMsg, WorkerFailure,
                                    WorkerHandle, run_workflow_cluster)
+from repro.distributed.shm import SEGMENT_PREFIX, leaked_segments
 from repro.distributed.worker import worker_main
 from repro.pipeline import WorkflowConfig, run_workflow
 from repro.pipeline.adaptive import task_lag_key
@@ -128,18 +130,20 @@ class TestStateCrossesOnce:
 class TestReplayFromCheckpoint:
     @pytest.mark.parametrize("overrides", [
         {},
-        {"zero_copy": False},
         {"engine": "batch", "batch_size": 2, "n_simulations": 12},
-    ], ids=["scalar", "legacy-frames", "batch-task"])
+        {"engine": "batch", "batch_size": 16, "n_simulations": 64,
+         "sample_every": 0.125},
+    ], ids=["scalar", "batch-task", "shm-quanta"])
     def test_survivor_gets_full_checkpoints(self, neurospora_small,
                                             overrides):
         """(b) SIGKILL one of two workers: every task re-pinned to the
-        survivor is sent there as a full checkpoint exactly once, and the
-        windows equal the threads backend's."""
+        survivor is sent there as a full checkpoint exactly once, the
+        windows equal the threads backend's, and no segment is left (the
+        last case: fused quanta above ``SHM_MIN_BYTES``)."""
         threaded = run_workflow(neurospora_small, config(**overrides))
         chaos = KillWorkerAfter(n_results=3, worker_id=0)
         clustered = run_workflow_cluster(
-            neurospora_small, config(backend="cluster", **overrides),
+            neurospora_small, config(backend="processes", **overrides),
             fault_hook=chaos)
         master = chaos.master
         assert chaos.fired and master.workers_failed == 1
@@ -148,6 +152,8 @@ class TestReplayFromCheckpoint:
         assert (master.state_sends + master.resident_sends
                 == master.tasks_dispatched)
         assert clustered.windows == threaded.windows
+        assert master.shm_blocks or "sample_every" not in overrides
+        assert leaked_segments(f"{SEGMENT_PREFIX}-{os.getpid()}") == []
 
 
 def _full_handle(worker_id, window):
@@ -295,7 +301,8 @@ class TestWorkerMemory:
         finally:
             peer.close()
         local = task.run_quantum()
-        assert isinstance(reply, ResultMsg)
+        # no shm prefix, as for any remote worker: results ride in band
+        assert isinstance(reply, ResultMsg) and type(reply.results) is tuple
         assert reply.task.key == task.task_id
         assert bytes(reply.task.state) == pickle.dumps(task, 5)
         assert reply.results[0].samples == local.samples

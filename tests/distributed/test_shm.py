@@ -1,11 +1,11 @@
-"""Shared-memory result ring: segment lifecycle, leak handling, and
-equivalence of the zero-copy processes backend.
+"""Shared-memory result ring: segment lifecycle, leak handling, and the
+cluster runtime's use of it as its local data plane.
 
 The lifecycle invariants under test: a segment created by a worker is
-unlinked exactly when its last consumer releases; results the engine
+unlinked exactly when its last consumer releases; results the master
 drops and results the aligner ingests both count as consumers; a worker
 dying mid-publish leaves an orphan that leak detection sees and the
-run-end sweep reclaims; and none of this changes a single sample value.
+closing sweep reclaims; and none of this changes a single sample value.
 """
 
 import os
@@ -15,7 +15,8 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from repro.distributed.procfarm import run_workflow_multiprocess
+from repro.distributed.net import (Checkpoint, ClusterMaster, ResultMsg,
+                                   WorkerHandle)
 from repro.distributed.shm import (
     SEGMENT_PREFIX,
     SHM_MIN_BYTES,
@@ -164,27 +165,37 @@ def _shm_config(**overrides):
 
 
 class TestProcessesBackendZeroCopy:
-    def test_bit_identical_to_plain_pickling(self, neurospora_small):
-        plain = run_workflow_multiprocess(
-            neurospora_small, _shm_config(zero_copy=False))
-        shared = run_workflow_multiprocess(
-            neurospora_small, _shm_config(zero_copy=True))
-        for a, b in zip(plain.cuts, shared.cuts):
-            assert a == b
-        assert [(s.grid_index, s.mean) for s in plain.cut_statistics()] \
-            == [(s.grid_index, s.mean) for s in shared.cut_statistics()]
-
     def test_shm_path_actually_engaged(self, neurospora_small):
         result = run_workflow(neurospora_small,
                               _shm_config(backend="processes", trace=True))
         counters = result.trace_report.counters
-        assert counters.get("proc.shm_blocks", 0) >= 1
-        assert counters.get("proc.shm_bytes", 0) > 0
+        assert counters.get("net.shm_blocks", 0) >= 1
+        assert counters.get("net.shm_bytes", 0) > 0
 
     def test_run_leaves_no_segments_behind(self, neurospora_small):
-        run_workflow_multiprocess(neurospora_small, _shm_config())
+        run_workflow(neurospora_small, _shm_config(backend="processes"))
         mine = f"{SEGMENT_PREFIX}-{os.getpid()}"
         assert leaked_segments(mine) == []
+
+
+class TestMasterSegmentLifetime:
+    """What the master maps but does not forward it releases on the
+    spot, not at ``close()`` (a served fleet may never get there)."""
+
+    @pytest.mark.parametrize("handler, owed", [
+        ("_on_result", "other"), ("_serve_result", "k")],
+        ids=["stale-frame", "serve-result-without-future"])
+    def test_dropped_result_gives_its_segment_back(self, prefix, handler,
+                                                   owed):
+        master = ClusterMaster([], n_workers=1)
+        master.workers[0] = WorkerHandle(0, sock=None)
+        master.workers[0].in_flight[owed] = Checkpoint(owed, False, 0., 0, b"")
+        block = publish_results([columnar_result()], prefix)
+        assert leaked_segments(prefix) == [block.name]
+        getattr(master, handler)(
+            ResultMsg(0, Checkpoint("k", False, 1.0, 1, b""), block))
+        assert master.stale_results == (owed != "k")
+        assert leaked_segments(prefix) == []
 
 
 class TestDeadOwnerSweep:

@@ -53,9 +53,10 @@ class TestRunSpec:
             RunSpec.from_jsonable(["model"])
 
     def test_service_owned_config_fields_rejected(self):
-        """backend/trace/zero_copy belong to the service, not tenants --
+        """backend/trace/columnar belong to the service, not tenants --
         naming them must fail loudly, not be silently ignored."""
-        for field in ("backend", "trace", "zero_copy", "keep_cuts"):
+        for field in ("backend", "trace", "columnar", "keep_cuts",
+                      "zero_copy"):  # the last: no such field any more
             with pytest.raises(ProtocolError, match="not settable"):
                 RunSpec.from_jsonable({"model": "toggle",
                                        "config": {field: True}})
