@@ -21,9 +21,11 @@ trusting the timing, writes ``BENCH_analysis.json``, and optionally
 asserts a speedup floor (CI runs ``--assert-speedup 5``; the acceptance
 target at 1024 trajectories is 10x).
 
-It also produces before/after runtime trace reports from a real (small)
-threaded Neurospora workflow with ``columnar=False`` / ``True`` so the
-per-node service times of the two planes can be compared.
+It also writes the runtime trace report of a real (small) threaded
+Neurospora workflow and times the scalar chain, driven by hand from the
+same tasks (the scalar classes are reference implementations, not a
+workflow option), so the analysis-half cost of the two planes can be
+compared on real results.
 
 Usage::
 
@@ -181,30 +183,37 @@ def bench(n_traj: int, n_grid: int, repeats: int) -> dict:
 
 
 def trace_reports(out_prefix: str) -> dict:
-    """Before/after per-node trace of a real threaded workflow."""
+    """Per-node trace of a real threaded workflow, and the scalar chain
+    over the same tasks' results."""
     from repro.models import neurospora_network
     from repro.pipeline import WorkflowConfig, run_workflow
+    from repro.sim.task import make_tasks
 
     network = neurospora_network(omega=50)
-    paths = {}
-    for columnar in (False, True):
-        label = "columnar" if columnar else "scalar"
-        path = f"{out_prefix}_{label}.json"
-        config = WorkflowConfig(
-            n_simulations=16, t_end=12.0, sample_every=0.25, quantum=2.0,
-            n_sim_workers=2, window_size=WINDOW_SIZE,
-            window_slide=WINDOW_SLIDE, kmeans_k=KMEANS_K,
-            histogram_bins=HISTOGRAM_BINS, filter_width=FILTER_WIDTH,
-            seed=0, columnar=columnar, trace=True, trace_report_path=path)
-        result = run_workflow(network, config)
-        paths[label] = path
-        analysis = [n for n in result.trace_report.nodes
-                    if n["name"] in ("sim-farm.collector", "windows")
-                    or n["name"].startswith("stat-farm.w")]
-        svc_ms = sum(n["svc_time_s"]["total"] for n in analysis) * 1e3
-        print(f"  trace[{label}]: analysis-half svc {svc_ms:.1f} ms "
-              f"(aligner + window + stat engines) -> {path}")
-    return paths
+    path = f"{out_prefix}_columnar.json"
+    config = WorkflowConfig(
+        n_simulations=16, t_end=12.0, sample_every=0.25, quantum=2.0,
+        n_sim_workers=2, window_size=WINDOW_SIZE,
+        window_slide=WINDOW_SLIDE, kmeans_k=KMEANS_K,
+        histogram_bins=HISTOGRAM_BINS, filter_width=FILTER_WIDTH,
+        seed=0, trace=True, trace_report_path=path)
+    result = run_workflow(network, config)
+    analysis = [n for n in result.trace_report.nodes
+                if n["name"] in ("sim-farm.collector", "windows")
+                or n["name"].startswith("stat-farm.w")]
+    svc_ms = sum(n["svc_time_s"]["total"] for n in analysis) * 1e3
+    print(f"  trace[columnar]: analysis-half svc {svc_ms:.1f} ms "
+          f"(aligner + window + stat engines) -> {path}")
+    stream, pending = [], make_tasks(
+        network, config.n_simulations, config.t_end, config.quantum,
+        config.sample_every, seed=config.seed)
+    while pending:
+        stream.extend(task.run_quantum() for task in pending)
+        pending = [task for task in pending if not task.done]
+    scalar_s, scalar_out = run_chain(stream, config.n_simulations, False)
+    assert len(scalar_out) == len(result.windows)
+    print(f"  hand-driven scalar chain: {scalar_s * 1e3:.1f} ms")
+    return {"columnar": path}
 
 
 def main(argv=None) -> int:

@@ -3,8 +3,8 @@
 
 Measures the two halves of the zero-copy transport tentpole on a
 realistic payload -- one cluster ``ResultMsg`` carrying a full
-1024-trajectory batch quantum (one columnar ``QuantumResult`` per
-member):
+1024-trajectory batch quantum, the one ``ResultBlock`` of ``--n-traj``
+members the runtime ships per quantum:
 
 * **wire frames** (cluster backend): legacy v1 frames copy every sample
   array into the pickle stream (and scan it again for the checksum);
@@ -13,10 +13,10 @@ member):
   benchmark reports bytes *copied through pickle* per quantum for both
   formats -- the acceptance axis (CI asserts a >= 5x reduction) -- plus
   encode/decode frames per second.
-* **shared pages** (processes backend): the same results published to
-  the shared-memory result ring and mapped back, versus a
-  pickle/unpickle round trip of the result list (what the pool's future
-  pipe does without the ring).
+* **shared pages** (processes backend): the same block published to
+  the shared-memory result ring (``ShmCoalescedEntry``) and mapped back,
+  versus a pickle/unpickle round trip of it (what a pipe does without
+  the ring).
 
 ``--round-trip`` measures the other direction of the cluster wire
 instead: what one *scalar* quantum's master -> worker -> master round
@@ -57,25 +57,22 @@ from repro.distributed.message import (
 from repro.distributed.net import Checkpoint, ResultMsg, TaskMsg
 from repro.distributed.shm import (make_prefix, map_results,
                                    publish_results, sweep_orphans)
-from repro.sim.task import QuantumResult
+from repro.sim.task import ResultBlock
 
 
 def make_quantum(n_traj: int, samples_per_quantum: int, n_obs: int,
-                 seed: int = 0) -> list[QuantumResult]:
-    """One batch quantum's worth of columnar results."""
+                 seed: int = 0) -> list[ResultBlock]:
+    """One batch quantum's stream item, as the worker holds it."""
     rng = np.random.default_rng(seed)
     times = np.arange(samples_per_quantum, dtype=float) * 0.5
-    return [
-        QuantumResult(
-            task_id, None, time=float(times[-1]), steps=100 + task_id,
-            done=False, grid_start=0, times=times.copy(),
-            values=rng.integers(
-                0, 200, size=(samples_per_quantum, n_obs)).astype(float))
-        for task_id in range(n_traj)
-    ]
+    values = rng.integers(
+        0, 200, size=(n_traj, samples_per_quantum, n_obs)).astype(float)
+    return [ResultBlock(range(n_traj), 0, times, values,
+                        np.full(n_traj, times[-1]),
+                        100 + np.arange(n_traj), False)]
 
 
-def payload_nbytes(results: list[QuantumResult]) -> int:
+def payload_nbytes(results: list[ResultBlock]) -> int:
     return sum(r._times.nbytes + r._values.nbytes for r in results)
 
 

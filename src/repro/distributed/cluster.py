@@ -37,9 +37,9 @@ from repro.ff.node import GO_ON, Node
 from repro.ff.pipeline import Pipeline
 from repro.ff.executor import run as ff_run
 from repro.perfsim.platform import ChannelSpec, GIGABIT_ETHERNET
-from repro.pipeline.builder import (WorkflowResult, analysis_stages,
-                                    make_aligner)
+from repro.pipeline.builder import WorkflowResult, analysis_stages
 from repro.pipeline.config import WorkflowConfig
+from repro.sim.alignment import TrajectoryAligner
 from repro.sim.scheduler import TaskGenerator
 from repro.sim.task import SimulationTask
 
@@ -190,7 +190,7 @@ class DistributedWorkflow:
         sim_farm = Farm(
             lanes,
             emitter=_AffinityEmitter(lanes_of_worker),
-            collector=make_aligner(config),
+            collector=TrajectoryAligner(config.n_simulations),
             feedback=True,
             scheduling=config.scheduling,
             name="host-farm")

@@ -12,12 +12,14 @@ virtual cluster), everything here really crosses the network:
   trajectory lives on the host that simulates it): a steady-state task
   message names the task by key and carries no state.  Per quantum the
   worker returns a :class:`Checkpoint` -- the pickled post-quantum task
-  as one opaque blob -- *and* the quantum results in a single atomic
-  frame;
+  as one opaque blob -- *and* the quantum's result item in a single
+  atomic frame;
 * the master keeps the latest checkpoint of every task without ever
   unpickling it (scheduling needs only ``key/done/time/steps``) and
-  streams the :class:`~repro.sim.task.QuantumResult` objects into the
-  unchanged alignment/analysis half of the workflow.
+  streams the result items (one per quantum: a scalar task's
+  :class:`~repro.sim.task.QuantumResult`, a batch task's
+  :class:`~repro.sim.task.ResultBlock`) into the unchanged
+  alignment/analysis half of the workflow.
 
 Scheduling mirrors the shared-memory farm: **host affinity** (a task is
 pinned to the worker that holds it; pins only move when a worker dies),
@@ -41,10 +43,11 @@ the advanced task back, so nothing stays resident on a long-lived fleet.
 
 Local data plane: workers the master spawned itself share its
 ``/dev/shm``, so it hands them a :func:`~repro.distributed.shm.make_prefix`
-namespace and they return quantum results through the shared-memory
-result ring (``ResultMsg.results`` is then a
-:class:`~repro.distributed.shm.ShmBlock` the master maps); workers that
-joined over the network get no prefix and send the results in band.
+namespace and they return a batch quantum's block through the
+shared-memory result ring (``ResultMsg.results`` is then a
+:class:`~repro.distributed.shm.ShmBlock` the master maps; scalar results
+and small quanta ride inline in it); workers that joined over the
+network get no prefix and send everything in band.
 This is also the ``processes`` backend: same master, same workers.
 
 The wire protocol (also see :mod:`repro.distributed.worker` for how to
@@ -161,9 +164,9 @@ class TaskMsg:
 @dataclass(frozen=True)
 class ResultMsg:
     """Worker -> master: the post-quantum :class:`Checkpoint` (in
-    ``task``) plus the quantum's results -- a tuple, or the
+    ``task``) plus the quantum's result item -- as a 1-tuple, or the
     :class:`~repro.distributed.shm.ShmBlock` a worker with a shm prefix
-    published them into.
+    published it into.
 
     State and results travel in *one* frame on purpose: the master either
     sees both (checkpoint replaced, results forwarded downstream) or
@@ -285,8 +288,8 @@ class WorkerHandle:
 class ClusterMaster:
     """TCP master: listens, spawns/accepts workers, schedules tasks.
 
-    :meth:`run` is a generator yielding :class:`QuantumResult` objects as
-    they arrive -- plug it into the workflow via
+    :meth:`run` is a generator yielding each quantum's result item as
+    it arrives -- plug it into the workflow via
     :class:`ClusterSourceNode` or iterate it directly.
 
     Parameters
@@ -390,7 +393,7 @@ class ClusterMaster:
     # -- lifecycle -------------------------------------------------------
     def run(self):
         """Generator: drive every task to completion, yielding each
-        :class:`QuantumResult` as its frame arrives.  One-shot
+        quantum's result item as its frame arrives.  One-shot
         convenience equal to ``start()`` + ``run_tasks(self.tasks)`` +
         ``close()``; use the pieces directly to reuse the worker fleet
         across several runs."""
@@ -421,7 +424,7 @@ class ClusterMaster:
 
     def run_tasks(self, tasks: list):
         """Generator: drive ``tasks`` to completion on the started
-        fleet, yielding each :class:`QuantumResult` as its frame
+        fleet, yielding each quantum's result item as its frame
         arrives.  May be called repeatedly on one master -- the workers
         (and their warm caches) survive between runs; per-run scheduling
         state is reset, cumulative counters are not."""
@@ -730,7 +733,8 @@ class ClusterMaster:
         if sent is None:
             self.stale_results += 1
             if isinstance(msg.results, ShmBlock):
-                _release(map_results(msg.results))
+                for result in map_results(msg.results):
+                    result.release()
             return None
         handle.items_done += 1
         self.results_received += 1
@@ -751,7 +755,7 @@ class ClusterMaster:
             results = map_results(results)
         for result in results:
             if result.done:
-                self.trajectories_retired += getattr(result, "n_members", 1)
+                self.trajectories_retired += result.n_members
         return list(results)
 
     def _poll_stop(self) -> None:
@@ -825,8 +829,8 @@ class ClusterMaster:
     def execute(self, task: Any, namespace: Any = None):
         """Submit one task for one quantum; returns a
         :class:`concurrent.futures.Future` resolving to
-        ``(advanced_task, [QuantumResult, ...])`` -- the same contract as
-        a process pool running ``task.run_quantum()``.  ``namespace``
+        ``(advanced_task, result item)`` -- the same contract as a pool
+        running ``task.run_quantum()``.  ``namespace``
         scopes the task's scheduling identity (affinity pin, in-flight
         slot, result future) to one tenant run."""
         from concurrent.futures import Future
@@ -866,14 +870,14 @@ class ClusterMaster:
             # the tenant run is finished with this lane: drop the pin so
             # the affinity map cannot grow without bound across runs
             self.assignment.pop(checkpoint.key, None)
-        results = self._map(msg)
+        (result,) = self._map(msg)
         future = self._futures.pop(checkpoint.key, None)
         if future is not None and not future.done():
             env = pickle.loads(checkpoint.state)
             task = env.task if isinstance(env, NamespacedTask) else env
-            future.set_result((task, results))
+            future.set_result((task, result))
         else:
-            _release(results)  # nobody waits for them any more
+            result.release()  # nobody waits for it any more
 
     # -- teardown --------------------------------------------------------
     def close(self) -> None:
@@ -930,10 +934,6 @@ class ClusterMaster:
             # between publishing a segment and sending its frame
             sweep_orphans(self.shm_prefix)
 
-    def _shutdown(self) -> None:
-        """Backwards-compatible alias of :meth:`close`."""
-        self.close()
-
     # -- accounting ------------------------------------------------------
     def counters(self) -> dict[str, float]:
         """Run-report counters: scheduler totals plus per-link traffic."""
@@ -983,11 +983,6 @@ class ClusterMaster:
         for name, value in totals.items():
             counters[f"net.{name}"] = value
         return counters
-
-
-def _release(results) -> None:
-    for result in results:
-        result.release()
 
 
 def _kill_process(proc) -> None:
@@ -1056,7 +1051,8 @@ def run_workflow_cluster(model, config, controller=None, tracer=None,
     from repro.ff.executor import run as ff_run
     from repro.ff.pipeline import Pipeline
     from repro.pipeline.builder import (WorkflowResult, analysis_stages,
-                                        make_aligner, task_generator)
+                                        task_generator)
+    from repro.sim.alignment import TrajectoryAligner
 
     n_workers = config.cluster_workers or config.n_sim_workers
     tasks, task_counters = task_generator(
@@ -1076,7 +1072,7 @@ def run_workflow_cluster(model, config, controller=None, tracer=None,
         controller.attach_scheduler(master)
     cut_store: Optional[list] = [] if config.keep_cuts else None
     stages: list = [ClusterSourceNode(master, task_counters),
-                    make_aligner(config)]
+                    TrajectoryAligner(config.n_simulations)]
     stages.extend(analysis_stages(config, cut_store=cut_store,
                                   controller=controller))
     windows = ff_run(Pipeline(stages, name="cluster-workflow"),

@@ -31,10 +31,10 @@ class ProcessSimEngineNode(Node):
     """Drop-in for :class:`~repro.sim.engine.SimEngineNode` that runs
     its quanta through ``pool.submit(_run_quantum, task)``.
 
-    Results may be views over shared-memory pages (a served master maps
-    what its local workers published), and every such result must be
-    released exactly once: results this node drops (empty, not done)
-    are released here; forwarded ones by the aligner after ingest.
+    A batch quantum's block may be a view over shared-memory pages (a
+    served master maps what its local workers published) and must be
+    released exactly once: a result this node drops (empty, not done)
+    is released here; a forwarded one by the aligner after ingest.
     """
 
     def __init__(self, pool: Any, name: str = "psim-eng"):
@@ -47,22 +47,15 @@ class ProcessSimEngineNode(Node):
 
     def svc(self, task: Union[SimulationTask, BatchSimulationTask]):
         steps_before = task.steps
-        updated, outcome = self.pool.submit(_run_quantum, task).result()
-        # a batch task yields one QuantumResult per member trajectory
-        results = outcome if isinstance(outcome, list) else [outcome]
+        updated, result = self.pool.submit(_run_quantum, task).result()
         self.quanta_executed += 1
-        retired = 0
-        for result in results:
-            if result.done:
-                # a coalescing batch task retires all members at once
-                retired += getattr(result, "n_members", 1)
-            if len(result) or result.done:
-                self.ff_send_out(result)
-            else:
-                result.release()  # dropped: give back its segment ref now
+        if len(result) or result.done:
+            self.ff_send_out(result)
+        else:
+            result.release()  # dropped: give back its segment now
         self.trace_incr("sim.steps", updated.steps - steps_before)
         self.trace_incr("sim.quanta", 1)
-        if retired:
-            self.trace_incr("sim.trajectories_retired", retired)
+        if result.done:
+            self.trace_incr("sim.trajectories_retired", result.n_members)
         self.send_feedback(updated)
         return GO_ON

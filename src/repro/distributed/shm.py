@@ -1,36 +1,37 @@
 """Shared-memory result ring: the local data plane of the cluster runtime.
 
 A worker the master spawned on its own host (``backend="processes"`` /
-``"cluster"``, the service's served fleet) does not push a quantum's
-sample arrays through its socket -- for a 1024-trajectory batch quantum
-that is megabytes copied into a frame, out of it, and once more into
-the aligner's ring.  It *publishes* them into
-:mod:`multiprocessing.shared_memory` pages instead: the result frame
-carries only a small picklable descriptor (:class:`ShmBlock`), and the
-master maps the pages and hands the aligner NumPy views straight over
-shared memory.  Workers that joined over the network never get a
-prefix and keep sending results in band.
+``"cluster"``, the service's served fleet) does not push a batch
+quantum's :class:`~repro.sim.task.ResultBlock` through its socket -- for
+a 1024-trajectory block that is megabytes copied into a frame, out of
+it, and once more into the aligner's ring.  It *publishes* the block's
+arrays into :mod:`multiprocessing.shared_memory` pages instead: the
+result frame carries only a small picklable descriptor
+(:class:`ShmBlock`), and the master maps the pages and hands the aligner
+NumPy views straight over shared memory.  Workers that joined over the
+network never get a prefix and keep sending results in band.
 
 Lifecycle is explicit and master-owned:
 
-* the **worker** creates one segment per quantum (all of the quantum's
-  sample arrays packed back to back), immediately detaches its own
+* the **worker** creates one segment per quantum (the block's ``times``
+  and ``values`` packed back to back), immediately detaches its own
   ``resource_tracker`` registration (so a worker exiting does not yank
   pages the master still reads) and closes its mapping;
-* the **master** attaches, also detaches the tracker registration, and
-  wraps the mapping in a refcounted :class:`Segment` shared by every
-  result decoded from the block.  Each consumer calls
-  ``QuantumResult.release()`` after ingesting the samples (the master
-  itself for results it drops: empty, stale, or nobody waiting); the
+* the **master** attaches and wraps the mapping in a refcounted
+  :class:`Segment` owned by the block(s) mapped from it.  The consumer
+  calls ``ResultBlock.release()`` after ingesting the samples (the
+  master itself for a block it drops: stale, or nobody waiting); the
   last release closes *and unlinks* the segment;
 * segment names embed a per-master prefix (master pid + random token),
   so :func:`sweep_orphans` -- run by ``ClusterMaster.close()`` -- can
   reclaim pages leaked by a worker that died between publishing and
   sending without ever touching another master's segments.
 
-Results that are tiny, empty or in row form ride inline in the
-descriptor -- shared-memory setup costs more than pickling below
-:data:`SHM_MIN_BYTES`.
+Everything else rides inline in the descriptor: a scalar task's
+:class:`~repro.sim.task.QuantumResult` (one trajectory's quantum, as it
+travels from every remote worker), a bare done marker, and any quantum
+under :data:`SHM_MIN_BYTES` -- shared-memory setup costs more than
+pickling below that.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ import secrets
 import threading
 from itertools import count
 from multiprocessing import shared_memory
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from repro.sim.task import QuantumResult, ResultBlock
+from repro.sim.task import ResultBlock
 
 #: every segment name starts with this; the per-master prefix appends the
 #: master pid and a random token (see :func:`make_prefix`)
@@ -142,12 +143,12 @@ def _untrack(name: str) -> None:
 
 
 class Segment:
-    """Master-side handle of one mapped segment, shared by all results
-    decoded from the same block.
+    """Master-side handle of one mapped segment, shared by the result
+    blocks mapped from it (one, for a quantum a worker published).
 
     Consumers decrement via :meth:`release`; the last release closes the
     mapping and unlinks the backing pages.  Thread-safe: the master
-    thread releases results it drops while the aligner thread releases
+    thread releases blocks it drops while the aligner thread releases
     the ones it ingests.
     """
 
@@ -176,7 +177,7 @@ class Segment:
         # unlink first so leak detection sees the name gone even if the
         # close below is refused; then unmap.  close() really does unmap
         # under any still-live numpy view (no BufferError guard on this
-        # platform), which is why QuantumResult.release severs its array
+        # platform), which is why ResultBlock.release severs its array
         # attributes before handing the reference back.
         try:
             self._shm.unlink()
@@ -186,36 +187,6 @@ class Segment:
             self._shm.close()
         except BufferError:
             pass  # exported views left; GC closes when they go
-
-
-class ShmEntry:
-    """Descriptor of one columnar result whose arrays live in the
-    segment: offsets into the shared pages instead of the arrays."""
-
-    __slots__ = ("task_id", "time", "steps", "done", "grid_start",
-                 "times_offset", "values_offset", "n", "n_obs")
-
-    def __init__(self, task_id: int, time: float, steps: int, done: bool,
-                 grid_start: int, times_offset: int, values_offset: int,
-                 n: int, n_obs: int):
-        self.task_id = task_id
-        self.time = time
-        self.steps = steps
-        self.done = done
-        self.grid_start = grid_start
-        self.times_offset = times_offset
-        self.values_offset = values_offset
-        self.n = n
-        self.n_obs = n_obs
-
-    def __getstate__(self):
-        return (self.task_id, self.time, self.steps, self.done,
-                self.grid_start, self.times_offset, self.values_offset,
-                self.n, self.n_obs)
-
-    def __setstate__(self, state):
-        (self.task_id, self.time, self.steps, self.done, self.grid_start,
-         self.times_offset, self.values_offset, self.n, self.n_obs) = state
 
 
 class ShmCoalescedEntry:
@@ -253,17 +224,18 @@ class ShmCoalescedEntry:
 
 class ShmBlock:
     """The picklable message a worker returns for one quantum: inline
-    results interleaved (in original order) with :class:`ShmEntry`
-    descriptors pointing into the named segment.
+    results interleaved (in original order) with
+    :class:`ShmCoalescedEntry` descriptors pointing into the named
+    segment.
 
     ``name is None`` means the whole quantum rode inline (payload under
-    :data:`SHM_MIN_BYTES`, or nothing columnar to share).
+    :data:`SHM_MIN_BYTES`, or no block to share).
     """
 
     __slots__ = ("name", "payload_nbytes", "entries")
 
     def __init__(self, name: Optional[str], payload_nbytes: int,
-                 entries: list[Union[QuantumResult, ShmEntry]]):
+                 entries: list):
         self.name = name
         self.payload_nbytes = payload_nbytes
         self.entries = entries
@@ -289,31 +261,24 @@ def _copy_into(shm: shared_memory.SharedMemory, offset: int,
     del dst
 
 
-def publish_results(results: list[QuantumResult],
-                    prefix: str) -> ShmBlock:
-    """Worker side: pack the quantum's sample arrays into one fresh
-    segment and return the descriptor block.
+def publish_results(results: list, prefix: str) -> ShmBlock:
+    """Worker side: pack the sample arrays of the quantum's result
+    block into one fresh segment and return the descriptor block.
 
-    Row-form and empty results stay inline (they have no arrays worth
-    sharing); if the columnar payload totals under :data:`SHM_MIN_BYTES`
-    everything stays inline and no segment is created.
+    Only a :class:`~repro.sim.task.ResultBlock` with samples is shared;
+    scalar results and bare done markers stay inline, and if the
+    payload totals under :data:`SHM_MIN_BYTES` everything stays inline
+    and no segment is created.
     """
     total = 0
-    shareable = []
+    packed = {}
     for result in results:
-        if isinstance(result, ResultBlock):
-            if not len(result):
-                continue  # bare done marker: rides inline
+        if isinstance(result, ResultBlock) and len(result):
             times = np.ascontiguousarray(result._times, dtype=np.float64)
             values = np.ascontiguousarray(result._values, dtype=np.float64)
-        elif result._samples is None and result._n:
-            times = np.ascontiguousarray(result._times, dtype=np.float64)
-            values = np.ascontiguousarray(result._values, dtype=np.float64)
-        else:
-            continue
-        shareable.append((result, times, values))
-        total = _aligned(total + times.nbytes)
-        total = _aligned(total + values.nbytes)
+            packed[id(result)] = (times, values)
+            total = _aligned(total + times.nbytes)
+            total = _aligned(total + values.nbytes)
     if total < SHM_MIN_BYTES:
         return ShmBlock(None, 0, list(results))
 
@@ -325,9 +290,8 @@ def publish_results(results: list[QuantumResult],
         # sweep can reclaim it -- exactly the orphan case sweep_orphans
         # and the chaos test cover
         _untrack(name)
-        entries: list[Union[QuantumResult, ShmEntry]] = []
+        entries = []
         offset = 0
-        packed = {id(r): (t, v) for r, t, v in shareable}
         for result in results:
             arrays = packed.get(id(result))
             if arrays is None:
@@ -340,17 +304,11 @@ def publish_results(results: list[QuantumResult],
             v_off = offset
             _copy_into(shm, v_off, values)
             offset = _aligned(v_off + values.nbytes)
-            if isinstance(result, ResultBlock):
-                entries.append(ShmCoalescedEntry(
-                    result.task_ids, result.grid_start, result.done,
-                    tuple(float(t) for t in result._end_times),
-                    tuple(int(s) for s in result._steps),
-                    t_off, v_off, result.n_grid, values.shape[2]))
-            else:
-                entries.append(ShmEntry(
-                    result.task_id, result.time, result.steps, result.done,
-                    result.grid_start, t_off, v_off,
-                    values.shape[0], values.shape[1]))
+            entries.append(ShmCoalescedEntry(
+                result.task_ids, result.grid_start, result.done,
+                tuple(float(t) for t in result._end_times),
+                tuple(int(s) for s in result._steps),
+                t_off, v_off, result.n_grid, values.shape[2]))
     except BaseException:
         shm.close()
         try:
@@ -362,50 +320,37 @@ def publish_results(results: list[QuantumResult],
     return ShmBlock(name, total, entries)
 
 
-def map_results(block: ShmBlock) -> list[QuantumResult]:
+def map_results(block: ShmBlock) -> list:
     """Master side: turn a descriptor block back into results.
 
-    Shared-memory entries become :class:`QuantumResult` objects whose
-    arrays are zero-copy views over the mapped pages, all tied to one
-    refcounted :class:`Segment` (one reference per mapped result); the
-    caller must see each one released exactly once.  Inline entries pass
-    through untouched.
+    Shared-memory entries become :class:`~repro.sim.task.ResultBlock`
+    objects whose arrays are zero-copy views over the mapped pages, all
+    tied to one refcounted :class:`Segment` (one reference per mapped
+    block); the caller must see each one released exactly once.  Inline
+    entries pass through untouched.
     """
     if block.name is None:
-        return [e for e in block.entries]
+        return list(block.entries)
     n_mapped = sum(1 for e in block.entries
-                   if isinstance(e, (ShmEntry, ShmCoalescedEntry)))
+                   if isinstance(e, ShmCoalescedEntry))
     shm = shared_memory.SharedMemory(name=block.name)
     segment = Segment(shm, refs=n_mapped)
-    results: list[QuantumResult] = []
+    results = []
     for entry in block.entries:
-        if isinstance(entry, ShmCoalescedEntry):
-            n_members = len(entry.task_ids)
-            times = np.ndarray((entry.n_grid,), np.float64,
-                               buffer=shm.buf, offset=entry.times_offset)
-            values = np.ndarray((n_members, entry.n_grid, entry.n_obs),
-                                np.float64, buffer=shm.buf,
-                                offset=entry.values_offset)
-            coalesced = ResultBlock(
-                entry.task_ids, entry.grid_start, times, values,
-                np.array(entry.end_times),
-                np.array(entry.member_steps, dtype=np.int64), entry.done)
-            coalesced.attach_segment(segment)
-            results.append(coalesced)
-            continue
-        if not isinstance(entry, ShmEntry):
+        if not isinstance(entry, ShmCoalescedEntry):
             results.append(entry)
             continue
-        times = np.ndarray((entry.n,), np.float64, buffer=shm.buf,
-                           offset=entry.times_offset)
-        values = np.ndarray((entry.n, entry.n_obs), np.float64,
-                            buffer=shm.buf, offset=entry.values_offset)
-        result = QuantumResult(
-            entry.task_id, None, time=entry.time, steps=entry.steps,
-            done=entry.done, grid_start=entry.grid_start,
-            times=times, values=values)
-        result.attach_segment(segment)
-        results.append(result)
+        times = np.ndarray((entry.n_grid,), np.float64,
+                           buffer=shm.buf, offset=entry.times_offset)
+        values = np.ndarray(
+            (len(entry.task_ids), entry.n_grid, entry.n_obs), np.float64,
+            buffer=shm.buf, offset=entry.values_offset)
+        mapped = ResultBlock(
+            entry.task_ids, entry.grid_start, times, values,
+            np.array(entry.end_times),
+            np.array(entry.member_steps, dtype=np.int64), entry.done)
+        mapped.attach_segment(segment)
+        results.append(mapped)
     return results
 
 

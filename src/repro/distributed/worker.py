@@ -14,10 +14,10 @@ the live tasks it advances, the master only their checkpoints:
    or a live task) or, for ``TaskMsg(None, key)``, from ``resident``; run
    **one** simulation quantum and send a single
    :class:`~repro.distributed.net.ResultMsg` frame carrying the advanced
-   task's checkpoint *and* the quantum results (atomic: the master never
-   sees one without the other) -- the results themselves, or, for a
-   worker its master spawned with a shared-memory prefix, the
-   :class:`~repro.distributed.shm.ShmBlock` they were published into.
+   task's checkpoint *and* the quantum's one result item (atomic: the
+   master never sees one without the other) -- the item itself, or, for
+   a worker its master spawned with a shared-memory prefix, the
+   :class:`~repro.distributed.shm.ShmBlock` it was published into.
    The task stays resident if the master
    asked for that and it is not done; a key the worker does not hold is
    a :class:`~repro.distributed.net.WorkerFailure`;
@@ -173,7 +173,7 @@ def _run_one(send, worker_id: int, msg: TaskMsg, resident: dict,
                 raise LookupError(f"no resident task for key {key!r}")
         elif isinstance(task, Checkpoint):
             key, task = task.key, pickle.loads(task.state)
-        outcome = task.run_quantum()
+        results = (task.run_quantum(),)
     except Exception as exc:  # noqa: BLE001 - reported to the master
         _try_send(send, WorkerFailure(
             worker_id, f"{type(exc).__name__}: {exc}"))
@@ -185,10 +185,8 @@ def _run_one(send, worker_id: int, msg: TaskMsg, resident: dict,
         resident[checkpoint.key] = task
     else:
         resident.pop(checkpoint.key, None)
-    # a batch task yields one QuantumResult per member trajectory
-    results = outcome if isinstance(outcome, list) else [outcome]
     send(ResultMsg(worker_id, checkpoint,
-                   tuple(results) if shm_prefix is None
+                   results if shm_prefix is None
                    else publish_results(results, shm_prefix)))
     return 1
 

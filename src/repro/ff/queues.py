@@ -13,8 +13,9 @@ runtime semantics is preserved here:
   every worker has finished, and a master-worker emitter can distinguish
   "upstream finished" from "feedback drained";
 * **abandonment** -- when a consumer exits early (e.g. a master-worker
-  emitter that decided the stream is over) pending producers must not
-  deadlock pushing into a queue nobody reads.
+  emitter that decided the stream is over, or a node that raised)
+  pending producers must not deadlock pushing into a queue nobody reads,
+  and an item nobody will read gives back what it holds.
 """
 
 from __future__ import annotations
@@ -28,6 +29,16 @@ from typing import Any, Hashable, Iterator, Optional
 from repro.ff.errors import QueueClosedError
 
 DEFAULT_CAPACITY = 512
+
+
+def _discard(item: Any) -> None:
+    """Drop an item no consumer will ever see: if it owns something it
+    would have given back once consumed (a mapped
+    :class:`~repro.sim.task.ResultBlock` its shared-memory segment), it
+    gives it back now."""
+    release = getattr(item, "release", None)
+    if release is not None:
+        release()
 
 
 class _EndOfStream:
@@ -148,7 +159,7 @@ class Channel:
         """Append ``item``, blocking while the channel is full.
 
         Returns ``True`` if the item was enqueued, ``False`` if the channel
-        was abandoned by its consumer (the item is dropped silently -- this
+        was abandoned by its consumer (the item is discarded -- this
         mirrors a FastFlow worker pushing into a farm whose emitter already
         terminated the stream).
 
@@ -162,6 +173,7 @@ class Channel:
             while True:
                 if self._abandoned:
                     self._record_blocked_push_locked(wait_started)
+                    _discard(item)
                     return False
                 if len(self._queue) < self.capacity:
                     self._queue.append(item)
@@ -194,6 +206,7 @@ class Channel:
         feedback queues for the same reason)."""
         with self._lock:
             if self._abandoned:
+                _discard(item)
                 return False
             self._queue.append(item)
             self._pushed += 1
@@ -261,12 +274,16 @@ class Channel:
             return False, None
 
     def abandon(self) -> None:
-        """Mark the channel as having no consumer: future pushes are dropped
-        and any producer blocked on a full queue is released."""
+        """Mark the channel as having no consumer: queued items and future
+        pushes are discarded and any producer blocked on a full queue is
+        released."""
         with self._lock:
             self._abandoned = True
+            dropped = list(self._queue)
             self._queue.clear()
             self._not_full.notify_all()
+        for item in dropped:
+            _discard(item)
 
     # ------------------------------------------------------------------
     # introspection

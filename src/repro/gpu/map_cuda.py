@@ -3,12 +3,13 @@
 A :class:`MapCUDANode` sits in a streaming graph like any other node; each
 service call receives a *block* of simulation tasks, advances every task
 by one simulation quantum on the device (functionally real execution,
-modeled timing -- see :mod:`repro.gpu.simt`) and emits the quantum
-results downstream.  Incomplete blocks are fed back for the next quantum
-with optional re-balancing, mirroring the CWC design that "manages blocks
-of simulations as a FastFlow stream, splitting them in successive quanta
-and implementing a load re-balancing strategy after the computation of
-each quantum".
+modeled timing -- see :mod:`repro.gpu.simt`) and emits the quantum's
+result items downstream (one per scalar task, or the batch task's one
+:class:`~repro.sim.task.ResultBlock`).  Incomplete blocks are fed back
+for the next quantum with optional re-balancing, mirroring the CWC
+design that "manages blocks of simulations as a FastFlow stream,
+splitting them in successive quanta and implementing a load
+re-balancing strategy after the computation of each quantum".
 
 A block is either a list of scalar
 :class:`~repro.sim.task.SimulationTask` objects (one Python kernel call
@@ -41,8 +42,9 @@ class MapCUDANode(Node):
 
     Input: a list of :class:`~repro.sim.task.SimulationTask` or one
     :class:`~repro.sim.task.BatchSimulationTask` (a block).
-    Output: every :class:`~repro.sim.task.QuantumResult` of the block's
-    quantum, followed by feedback of the (still incomplete) block.
+    Output: the block's quantum (a :class:`~repro.sim.task.QuantumResult`
+    per scalar task, one :class:`~repro.sim.task.ResultBlock` for a
+    batch task), followed by feedback of the (still incomplete) block.
     """
 
     def __init__(self, device: SimtDevice, rebalance: bool = True,
@@ -73,22 +75,18 @@ class MapCUDANode(Node):
         else:
             order = list(range(block.n))
 
-        def kernel(batch: BatchSimulationTask) -> list[QuantumResult]:
-            return batch.run_quantum()
-
         def work_of(batch: BatchSimulationTask, _results) -> list[float]:
             per_thread = batch.steps_by_trajectory - steps_before
             return [float(per_thread[i]) for i in order]
 
-        results, _stats = self.device.launch_map_batched(
-            kernel, block, work_of,
+        result, _stats = self.device.launch_map_batched(
+            BatchSimulationTask.run_quantum, block, work_of,
             bytes_moved=block.n * TASK_MESSAGE_BYTES)
         per_thread = block.steps_by_trajectory - steps_before
         for i, task_id in enumerate(block.task_ids):
             self._last_cost[task_id] = float(per_thread[i])
-        for result in results:
-            if len(result) or result.done:
-                self.ff_send_out(result)
+        if len(result) or result.done:
+            self.ff_send_out(result)
         self.blocks_processed += 1
         if self.has_feedback:
             self.send_feedback(block)

@@ -30,9 +30,9 @@ from repro.ff.pipeline import Pipeline
 from repro.gpu.device import tesla_k40
 from repro.gpu.map_cuda import MapCUDANode
 from repro.gpu.simt import SimtDevice
-from repro.pipeline.builder import (WorkflowResult, analysis_stages,
-                                    make_aligner)
+from repro.pipeline.builder import WorkflowResult, analysis_stages
 from repro.pipeline.config import WorkflowConfig
+from repro.sim.alignment import TrajectoryAligner
 from repro.sim.task import (
     BatchSimulationTask,
     SimulationTask,
@@ -144,7 +144,7 @@ def run_gpu_workflow(model: Union[Model, ReactionNetwork],
         [MapCUDANode(device, rebalance=rebalance, name=f"mapCUDA{i}")
          for i, device in enumerate(devices)],
         emitter=BlockEmitter(len(devices)),
-        collector=make_aligner(config),
+        collector=TrajectoryAligner(config.n_simulations),
         feedback=True,
         name="gpu-farm")
     cut_store: Optional[list] = [] if config.keep_cuts else None

@@ -7,7 +7,7 @@ from typing import Callable, Optional, Union
 
 from repro.analysis.engines import GatherNode, StatEngineNode, WindowStatistics
 from repro.analysis.stats import CutStatistics
-from repro.analysis.windows import ScalarSlidingWindowNode, SlidingWindowNode
+from repro.analysis.windows import SlidingWindowNode
 from repro.cwc.model import Model
 from repro.cwc.network import ReactionNetwork
 from repro.ff.farm import Farm
@@ -17,7 +17,7 @@ from repro.ff.executor import run as ff_run
 from repro.ff.trace import RunReport, Tracer
 from repro.pipeline.config import WorkflowConfig
 from repro.pipeline.steering import SteeringController
-from repro.sim.alignment import ScalarTrajectoryAligner, TrajectoryAligner
+from repro.sim.alignment import TrajectoryAligner
 from repro.sim.engine import SimEngineNode
 from repro.sim.scheduler import SimTaskEmitter, TaskGenerator
 from repro.sim.trajectory import (Cut, Trajectory, assemble_trajectories,
@@ -97,12 +97,6 @@ class WorkflowResult:
         return assemble_trajectories(self.cuts, self.config.n_simulations)
 
 
-def make_aligner(config: WorkflowConfig):
-    """The trajectory aligner matching ``config.columnar``."""
-    cls = TrajectoryAligner if config.columnar else ScalarTrajectoryAligner
-    return cls(config.n_simulations)
-
-
 def analysis_stages(config: WorkflowConfig,
                     cut_store: Optional[list] = None,
                     controller: Optional[SteeringController] = None
@@ -111,21 +105,18 @@ def analysis_stages(config: WorkflowConfig,
     cut tee, sliding window, ordered farm of statistical engines,
     optional steering tap.
 
-    Shared by every backend (in-process executors, the process farm, the
-    TCP cluster and the GPU workflow) so the columnar/scalar switch and
-    any future analysis-plane change lives in exactly one place.
+    Shared by every backend (in-process executors, the TCP cluster, the
+    virtual cluster and the GPU workflow) so any analysis-plane change
+    lives in exactly one place.
     """
     stages: list = []
     if cut_store is not None:
         stages.append(_CutTee(cut_store))
-    window_cls = (SlidingWindowNode if config.columnar
-                  else ScalarSlidingWindowNode)
-    stages.append(window_cls(config.window_size, config.window_slide))
+    stages.append(SlidingWindowNode(config.window_size, config.window_slide))
     stat_farm = Farm(
         [StatEngineNode(kmeans_k=config.kmeans_k,
                         filter_width=config.filter_width,
                         histogram_bins=config.histogram_bins,
-                        vectorized=config.columnar,
                         name=f"stat-eng-{i}")
          for i in range(config.n_stat_workers)],
         collector=GatherNode(),
@@ -191,7 +182,7 @@ def build_workflow(model: Union[Model, ReactionNetwork],
     sim_farm = Farm(
         [engine_factory(i) for i in range(config.n_sim_workers)],
         emitter=emitter,
-        collector=make_aligner(config),
+        collector=TrajectoryAligner(config.n_simulations),
         feedback=True,
         scheduling=config.scheduling,
         name="sim-farm")

@@ -53,10 +53,6 @@ class WorkflowConfig:
     #: cluster of repro.distributed.net with its workers spawned on this
     #: host (they return results through shared memory)
     backend: str = "threads"
-    #: columnar analysis plane: NumPy-backed aligner emitting CutBlock
-    #: batches, ring-buffer sliding window, vectorised stat engines.
-    #: False falls back to the scalar per-cut reference path.
-    columnar: bool = True
     keep_cuts: bool = False       # retain raw cuts (memory!) for examples
     trace: bool = False           # record runtime metrics (run report)
     trace_report_path: Optional[str] = None  # write the JSON report here

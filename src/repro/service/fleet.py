@@ -270,8 +270,8 @@ class SharedFleet:
         try:
             if self._master is not None:
                 # the served master runs ``task.run_quantum()`` on a
-                # worker and resolves to (advanced_task, [results]) --
-                # the same contract as ``fn`` in a pool, so ``fn`` itself
+                # worker and resolves to (advanced_task, result) -- the
+                # same contract as ``fn`` in a pool, so ``fn`` itself
                 # never crosses the wire
                 inner = self._master.execute(args[0], namespace=tenant)
             else:
@@ -327,6 +327,10 @@ class SharedFleet:
                 "global_inflight": self._global_inflight,
                 "quanta_dispatched": self._quanta_dispatched,
                 "swept_at_start": list(self._swept_at_start),
+                # seconds the served master waited on its workers with
+                # quanta queued behind full in-flight windows
+                "inflight_wait_s": (self._master.inflight_wait_s
+                                    if self._master is not None else 0.0),
                 "tenants": tenants,
             }
 

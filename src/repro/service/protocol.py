@@ -61,10 +61,9 @@ MODEL_FACTORIES = {
     "enzyme": lambda omega: mm_enzyme_network(omega=omega),
 }
 
-#: WorkflowConfig fields a tenant may set.  Backend, tracing and the
-#: choice of analysis plane (``columnar=False`` would put the scalar
-#: oracle engines on the shared main process) are the *service's*
-#: business: a spec naming them is rejected loudly, not silently ignored.
+#: WorkflowConfig fields a tenant may set.  Backend and tracing are the
+#: *service's* business: a spec naming them -- or anything that is no
+#: config field at all -- is rejected loudly, not silently ignored.
 CONFIG_FIELDS = frozenset({
     "n_simulations", "t_end", "sample_every", "quantum",
     "n_sim_workers", "n_stat_workers", "window_size", "window_slide",

@@ -169,12 +169,14 @@ class TrajectoryAligner(Node):
 
     def svc(self, result: QuantumResult):
         if isinstance(result, ResultBlock):
-            # coalesced block: ingest each member view through the normal
+            # a batch quantum: ingest each member view through the normal
             # path (the views are columnar and in-order, so they take the
-            # fast regime), then give the segment back once copied
-            for member in result.unpack():
-                self.svc(member)
-            result.release()
+            # fast regime), then give the segment back -- copied or not
+            try:
+                for member in result.unpack():
+                    self.svc(member)
+            finally:
+                result.release()
             return GO_ON
         if not isinstance(result, QuantumResult):
             raise TypeError(
@@ -182,7 +184,6 @@ class TrajectoryAligner(Node):
                 "expected QuantumResult")
         n_samples = len(result)
         if not n_samples:
-            result.release()
             return GO_ON  # nothing new, nothing can have become ready
         task_id = result.task_id
         if self._fast and result._samples is None \
@@ -218,9 +219,6 @@ class TrajectoryAligner(Node):
                     self._n_at_min = self._task_high.count(new_min)
                     if new_min > self._next_emit:
                         self._emit_block(new_min - self._next_emit)
-            # samples are copied into the ring above: a shared-memory
-            # backed result can give its segment reference back now
-            result.release()
             return GO_ON
         if self._fast:
             self._demote()
@@ -245,7 +243,6 @@ class TrajectoryAligner(Node):
         if self._pending > self.max_buffered:
             self.max_buffered = self._pending
         self._emit_ready()
-        result.release()  # ingested (copied): release any shm segment
         return GO_ON
 
     def _demote(self) -> None:
@@ -386,9 +383,11 @@ class ScalarTrajectoryAligner(Node):
 
     def svc(self, result: QuantumResult):
         if isinstance(result, ResultBlock):
-            for member in result.unpack():
-                self.svc(member)
-            result.release()
+            try:
+                for member in result.unpack():
+                    self.svc(member)
+            finally:
+                result.release()
             return GO_ON
         if not isinstance(result, QuantumResult):
             raise TypeError(
@@ -406,7 +405,6 @@ class ScalarTrajectoryAligner(Node):
                     f"{grid_index} twice")
             column[result.task_id] = values
             self._times[grid_index] = time
-        result.release()  # rows are materialised copies by now
         self.max_buffered = max(self.max_buffered, len(self._pending))
         self._emit_ready()
         return GO_ON

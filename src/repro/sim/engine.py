@@ -3,8 +3,10 @@
 Each engine receives a :class:`~repro.sim.task.SimulationTask` (or a
 :class:`~repro.sim.task.BatchSimulationTask` covering a whole block of
 lockstep trajectories), brings it forward by exactly one simulation
-quantum, streams the produced samples downstream (towards trajectory
-alignment) and reschedules the task back to the emitter along the farm's
+quantum, streams the quantum's one result item (a
+:class:`~repro.sim.task.QuantumResult`, or the batch task's
+:class:`~repro.sim.task.ResultBlock`) downstream towards trajectory
+alignment and reschedules the task back to the emitter along the farm's
 feedback channel.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 from typing import Union
 
 from repro.ff.node import GO_ON, Node
-from repro.sim.task import BatchSimulationTask, ResultBlock, SimulationTask
+from repro.sim.task import BatchSimulationTask, SimulationTask
 
 
 class SimEngineNode(Node):
@@ -30,28 +32,15 @@ class SimEngineNode(Node):
 
     def svc(self, task: Union[SimulationTask, BatchSimulationTask]):
         steps_before = task.steps
-        outcome = task.run_quantum()
+        result = task.run_quantum()
         self.quanta_executed += 1
         steps = task.steps - steps_before
         self.steps_executed += steps
-        # a batch task yields one QuantumResult per member trajectory; a
-        # coalescing batch task yields one ResultBlock for the whole block
-        retired = 0
-        if isinstance(outcome, ResultBlock):
-            if outcome.done:
-                retired = outcome.n_members
-            if len(outcome) or outcome.done:
-                self.ff_send_out(outcome)
-        else:
-            results = outcome if isinstance(outcome, list) else [outcome]
-            for result in results:
-                if result.done:
-                    retired += 1
-                if len(result) or result.done:
-                    self.ff_send_out(result)
+        if len(result) or result.done:
+            self.ff_send_out(result)
         self.trace_incr("sim.steps", steps)
         self.trace_incr("sim.quanta", 1)
-        if retired:
-            self.trace_incr("sim.trajectories_retired", retired)
+        if result.done:
+            self.trace_incr("sim.trajectories_retired", result.n_members)
         self.send_feedback(task)
         return GO_ON

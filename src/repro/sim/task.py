@@ -10,10 +10,11 @@ results*.
 :class:`BatchSimulationTask` is the batched variant: one task owns a whole
 block of trajectories advanced in lockstep by the NumPy engine
 (:class:`~repro.cwc.batch.BatchFlatSimulator`); its ``run_quantum``
-returns one :class:`QuantumResult` *per member*, so the downstream
-alignment stage is oblivious to how trajectories were grouped.  This is
-the dispatch granularity the paper uses for its GPU offload (blocks of
-simulations as stream items).
+returns one :class:`ResultBlock` for the whole block.  Either way one
+quantum is one stream item -- the granularity the paper uses for its GPU
+offload (blocks of simulations as stream items) -- and the type follows
+the engine: the alignment stage unpacks a block into per-member views,
+so it stays oblivious to how trajectories were grouped.
 
 Tasks are ordinary picklable objects, so they can cross process and
 (simulated) network boundaries -- the distributed simulator serialises
@@ -55,16 +56,16 @@ class QuantumResult:
     Python tuples, and a lazily materialised view is dropped rather than
     shipped twice.
 
-    ``attach_segment`` / ``release`` tie a result to a shared-memory
-    segment when its arrays are views over shared pages (the processes
-    backend's result ring): the consumer calls :meth:`release` once the
-    samples have been ingested, and the segment unlinks when its last
-    result releases.
+    A result always travels in band; ``n_members`` and :meth:`release`
+    are the vocabulary it shares with :class:`ResultBlock`, so consumers
+    handle either stream item alike.
     """
 
     __slots__ = ("task_id", "time", "steps", "done", "grid_start",
-                 "_samples", "_grid_indices", "_times", "_values", "_n",
-                 "_segment")
+                 "_samples", "_grid_indices", "_times", "_values", "_n")
+
+    #: trajectories this stream item reports on
+    n_members = 1
 
     def __init__(self, task_id: int,
                  samples: Optional[list[tuple[int, float,
@@ -79,7 +80,6 @@ class QuantumResult:
         #: SSA steps executed so far (for cost accounting)
         self.steps = steps
         self.done = done
-        self._segment = None  # shared-memory segment backing the arrays
         if samples is not None:
             self._samples: Optional[list] = samples
             self._grid_indices: Optional[np.ndarray] = None
@@ -136,35 +136,16 @@ class QuantumResult:
     def __len__(self) -> int:
         return self._n
 
-    # -- shared-memory lifecycle ----------------------------------------
-    def attach_segment(self, segment) -> None:
-        """Declare that this result's arrays are views into ``segment``
-        (anything with a ``release()`` method, usually a
-        :class:`repro.distributed.shm.Segment`)."""
-        self._segment = segment
-
     def release(self) -> None:
-        """Release the shared-memory segment backing the arrays (no-op
-        for ordinary results).  Consumers call it once the samples are
-        ingested.  The array attributes are severed *before* the segment
-        reference is given back: the last release unmaps the pages, so a
-        stale read through this result must fail loudly (``None``)
-        rather than touch unmapped memory."""
-        segment, self._segment = self._segment, None
-        if segment is not None:
-            if self._samples is None:
-                self._n = 0
-            self._times = None
-            self._values = None
-            self._grid_indices = None
-            segment.release()
+        """No-op: a result owns its arrays.  Consumers call it on every
+        stream item once ingested; only a :class:`ResultBlock` may have
+        a shared-memory segment to give back."""
 
     # -- pickling (lazy: ship the form we hold, never materialise) ------
     def __getstate__(self):
         if self._samples is None:
             # columnar form: two arrays + scalars, shipped without ever
-            # building per-sample tuples.  Shared-memory views pickle by
-            # value.
+            # building per-sample tuples
             return (self.task_id, self.time, self.steps, self.done,
                     self.grid_start, None, self._times, self._values)
         # row form is authoritative; a lazily derived columnar view is
@@ -176,7 +157,6 @@ class QuantumResult:
     def __setstate__(self, state):
         (self.task_id, self.time, self.steps, self.done,
          self.grid_start, samples, times, values) = state
-        self._segment = None
         self._grid_indices = None
         if samples is not None:
             self._samples = samples
@@ -195,13 +175,10 @@ class QuantumResult:
 
 
 class ResultBlock:
-    """One quantum's samples for a *whole* lockstep block, coalesced.
+    """One quantum's samples for a *whole* lockstep block.
 
-    A batch task advancing ``m`` member trajectories produces ``m``
-    per-member :class:`QuantumResult` objects per quantum; on the wire
-    that is ``m`` frames (or shm ring entries), each carrying a copy of
-    the same shared grid times.  A ``ResultBlock`` carries the identical
-    information as *one* message: the member task ids, the shared
+    What a batch task advancing ``m`` member trajectories returns per
+    quantum, as *one* stream item: the member task ids, the shared
     ``times`` vector, one member-major ``(n_members, n_grid,
     n_observables)`` ``values`` array, and the per-member end
     times/step counters.  Because the lockstep engine stops every member
@@ -212,8 +189,10 @@ class ResultBlock:
     filter works unchanged) and :meth:`unpack` yields per-member
     :class:`QuantumResult` *views* (no copies) for consumers that ingest
     member-wise, e.g. the aligner.  ``attach_segment`` / :meth:`release`
-    mirror :class:`QuantumResult`'s shared-memory lifecycle; the member
-    views returned by :meth:`unpack` never own the segment, the block
+    tie a block to a shared-memory segment when its arrays are views
+    over shared pages (the cluster runtime's local result ring): the
+    consumer calls :meth:`release` once the samples are ingested and the
+    segment unlinks.  The member views never own the segment, the block
     does.
     """
 
@@ -261,7 +240,7 @@ class ResultBlock:
         """Yield per-member columnar :class:`QuantumResult` views.
 
         The views alias this block's arrays: ingest (copy) them before
-        calling :meth:`release`, exactly as with shm-backed results.
+        calling :meth:`release`.
         """
         times = self._times
         values = self._values
@@ -272,11 +251,18 @@ class ResultBlock:
                                 grid_start=self.grid_start,
                                 times=times, values=values[i])
 
-    # -- shared-memory lifecycle (mirrors QuantumResult) ----------------
+    # -- shared-memory lifecycle ----------------------------------------
     def attach_segment(self, segment) -> None:
+        """Declare that this block's arrays are views into ``segment``
+        (anything with a ``release()`` method, usually a
+        :class:`repro.distributed.shm.Segment`)."""
         self._segment = segment
 
     def release(self) -> None:
+        """Give the segment back (no-op for a block that owns its
+        arrays).  The array attributes are severed *before* that: the
+        release unmaps the pages, so a stale read through this block
+        must fail loudly (``None``) rather than touch unmapped memory."""
         segment, self._segment = self._segment, None
         if segment is not None:
             self._times = None
@@ -381,13 +367,12 @@ class BatchSimulationTask:
 
     Mirrors :class:`SimulationTask` (``run_quantum``, ``done``, ``steps``)
     but over a whole :class:`~repro.cwc.batch.BatchFlatSimulator`;
-    ``run_quantum`` returns a *list* of per-member
-    :class:`QuantumResult` objects carrying the member task ids.
+    ``run_quantum`` returns one :class:`ResultBlock` carrying the member
+    task ids.
     """
 
     def __init__(self, task_ids: Sequence[int], batch: BatchFlatSimulator,
-                 t_end: float, quantum: float, sample_every: float,
-                 coalesce: bool = False):
+                 t_end: float, quantum: float, sample_every: float):
         if quantum <= 0 or sample_every <= 0 or t_end <= 0:
             raise ValueError("t_end, quantum and sample_every must be > 0")
         if len(task_ids) != batch.n:
@@ -398,10 +383,6 @@ class BatchSimulationTask:
         self.t_end = t_end
         self.quantum = quantum
         self.sample_every = sample_every
-        #: return one ResultBlock per quantum instead of per-member
-        #: QuantumResults: many small member payloads travel as one
-        #: frame / shm segment (the sweep plane's wire format)
-        self.coalesce = coalesce
         self._next_grid = 0  # shared: members advance in lockstep
 
     @property
@@ -429,20 +410,14 @@ class BatchSimulationTask:
     def n_samples_total(self) -> int:
         return int(round(self.t_end / self.sample_every)) + 1
 
-    def run_quantum(self) -> Union[list[QuantumResult], ResultBlock]:
+    def run_quantum(self) -> ResultBlock:
         """Advance the whole block by one quantum and sample on the grid.
 
         The block is driven from grid point to grid point (one vectorized
         ``advance_to`` per grid crossing), exactly like the scalar task.
-        Returns a per-member list of :class:`QuantumResult`, or one
-        :class:`ResultBlock` when ``coalesce`` is set.
         """
         if self.done:
-            if self.coalesce:
-                return self._coalesced(0, np.empty(0), None, True)
-            return [QuantumResult(task_id, [], float(self.batch.times[i]),
-                                  int(self.batch.steps[i]), True)
-                    for i, task_id in enumerate(self.task_ids)]
+            return self._block(0, [], [])
         target = min(self.time + self.quantum, self.t_end)
         grid_start = self._next_grid
         rows: list[np.ndarray] = []      # one (n, n_obs) matrix per grid pt
@@ -460,37 +435,22 @@ class BatchSimulationTask:
                 break
         if self.time < target:
             self.batch.advance_to(np.full(self.n, target))
-        done = self.done
-        if not rows:
-            if self.coalesce:
-                return self._coalesced(grid_start, np.empty(0), None, done)
-            return [QuantumResult(task_id, [], float(self.batch.times[i]),
-                                  int(self.batch.steps[i]), done)
-                    for i, task_id in enumerate(self.task_ids)]
-        # (n_grid, n, n_obs): the quantum's samples, columnar end-to-end
-        block = np.stack(rows)
-        times_arr = np.array(grid_times)
-        if self.coalesce:
-            # one member-major copy; members stay views into it downstream
-            return self._coalesced(
-                grid_start, times_arr,
-                np.ascontiguousarray(block.transpose(1, 0, 2)), done)
-        return [QuantumResult(task_id, None,
-                              float(self.batch.times[i]),
-                              int(self.batch.steps[i]), done,
-                              grid_start=grid_start,
-                              times=times_arr,
-                              values=np.ascontiguousarray(block[:, i, :]))
-                for i, task_id in enumerate(self.task_ids)]
+        return self._block(grid_start, grid_times, rows)
 
-    def _coalesced(self, grid_start: int, times: np.ndarray,
-                   values: Optional[np.ndarray], done: bool) -> ResultBlock:
-        if values is None:
+    def _block(self, grid_start: int, grid_times: list[float],
+               rows: list[np.ndarray]) -> ResultBlock:
+        """The quantum's stream item: ``rows`` holds one ``(n, n_obs)``
+        matrix per grid point crossed (none: a bare progress / done
+        marker)."""
+        if rows:
+            # one member-major copy; members stay views into it downstream
+            values = np.ascontiguousarray(np.stack(rows).transpose(1, 0, 2))
+        else:
             n_obs = len(self.batch.compiled.observable_columns)
             values = np.empty((self.n, 0, n_obs))
-        return ResultBlock(self.task_ids, grid_start, times, values,
-                           self.batch.times.copy(),
-                           self.batch.steps.copy(), done)
+        return ResultBlock(self.task_ids, grid_start, np.array(grid_times),
+                           values, self.batch.times.copy(),
+                           self.batch.steps.copy(), self.done)
 
     def __repr__(self) -> str:
         return (f"<BatchSimulationTask ids={self.task_ids[0]}.."
@@ -503,7 +463,6 @@ def make_tasks(model: Union[Model, ReactionNetwork], n_simulations: int,
                engine: str = "auto",
                batch_size: int = 64,
                engine_kernel: str = "numpy",
-               coalesce: bool = False,
                method: str = "exact",
                n_workers: Optional[int] = None) -> list[SimulationTask]:
     """Create tasks covering ``n_simulations`` trajectories of ``model``.
@@ -537,8 +496,7 @@ def make_tasks(model: Union[Model, ReactionNetwork], n_simulations: int,
         return make_batch_tasks(model, n_simulations, t_end, quantum,
                                 sample_every, seed=seed,
                                 batch_size=batch_size,
-                                engine_kernel=engine_kernel,
-                                coalesce=coalesce, method=method,
+                                engine_kernel=engine_kernel, method=method,
                                 n_workers=n_workers)
     tasks = []
     for task_id in range(n_simulations):
@@ -589,7 +547,6 @@ def make_batch_tasks(model: Union[Model, ReactionNetwork],
                      sample_every: float, seed: Optional[int] = 0,
                      batch_size: int = 64,
                      engine_kernel: str = "numpy",
-                     coalesce: bool = False,
                      method: str = "exact",
                      n_workers: Optional[int] = None
                      ) -> list[BatchSimulationTask]:
@@ -613,9 +570,8 @@ def make_batch_tasks(model: Union[Model, ReactionNetwork],
     every sweep point -- skip recompilation entirely.  ``engine_kernel``
     selects the inner-loop kernel (:mod:`repro.cwc.kernels`); seeds and
     draw order are kernel-independent, so ``"numba"`` reproduces the
-    ``"numpy"`` trajectories bit for bit.  ``coalesce`` makes each task
-    return one :class:`ResultBlock` per quantum instead of per-member
-    results.  ``method`` picks the stepping algorithm per
+    ``"numpy"`` trajectories bit for bit.  ``method`` picks the stepping
+    algorithm per
     :class:`~repro.cwc.batch.BatchFlatSimulator` (``"exact"``, ``"tau"``
     or ``"hybrid"``).
     """
@@ -643,7 +599,7 @@ def make_batch_tasks(model: Union[Model, ReactionNetwork],
         batch = BatchFlatSimulator(compiled, len(ids), kernel=engine_kernel,
                                    method=method, **streams)
         tasks.append(BatchSimulationTask(ids, batch, t_end, quantum,
-                                         sample_every, coalesce=coalesce))
+                                         sample_every))
     return tasks
 
 

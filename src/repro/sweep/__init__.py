@@ -7,11 +7,11 @@ This package fuses the parameter axis into the existing lockstep
 machinery instead: a fused block advances ``points x trajectories`` rows
 through one :class:`~repro.cwc.batch.BatchFlatSimulator` whose per-row
 rate constants differ by point, bit-identical per point to solo runs via
-a per-point RNG-stream discipline.  Results travel coalesced (one
-:class:`~repro.sim.task.ResultBlock` per quantum) and land in a single
-columnar aligner; :func:`run_sweep` reduces the aligned cuts to
-per-point summary matrices that :mod:`repro.pipeline.storage` persists
-in a mmap-able columnar layout.
+a per-point RNG-stream discipline.  Results travel as every batch
+task's do (one :class:`~repro.sim.task.ResultBlock` per quantum) and
+land in a single columnar aligner; :func:`run_sweep` reduces the
+aligned cuts to per-point summary matrices that
+:mod:`repro.pipeline.storage` persists in a mmap-able columnar layout.
 """
 
 from repro.sweep.fused import FusedSweepTask, make_fused_tasks

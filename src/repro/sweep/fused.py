@@ -5,9 +5,9 @@ whose block advances the rows of *several* sweep points at once: row
 ``k`` belongs to point ``point_indices[k // n_trajectories]`` and
 carries that point's rate constants via the simulator's per-row rates
 array, while the per-point RNG streams guarantee every point draws the
-exact sequence its solo run would.  Results leave coalesced (one
-:class:`~repro.sim.task.ResultBlock` per quantum) so a 64-point block's
-quantum crosses the wire as one frame / shm segment, not 64.
+exact sequence its solo run would.  Like every batch task, a fused
+block returns one :class:`~repro.sim.task.ResultBlock` per quantum, so a
+64-point block's quantum crosses the wire as one frame / shm segment.
 
 Task ids are global row ids: ``point * n_trajectories + trajectory``,
 so one aligner sized ``n_points * n_trajectories`` aligns the whole
@@ -34,8 +34,7 @@ class FusedSweepTask(BatchSimulationTask):
                  n_trajectories: int, task_ids: Sequence[int],
                  batch: BatchFlatSimulator, t_end: float, quantum: float,
                  sample_every: float):
-        super().__init__(task_ids, batch, t_end, quantum, sample_every,
-                         coalesce=True)
+        super().__init__(task_ids, batch, t_end, quantum, sample_every)
         self.point_indices = tuple(point_indices)
         self.n_trajectories = n_trajectories
         if len(self.point_indices) * n_trajectories != batch.n:

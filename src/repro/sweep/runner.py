@@ -161,7 +161,7 @@ def run_sweep(model: Union[Model, ReactionNetwork], spec: SweepSpec,
     """Run ``spec`` over ``model`` and reduce it to per-point summaries.
 
     One farm runs the whole sweep: every fused block advances many
-    points per quantum, results come back coalesced, and a single
+    points per quantum, returns one result block for it, and a single
     aligner + accumulator produce the ``(point, cut)`` matrices.  Point
     ``p``'s trajectories are bit-identical to a solo
     ``engine="batch"`` run of ``model.with_rates(spec.points[p])``

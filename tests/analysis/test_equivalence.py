@@ -4,9 +4,9 @@ The columnar analysis plane must reproduce the scalar reference:
 exactly where the floating-point accumulation order is preserved
 (k-means, histogram binning, moving average), and to tight tolerance
 where NumPy's pairwise summation reorders additions (per-cut statistics,
-autocorrelation).  The workflow-level tests assert the end-to-end
-``columnar=True`` pipeline against ``columnar=False`` on the threads,
-processes and cluster backends.
+autocorrelation).  The workflow-level tests assert ``run_workflow`` (the
+columnar plane, on every backend) against the scalar reference chain
+driven by hand from the same tasks.
 """
 
 import math
@@ -124,8 +124,45 @@ class TestAutocorrelation:
             pytest.approx(autocorrelation(values, max_lag=5), rel=1e-9)
 
 
+class _Feed:
+    """Outbox handing one node's emissions to the next stage."""
+
+    def __init__(self, consume):
+        self.send = consume
+
+
+def scalar_windows(model, config):
+    """The scalar reference plane -- ScalarTrajectoryAligner ->
+    ScalarSlidingWindowNode -> StatEngineNode(vectorized=False) -- fed,
+    quantum by quantum, by the tasks ``config`` describes."""
+    from repro.analysis.engines import StatEngineNode
+    from repro.analysis.windows import ScalarSlidingWindowNode
+    from repro.sim.alignment import ScalarTrajectoryAligner
+    from repro.sim.task import make_tasks
+    aligner = ScalarTrajectoryAligner(config.n_simulations)
+    window = ScalarSlidingWindowNode(config.window_size, config.window_slide)
+    engine = StatEngineNode(kmeans_k=config.kmeans_k,
+                            filter_width=config.filter_width,
+                            histogram_bins=config.histogram_bins,
+                            vectorized=False)
+    windows = []
+    aligner._outbox = _Feed(window.svc)
+    window._outbox = _Feed(lambda w: windows.append(engine.svc(w)))
+    pending = make_tasks(model, config.n_simulations, config.t_end,
+                         config.quantum, config.sample_every,
+                         seed=config.seed, engine=config.engine,
+                         batch_size=config.batch_size)
+    while pending:
+        for task in pending:
+            aligner.svc(task.run_quantum())
+        pending = [task for task in pending if not task.done]
+    window.svc_end()
+    return windows
+
+
 class TestWorkflowEquivalence:
-    """columnar=True vs columnar=False end to end, per backend."""
+    """The workflow (columnar plane) vs the scalar reference chain, end
+    to end, per backend."""
 
     def _config(self, backend, **overrides):
         from repro.pipeline import WorkflowConfig
@@ -138,15 +175,13 @@ class TestWorkflowEquivalence:
 
     def _run_pair(self, model, backend, **overrides):
         from repro.pipeline import run_workflow
-        columnar = run_workflow(
-            model, self._config(backend, columnar=True, **overrides))
-        scalar = run_workflow(
-            model, self._config(backend, columnar=False, **overrides))
-        return columnar, scalar
+        config = self._config(backend, **overrides)
+        return (run_workflow(model, config).windows,
+                scalar_windows(model, config))
 
     def _assert_equivalent(self, columnar, scalar):
-        assert columnar.n_windows == scalar.n_windows
-        for wc, ws in zip(columnar.windows, scalar.windows):
+        assert len(columnar) == len(scalar) > 0
+        for wc, ws in zip(columnar, scalar):
             assert wc.window_index == ws.window_index
             assert wc.start_time == ws.start_time
             assert wc.end_time == ws.end_time
@@ -190,7 +225,7 @@ class TestWorkflowEquivalence:
             *self._run_pair(neurospora_small, "cluster"))
 
     def test_batch_engine_columnar_wire(self, neurospora_small):
-        """The batch engine ships columnar QuantumResults; the analysis
-        output must match the scalar path bit-for-bit all the same."""
+        """The batch engine ships one ResultBlock per quantum; the
+        analysis output must match the scalar path all the same."""
         self._assert_equivalent(*self._run_pair(
             neurospora_small, "threads", engine="batch", batch_size=3))

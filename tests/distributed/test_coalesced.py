@@ -159,7 +159,8 @@ class TestCoalescedSharedPages:
             # block owns the segment and one release frees it
             for view in mapped:
                 for member in view.unpack():
-                    assert member._segment is None
+                    member.release()  # a no-op: views own nothing
+                assert leaked_segments(prefix) == [shm_block.name]
                 view.release()
             assert leaked_segments(prefix) == []
         finally:

@@ -14,14 +14,15 @@ import sys
 import pytest
 
 from repro.distributed.message import decode_frame, encode_frame
-from repro.sim.task import QuantumResult, make_tasks
+from repro.sim.task import QuantumResult, ResultBlock, make_tasks
 
 
 def run_to_end(task, max_quanta=1000):
     results = []
     for _ in range(max_quanta):
         outcome = task.run_quantum()
-        results.extend(outcome if isinstance(outcome, list) else [outcome])
+        results.extend(outcome.unpack() if isinstance(outcome, ResultBlock)
+                       else [outcome])
         if task.done:
             return results
     raise AssertionError("task never finished")

@@ -31,9 +31,7 @@ def reference_samples(tasks):
     for task in copy.deepcopy(tasks):
         samples = []
         while not task.done:
-            result = task.run_quantum()
-            for r in (result if isinstance(result, list) else [result]):
-                samples.extend(r.samples)
+            samples.extend(task.run_quantum().samples)
         per_task[task.task_id] = samples
     return per_task
 
@@ -70,7 +68,7 @@ class TestClusterReattach:
         master.start()
         master.close()
         master.close()  # double-close must be a no-op
-        master._shutdown()  # and the legacy alias too
+        master.close()
 
     def test_close_without_start_is_safe(self):
         master = ClusterMaster([], n_workers=1)
@@ -112,10 +110,9 @@ class TestServeMode:
             samples = []
             current = task
             while not current.done:
-                current, results = master.execute(current).result(
+                current, result = master.execute(current).result(
                     timeout=60)
-                for r in results:
-                    samples.extend(r.samples)
+                samples.extend(result.samples)
             assert samples == oracle
         finally:
             master.close()
@@ -137,10 +134,9 @@ class TestServeMode:
                 futures = {ns: master.execute(t, namespace=ns)
                            for ns, t in current.items() if not t.done}
                 for ns, future in futures.items():
-                    advanced, results = future.result(timeout=60)
+                    advanced, result = future.result(timeout=60)
                     current[ns] = advanced
-                    for r in results:
-                        samples[ns].extend(r.samples)
+                    samples[ns].extend(result.samples)
         finally:
             master.close()
         assert samples["a"] == oracle_a

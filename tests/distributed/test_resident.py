@@ -392,12 +392,12 @@ class TestServeModeContract:
         master.serve()
         try:
             for _ in range(2):
-                task, results = master.execute(
+                task, result = master.execute(
                     task, namespace="tenant").result(timeout=60)
                 expected = local.run_quantum()
                 assert type(task) is type(local)
                 assert pickle.dumps(task, 5) == pickle.dumps(local, 5)
-                assert results[0].samples == expected.samples
+                assert result.samples == expected.samples
             assert master.state_sends == 2 and master.resident_sends == 0
             assert not master.workers[0].holds
         finally:

@@ -2,8 +2,8 @@
 cluster runtime's use of it as its local data plane.
 
 The lifecycle invariants under test: a segment created by a worker is
-unlinked exactly when its last consumer releases; results the master
-drops and results the aligner ingests both count as consumers; a worker
+unlinked exactly when its last consumer releases; blocks the master
+drops and blocks the aligner ingests both count as consumers; a worker
 dying mid-publish leaves an orphan that leak detection sees and the
 closing sweep reclaims; and none of this changes a single sample value.
 """
@@ -20,7 +20,7 @@ from repro.distributed.net import (Checkpoint, ClusterMaster, ResultMsg,
 from repro.distributed.shm import (
     SEGMENT_PREFIX,
     SHM_MIN_BYTES,
-    ShmEntry,
+    ShmCoalescedEntry,
     leaked_segments,
     make_prefix,
     map_results,
@@ -28,16 +28,27 @@ from repro.distributed.shm import (
     sweep_orphans,
 )
 from repro.pipeline import WorkflowConfig, run_workflow
-from repro.sim.task import QuantumResult
+from repro.sim.task import QuantumResult, ResultBlock
 
 
 def columnar_result(task_id=0, n=128, n_obs=4, grid_start=0, done=False):
+    """A scalar task's quantum: always rides inline."""
     times = np.arange(n, dtype=float) * 0.5
     values = (np.arange(n * n_obs, dtype=float).reshape(n, n_obs)
               + 1000 * task_id)
     return QuantumResult(task_id, None, time=float(n) * 0.5, steps=17,
                          done=done, grid_start=grid_start,
                          times=times, values=values)
+
+
+def result_block(first_id=0, n_members=4, n=128, n_obs=4, grid_start=0):
+    """A batch task's quantum: what the ring shares."""
+    values = (np.arange(n_members * n * n_obs, dtype=float)
+              .reshape(n_members, n, n_obs) + 1000 * first_id)
+    return ResultBlock(range(first_id, first_id + n_members), grid_start,
+                       np.arange(n, dtype=float) * 0.5, values,
+                       np.full(n_members, n * 0.5),
+                       np.full(n_members, 17), False)
 
 
 @pytest.fixture
@@ -49,14 +60,14 @@ def prefix():
 
 class TestPublishMap:
     def test_roundtrip_preserves_samples(self, prefix):
-        originals = [columnar_result(task_id=i) for i in range(3)]
+        originals = [result_block(first_id=4 * i) for i in range(3)]
         block = publish_results(originals, prefix)
         assert block.name is not None
         assert block.payload_nbytes >= sum(r._values.nbytes for r in originals)
         mapped = map_results(block)
         assert len(mapped) == 3
         for orig, clone in zip(originals, mapped):
-            assert clone.task_id == orig.task_id
+            assert clone.task_ids == orig.task_ids
             assert clone.grid_start == orig.grid_start
             assert clone.steps == orig.steps
             assert np.array_equal(clone._times, orig._times)
@@ -71,26 +82,36 @@ class TestPublishMap:
         assert block.name is None
         assert block.entries[0] is small[0]
         assert leaked_segments(prefix) == []
+        tiny = result_block(n_members=2, n=4, n_obs=2)
+        assert publish_results([tiny], prefix).entries == [tiny]
 
     def test_row_form_and_empty_results_ride_inline(self, prefix):
         rows = QuantumResult(1, [(0, 0.0, (1.0,))], time=1.0, steps=2)
         empty = QuantumResult(2, [], time=1.0, steps=0, done=True)
-        big = columnar_result(task_id=0, n=256, n_obs=4)
+        big = result_block()
         block = publish_results([rows, big, empty], prefix)
         assert block.name is not None
         assert block.entries[0] is rows
-        assert isinstance(block.entries[1], ShmEntry)
+        assert isinstance(block.entries[1], ShmCoalescedEntry)
         assert block.entries[2] is empty
         mapped = map_results(block)
         assert mapped[0] is rows and mapped[2] is empty
         assert np.array_equal(mapped[1]._values, big._values)
         mapped[1].release()
 
+    def test_scalar_result_rides_inline_whatever_its_size(self, prefix):
+        big = columnar_result(n=1024, n_obs=8)
+        assert big._values.nbytes > SHM_MIN_BYTES
+        block = publish_results([big], prefix)
+        assert block.name is None and block.payload_nbytes == 0
+        assert map_results(block) == [big]
+        assert leaked_segments(prefix) == []
+
 
 class TestSegmentLifecycle:
     def test_unlinked_after_last_release(self, prefix):
         block = publish_results(
-            [columnar_result(task_id=i) for i in range(2)], prefix)
+            [result_block(first_id=4 * i) for i in range(2)], prefix)
         mapped = map_results(block)
         segment = mapped[0]._segment
         assert segment is mapped[1]._segment  # one segment per quantum
@@ -104,17 +125,18 @@ class TestSegmentLifecycle:
     def test_release_severs_arrays(self, prefix):
         """After release the pages may be unmapped: the result must fail
         a stale read loudly instead of touching dead memory."""
-        block = publish_results([columnar_result()], prefix)
+        block = publish_results([result_block()], prefix)
         result = map_results(block)[0]
         ingested = result._values.copy()
         result.release()
         assert result._values is None and result._times is None
-        assert len(result) == 0
-        assert ingested.shape == (128, 4)
+        with pytest.raises(AttributeError):
+            len(result)
+        assert ingested.shape == (4, 128, 4)
 
     def test_double_release_is_single_decrement(self, prefix):
         block = publish_results(
-            [columnar_result(task_id=i) for i in range(2)], prefix)
+            [result_block(first_id=4 * i) for i in range(2)], prefix)
         mapped = map_results(block)
         mapped[0].release()
         mapped[0].release()  # idempotent: must not steal 1's reference
@@ -123,14 +145,14 @@ class TestSegmentLifecycle:
         assert leaked_segments(prefix) == []
 
     def test_sweep_reclaims_unmapped_segment(self, prefix):
-        block = publish_results([columnar_result()], prefix)
+        block = publish_results([result_block()], prefix)
         assert leaked_segments(prefix) == [block.name]
         assert sweep_orphans(prefix) == [block.name]
         assert leaked_segments(prefix) == []
 
     def test_sweep_ignores_other_runs(self, prefix):
         other = make_prefix()
-        block = publish_results([columnar_result()], other)
+        block = publish_results([result_block()], other)
         try:
             assert sweep_orphans(prefix) == []
             assert leaked_segments(other) == [block.name]
@@ -141,7 +163,7 @@ class TestSegmentLifecycle:
 def _publish_then_die(prefix):
     """Pool-worker chaos: create the segment, then die before the
     descriptor ever reaches the master."""
-    publish_results([columnar_result()], prefix)
+    publish_results([result_block()], prefix)
     os._exit(1)
 
 
@@ -172,6 +194,25 @@ class TestProcessesBackendZeroCopy:
         assert counters.get("net.shm_blocks", 0) >= 1
         assert counters.get("net.shm_bytes", 0) > 0
 
+    def test_scalar_quanta_ride_in_band_whatever_their_size(
+            self, neurospora_small):
+        """200 samples x 3 observables per quantum is above
+        SHM_MIN_BYTES, but only a batch task's block goes through shm."""
+        def windows(backend):
+            result = run_workflow(neurospora_small, _shm_config(
+                engine="flat", n_simulations=3, t_end=4.0,
+                sample_every=0.01, quantum=2.0, window_size=100,
+                keep_cuts=False, trace=True, backend=backend))
+            return result.trace_report.counters, [
+                (w.start_time, w.end_time, w.window_mean,
+                 [(c.mean, c.variance) for c in w.cuts])
+                for w in result.windows]
+
+        counters, got = windows("processes")
+        assert counters["sim.quanta"] == 6
+        assert "net.shm_blocks" not in counters
+        assert got == windows("threads")[1]
+
     def test_run_leaves_no_segments_behind(self, neurospora_small):
         run_workflow(neurospora_small, _shm_config(backend="processes"))
         mine = f"{SEGMENT_PREFIX}-{os.getpid()}"
@@ -190,7 +231,7 @@ class TestMasterSegmentLifetime:
         master = ClusterMaster([], n_workers=1)
         master.workers[0] = WorkerHandle(0, sock=None)
         master.workers[0].in_flight[owed] = Checkpoint(owed, False, 0., 0, b"")
-        block = publish_results([columnar_result()], prefix)
+        block = publish_results([result_block()], prefix)
         assert leaked_segments(prefix) == [block.name]
         getattr(master, handler)(
             ResultMsg(0, Checkpoint("k", False, 1.0, 1, b""), block))
@@ -214,7 +255,7 @@ class TestDeadOwnerSweep:
             os._exit(0)
         os.waitpid(pid, 0)
         dead_prefix = make_prefix(master_pid=pid, tag="crashed")
-        block = publish_results([columnar_result()], dead_prefix)
+        block = publish_results([result_block()], dead_prefix)
         try:
             swept = sweep_dead_owners()
             assert block.name in swept
@@ -225,7 +266,7 @@ class TestDeadOwnerSweep:
     def test_live_owner_segments_are_untouched(self, prefix):
         from repro.distributed.shm import sweep_dead_owners
 
-        block = publish_results([columnar_result()], prefix)
+        block = publish_results([result_block()], prefix)
         try:
             swept = sweep_dead_owners()
             assert block.name not in swept
@@ -247,7 +288,7 @@ class TestDeadOwnerSweep:
             os._exit(0)
         os.waitpid(pid, 0)
         dead_prefix = make_prefix(master_pid=pid, tag="crashed")
-        block = publish_results([columnar_result()], dead_prefix)
+        block = publish_results([result_block()], dead_prefix)
         fleet = SharedFleet(1, backend="threads")
         try:
             fleet.start()
@@ -256,3 +297,51 @@ class TestDeadOwnerSweep:
         finally:
             fleet.close()
             sweep_orphans(dead_prefix)
+
+
+class TestFailedTenant:
+    """A tenant run that fails on a long-lived served fleet gives its
+    segments back before anyone closes the master: blocks queued in (or
+    later pushed into) a channel whose consumer died are released by the
+    channel, the block the aligner held by the aligner."""
+
+    SPEC = {"model": "neurospora", "config": dict(
+        n_simulations=64, t_end=24.0, sample_every=0.25, quantum=2.0,
+        window_size=8, seed=3, engine="batch", batch_size=32,
+        n_sim_workers=2)}
+
+    @pytest.mark.parametrize("target", [
+        "repro.analysis.engines.StatEngineNode.svc",
+        "repro.sim.alignment.TrajectoryAligner._emit_block"],
+        ids=["stat-engine", "aligner"])
+    def test_no_segment_outlives_the_failed_run(self, monkeypatch, target):
+        from repro.service.fleet import SharedFleet
+        from repro.service.protocol import RunSpec
+        from repro.service.run_manager import RunManager, RunState
+
+        def explode(*_args):
+            raise RuntimeError("boom")
+
+        fleet = SharedFleet(2, backend="processes").start()
+        manager = RunManager(fleet)
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(target, explode)
+                failed = manager.submit(RunSpec.from_jsonable(self.SPEC))
+                assert failed.wait(timeout=120)
+            assert failed.state == RunState.FAILED and "boom" in failed.error
+            assert fleet._master.shm_blocks > 0
+            assert leaked_segments(fleet._master.shm_prefix) == []
+            # the fleet is still good: the next tenant is bit-identical
+            # to a solo run
+            spec = RunSpec.from_jsonable(self.SPEC)
+            tenant = manager.submit(spec)
+            assert tenant.wait(timeout=120)
+            assert tenant.state == RunState.DONE
+            solo = run_workflow(spec.build_model(), spec.config)
+            assert [(w.window_mean, w.ci_half_width) for w in tenant.windows] \
+                == [(w.window_mean, w.ci_half_width) for w in solo.windows]
+            assert leaked_segments(fleet._master.shm_prefix) == []
+        finally:
+            manager.close()
+            fleet.close()

@@ -120,7 +120,8 @@ class TestMapCUDABatchBlocks:
         node._outbox = _Out()
         node.svc(block)
         assert block.done
-        grids = sorted(g for r in collected for g, _t, _v in r.samples)
+        grids = sorted(g for b in collected for r in b.unpack()
+                       for g, _t, _v in r.samples)
         assert grids == sorted(list(range(4)) * 2)
 
     def test_launch_map_batched_stats(self, neurospora_small):

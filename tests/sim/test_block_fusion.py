@@ -56,7 +56,7 @@ def run_quantum(tasks):
     return [(r.task_id, r.grid_start, r.time, r.steps, r.done,
              r._times.tobytes() if len(r) else b"",
              r._values.tobytes() if len(r) else b"")
-            for task in tasks for r in task.run_quantum()]
+            for task in tasks for r in task.run_quantum().unpack()]
 
 
 def drain(tasks):
@@ -232,6 +232,18 @@ class TestWorkflow:
         assert counters["sim.tasks_generated"] == 2
         assert counters["sim.lockstep_rows_max"] == 12
         assert signature(result) == unfused_run
+
+    @pytest.mark.parametrize("backend, channel", [
+        ("sequential", "sim-farm.merge"), ("threads", "sim-farm.merge"),
+        ("processes", "cluster-workflow[0->1]")])
+    def test_one_stream_item_per_quantum(self, neurospora_small, backend,
+                                         channel):
+        """What reaches the aligner -- from the farm's engines or the
+        cluster source -- is one item per quantum, not one per member."""
+        report = run_workflow(neurospora_small,
+                              workflow_config(backend=backend)).trace_report
+        pushed = {c["name"]: c["pushed"] for c in report.to_dict()["channels"]}
+        assert pushed[channel] == report.counters["sim.quanta"] == 6
 
     def test_cluster_workers_set_the_width(self, neurospora_small,
                                            unfused_run):

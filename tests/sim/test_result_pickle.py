@@ -18,7 +18,7 @@ from repro.distributed.message import (
     encode_frame_segments,
     segments_nbytes,
 )
-from repro.sim.task import QuantumResult
+from repro.sim.task import QuantumResult, ResultBlock
 from repro.sim.trajectory import Cut, CutBlock
 
 
@@ -27,6 +27,14 @@ def columnar_result(n=64, n_obs=3, task_id=5, grid_start=7):
     values = np.arange(n * n_obs, dtype=float).reshape(n, n_obs)
     return QuantumResult(task_id, None, time=32.0, steps=400, done=False,
                          grid_start=grid_start, times=times, values=values)
+
+
+def result_block(n_members=3, n=2, n_obs=3):
+    values = np.arange(n_members * n * n_obs, dtype=float)
+    return ResultBlock(range(n_members), 7, np.arange(n) * 0.5,
+                       values.reshape(n_members, n, n_obs),
+                       np.full(n_members, 32.0), np.full(n_members, 400),
+                       False)
 
 
 class TestQuantumResultPickle:
@@ -108,17 +116,19 @@ class TestQuantumResultPickle:
                 self.released += 1
 
         segment = FakeSegment()
-        result = columnar_result(n=2)
-        result.attach_segment(segment)
-        result.release()
-        result.release()
+        block = result_block()
+        block.attach_segment(segment)
+        block.release()
+        block.release()
         assert segment.released == 1
+        assert block._values is None and block._times is None
 
     def test_segment_not_pickled(self):
-        result = columnar_result(n=2)
-        result.attach_segment(object())  # unpicklable on purpose
-        clone = pickle.loads(pickle.dumps(result))
+        block = result_block()
+        block.attach_segment(object())  # unpicklable on purpose
+        clone = pickle.loads(pickle.dumps(block))
         assert clone._segment is None
+        assert np.array_equal(clone._values, block._values)
 
 
 class TestCutPickle:
@@ -168,7 +178,7 @@ class TestTaskStateOverOobFrames:
         assert rest == b""
         expected = batch_task.run_quantum()
         actual = clone.run_quantum()  # mutates decoded arrays in place
-        for a, b in zip(actual, expected):
+        for a, b in zip(actual.unpack(), expected.unpack()):
             ga, ta, va = a.columnar()
             gb, tb, vb = b.columnar()
             assert np.array_equal(ga, gb)

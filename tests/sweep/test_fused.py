@@ -81,8 +81,7 @@ def run_solo(network, spec, point, kernel_obj=None, kernel_name="numpy"):
     if kernel_obj is not None:
         _use_python_kernel(batch)
     task = BatchSimulationTask(
-        range(point * T, (point + 1) * T), batch, T_END, QUANTUM, SAMPLE,
-        coalesce=True)
+        range(point * T, (point + 1) * T), batch, T_END, QUANTUM, SAMPLE)
     return member_streams(drain(task))
 
 
