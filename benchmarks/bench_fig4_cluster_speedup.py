@@ -103,8 +103,7 @@ def test_fig4_real_cluster_runtime(benchmark):
             config = WorkflowConfig(
                 n_simulations=32, t_end=24.0, sample_every=0.5,
                 quantum=4.0, n_sim_workers=n_workers, n_stat_workers=2,
-                window_size=16, seed=0, backend="cluster",
-                cluster_workers=n_workers)
+                window_size=16, seed=0, backend="cluster")
             started = time.perf_counter()
             run_workflow(network, config)
             times[n_workers] = time.perf_counter() - started

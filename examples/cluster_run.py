@@ -45,15 +45,13 @@ def main(report_path: str | None = None) -> int:
 
     print("2/3 cluster backend, 2 worker processes ...")
     clustered = run_workflow(
-        network, WorkflowConfig(**base, backend="cluster",
-                                cluster_workers=2))
+        network, WorkflowConfig(**base, backend="cluster"))
 
     print("3/3 cluster backend, worker 0 SIGKILLed mid-run ...")
     chaos = KillWorkerAfter(n_results=5, worker_id=0)
     tracer = Tracer()
     survived = run_workflow_cluster(
-        network, WorkflowConfig(**base, backend="cluster",
-                                cluster_workers=2),
+        network, WorkflowConfig(**base, backend="cluster"),
         tracer=tracer, fault_hook=chaos)
 
     master = chaos.master

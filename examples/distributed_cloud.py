@@ -6,51 +6,58 @@ Run with::
 
 Two halves, mirroring how the paper splits function from performance:
 
-1. **Functional**: run the workflow on a *virtual cluster* -- a farm of
-   simulation pipelines whose engines sit behind real serialisation
-   boundaries (every task and result is pickled, framed, checksummed and
-   metered).  The run's statistics are identical to a shared-memory run,
-   and we report the measured wire traffic per host.
-2. **Performance model**: feed the same message sizes into the
+1. **Functional**: run the workflow on the cluster backend -- three
+   worker processes behind real sockets, every task and result pickled,
+   framed and checksummed.  The run's statistics are identical to a
+   shared-memory run, and we report the traffic the master measured on
+   each link, with what those bytes would cost on the paper's networks.
+2. **Performance model**: feed the same kind of workload into the
    discrete-event platform models to project the run onto the paper's
    EC2 virtual cluster (Fig. 6): speedup vs. number of virtual cores.
 """
 
-from repro.distributed import DistributedWorkflow, VirtualHost
 from repro.models import neurospora_network
 from repro.perfsim import CostModel, TrajectoryWorkload, ec2_virtual_cluster
 from repro.perfsim.platform import EC2_NETWORK, INFINIBAND_IPOIB
 from repro.perfsim.runner import simulate_distributed
 from repro.pipeline import WorkflowConfig, run_workflow
 
+N_WORKERS = 3
+
 
 def functional_half() -> None:
     network = neurospora_network(omega=50)
-    config = WorkflowConfig(
-        n_simulations=8, t_end=24.0, sample_every=0.5, quantum=2.0,
-        n_sim_workers=4, n_stat_workers=2, window_size=12, seed=3)
+    base = dict(n_simulations=8, t_end=24.0, sample_every=0.5, quantum=2.0,
+                n_sim_workers=N_WORKERS, n_stat_workers=2, window_size=12,
+                seed=3)
 
-    local = run_workflow(network, config)
-    cluster = DistributedWorkflow(
-        network, config,
-        hosts=[VirtualHost("xeon0", lanes=2, channel=INFINIBAND_IPOIB),
-               VirtualHost("xeon1", lanes=2, channel=INFINIBAND_IPOIB),
-               VirtualHost("ec2vm", lanes=2, channel=EC2_NETWORK)])
-    remote = cluster.run()
+    local = run_workflow(network, WorkflowConfig(**base))
+    remote = run_workflow(network, WorkflowConfig(
+        **base, backend="cluster", trace=True))
+    counters = remote.trace_report.counters
 
-    local_stats = [(s.grid_index, s.mean) for s in local.cut_statistics()]
-    remote_stats = [(s.grid_index, s.mean)
-                    for s in remote.workflow.cut_statistics()]
     print("distributed == shared-memory results:",
-          local_stats == remote_stats)
-    print(f"total traffic: {remote.total_messages()} messages, "
-          f"{remote.total_bytes() / 1024:.1f} KiB, modeled network time "
-          f"{remote.modeled_network_time() * 1000:.1f} ms\n")
-    for name in ("xeon0", "xeon1", "ec2vm"):
-        up = remote.uplinks[name].meter
-        print(f"  {name:>6} uplink: {up.messages:4d} msgs, "
-              f"{up.bytes / 1024:7.1f} KiB, "
-              f"mean {up.mean_size():5.0f} B/msg")
+          local.windows == remote.windows)
+    print(f"total traffic: {counters['net.messages_out']:.0f} messages out "
+          f"/ {counters['net.messages_in']:.0f} in, "
+          f"{counters['net.bytes_out'] / 1024:.1f} KiB out / "
+          f"{counters['net.bytes_in'] / 1024:.1f} KiB in\n")
+    for w in range(N_WORKERS):
+        link = {field: counters[f"net.link.w{w}.{field}"]
+                for field in ("bytes_out", "bytes_in",
+                              "messages_out", "messages_in")}
+        # every message pays the link latency, its bytes the line rate
+        modeled = [
+            1e3 * sum(link[f"messages_{way}"] * spec.transfer_time(
+                link[f"bytes_{way}"] / link[f"messages_{way}"])
+                for way in ("out", "in"))
+            for spec in (INFINIBAND_IPOIB, EC2_NETWORK)]
+        print(f"  link w{w}: {link['messages_out']:4.0f} msgs / "
+              f"{link['bytes_out'] / 1024:6.1f} KiB down, "
+              f"{link['messages_in']:4.0f} msgs / "
+              f"{link['bytes_in'] / 1024:6.1f} KiB up; modeled network "
+              f"time {modeled[0]:.2f} ms (IPoIB), "
+              f"{modeled[1]:.2f} ms (EC2)")
 
 
 def performance_half() -> None:

@@ -2,8 +2,7 @@
 
 This is the socket half of the paper's distributed CWC simulator (section
 IV-B): the farm of simulation *engines* becomes a farm of remote *worker
-processes*.  Unlike :mod:`repro.distributed.cluster` (the in-process
-virtual cluster), everything here really crosses the network:
+processes*, and everything really crosses the network:
 
 * the master listens on a TCP port, spawns (or waits for) worker
   processes, and ships each :class:`~repro.sim.task.SimulationTask` to
@@ -1016,8 +1015,8 @@ class KillWorkerAfter:
 class ClusterSourceNode(SourceNode):
     """Source stage streaming a :class:`ClusterMaster`'s results into the
     graph; exports the master's counters (and ``task_counters``, what
-    :meth:`TaskGenerator.build_tasks` said about the tasks it was built
-    with) to the run report on finish."""
+    the task source's ``build_tasks()`` said about the tasks it was
+    built with) to the run report on finish."""
 
     def __init__(self, master: ClusterMaster,
                  task_counters: Optional[dict] = None,
@@ -1038,44 +1037,17 @@ class ClusterSourceNode(SourceNode):
 
 def run_workflow_cluster(model, config, controller=None, tracer=None,
                          fault_hook=None):
-    """Run the workflow on a real localhost TCP cluster.
-
-    Like :func:`repro.pipeline.run_workflow` with
-    ``config.backend == "cluster"``: tasks execute in
-    ``config.cluster_workers`` (default ``config.n_sim_workers``) worker
-    *processes* reached over real sockets; the alignment/analysis half of
-    the workflow is unchanged.  Results are bit-identical to the
-    ``threads`` backend for the same seeds -- including when workers die
-    mid-run (``fault_hook``, e.g. :class:`KillWorkerAfter`).
+    """:func:`repro.pipeline.run_workflow` for a config whose backend
+    names this runtime, with the master's ``fault_hook`` exposed: tasks
+    execute in ``config.n_sim_workers`` worker *processes* reached over
+    real sockets, and the results are bit-identical to the ``threads``
+    backend for the same seeds -- including when workers die mid-run
+    (``fault_hook``, e.g. :class:`KillWorkerAfter`).
     """
-    from repro.ff.executor import run as ff_run
-    from repro.ff.pipeline import Pipeline
-    from repro.pipeline.builder import (WorkflowResult, analysis_stages,
-                                        task_generator)
-    from repro.sim.alignment import TrajectoryAligner
+    from repro.pipeline.builder import run_workflow
 
-    n_workers = config.cluster_workers or config.n_sim_workers
-    tasks, task_counters = task_generator(
-        model, config, n_workers).build_tasks()
-    stop_requested = (
-        (lambda: controller.stop_requested) if controller is not None
-        else None)
-    master = ClusterMaster(
-        tasks,
-        n_workers=n_workers,
-        inflight_window=config.cluster_inflight,
-        heartbeat_interval=config.heartbeat_interval,
-        heartbeat_timeout=config.heartbeat_timeout,
-        stop_requested=stop_requested,
-        fault_hook=fault_hook)
-    if controller is not None:
-        controller.attach_scheduler(master)
-    cut_store: Optional[list] = [] if config.keep_cuts else None
-    stages: list = [ClusterSourceNode(master, task_counters),
-                    TrajectoryAligner(config.n_simulations)]
-    stages.extend(analysis_stages(config, cut_store=cut_store,
-                                  controller=controller))
-    windows = ff_run(Pipeline(stages, name="cluster-workflow"),
-                     backend="threads", trace=tracer)
-    return WorkflowResult(config=config, windows=windows,
-                          cuts=cut_store or [])
+    if config.backend not in ("processes", "cluster"):
+        raise ValueError(
+            f"backend {config.backend!r} does not run on the cluster")
+    return run_workflow(model, config, controller=controller,
+                        tracer=tracer, fault_hook=fault_hook)

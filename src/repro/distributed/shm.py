@@ -125,15 +125,16 @@ def sweep_dead_owners() -> list[str]:
 
 
 def _untrack(name: str) -> None:
-    """Detach a segment this process *created* from the resource
-    tracker.
+    """Take a segment's name off this process's resource tracker.
 
     ``SharedMemory(create=True)`` registers the name with
     :mod:`multiprocessing.resource_tracker`, which would unlink the
     pages when the creating worker exits -- while the master may still
     be reading them.  Lifecycle here is explicit (:class:`Segment` /
-    :func:`sweep_orphans`), so the creator opts out.  Attaching does not
-    register on this Python, so only the publish side calls this.
+    :func:`sweep_orphans`), so the creator opts out.  Attaching
+    registers too (before Python 3.13) and ``unlink()`` takes the name
+    off again, except when the file is already gone: the one case the
+    map side calls this.
     """
     try:
         from multiprocessing import resource_tracker
@@ -182,7 +183,10 @@ class Segment:
         try:
             self._shm.unlink()
         except FileNotFoundError:
-            pass  # already swept (an orphan sweep raced us)
+            # already swept (an orphan sweep raced us); unlink() only
+            # tells the resource tracker after a successful shm_unlink,
+            # and a name left there is reported as leaked at exit
+            _untrack(self._shm.name)
         try:
             self._shm.close()
         except BufferError:

@@ -1,9 +1,18 @@
-"""Assemble and run the complete simulation-analysis workflow."""
+"""Assemble and run the complete simulation-analysis workflow.
+
+Fig. 2 is wired here and nowhere else: :func:`assemble_workflow` puts
+the simulation half (task source -> engines -> aligner) in front of
+whatever consumes the cuts, on the pattern ``config.backend`` names,
+and :func:`execute_workflow` runs the result.  :func:`run_workflow` is
+the two with :func:`analysis_stages` for consumers,
+:func:`repro.sweep.run_sweep` the two with a fused task source and a
+sweep accumulator, a service tenant either one with a borrowed pool.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from repro.analysis.engines import GatherNode, StatEngineNode, WindowStatistics
 from repro.analysis.stats import CutStatistics
@@ -19,7 +28,7 @@ from repro.pipeline.config import WorkflowConfig
 from repro.pipeline.steering import SteeringController
 from repro.sim.alignment import TrajectoryAligner
 from repro.sim.engine import SimEngineNode
-from repro.sim.scheduler import SimTaskEmitter, TaskGenerator
+from repro.sim.scheduler import SimTaskEmitter, TaskGenerator, TaskSource
 from repro.sim.trajectory import (Cut, Trajectory, assemble_trajectories,
                                   iter_cuts)
 
@@ -105,9 +114,9 @@ def analysis_stages(config: WorkflowConfig,
     cut tee, sliding window, ordered farm of statistical engines,
     optional steering tap.
 
-    Shared by every backend (in-process executors, the TCP cluster, the
-    virtual cluster and the GPU workflow) so any analysis-plane change
-    lives in exactly one place.
+    Shared by every backend (in-process executors, the TCP cluster and
+    the GPU workflow) so any analysis-plane change lives in exactly one
+    place.
     """
     stages: list = []
     if cut_store is not None:
@@ -130,8 +139,8 @@ def analysis_stages(config: WorkflowConfig,
 
 
 def task_generator(model: Union[Model, ReactionNetwork],
-                   config: WorkflowConfig, n_workers: int) -> TaskGenerator:
-    """The task source of a run on ``n_workers`` simulation workers.
+                   config: WorkflowConfig) -> TaskGenerator:
+    """The task source of a run.
 
     Knowing the worker count lets the batch engine fuse seed blocks into
     wider lockstep tasks (DESIGN.md par.8) -- except under
@@ -146,56 +155,120 @@ def task_generator(model: Union[Model, ReactionNetwork],
         batch_size=config.batch_size,
         engine_kernel=config.engine_kernel,
         method=config.method,
-        n_workers=None if config.adaptive_repriority else n_workers)
+        n_workers=(None if config.adaptive_repriority
+                   else config.n_sim_workers))
+
+
+def assemble_workflow(source: TaskSource, n_rows: int,
+                      config: WorkflowConfig, consumers: list,
+                      controller: Optional[SteeringController] = None,
+                      stop_requested: Optional[Callable[[], bool]] = None,
+                      pool: Any = None,
+                      fault_hook: Optional[Callable] = None) -> Pipeline:
+    """Wire the simulation half of Fig. 2 -- ``source``'s tasks, advanced
+    quantum by quantum, aligned into cuts of ``n_rows`` trajectories --
+    in front of ``consumers``.
+
+    This is the one place that decides which pattern runs the quanta,
+    and the only thing a port changes (paper section IV-B): a feedback
+    farm of ``config.n_sim_workers`` engines on this process's threads
+    (``threads`` / ``sequential``), or a
+    :class:`~repro.distributed.net.ClusterMaster` driving as many worker
+    processes (``processes`` / ``cluster``, two names for it).  A run
+    that borrows a ``pool`` (the service's shared fleet) keeps the farm:
+    its engines hand their quanta to the pool, which has workers of its
+    own.  ``controller`` (or a bare ``stop_requested`` callable) drains
+    the run early; the controller is also linked to the scheduler it may
+    re-prioritise.  ``fault_hook`` goes to the master (chaos tests).
+    """
+    if controller is not None:
+        stop_requested = lambda: controller.stop_requested  # noqa: E731
+    aligner = TrajectoryAligner(n_rows)
+    if pool is None and config.backend in ("processes", "cluster"):
+        from repro.distributed.net import ClusterMaster, ClusterSourceNode
+        tasks, task_counters = source.build_tasks()
+        scheduler = ClusterMaster(
+            tasks,
+            n_workers=config.n_sim_workers,
+            inflight_window=config.cluster_inflight,
+            heartbeat_interval=config.heartbeat_interval,
+            heartbeat_timeout=config.heartbeat_timeout,
+            stop_requested=stop_requested,
+            fault_hook=fault_hook)
+        stages = [ClusterSourceNode(scheduler, task_counters), aligner]
+        name = "cluster-workflow"
+    else:
+        # re-prioritisation needs the emitter to *hold* runnable work:
+        # bound the outstanding quanta to a small multiple of the worker
+        # count so the rest waits in the re-keyable backlog instead of
+        # the channels
+        scheduler = SimTaskEmitter(
+            stop_requested=stop_requested,
+            priority_window=(2 * config.n_sim_workers
+                             if config.adaptive_repriority else None))
+        stages = [source, Farm(
+            [SimEngineNode(pool, name=f"sim-eng-{i}")
+             for i in range(config.n_sim_workers)],
+            emitter=scheduler,
+            collector=aligner,
+            feedback=True,
+            scheduling=config.scheduling,
+            name="sim-farm")]
+        name = "cwc-workflow"
+    if controller is not None:
+        controller.attach_scheduler(scheduler)
+    return Pipeline(stages + consumers, name=name)
+
+
+def execute_workflow(workflow: Pipeline, config: WorkflowConfig,
+                     tracer: Optional[Tracer] = None
+                     ) -> tuple[list, Optional[RunReport]]:
+    """Run an assembled workflow: what its last stage emitted, and the
+    run report when the run is traced (an explicit ``tracer``,
+    ``config.trace`` or an adaptive policy, which reads it) -- also
+    saved to ``config.trace_report_path`` if that is set.
+
+    Only ``sequential`` runs the graph on one thread; a cluster master
+    is a stage among the others' threads."""
+    if tracer is None and (config.trace or config.adaptive):
+        tracer = Tracer()
+    outputs = ff_run(
+        workflow,
+        backend="sequential" if config.backend == "sequential" else "threads",
+        trace=tracer)
+    if tracer is None:
+        return outputs, None
+    report = tracer.report()
+    if config.trace_report_path:
+        report.save(config.trace_report_path)
+    return outputs, report
 
 
 def build_workflow(model: Union[Model, ReactionNetwork],
                    config: WorkflowConfig,
                    controller: Optional[SteeringController] = None,
                    cut_store: Optional[list] = None,
-                   engine_factory: Optional[Callable[[int], Node]] = None
-                   ) -> Pipeline:
-    """Wire the paper's Fig. 2 architecture for ``model``.
+                   pool: Any = None,
+                   fault_hook: Optional[Callable] = None) -> Pipeline:
+    """Wire the paper's Fig. 2 architecture for ``model``:
+    :func:`assemble_workflow` in front of :func:`analysis_stages`.
 
     The returned :class:`~repro.ff.pipeline.Pipeline` streams
     :class:`~repro.analysis.engines.WindowStatistics` objects as its
-    output; run it with :func:`repro.ff.run` or via :func:`run_workflow`.
-    ``engine_factory`` (index -> worker node) swaps the simulation engine
-    implementation -- the service uses it to substitute
-    :class:`~repro.distributed.procfarm.ProcessSimEngineNode`.
+    output; run it via :func:`run_workflow`.
     """
-    if engine_factory is None:
-        engine_factory = lambda i: SimEngineNode(name=f"sim-eng-{i}")  # noqa: E731
-    generator = task_generator(model, config, config.n_sim_workers)
-    stop_requested = (
-        (lambda: controller.stop_requested) if controller is not None
-        else None)
-    # re-prioritisation needs the emitter to *hold* runnable work: bound
-    # the outstanding quanta to a small multiple of the worker count so
-    # the rest waits in the re-keyable backlog instead of the channels
-    priority_window = (2 * config.n_sim_workers
-                       if config.adaptive_repriority else None)
-    emitter = SimTaskEmitter(stop_requested=stop_requested,
-                             priority_window=priority_window)
-    if controller is not None:
-        controller.attach_scheduler(emitter)
-    sim_farm = Farm(
-        [engine_factory(i) for i in range(config.n_sim_workers)],
-        emitter=emitter,
-        collector=TrajectoryAligner(config.n_simulations),
-        feedback=True,
-        scheduling=config.scheduling,
-        name="sim-farm")
-    stages: list = [generator, sim_farm]
-    stages.extend(analysis_stages(config, cut_store=cut_store,
-                                  controller=controller))
-    return Pipeline(stages, name="cwc-workflow")
+    return assemble_workflow(
+        task_generator(model, config), config.n_simulations, config,
+        analysis_stages(config, cut_store=cut_store, controller=controller),
+        controller=controller, pool=pool, fault_hook=fault_hook)
 
 
 def run_workflow(model: Union[Model, ReactionNetwork],
                  config: WorkflowConfig,
                  controller: Optional[SteeringController] = None,
-                 tracer: Optional[Tracer] = None) -> WorkflowResult:
+                 tracer: Optional[Tracer] = None,
+                 pool: Any = None,
+                 fault_hook: Optional[Callable] = None) -> WorkflowResult:
     """Build and execute the workflow; see :func:`build_workflow`.
 
     With ``config.trace`` (or an explicit ``tracer``) the run records
@@ -205,31 +278,19 @@ def run_workflow(model: Union[Model, ReactionNetwork],
     :attr:`WorkflowResult.trace_report` and, when
     ``config.trace_report_path`` is set, as a JSON file on disk.
 
-    ``config.backend`` selects the runtime: the in-process executors
-    (``"threads"`` / ``"sequential"``) or the TCP master/worker runtime
-    of :mod:`repro.distributed.net` with worker processes spawned on
-    this host (``"processes"`` and ``"cluster"`` both name it).  All of
-    them produce bit-identical results for the same seeds.
+    ``config.backend`` selects what runs the quanta (see
+    :func:`assemble_workflow`); every choice -- and a ``pool`` borrowed
+    from a shared fleet -- produces bit-identical results for the same
+    seeds.
     """
     if controller is None and config.adaptive:
         # lazy import: repro.pipeline.adaptive imports this module back
         from repro.pipeline.adaptive import make_adaptive_controller
         controller = make_adaptive_controller(config)
-    if tracer is None and (config.trace or config.adaptive):
-        tracer = Tracer()
-    if config.backend in ("processes", "cluster"):
-        from repro.distributed.net import run_workflow_cluster
-        result = run_workflow_cluster(model, config, controller=controller,
-                                      tracer=tracer)
-    else:
-        cut_store: Optional[list] = [] if config.keep_cuts else None
-        workflow = build_workflow(model, config, controller=controller,
-                                  cut_store=cut_store)
-        windows = ff_run(workflow, backend=config.backend, trace=tracer)
-        result = WorkflowResult(config=config, windows=windows,
-                                cuts=cut_store or [])
-    if tracer is not None:
-        result.trace_report = tracer.report()
-        if config.trace_report_path:
-            result.trace_report.save(config.trace_report_path)
-    return result
+    cut_store: Optional[list] = [] if config.keep_cuts else None
+    workflow = build_workflow(model, config, controller=controller,
+                              cut_store=cut_store, pool=pool,
+                              fault_hook=fault_hook)
+    windows, report = execute_workflow(workflow, config, tracer)
+    return WorkflowResult(config=config, windows=windows,
+                          cuts=cut_store or [], trace_report=report)

@@ -22,6 +22,9 @@ class WorkflowConfig:
     t_end: float = 50.0
     sample_every: float = 0.5
     quantum: float = 2.5
+    #: simulation engines: farm threads, or worker processes under
+    #: backend="processes" / "cluster"; also how many lockstep tasks the
+    #: batch engine fuses its seed blocks into
     n_sim_workers: int = 4
     n_stat_workers: int = 1
     window_size: int = 10
@@ -57,7 +60,6 @@ class WorkflowConfig:
     trace: bool = False           # record runtime metrics (run report)
     trace_report_path: Optional[str] = None  # write the JSON report here
     # -- out-of-process runtime (backend="processes" / "cluster") -------
-    cluster_workers: Optional[int] = None  # None -> n_sim_workers
     cluster_inflight: int = 2     # bounded in-flight window per worker
     heartbeat_interval: float = 0.5
     heartbeat_timeout: Optional[float] = None  # None -> 10 * interval
@@ -88,8 +90,6 @@ class WorkflowConfig:
             raise ValueError(
                 f"unknown backend {self.backend!r}; pick one of "
                 f"{', '.join(self.BACKENDS)}")
-        if self.cluster_workers is not None and self.cluster_workers < 1:
-            raise ValueError("cluster_workers must be >= 1")
         if self.cluster_inflight < 1:
             raise ValueError("cluster_inflight must be >= 1")
         if self.heartbeat_interval <= 0:

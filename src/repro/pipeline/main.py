@@ -92,7 +92,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "same thing)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes (--backend processes/"
-                             "cluster; default: --sim-workers)")
+                             "cluster: overrides --sim-workers there)")
     parser.add_argument("--inflight", type=int, default=2,
                         help="bounded in-flight tasks per worker process "
                              "(backpressure window)")
@@ -145,6 +145,14 @@ def parse_adaptive_spec(spec: str) -> tuple[float, bool]:
     return threshold, kind == "ci"
 
 
+def _sim_workers(args) -> int:
+    """``--workers`` names the worker processes of the out-of-process
+    backends; elsewhere only ``--sim-workers`` counts."""
+    if args.workers is not None and args.backend in ("processes", "cluster"):
+        return args.workers
+    return args.sim_workers
+
+
 def run_sweep_cli(args, model) -> int:
     """The ``--sweep`` path: fused sweep run + optional columnar store."""
     import json
@@ -164,11 +172,16 @@ def run_sweep_cli(args, model) -> int:
         result = run_sweep(model, spec, t_end=args.t_end,
                            quantum=args.quantum,
                            sample_every=args.sample_every,
-                           n_sim_workers=args.sim_workers,
+                           n_sim_workers=_sim_workers(args),
                            engine_kernel=args.engine_kernel,
                            method=args.method,
-                           trace=args.trace)
-    except (KernelUnavailable, NodeError) as exc:
+                           backend=args.backend,
+                           cluster_inflight=args.inflight,
+                           trace=args.trace or args.trace_report is not None,
+                           trace_report_path=args.trace_report)
+    except (KernelUnavailable, NodeError, KeyError, ValueError) as exc:
+        # a cluster run builds its tasks before the graph starts, so
+        # the same errors also arrive unwrapped
         original = getattr(exc, "original", exc)
         if not isinstance(original, (KernelUnavailable, KeyError,
                                      ValueError)):
@@ -186,6 +199,8 @@ def run_sweep_cli(args, model) -> int:
     if result.trace_report is not None:
         print()
         print(result.trace_report.to_text())
+        if args.trace_report:
+            print(f"\nrun report written to {args.trace_report}")
     if args.sweep_store:
         from repro.pipeline.storage import save_sweep_store
         path = save_sweep_store(result, args.sweep_store)
@@ -210,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         config = WorkflowConfig(
             n_simulations=args.simulations, t_end=args.t_end,
             sample_every=args.sample_every, quantum=args.quantum,
-            n_sim_workers=args.sim_workers,
+            n_sim_workers=_sim_workers(args),
             n_stat_workers=args.stat_workers,
             window_size=args.window, window_slide=args.slide,
             kmeans_k=args.kmeans, filter_width=args.filter_width,
@@ -218,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
             seed=args.seed, engine=args.engine, batch_size=args.batch_size,
             engine_kernel=args.engine_kernel, method=args.method,
             backend=args.backend, keep_cuts=True,
-            cluster_workers=args.workers, cluster_inflight=args.inflight,
+            cluster_inflight=args.inflight,
             adaptive_ci=adaptive_ci, adaptive_relative=adaptive_relative,
             adaptive_repriority=args.adaptive_repriority,
             trace=args.trace or args.trace_report is not None,

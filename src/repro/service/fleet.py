@@ -4,9 +4,8 @@ A batch run owns its backend: ``backend="processes"`` spawns worker
 processes, runs, and tears them down.  The service inverts that: one
 :class:`SharedFleet` outlives every run, and each tenant run submits its
 simulation quanta through a :class:`FleetClient` facade that looks
-exactly like an executor (``submit(fn, *args) -> Future``), so the
-existing :class:`~repro.distributed.procfarm.ProcessSimEngineNode`
-drives it unchanged.
+exactly like an executor (``submit(fn, *args) -> Future``), which is
+what :class:`~repro.sim.engine.SimEngineNode` takes as its ``pool``.
 
 Between the facade and the workers sits the fair-share layer:
 
@@ -76,8 +75,7 @@ class FleetClient:
     """Executor facade for one tenant: what a run's engine nodes hold.
 
     Quacks like an executor (``submit`` returning a future), which is
-    all :class:`~repro.distributed.procfarm.ProcessSimEngineNode` asks
-    of its pool.
+    all :class:`~repro.sim.engine.SimEngineNode` asks of its pool.
     """
 
     def __init__(self, fleet: "SharedFleet", tenant: str):

@@ -1,7 +1,10 @@
 """Multiplexing N concurrent steered runs over one shared fleet.
 
 Each submitted :class:`~repro.service.protocol.RunSpec` becomes a
-:class:`RunHandle`: its own workflow (generator, emitter backlog,
+:class:`RunHandle` and one call any batch caller could make --
+:func:`~repro.pipeline.run_workflow` (or :func:`~repro.sweep.run_sweep`)
+with the tenant's :class:`~repro.service.fleet.FleetClient` as the
+borrowed ``pool``: its own workflow (generator, emitter backlog,
 aligner, windows, ordered stat farm), its own
 :class:`~repro.pipeline.steering.SteeringController` (or
 :class:`~repro.pipeline.adaptive.AdaptiveController` when the spec asks
@@ -32,14 +35,13 @@ import time
 import traceback
 from typing import Any, Optional
 
-from repro.distributed.procfarm import ProcessSimEngineNode
-from repro.ff.executor import run as ff_run
 from repro.ff.trace import Tracer
 from repro.pipeline.adaptive import make_adaptive_controller, task_lag_key
-from repro.pipeline.builder import build_workflow
+from repro.pipeline.builder import run_workflow
 from repro.pipeline.steering import SteeringController
 from repro.service.fleet import SharedFleet
 from repro.service.protocol import RunSpec, window_to_jsonable
+from repro.sweep import run_sweep
 
 
 class RunState:
@@ -194,13 +196,10 @@ class RunManager:
             model = spec.build_model()
             client = self.fleet.client(run_id, weight=spec.weight,
                                        max_inflight=spec.max_inflight)
-            engine_factory = lambda i: ProcessSimEngineNode(  # noqa: E731
-                client, name=f"{run_id}-eng-{i}")
+            handle.state = RunState.RUNNING
+            handle.started_monotonic = time.monotonic()
             if spec.sweep is not None:
-                from repro.sweep import run_sweep
                 cfg = spec.config
-                handle.state = RunState.RUNNING
-                handle.started_monotonic = time.monotonic()
                 result = run_sweep(
                     model, spec.sweep, t_end=cfg.t_end,
                     quantum=cfg.quantum, sample_every=cfg.sample_every,
@@ -208,7 +207,7 @@ class RunManager:
                     engine_kernel=cfg.engine_kernel,
                     method=cfg.method,
                     tracer=handle.tracer,
-                    engine_factory=engine_factory,
+                    pool=client,
                     stop_requested=lambda:
                         handle.controller.stop_requested)
                 handle.sweep_result = result
@@ -225,14 +224,9 @@ class RunManager:
                     "final_mean": result.mean[:, -1, :].tolist(),
                 })
             else:
-                workflow = build_workflow(
+                handle.windows = run_workflow(
                     model, spec.config, controller=handle.controller,
-                    engine_factory=engine_factory)
-                handle.state = RunState.RUNNING
-                handle.started_monotonic = time.monotonic()
-                windows = ff_run(workflow, backend="threads",
-                                 trace=handle.tracer)
-                handle.windows = windows
+                    tracer=handle.tracer, pool=client).windows
             handle.state = (RunState.CANCELLED if handle.cancel_requested
                             else RunState.DONE)
         except BaseException as exc:  # noqa: BLE001 - reported to tenant

@@ -8,21 +8,44 @@ quantum, streams the quantum's one result item (a
 :class:`~repro.sim.task.ResultBlock`) downstream towards trajectory
 alignment and reschedules the task back to the emitter along the farm's
 feedback channel.
+
+The quantum runs on the engine's own thread, or -- for a run that
+borrows a shared fleet (:mod:`repro.service.fleet`) -- wherever the
+borrowed ``pool`` puts it: a fleet thread, or a worker process of a
+served :class:`~repro.distributed.net.ClusterMaster`.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Any, Union
 
 from repro.ff.node import GO_ON, Node
 from repro.sim.task import BatchSimulationTask, SimulationTask
 
 
-class SimEngineNode(Node):
-    """Farm worker: one quantum per service call; see module docstring."""
+def run_quantum(task):
+    """One quantum of ``task``: ``(advanced task, result item)``.  What
+    an engine runs per service call, here or through a pool."""
+    result = task.run_quantum()
+    return task, result
 
-    def __init__(self, name: str = "sim-eng"):
+
+class SimEngineNode(Node):
+    """Farm worker: one quantum per service call; see module docstring.
+
+    ``pool`` is anything with an executor's ``submit(fn, *args) ->
+    future``; the engine blocks (GIL released) until the advanced task
+    and its result come back.  A batch quantum's block may then be a
+    view over shared-memory pages and must be released exactly once: a
+    result this node drops (empty, not done) is released here, a
+    forwarded one by the aligner after ingest.
+    """
+
+    def __init__(self, pool: Any = None, name: str = "sim-eng"):
         super().__init__(name=name)
+        self._advance = (
+            run_quantum if pool is None
+            else lambda task: pool.submit(run_quantum, task).result())
         self.quanta_executed = 0
         self.steps_executed = 0
 
@@ -32,12 +55,14 @@ class SimEngineNode(Node):
 
     def svc(self, task: Union[SimulationTask, BatchSimulationTask]):
         steps_before = task.steps
-        result = task.run_quantum()
+        task, result = self._advance(task)
         self.quanta_executed += 1
         steps = task.steps - steps_before
         self.steps_executed += steps
         if len(result) or result.done:
             self.ff_send_out(result)
+        else:
+            result.release()
         self.trace_incr("sim.steps", steps)
         self.trace_incr("sim.quanta", 1)
         if result.done:

@@ -27,7 +27,36 @@ from repro.ff.node import EOS, GO_ON, SourceNode
 from repro.sim.task import SimulationTask, make_tasks
 
 
-class TaskGenerator(SourceNode):
+class TaskSource(SourceNode):
+    """Source stage streaming the tasks ``make()`` builds when the graph
+    starts: what feeds a run's scheduler, whichever one it is."""
+
+    def __init__(self, make: Callable[[], list], name: str = "task-gen"):
+        super().__init__(name=name)
+        self.make = make
+
+    def build_tasks(self) -> tuple[list, dict[str, int]]:
+        """The run's tasks and the run-report counters describing them
+        (for runtimes that hand the tasks to their own scheduler instead
+        of streaming them from this node, e.g. the TCP cluster)."""
+        from repro.cwc.batch import network_cache_stats
+        hits_before = network_cache_stats()["hits"]
+        tasks = self.make()
+        return tasks, {
+            "sim.network_cache_hits":
+                network_cache_stats()["hits"] - hits_before,
+            "sim.tasks_generated": len(tasks),
+        }
+
+    def generate(self) -> Iterable[SimulationTask]:
+        tasks, counters = self.build_tasks()
+        for counter, value in counters.items():
+            if value:
+                self.trace_incr(counter, value)
+        return iter(tasks)
+
+
+class TaskGenerator(TaskSource):
     """Source stage generating the independent simulation tasks."""
 
     def __init__(self, model: Union[Model, ReactionNetwork],
@@ -38,7 +67,7 @@ class TaskGenerator(SourceNode):
                  method: str = "exact",
                  n_workers: Optional[int] = None,
                  name: str = "task-gen"):
-        super().__init__(name=name)
+        super().__init__(self._make, name=name)
         if n_simulations < 1:
             raise ValueError(f"need >= 1 simulation, got {n_simulations}")
         self.model = model
@@ -57,38 +86,25 @@ class TaskGenerator(SourceNode):
         #: task per seed block
         self.n_workers = n_workers
 
+    def _make(self) -> list[SimulationTask]:
+        return make_tasks(self.model, self.n_simulations, self.t_end,
+                          self.quantum, self.sample_every,
+                          seed=self.seed, engine=self.engine,
+                          batch_size=self.batch_size,
+                          engine_kernel=self.engine_kernel,
+                          method=self.method, n_workers=self.n_workers)
+
     def build_tasks(self) -> tuple[list[SimulationTask], dict[str, int]]:
-        """The run's tasks and the run-report counters describing them
-        (for runtimes that hand the tasks to their own scheduler instead
-        of streaming them from this node, e.g. the TCP cluster)."""
-        from repro.cwc.batch import network_cache_stats
-        hits_before = network_cache_stats()["hits"]
-        tasks = make_tasks(self.model, self.n_simulations, self.t_end,
-                           self.quantum, self.sample_every,
-                           seed=self.seed, engine=self.engine,
-                           batch_size=self.batch_size,
-                           engine_kernel=self.engine_kernel,
-                           method=self.method, n_workers=self.n_workers)
+        tasks, counters = super().build_tasks()
         # what width actually ran: seed blocks are the RNG streams the
         # recorded seed fixes, tasks what the runtime made of them
         batch = self.engine == "batch"
-        return tasks, {
-            "sim.network_cache_hits":
-                network_cache_stats()["hits"] - hits_before,
-            "sim.tasks_generated": len(tasks),
-            "sim.seed_blocks":
-                -(-self.n_simulations // self.batch_size) if batch
-                else self.n_simulations,
-            "sim.lockstep_rows_max":
-                max(task.n for task in tasks) if batch else 1,
-        }
-
-    def generate(self) -> Iterable[SimulationTask]:
-        tasks, counters = self.build_tasks()
-        for counter, value in counters.items():
-            if value:
-                self.trace_incr(counter, value)
-        return iter(tasks)
+        counters["sim.seed_blocks"] = (
+            -(-self.n_simulations // self.batch_size) if batch
+            else self.n_simulations)
+        counters["sim.lockstep_rows_max"] = (
+            max(task.n for task in tasks) if batch else 1)
+        return tasks, counters
 
 
 class SimTaskEmitter(MasterWorkerEmitter):

@@ -1,13 +1,14 @@
 """The sweep orchestrator: fused blocks -> per-point summary matrices.
 
-:func:`run_sweep` wires the standard farm skeleton -- task source,
-master-worker emitter, simulation engines, one columnar aligner sized
-``n_points * n_trajectories`` -- and replaces the single-run analysis
-half with a :class:`SweepAccumulator` that folds every aligned cut block
-into per-point running summaries: for each observable, a
-``(point, cut)`` matrix of ensemble means and variances.  That is the
-whole sweep reduced online, in one pass, with memory ``O(points x
-cuts x observables)`` -- no per-point result objects, no second pass.
+:func:`run_sweep` is :func:`~repro.pipeline.run_workflow` with two
+stages swapped: the task source builds fused blocks, and behind the one
+columnar aligner (sized ``n_points * n_trajectories``) a
+:class:`SweepAccumulator` replaces the single-run analysis half, folding
+every aligned cut block into per-point running summaries: for each
+observable, a ``(point, cut)`` matrix of ensemble means and variances.
+That is the whole sweep reduced online, in one pass, with memory
+``O(points x cuts x observables)`` -- no per-point result objects, no
+second pass -- on whichever backend runs the quanta.
 """
 
 from __future__ import annotations
@@ -17,16 +18,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.cwc.batch import network_cache_stats
 from repro.cwc.model import Model
 from repro.cwc.network import ReactionNetwork
-from repro.ff.executor import run as ff_run
-from repro.ff.farm import Farm
-from repro.ff.node import GO_ON, Node, SourceNode
+from repro.ff.node import GO_ON, Node
 from repro.ff.trace import RunReport, Tracer
-from repro.sim.alignment import TrajectoryAligner
-from repro.sim.engine import SimEngineNode
-from repro.sim.scheduler import SimTaskEmitter
+from repro.sim.scheduler import TaskSource
 from repro.sim.trajectory import Cut, CutBlock
 from repro.sweep.fused import make_fused_tasks
 from repro.sweep.spec import SweepSpec
@@ -120,34 +116,6 @@ class SweepAccumulator(Node):
         return GO_ON
 
 
-class _FusedTaskSource(SourceNode):
-    """Builds the fused blocks lazily (inside the running graph) and
-    reports compile-cache hits like the single-run task generator."""
-
-    def __init__(self, network, spec: SweepSpec, t_end: float,
-                 quantum: float, sample_every: float, engine_kernel: str,
-                 method: str = "exact"):
-        super().__init__(name="sweep-gen")
-        self.network = network
-        self.spec = spec
-        self.t_end = t_end
-        self.quantum = quantum
-        self.sample_every = sample_every
-        self.engine_kernel = engine_kernel
-        self.method = method
-
-    def generate(self):
-        hits_before = network_cache_stats()["hits"]
-        tasks = make_fused_tasks(self.network, self.spec, self.t_end,
-                                 self.quantum, self.sample_every,
-                                 engine_kernel=self.engine_kernel,
-                                 method=self.method)
-        hits = network_cache_stats()["hits"] - hits_before
-        if hits:
-            self.trace_incr("sim.network_cache_hits", hits)
-        return iter(tasks)
-
-
 def run_sweep(model: Union[Model, ReactionNetwork], spec: SweepSpec,
               t_end: float, quantum: float, sample_every: float,
               n_sim_workers: int = 4, engine_kernel: str = "numpy",
@@ -156,55 +124,58 @@ def run_sweep(model: Union[Model, ReactionNetwork], spec: SweepSpec,
               observable_names: Optional[Sequence[str]] = None,
               tracer: Optional[Tracer] = None,
               trace: bool = False,
-              engine_factory=None,
-              stop_requested=None) -> SweepResult:
+              pool=None,
+              stop_requested=None,
+              fault_hook=None,
+              **config_fields) -> SweepResult:
     """Run ``spec`` over ``model`` and reduce it to per-point summaries.
 
-    One farm runs the whole sweep: every fused block advances many
-    points per quantum, returns one result block for it, and a single
-    aligner + accumulator produce the ``(point, cut)`` matrices.  Point
-    ``p``'s trajectories are bit-identical to a solo
+    One farm (or, under ``backend="processes"`` / ``"cluster"``, one
+    master and its worker processes) runs the whole sweep: every fused
+    block advances many points per quantum, returns one result block for
+    it, and a single aligner + accumulator produce the ``(point, cut)``
+    matrices.  Point ``p``'s trajectories are bit-identical to a solo
     ``engine="batch"`` run of ``model.with_rates(spec.points[p])``
-    seeded ``spec.seed_of(p)`` (single block, same kernel).
+    seeded ``spec.seed_of(p)`` (single block, same kernel), on every
+    backend.
 
-    ``engine_factory`` (index -> engine node) swaps the simulation
-    engine implementation, exactly like
-    :func:`~repro.pipeline.builder.build_workflow` -- the service uses
-    it to route quanta through its shared fleet.  ``stop_requested`` (a
-    zero-argument callable) drains the sweep early at the next quantum
-    boundaries when it returns True (steered cancellation); cuts never
-    reached stay NaN in ``times`` and zero in the matrices.
+    The run parameters are :class:`~repro.pipeline.WorkflowConfig`
+    fields (further ones, e.g. ``cluster_inflight`` or
+    ``trace_report_path``, pass through ``config_fields``); ``pool`` and
+    ``fault_hook`` are those of :func:`~repro.pipeline.run_workflow` --
+    the service passes its shared fleet as ``pool``.
+    ``stop_requested`` (a zero-argument callable) drains the sweep early
+    at the next quantum boundaries when it returns True (steered
+    cancellation); cuts never reached stay NaN in ``times`` and zero in
+    the matrices.
     """
+    # lazy: building fused tasks or reading a sweep store should not
+    # import the analysis plane repro.pipeline brings with it
+    from repro.pipeline.builder import assemble_workflow, execute_workflow
+    from repro.pipeline.config import WorkflowConfig
+
     if isinstance(model, ReactionNetwork):
         network = model
     else:
         network = ReactionNetwork.from_model(model)
     if observable_names is None:
         observable_names = tuple(network.observables)
-    if engine_factory is None:
-        engine_factory = lambda i: SimEngineNode(  # noqa: E731
-            name=f"sim-eng-{i}")
-    n_cuts = int(round(t_end / sample_every)) + 1
+    config = WorkflowConfig(
+        n_simulations=spec.n_rows, t_end=t_end, quantum=quantum,
+        sample_every=sample_every, n_sim_workers=n_sim_workers,
+        engine="batch", engine_kernel=engine_kernel, method=method,
+        backend=backend, trace=trace, **config_fields)
     accumulator = SweepAccumulator(
-        spec.n_points, spec.n_trajectories, n_cuts,
+        spec.n_points, spec.n_trajectories, config.n_grid_points,
         len(observable_names))
-    source = _FusedTaskSource(network, spec, t_end, quantum, sample_every,
-                              engine_kernel, method)
-    farm = Farm(
-        [engine_factory(i) for i in range(n_sim_workers)],
-        emitter=SimTaskEmitter(stop_requested=stop_requested),
-        collector=TrajectoryAligner(spec.n_rows),
-        feedback=True,
-        name="sweep-farm")
-    if tracer is None and trace:
-        tracer = Tracer()
-    from repro.ff.pipeline import Pipeline
-    ff_run(Pipeline([source, farm, accumulator], name="sweep"),
-           backend=backend, trace=tracer)
-    result = SweepResult(
+    source = TaskSource(lambda: make_fused_tasks(
+        network, spec, t_end, quantum, sample_every,
+        engine_kernel=engine_kernel, method=method))
+    workflow = assemble_workflow(
+        source, spec.n_rows, config, [accumulator],
+        stop_requested=stop_requested, pool=pool, fault_hook=fault_hook)
+    _, report = execute_workflow(workflow, config, tracer)
+    return SweepResult(
         spec=spec, observable_names=tuple(observable_names),
         times=accumulator.times, mean=accumulator.mean,
-        variance=accumulator.variance)
-    if tracer is not None:
-        result.trace_report = tracer.report()
-    return result
+        variance=accumulator.variance, trace_report=report)

@@ -1,9 +1,10 @@
-"""The virtual cluster: distributed == shared-memory, traffic measured."""
+"""The cluster pattern under the simulation half: distributed ==
+shared-memory, traffic measured per link.  (These ids tested the virtual
+cluster until it was retired; they now drive the real runtime.)"""
 
 import pytest
 
-from repro.distributed import DistributedWorkflow, NetworkLink, VirtualHost
-from repro.perfsim.platform import EC2_NETWORK, INFINIBAND_IPOIB
+from repro.models import neurospora_network
 from repro.pipeline import WorkflowConfig, run_workflow
 
 
@@ -14,86 +15,69 @@ def config(**overrides):
     return WorkflowConfig(**base)
 
 
-class TestNetworkLink:
-    def test_roundtrip_preserves_object(self):
-        link = NetworkLink("test")
-        assert link.roundtrip({"a": (1, 2)}) == {"a": (1, 2)}
+def links(counters, field):
+    return [value for name, value in counters.items()
+            if name.startswith("net.link.w") and name.endswith("." + field)]
 
-    def test_meter_accumulates(self):
-        link = NetworkLink("test", spec=INFINIBAND_IPOIB)
-        link.send([1, 2, 3])
-        link.send("x")
-        assert link.meter.messages == 2
-        assert link.meter.bytes > 0
-        assert link.meter.modeled_time > 2 * INFINIBAND_IPOIB.latency * 0.99
-        assert link.meter.mean_size() == link.meter.bytes / 2
+
+@pytest.fixture(scope="module")
+def counters():
+    """The run-report counters of one traced three-worker run."""
+    return run_workflow(neurospora_network(omega=20),
+                        config(backend="cluster", trace=True)
+                        ).trace_report.counters
 
 
 class TestDistributedWorkflow:
     def test_results_identical_to_shared_memory(self, neurospora_small):
-        """Serialisation boundaries must not change a single number: the
-        distributed run reproduces the shared-memory run exactly."""
-        cfg = config()
-        local = run_workflow(neurospora_small, cfg)
-        distributed = DistributedWorkflow(
-            neurospora_small, config(),
-            hosts=[VirtualHost("h0", lanes=2), VirtualHost("h1", lanes=2)],
-        ).run()
-        local_stats = [(s.grid_index, s.mean, s.variance)
-                       for s in local.cut_statistics()]
-        remote_stats = [(s.grid_index, s.mean, s.variance)
-                        for s in distributed.workflow.cut_statistics()]
-        assert local_stats == remote_stats
+        """Process and serialisation boundaries must not change a single
+        number: the distributed run reproduces the shared-memory run
+        exactly."""
+        local = run_workflow(neurospora_small, config())
+        distributed = run_workflow(neurospora_small,
+                                   config(backend="cluster"))
+        assert distributed.windows == local.windows
 
-    def test_traffic_is_measured(self, neurospora_small):
-        result = DistributedWorkflow(
-            neurospora_small, config(),
-            hosts=[VirtualHost("h0", lanes=1),
-                   VirtualHost("h1", lanes=1, channel=EC2_NETWORK)],
-        ).run()
-        assert result.total_messages() > 0
-        assert result.total_bytes() > 0
-        # every task quantum crossed down and up
-        down = sum(l.meter.messages for l in result.downlinks.values())
-        up = sum(l.meter.messages for l in result.uplinks.values())
-        assert down > 0 and up >= down  # results + feedback go up
+    def test_traffic_is_measured(self, counters):
+        # every task quantum crossed down and up, on every link
+        down, up = links(counters, "messages_out"), links(counters,
+                                                          "messages_in")
+        assert len(down) == len(up) == 3
+        assert min(down) > 0 and min(up) > 0
+        assert sum(up) >= counters["net.results_received"]
+        assert sum(links(counters, "bytes_out")) == counters["net.bytes_out"]
+        assert sum(links(counters, "bytes_in")) == counters["net.bytes_in"]
 
-    def test_tasks_have_host_affinity(self, neurospora_small):
-        hosts = [VirtualHost("h0", lanes=1), VirtualHost("h1", lanes=1)]
-        result = DistributedWorkflow(neurospora_small, config(),
-                                     hosts=hosts).run()
-        # round-robin over 2 lanes: both hosts saw traffic
-        assert result.downlinks["h0"].meter.messages > 0
-        assert result.downlinks["h1"].meter.messages > 0
+    def test_tasks_have_host_affinity(self, counters):
+        # a task's state goes to its worker once and stays there: one
+        # state-carrying send per task, every later quantum by name
+        assert counters["net.state_sends"] == counters["sim.tasks_generated"]
+        assert counters["net.resident_sends"] \
+            == counters["net.tasks_dispatched"] - counters["net.state_sends"]
+        assert "net.reassignments" not in counters
+        assert all(counters[f"net.worker.{w}.items"] > 0 for w in range(3))
 
     def test_single_host_cluster(self, neurospora_small):
-        result = DistributedWorkflow(
-            neurospora_small, config(), hosts=[VirtualHost("only", lanes=2)],
-        ).run()
-        assert result.workflow.n_windows >= 1
+        result = run_workflow(neurospora_small,
+                              config(backend="cluster", n_sim_workers=1))
+        assert result.n_windows >= 1
+        assert result.windows == run_workflow(neurospora_small,
+                                              config()).windows
 
-    def test_needs_hosts(self, neurospora_small):
+    def test_needs_hosts(self):
         with pytest.raises(ValueError):
-            DistributedWorkflow(neurospora_small, config(), hosts=[])
+            config(backend="cluster", n_sim_workers=0)
 
     def test_lane_validation(self):
         with pytest.raises(ValueError):
-            VirtualHost("bad", lanes=0)
+            config(backend="cluster", cluster_inflight=0)
 
-    def test_trace_records_wire_counters(self, neurospora_small):
-        """``--trace`` on the virtual cluster: per-host wire traffic and
-        the sim counters land in the run report, and the byte counts
-        agree with the link meters."""
-        result = DistributedWorkflow(
-            neurospora_small, config(trace=True),
-            hosts=[VirtualHost("h0", lanes=1), VirtualHost("h1", lanes=1)],
-        ).run()
-        report = result.workflow.trace_report
-        assert report is not None
-        counters = report.counters
-        assert counters["net.messages"] == result.total_messages()
-        assert counters["net.bytes"] == result.total_bytes()
-        assert (counters["net.host.h0.bytes"] + counters["net.host.h1.bytes"]
-                == counters["net.bytes"])
+    def test_trace_records_wire_counters(self, counters):
+        """``--trace`` on the cluster: scheduler totals, per-link wire
+        traffic and the sim counters land in the run report."""
+        assert counters["net.messages_out"] \
+            == sum(links(counters, "messages_out"))
+        assert counters["net.tasks_dispatched"] \
+            == counters["net.results_received"] == counters["sim.quanta"]
         assert counters["sim.quanta"] > 0
         assert counters["sim.steps"] > 0

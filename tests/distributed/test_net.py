@@ -60,7 +60,7 @@ class TestClusterWorkflow:
     def test_workers_flag_controls_pool(self, neurospora_small):
         chaos = _Recorder()
         run_workflow_cluster(neurospora_small,
-                             config(backend="cluster", cluster_workers=3),
+                             config(backend="cluster", n_sim_workers=3),
                              fault_hook=chaos)
         assert len(chaos.master.workers) == 3
 
@@ -192,8 +192,8 @@ class TestSchedulingPolicies:
             ClusterMaster([], n_workers=1, inflight_window=0)
         with pytest.raises(ValueError, match="backend"):
             config(backend="carrier-pigeon")
-        with pytest.raises(ValueError, match="cluster_workers"):
-            config(cluster_workers=0)
+        with pytest.raises(ValueError, match="worker"):
+            config(backend="cluster", n_sim_workers=0)
 
 
 class TestRemoteJoinCLI:

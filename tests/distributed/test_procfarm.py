@@ -33,17 +33,24 @@ class TestProcessFarm:
 class TestBackendDispatch:
     def test_reachable_as_processes_backend(self, neurospora_small,
                                             monkeypatch):
-        """``processes`` and ``cluster`` are one code path."""
-        real, seen = net.run_workflow_cluster, []
+        """``processes`` and ``cluster`` are one code path: both build a
+        :class:`ClusterMaster` and report its ``net.*`` counters."""
+        built = []
+        init = net.ClusterMaster.__init__
         monkeypatch.setattr(
-            net, "run_workflow_cluster",
-            lambda model, cfg, **kw: seen.append(cfg.backend)
-            or real(model, cfg, **kw))
-        threaded = run(neurospora_small)
+            net.ClusterMaster, "__init__",
+            lambda self, *args, **kw: built.append(kw["n_workers"])
+            or init(self, *args, **kw))
+        threaded = run(neurospora_small, trace=True)
+        assert not built
+        assert not any(name.startswith("net.")
+                       for name in threaded.trace_report.counters)
         for backend in ("processes", "cluster"):
-            assert run(neurospora_small, backend=backend).windows \
-                == threaded.windows
-        assert seen == ["processes", "cluster"]
+            result = run(neurospora_small, backend=backend, trace=True)
+            assert result.windows == threaded.windows
+            assert result.trace_report.counters["net.results_received"] \
+                == result.trace_report.counters["sim.quanta"]
+        assert built == [2, 2]
 
     def test_trace_covers_process_backend(self, enzyme_small):
         """``--trace`` reads one vocabulary on every backend: the

@@ -9,6 +9,8 @@ closing sweep reclaims; and none of this changes a single sample value.
 """
 
 import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -217,6 +219,59 @@ class TestProcessesBackendZeroCopy:
         run_workflow(neurospora_small, _shm_config(backend="processes"))
         mine = f"{SEGMENT_PREFIX}-{os.getpid()}"
         assert leaked_segments(mine) == []
+
+
+def _stderr_of(script):
+    """What a fresh interpreter running ``script`` -- and its resource
+    tracker, which reports at *its* exit, where ``-W error`` in the
+    parent cannot see it -- printed on stderr."""
+    import repro
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", script], text=True,
+                          capture_output=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stderr
+
+
+class TestResourceTracker:
+    """Mapping a segment registers its name with the resource tracker
+    and only a *successful* ``unlink()`` takes it off again: a release
+    that finds the file already swept must do so itself."""
+
+    def test_release_after_sweep_leaves_the_tracker_clean(self):
+        assert _stderr_of(
+            "import numpy as np\n"
+            "from repro.distributed.shm import (make_prefix, map_results,\n"
+            "    publish_results, sweep_orphans)\n"
+            "from repro.sim.task import ResultBlock\n"
+            "block = ResultBlock(range(64), 0, np.arange(16.0),\n"
+            "    np.zeros((64, 16, 4)), np.zeros(64), np.zeros(64, int),\n"
+            "    False)\n"
+            "prefix = make_prefix()\n"
+            "(mapped,) = map_results(publish_results([block], prefix))\n"
+            "assert sweep_orphans(prefix)\n"
+            "mapped.release()\n") == ""
+
+    def test_a_run_whose_last_release_loses_to_the_sweep(self):
+        """The closing master's sweep races the aligner's last release;
+        under load about one ``processes`` run in four lost it and
+        ended with a leak warning.  Here every release is late."""
+        assert "resource_tracker" not in _stderr_of(
+            "import time\n"
+            "from repro.distributed.shm import Segment\n"
+            "from repro.models import neurospora_network\n"
+            "from repro.pipeline import WorkflowConfig, run_workflow\n"
+            "release = Segment.release\n"
+            "def late(self):\n"
+            "    time.sleep(0.5)\n"
+            "    release(self)\n"
+            "Segment.release = late\n"
+            "run_workflow(neurospora_network(omega=20), WorkflowConfig(\n"
+            "    n_simulations=32, t_end=5.0, sample_every=0.25,\n"
+            "    quantum=2.5, n_sim_workers=2, window_size=5,\n"
+            "    engine='batch', batch_size=32, backend='processes'))\n")
 
 
 class TestMasterSegmentLifetime:

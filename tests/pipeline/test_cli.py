@@ -161,3 +161,51 @@ class TestSweepCLI:
                      "--sweep", str(spec_path)])
         assert code == 2
         assert "bad --sweep spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend, flags", [
+        ("threads", []),
+        ("processes", ["--workers", "2", "--inflight", "3"])])
+    def test_sweep_honours_the_backend_flags(self, tmp_path, capsys,
+                                             backend, flags):
+        """``--sweep`` used to run a thread farm whatever ``--backend``
+        said, and dropped ``--workers`` / ``--inflight`` /
+        ``--trace-report``."""
+        import json
+
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text(json.dumps({
+            "grid": {"translation": [0.3, 0.7]},
+            "n_trajectories": 4, "seed": 1, "points_per_block": 1}))
+        report_path = tmp_path / "r.json"
+        code = main(["--model", "neurospora", "--omega", "20",
+                     "--t-end", "2", "--quantum", "1",
+                     "--sample-every", "0.5", "--sim-workers", "3",
+                     "--sweep", str(spec_path), "--backend", backend,
+                     "--trace-report", str(report_path), "--quiet"] + flags)
+        assert code == 0
+        assert "run report written to" in capsys.readouterr().out
+        report = json.loads(report_path.read_text())
+        counters, nodes = report["counters"], [
+            node["name"] for node in report["nodes"]]
+        workers = [name for name in counters
+                   if name.startswith("net.worker.")]
+        if backend == "processes":
+            assert counters["net.tasks_dispatched"] > 0
+            assert sorted(workers) == ["net.worker.0.items",
+                                       "net.worker.1.items"]
+            assert not any(name.startswith("sim-farm.") for name in nodes)
+        else:
+            assert not workers
+            assert sum(name.startswith("sim-farm.w") for name in nodes) == 3
+
+    def test_sweep_of_an_unknown_reaction_fails_cleanly(self, tmp_path,
+                                                        capsys):
+        """A cluster run builds its tasks before the graph starts: the
+        spec error arrives unwrapped and must still exit 2."""
+        spec_path = tmp_path / "sweep.json"
+        spec_path.write_text("{\"points\": [{\"no-such-reaction\": 1.0}]}")
+        for backend in ("threads", "processes"):
+            code = main(["--model", "neurospora", "--omega", "20",
+                         "--sweep", str(spec_path), "--backend", backend])
+            assert code == 2
+            assert "no-such-reaction" in capsys.readouterr().err

@@ -248,7 +248,7 @@ class TestWorkflow:
     def test_cluster_workers_set_the_width(self, neurospora_small,
                                            unfused_run):
         result = run_workflow(neurospora_small, workflow_config(
-            backend="cluster", n_sim_workers=1, cluster_workers=3))
+            backend="cluster", n_sim_workers=3))
         assert result.trace_report.counters["sim.tasks_generated"] == 3
         assert signature(result) == unfused_run
 

@@ -1,10 +1,15 @@
 """run_sweep orchestration: the accumulator, tracing and steering."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.cwc.batch import clear_network_cache
+from repro.distributed.net import KillWorkerAfter
+from repro.distributed.shm import SEGMENT_PREFIX, leaked_segments
 from repro.ff.trace import Tracer
+from repro.models import neurospora_network
 from repro.sim.trajectory import Cut, CutBlock
 from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.runner import SweepAccumulator
@@ -102,3 +107,71 @@ class TestRunSweep:
                            stop_requested=lambda: True)
         # cancelled before the horizon: unreached cuts stay NaN
         assert np.isnan(result.times).any()
+
+    def test_stop_requested_drains_a_processes_sweep(self, neurospora_small):
+        spec = SweepSpec(POINTS, n_trajectories=4, seed=1)
+        result = run_sweep(neurospora_small, spec, t_end=50.0,
+                           quantum=0.5, sample_every=0.5,
+                           n_sim_workers=2, backend="processes",
+                           stop_requested=lambda: True)
+        assert np.isnan(result.times).any()
+
+
+def grid_sweep(points_per_block, method="exact", **kwargs):
+    """8 points x 16 trajectories: one 128-row block, or four of 32."""
+    spec = SweepSpec([{"translation": 0.2 + 0.1 * p} for p in range(8)],
+                     n_trajectories=16, seed=3,
+                     points_per_block=points_per_block)
+    # at omega=20 every tau step falls back to exact SSA: leap for real
+    omega = 200 if method == "tau" else 20
+    return run_sweep(neurospora_network(omega=omega), spec, t_end=4.0,
+                     quantum=1.0, sample_every=0.5, n_sim_workers=2,
+                     method=method, **kwargs)
+
+
+def assert_byte_equal(result, reference):
+    for name in ("times", "mean", "variance"):
+        assert getattr(result, name).tobytes() \
+            == getattr(reference, name).tobytes(), name
+    assert leaked_segments(f"{SEGMENT_PREFIX}-{os.getpid()}") == []
+
+
+@pytest.fixture(scope="module")
+def sequential():
+    """The single-threaded reference, per stepping method."""
+    return {method: grid_sweep(2, method=method, backend="sequential")
+            for method in ("exact", "tau")}
+
+
+class TestBackends:
+    """A sweep runs on whatever runs a workflow, to the same bytes."""
+
+    @pytest.mark.parametrize("method", ["exact", "tau"])
+    @pytest.mark.parametrize("backend", ["threads", "processes", "cluster"])
+    def test_byte_equal_to_sequential(self, sequential, backend, method):
+        assert_byte_equal(grid_sweep(2, method=method, backend=backend),
+                          sequential[method])
+
+    @pytest.mark.parametrize("method", ["exact", "tau"])
+    def test_killed_worker_replays_its_fused_blocks(self, sequential,
+                                                    method):
+        chaos = KillWorkerAfter(n_results=3, worker_id=0)
+        result = grid_sweep(2, method=method, backend="processes",
+                            fault_hook=chaos)
+        assert chaos.fired and chaos.master.workers_failed == 1
+        assert chaos.master.n_tasks == 4
+        assert chaos.master.reassignments >= 1
+        assert_byte_equal(result, sequential[method])
+
+    @pytest.mark.parametrize("points_per_block, shared", [(8, True),
+                                                          (2, False)])
+    def test_wide_blocks_come_back_through_shm(self, sequential,
+                                               points_per_block, shared):
+        """A 128-row block's quantum is above ``SHM_MIN_BYTES``, a
+        32-row block's below: the data plane is the workflow's."""
+        result = grid_sweep(points_per_block, backend="processes",
+                            trace=True)
+        counters = result.trace_report.counters
+        assert (0 < counters["net.shm_blocks"] <= counters["sim.quanta"]
+                if shared else "net.shm_blocks" not in counters)
+        assert_byte_equal(result, sequential["exact"])
