@@ -6,9 +6,10 @@ the numbers that calibrate the performance models (steps/s feed
 ``stat_cut_*`` terms).
 """
 
+import numpy as np
 import pytest
 
-from repro.analysis.kmeans import kmeans
+from repro.analysis.kmeans import kmeans, kmeans_array
 from repro.analysis.stats import cut_statistics
 from repro.cwc.gillespie import CWCSimulator
 from repro.cwc.matching import match_multiplicity
@@ -136,6 +137,16 @@ def test_kmeans_cost(benchmark):
              [[rng.gauss(10, 1)] for _ in range(256)]
     result = benchmark(kmeans, points, 2, 50, 0)
     assert result.k == 2
+
+
+def test_kmeans_array_cost(benchmark):
+    """The stat engine's call on ``neuro_tau_analysis``: one observable
+    at the last cut of a 2048-trajectory window (integer populations
+    around one mean, so Lloyd's loop runs tens of iterations), k = 4."""
+    rng = np.random.default_rng(0)
+    values = np.round(rng.normal(6000.0, 300.0, size=2048))
+    result = benchmark(kmeans_array, values, 4, 50, 0)
+    assert result.k == 4
 
 
 def test_codec_roundtrip_cost(benchmark):

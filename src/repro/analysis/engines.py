@@ -81,7 +81,8 @@ class StatEngineNode(Node):
     statistics come from the window's precomputed ``cut_stats`` when the
     sliding window attached them (computed once per cut, shared by every
     overlapping window) or from one :func:`block_statistics` reduction,
-    and clustering uses the bit-identical :func:`kmeans_array`.
+    and clustering uses :func:`kmeans_array` (``k`` distance rows and a
+    first-minimum assignment, bit-identical to the scalar :func:`kmeans`).
     ``vectorized=False`` keeps the per-sample scalar oracles.
     """
 

@@ -59,13 +59,18 @@ def histogram(values: Sequence[float], n_bins: int = 20,
     """Bin ``values`` into ``n_bins`` equal-width bins.
 
     The range defaults to the data range (widened to a unit span for
-    degenerate data so every value lands in a valid bin).
+    degenerate data so every value lands in a valid bin).  Raises on
+    non-finite values, which have no bin.
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     if len(values) == 0:
         raise ValueError("cannot histogram an empty sample")
     sample = np.asarray(values, dtype=float)
+    finite = np.isfinite(sample)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"value {bad} is not finite: {sample[bad]}")
     lo = float(sample.min()) if low is None else low
     hi = float(sample.max()) if high is None else high
     if hi <= lo:

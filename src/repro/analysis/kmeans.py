@@ -7,11 +7,12 @@ into two clusters long before a human would spot it in raw traces.
 Two implementations of Lloyd's algorithm with k-means++ seeding:
 
 * :func:`kmeans` -- the scalar reference on plain Python lists;
-* :func:`kmeans_array` -- the vectorised NumPy engine (broadcast distance
-  matrices, ``bincount`` centroid updates).  It consumes the RNG in the
-  same order and accumulates floating point in the same order as the
-  scalar reference, so results are **bit-identical** for a fixed seed
-  (pinned by the determinism tests).
+* :func:`kmeans_array` -- the vectorised NumPy engine (``k`` distance
+  rows, first-minimum assignment, ``bincount`` centroid updates).  It
+  consumes the RNG in the same order and accumulates floating point in
+  the same order as the scalar reference, so results are
+  **bit-identical** for a fixed seed (pinned by a property test).  Both
+  reject non-finite input, on which "nearest" is not defined.
 """
 
 from __future__ import annotations
@@ -75,12 +76,16 @@ def kmeans(points: Sequence[Sequence[float]], k: int,
            tolerance: float = 1e-9) -> KMeansResult:
     """Lloyd's algorithm; deterministic for a fixed ``seed``.
 
-    ``k`` is clamped to the number of points.  Raises on empty input.
+    ``k`` is clamped to the number of points.  Raises on empty or
+    non-finite input.
     """
     if not points:
         raise ValueError("kmeans needs at least one point")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    for i, point in enumerate(points):
+        if not all(map(math.isfinite, point)):
+            raise ValueError(f"point {i} is not finite: {list(point)}")
     k = min(k, len(points))
     rng = random.Random(seed)
     centroids = _seed_centroids(points, k, rng)
@@ -132,39 +137,20 @@ def kmeans(points: Sequence[Sequence[float]], k: int,
 # vectorised engine
 # ----------------------------------------------------------------------
 
-def _pairwise_sq(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """``(n, k)`` squared distances; dims accumulated one at a time so the
-    floating-point summation order matches :func:`_sq_distance`."""
-    n, dims = points.shape
-    k = centroids.shape[0]
-    out = np.zeros((n, k))
-    for d in range(dims):
-        diff = points[:, d, None] - centroids[None, :, d]
-        out += diff * diff
+def _sq_distance_rows(columns: np.ndarray, centroids: np.ndarray,
+                      out: np.ndarray) -> np.ndarray:
+    """``out[j, i]`` = squared distance of point ``i`` to ``centroids[j]``
+    for ``columns`` of shape ``(dims, n)``.  Dimensions are added one at a
+    time like :func:`_sq_distance`; starting from the first square rather
+    than from zero is exact because ``0.0 + x == x`` for ``x >= 0``.
+    Row by row, because a ``(k, 1)`` broadcast is about twice as slow."""
+    for row, centroid in zip(out, centroids.tolist()):
+        np.subtract(columns[0], centroid[0], out=row)
+        np.multiply(row, row, out=row)
+        for column, c in zip(columns[1:], centroid[1:]):
+            diff = column - c
+            row += diff * diff
     return out
-
-
-def _seed_centroids_array(points: np.ndarray, k: int,
-                          rng: random.Random) -> np.ndarray:
-    """k-means++ seeding, vectorised; identical RNG consumption and
-    floating-point accumulation order to :func:`_seed_centroids`."""
-    n = points.shape[0]
-    chosen = [points[rng.randrange(n)].copy()]
-    dmin: np.ndarray | None = None
-    while len(chosen) < k:
-        dist = _pairwise_sq(points, chosen[-1][None, :])[:, 0]
-        dmin = dist if dmin is None else np.minimum(dmin, dist)
-        cumulative = np.cumsum(dmin)
-        total = float(cumulative[-1])
-        if total <= 0.0:
-            chosen.append(points[rng.randrange(n)].copy())
-            continue
-        pick = rng.random() * total
-        idx = int(np.searchsorted(cumulative, pick, side="right"))
-        if idx >= n:  # fp tail: mirrors the scalar for-else fallback
-            idx = n - 1
-        chosen.append(points[idx].copy())
-    return np.stack(chosen)
 
 
 def kmeans_array(points, k: int, max_iterations: int = 50,
@@ -173,9 +159,10 @@ def kmeans_array(points, k: int, max_iterations: int = 50,
     """Vectorised :func:`kmeans`; bit-identical for a fixed seed.
 
     ``points`` is array-like ``(n, dims)`` (1-D input is treated as
-    ``(n, 1)``).  Assignment is one broadcast distance matrix + argmin;
-    centroid updates are per-dimension ``bincount`` reductions, which add
-    members in point order exactly like the scalar loop.
+    ``(n, 1)``).  Assignment is the first minimum over ``k`` preallocated
+    distance rows; centroid updates are per-dimension ``bincount``
+    reductions, which add members in point order exactly like the scalar
+    loop.  Raises on empty or non-finite input.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -185,48 +172,69 @@ def kmeans_array(points, k: int, max_iterations: int = 50,
         raise ValueError("kmeans needs at least one point")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    finite = np.isfinite(pts).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"point {bad} is not finite: {pts[bad].tolist()}")
     k = min(k, n)
+    columns = np.ascontiguousarray(pts.T)
+    dist = np.empty((k, n))
     rng = random.Random(seed)
-    centroids = _seed_centroids_array(pts, k, rng)
 
-    # Seeding consumed dmin lazily: recompute nothing -- the loop below
-    # rebuilds distances against the final seed set anyway.
-    assignments = np.zeros(n, dtype=np.int64)
+    # k-means++ seeding, RNG calls and sums as in _seed_centroids
+    centroids = np.empty((k, dims))
+    centroids[0] = pts[rng.randrange(n)]
+    for j in range(1, k):
+        row = _sq_distance_rows(columns, centroids[j - 1:j],
+                                dist[j - 1:j])[0]
+        dmin = row if j == 1 else np.minimum(dmin, row)
+        cumulative = np.cumsum(dmin)
+        total = float(cumulative[-1])
+        if total <= 0.0:
+            centroids[j] = pts[rng.randrange(n)]
+            continue
+        pick = rng.random() * total
+        idx = int(np.searchsorted(cumulative, pick, side="right"))
+        centroids[j] = pts[min(idx, n - 1)]  # fp tail: scalar for-else
+
+    assignments = np.zeros(n, dtype=np.intp)
+    best = np.empty(n)
+    sums = np.empty((k, dims))
     iterations = 0
-    distances = None
     for iterations in range(1, max_iterations + 1):
-        distances = _pairwise_sq(pts, centroids)
-        new_assignments = np.argmin(distances, axis=1)
-        moved = bool((new_assignments != assignments).any())
+        _sq_distance_rows(columns, centroids, dist)
+        # first minimum, like argmin and the scalar strict `<`: a point's
+        # centroid index is the number of leading rows that miss `best`
+        np.minimum.reduce(dist, axis=0, out=best)
+        missed = dist[0] != best
+        new_assignments = missed.astype(np.intp)
+        for j in range(1, k - 1):
+            missed &= dist[j] != best
+            new_assignments += missed
+        moved = not np.array_equal(new_assignments, assignments)
         assignments = new_assignments
         counts = np.bincount(assignments, minlength=k)
-        sums = np.empty((k, dims))
-        for d in range(dims):
-            sums[:, d] = np.bincount(assignments, weights=pts[:, d],
+        for d, column in enumerate(columns):
+            sums[:, d] = np.bincount(assignments, weights=column,
                                      minlength=k)
-        best_ds = distances[np.arange(n), assignments]
-        shift = 0.0
-        new_centroids = np.empty_like(centroids)
-        for j in range(k):
-            if counts[j] == 0:
-                far_i = int(np.argmax(best_ds))
-                new_centroids[j] = pts[far_i]
-            else:
-                new_centroids[j] = sums[j] / counts[j]
-            # accumulate the centroid shift dimension-sequentially to
-            # match the scalar _sq_distance order
-            s = 0.0
-            for d in range(dims):
-                diff = float(new_centroids[j, d]) - float(centroids[j, d])
-                s += diff * diff
-            shift += s
+        new_centroids = sums / np.maximum(counts, 1)[:, None]
+        if not counts.all():
+            # re-seed at the point farthest from its assigned centroid
+            new_centroids[counts == 0] = pts[int(np.argmax(best))]
+        converged = False
+        if not moved:
+            # the shift only decides convergence; summed per centroid
+            # with sum() like _sq_distance, then across centroids
+            shift = 0.0
+            for squares in ((new_centroids - centroids) ** 2).tolist():
+                shift += sum(squares)
+            converged = shift <= tolerance
         centroids = new_centroids
-        if not moved and shift <= tolerance:
+        if converged:
             break
-    final = _pairwise_sq(pts, centroids)
-    chosen = final[np.arange(n), assignments]
+    _sq_distance_rows(columns, centroids, dist)
     # cumsum accumulates left-to-right like the scalar builtin sum
-    inertia = float(np.cumsum(chosen)[-1]) if n else 0.0
+    inertia = float(np.cumsum(dist[assignments, np.arange(n)])[-1])
     return KMeansResult(centroids=centroids.tolist(),
                         assignments=assignments.tolist(),
                         inertia=inertia, iterations=iterations)

@@ -1,15 +1,75 @@
 """k-means clustering."""
 
+import importlib
+import math
 import random
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from repro.analysis.kmeans import kmeans
+from repro.analysis.kmeans import kmeans, kmeans_array
+
+# the package re-exports the function under the submodule's name
+kmeans_module = importlib.import_module("repro.analysis.kmeans")
+
+EMPTIED_MID_RUN = [
+    [6.0, 9.0], [6.0, 9.0], [6.0, 6.0], [12.0, 9.0], [9.0, 10.0],
+    [4.0, 2.0], [7.0, 9.0], [3.0, 6.0], [6.0, 5.0], [3.0, 7.0],
+    [3.0, 12.0], [11.0, 0.0]]
 
 
 def blob(center, n, spread, rng):
     return [[c + rng.uniform(-spread, spread) for c in center]
             for _ in range(n)]
+
+
+def as_bytes(result):
+    """Every output of a k-means run, floats as their IEEE bytes."""
+    flat = [x for centroid in result.centroids for x in centroid]
+    return (struct.pack(f"<{len(flat)}d", *flat), result.assignments,
+            struct.pack("<d", result.inertia), result.iterations)
+
+
+def point_lists(dims, coordinate):
+    return st.lists(st.lists(coordinate, min_size=dims, max_size=dims),
+                    min_size=1, max_size=40)
+
+
+@st.composite
+def midpoint_ties(draw, dims):
+    """Two integer groups an even distance apart plus points exactly
+    half-way: once the groups' centroids settle on them, the midpoints
+    are equidistant and the lowest centroid index must win."""
+    low = draw(st.lists(st.integers(-10, 10), min_size=dims,
+                        max_size=dims))
+    half = draw(st.lists(st.integers(0, 5), min_size=dims, max_size=dims))
+    groups = [[float(a) for a in low],
+              [float(a + 2 * h) for a, h in zip(low, half)],
+              [float(a + h) for a, h in zip(low, half)]]
+    sizes = draw(st.tuples(st.integers(1, 8), st.integers(1, 8),
+                           st.integers(1, 3)))
+    points = [list(g) for g, size in zip(groups, sizes)
+              for _ in range(size)]
+    return draw(st.permutations(points))
+
+
+@st.composite
+def kmeans_cases(draw):
+    dims = draw(st.integers(1, 3))
+    points = draw(st.one_of(
+        # integer-valued and duplicate-heavy: k often exceeds the
+        # number of distinct values
+        point_lists(dims, st.integers(-4, 4).map(float)),
+        midpoint_ties(dims),
+        # identical points: degenerate seeding, empty clusters
+        st.builds(lambda p, n: [p] * n,
+                  st.lists(st.integers(-3, 3).map(float), min_size=dims,
+                           max_size=dims),
+                  st.integers(1, 12)),
+        point_lists(dims, st.floats(-100.0, 100.0))))
+    return points, draw(st.integers(1, 8)), draw(st.integers(0, 2**16))
 
 
 class TestKMeans:
@@ -61,6 +121,11 @@ class TestKMeans:
         with pytest.raises(ValueError):
             kmeans([[1.0]], k=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="point 2 is not finite"):
+            kmeans([[1.0], [2.0], [bad], [50.0], [51.0]], k=2)
+
     def test_inertia_not_worse_than_single_cluster(self):
         rng = random.Random(4)
         points = blob([0.0], 20, 3.0, rng) + blob([50.0], 20, 3.0, rng)
@@ -82,13 +147,38 @@ class TestVectorizedKMeans:
     """kmeans_array must be bit-identical to the scalar reference."""
 
     def _assert_identical(self, points, k, seed):
-        from repro.analysis.kmeans import kmeans_array
-        scalar = kmeans(points, k, seed=seed)
-        vector = kmeans_array(points, k, seed=seed)
-        assert vector.assignments == scalar.assignments
-        assert vector.centroids == scalar.centroids  # exact, not approx
-        assert vector.inertia == scalar.inertia
-        assert vector.iterations == scalar.iterations
+        assert (as_bytes(kmeans_array(points, k, seed=seed))
+                == as_bytes(kmeans(points, k, seed=seed)))
+
+    def test_bitwise_equal_to_scalar(self, monkeypatch):
+        # in kmeans.py only the scalar empty-cluster re-seed calls max()
+        reseeds = []
+
+        def counting_max(*args, **kwargs):
+            reseeds.append(1)
+            return max(*args, **kwargs)
+
+        monkeypatch.setattr(kmeans_module, "max", counting_max,
+                            raising=False)
+
+        @settings(max_examples=300, deadline=None)
+        @given(case=kmeans_cases())
+        # a cluster empties mid-run, away from every point (random search
+        # finds this in about one case in 7 000)
+        @example(case=(EMPTIED_MID_RUN, 8, 900))
+        def check(case):
+            points, k, seed = case
+            self._assert_identical(points, k, seed)
+
+        check()
+        assert reseeds, "no example emptied a cluster"
+
+    def test_identical_at_the_workload_shape(self):
+        # the stat engine's call: one observable of a 2048-trajectory cut
+        rng = np.random.default_rng(0)
+        modes = rng.choice([1200.0, 1500.0, 2100.0, 2600.0], size=2048)
+        values = np.round(rng.normal(modes, 90.0))
+        self._assert_identical([[v] for v in values.tolist()], 4, 0)
 
     def test_identical_on_random_blobs_1d(self):
         rng = random.Random(3)
@@ -123,15 +213,22 @@ class TestVectorizedKMeans:
             self._assert_identical(base, 3, seed)
 
     def test_1d_flat_input_equals_tupled_input(self):
-        from repro.analysis.kmeans import kmeans_array
         values = [1.0, 2.0, 50.0, 51.0, 52.0, 0.5]
         flat = kmeans_array(values, 2, seed=0)
         tupled = kmeans_array([(v,) for v in values], 2, seed=0)
         assert flat.centroids == tupled.centroids
         assert flat.assignments == tupled.assignments
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN used to run 50 iterations to a NaN centroid that differed
+        # from the scalar engine's
+        with pytest.raises(ValueError, match="point 2 is not finite"):
+            kmeans_array([1.0, 2.0, bad, 50.0, 51.0], 2)
+        with pytest.raises(ValueError, match="point 1 is not finite"):
+            kmeans_array([[0.0, 1.0], [2.0, bad], [bad, 3.0]], 2)
+
     def test_k_clamped_and_validation(self):
-        from repro.analysis.kmeans import kmeans_array
         result = kmeans_array([[1.0], [2.0]], 5, seed=0)
         assert result.k == 2
         with pytest.raises(ValueError):

@@ -126,6 +126,13 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram([1.0], n_bins=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # a NaN used to reach the int cast (RuntimeWarning, garbage bin)
+        with pytest.raises(ValueError, match="value 2 is not finite"):
+            histogram([1.0, 2.0, bad, 50.0, bad], n_bins=4, low=0.0,
+                      high=60.0)
+
 
 class TestHistogramInWorkflow:
     def test_stat_engine_produces_histograms(self, toggle_small):

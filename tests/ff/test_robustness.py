@@ -75,8 +75,14 @@ class TestSequentialStallDetection:
             def is_complete(self, task):
                 return False  # never done -> tasks bounce forever
 
+        import threading
+
+        stop = threading.Event()
+
         class Worker(Node):
             def svc(self, task):
+                if stop.is_set():
+                    raise RuntimeError("test over")
                 self.send_feedback(task)
                 return GO_ON
 
@@ -84,8 +90,6 @@ class TestSequentialStallDetection:
         # the run does not stall (tasks keep cycling), so bound it instead:
         # an emitter that lies about completion keeps the stream alive; we
         # detect that by capping the interpreter externally
-        import threading
-
         result: dict = {}
 
         def target():
@@ -102,6 +106,11 @@ class TestSequentialStallDetection:
         # manifests as livelock in the *model*, never as a crash of the
         # interpreter machinery
         assert "error" not in result
+        # end the livelock: left spinning, the thread would hold the GIL
+        # against every later test (and skew the timing ones)
+        stop.set()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
 
     def test_stalled_graph_raises(self):
         """A node whose input can never arrive must be reported."""
