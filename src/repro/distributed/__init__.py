@@ -13,11 +13,10 @@ existing code".  This package is the functional half of that story (the
   ``backend="cluster"`` are two names for it): a TCP master/worker
   runtime with worker-resident tasks, host affinity, bounded in-flight
   windows, heartbeat failure detection and deterministic task
-  reassignment on worker death.  It is the pattern
-  :func:`repro.pipeline.builder.assemble_workflow` puts under the
-  simulation half in place of the thread farm, for runs and sweeps
-  alike; its per-link byte and message counters (``net.link.w*``) are
-  what a deployment would send;
+  reassignment on worker death.  It is the pool
+  :func:`repro.pipeline.builder.workflow_pool` puts under the simulation
+  farm's engines, for runs and sweeps alike; its per-link byte and
+  message counters (``net.link.w*``) are what a deployment would send;
 * :mod:`repro.distributed.shm` -- its local data plane: workers the
   master spawned on its own host return quantum results through
   shared-memory segments instead of the socket.
@@ -33,7 +32,6 @@ from repro.distributed.message import (
 from repro.distributed.net import (
     ClusterError,
     ClusterMaster,
-    ClusterSourceNode,
     KillWorkerAfter,
     run_workflow_cluster,
 )
@@ -46,7 +44,6 @@ __all__ = [
     "decode_frame",
     "ClusterError",
     "ClusterMaster",
-    "ClusterSourceNode",
     "KillWorkerAfter",
     "run_workflow_cluster",
 ]

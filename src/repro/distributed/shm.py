@@ -1,7 +1,7 @@
 """Shared-memory result ring: the local data plane of the cluster runtime.
 
 A worker the master spawned on its own host (``backend="processes"`` /
-``"cluster"``, the service's served fleet) does not push a batch
+``"cluster"``, the service's shared fleet) does not push a batch
 quantum's :class:`~repro.sim.task.ResultBlock` through its socket -- for
 a 1024-trajectory block that is megabytes copied into a frame, out of
 it, and once more into the aligner's ring.  It *publishes* the block's

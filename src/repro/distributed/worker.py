@@ -1,9 +1,10 @@
 """repro.distributed.worker: the cluster worker process.
 
-One worker = one TCP connection to the master = one simulation lane.  All
-scheduling intelligence (affinity, windows, reassignment) lives
-master-side; what lives here is the simulation itself -- the worker keeps
-the live tasks it advances, the master only their checkpoints:
+One worker = one TCP connection to the master.  Which quantum runs next
+is decided above the master (by the simulation farm's emitter), and
+pinning, windows and reassignment live master-side; what lives here is
+the simulation itself -- the worker keeps the live tasks it advances,
+the master only their checkpoints:
 
 1. connect to the master and send :class:`~repro.distributed.net.Hello`
    (which states the wire-protocol number);
@@ -21,7 +22,9 @@ the live tasks it advances, the master only their checkpoints:
    The task stays resident if the master
    asked for that and it is not done; a key the worker does not hold is
    a :class:`~repro.distributed.net.WorkerFailure`;
-4. drop all resident tasks on :class:`~repro.distributed.net.Forget`;
+4. on :class:`~repro.distributed.net.Forget`, drop the resident tasks of
+   the namespace it names (keys are opaque here otherwise: a worker
+   never sees tenancy);
 5. exit on :class:`~repro.distributed.net.Shutdown` or connection loss.
 
 Localhost clusters spawn this via ``multiprocessing``
@@ -62,6 +65,7 @@ from repro.distributed.net import (
     Shutdown,
     TaskMsg,
     WorkerFailure,
+    in_namespace,
 )
 from repro.distributed.shm import publish_results
 
@@ -75,6 +79,8 @@ def _connect(host: str, port: int, retries: int = 50,
         try:
             sock = socket.create_connection((host, port), timeout=10.0)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            # a worker waits for work as long as the master lets it
+            sock.settimeout(None)
             return sock
         except OSError as exc:
             last = exc
@@ -146,10 +152,16 @@ def worker_main(host: str, port: int, worker_id: int,
                     done = True
                     break
                 if isinstance(msg, Forget):
-                    resident.clear()
+                    for key in [key for key in resident
+                                if in_namespace(key, msg.namespace)]:
+                        del resident[key]
                 elif isinstance(msg, TaskMsg):
-                    quanta += _run_one(send, worker_id, msg, resident,
-                                       shm_prefix)
+                    try:
+                        quanta += _run_one(send, worker_id, msg, resident,
+                                           shm_prefix)
+                    except Exception:
+                        _hang_up(sock)
+                        raise
             if done:
                 break
     finally:
@@ -189,6 +201,20 @@ def _run_one(send, worker_id: int, msg: TaskMsg, resident: dict,
                    results if shm_prefix is None
                    else publish_results(results, shm_prefix)))
     return 1
+
+
+def _hang_up(sock: socket.socket) -> None:
+    """End the connection after a :class:`WorkerFailure` without
+    resetting it: stop sending, then drop what the master still sends
+    until it hangs up too.  Closing with unread bytes would reset the
+    connection, which can discard the failure frame before the master
+    reads it."""
+    try:
+        sock.shutdown(socket.SHUT_WR)
+        while sock.recv(1 << 16):
+            pass
+    except OSError:
+        pass
 
 
 def _try_send(send, obj) -> None:

@@ -6,10 +6,9 @@ a control signal: :class:`AdaptivePolicy` objects consume the
 :class:`~repro.pipeline.steering.ProgressEvent` stream and issue
 scheduling *decisions* that an :class:`AdaptiveController` (a steering
 controller with policies) applies back into the simulation half through
-the scheduler link every backend registers at run start
-(:class:`~repro.sim.scheduler.SimTaskEmitter` for the in-process and
-process backends, :class:`~repro.distributed.net.ClusterMaster` for the
-TCP cluster).  The design follows OSPREY's ``asynch_repriority`` task
+the scheduler link every run registers at start: its
+:class:`~repro.sim.scheduler.SimTaskEmitter`, the one scheduler on
+every backend.  The design follows OSPREY's ``asynch_repriority`` task
 queues (re-prioritise queued work from a running analysis, never kill a
 task) and FastFlow's feedback-channel farms (decisions ride the same
 quantum boundaries the paper's scheduler already has).

@@ -1,18 +1,21 @@
 """Assemble and run the complete simulation-analysis workflow.
 
 Fig. 2 is wired here and nowhere else: :func:`assemble_workflow` puts
-the simulation half (task source -> engines -> aligner) in front of
-whatever consumes the cuts, on the pattern ``config.backend`` names,
-and :func:`execute_workflow` runs the result.  :func:`run_workflow` is
-the two with :func:`analysis_stages` for consumers,
-:func:`repro.sweep.run_sweep` the two with a fused task source and a
-sweep accumulator, a service tenant either one with a borrowed pool.
+the simulation half (task source -> feedback farm of engines ->
+aligner) in front of whatever consumes the cuts, :func:`workflow_pool`
+gives the engines the pool ``config.backend`` names (none in process,
+a cluster master out of it), and :func:`execute_workflow` runs the
+result.  :func:`run_workflow` is the three with :func:`analysis_stages`
+for consumers, :func:`repro.sweep.run_sweep` the three with a fused
+task source and a sweep accumulator, a service tenant either one with
+a borrowed pool.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Iterator, Optional, Union
 
 from repro.analysis.engines import GatherNode, StatEngineNode, WindowStatistics
 from repro.analysis.stats import CutStatistics
@@ -163,73 +166,80 @@ def assemble_workflow(source: TaskSource, n_rows: int,
                       config: WorkflowConfig, consumers: list,
                       controller: Optional[SteeringController] = None,
                       stop_requested: Optional[Callable[[], bool]] = None,
-                      pool: Any = None,
-                      fault_hook: Optional[Callable] = None) -> Pipeline:
+                      pool: Any = None) -> Pipeline:
     """Wire the simulation half of Fig. 2 -- ``source``'s tasks, advanced
     quantum by quantum, aligned into cuts of ``n_rows`` trajectories --
     in front of ``consumers``.
 
-    This is the one place that decides which pattern runs the quanta,
-    and the only thing a port changes (paper section IV-B): a feedback
-    farm of ``config.n_sim_workers`` engines on this process's threads
-    (``threads`` / ``sequential``), or a
-    :class:`~repro.distributed.net.ClusterMaster` driving as many worker
-    processes (``processes`` / ``cluster``, two names for it).  A run
-    that borrows a ``pool`` (the service's shared fleet) keeps the farm:
-    its engines hand their quanta to the pool, which has workers of its
-    own.  ``controller`` (or a bare ``stop_requested`` callable) drains
-    the run early; the controller is also linked to the scheduler it may
-    re-prioritise.  ``fault_hook`` goes to the master (chaos tests).
+    One pattern on every backend (paper section IV-B: a port changes
+    what runs the quanta, not the simulator): a feedback farm whose
+    :class:`~repro.sim.scheduler.SimTaskEmitter` schedules every quantum
+    and whose engines run them on their own threads or hand them to
+    ``pool`` (:func:`workflow_pool`: a
+    :class:`~repro.distributed.net.ClusterMaster` under ``processes`` /
+    ``cluster``, or a service tenant's shared fleet).  A pool that says
+    how many quanta it holds at once (``lanes``) gets that many engines,
+    otherwise ``config.n_sim_workers``.  ``controller`` (or a bare
+    ``stop_requested`` callable) drains the run early; the controller is
+    also linked to the emitter it may re-prioritise.
     """
     if controller is not None:
         stop_requested = lambda: controller.stop_requested  # noqa: E731
-    aligner = TrajectoryAligner(n_rows)
-    if pool is None and config.backend in ("processes", "cluster"):
-        from repro.distributed.net import ClusterMaster, ClusterSourceNode
-        tasks, task_counters = source.build_tasks()
-        scheduler = ClusterMaster(
-            tasks,
-            n_workers=config.n_sim_workers,
-            inflight_window=config.cluster_inflight,
-            heartbeat_interval=config.heartbeat_interval,
-            heartbeat_timeout=config.heartbeat_timeout,
-            stop_requested=stop_requested,
-            fault_hook=fault_hook)
-        stages = [ClusterSourceNode(scheduler, task_counters), aligner]
-        name = "cluster-workflow"
-    else:
-        # re-prioritisation needs the emitter to *hold* runnable work:
-        # bound the outstanding quanta to a small multiple of the worker
-        # count so the rest waits in the re-keyable backlog instead of
-        # the channels
-        scheduler = SimTaskEmitter(
-            stop_requested=stop_requested,
-            priority_window=(2 * config.n_sim_workers
-                             if config.adaptive_repriority else None))
-        stages = [source, Farm(
-            [SimEngineNode(pool, name=f"sim-eng-{i}")
-             for i in range(config.n_sim_workers)],
-            emitter=scheduler,
-            collector=aligner,
-            feedback=True,
-            scheduling=config.scheduling,
-            name="sim-farm")]
-        name = "cwc-workflow"
+    lanes = getattr(pool, "lanes", config.n_sim_workers)
+    # re-prioritisation needs the emitter to *hold* runnable work: bound
+    # the outstanding quanta to a small multiple of the lane count so
+    # the rest waits in the re-keyable backlog instead of the channels
+    scheduler = SimTaskEmitter(
+        stop_requested=stop_requested,
+        priority_window=2 * lanes if config.adaptive_repriority else None)
+    farm = Farm([SimEngineNode(pool, name=f"sim-eng-{i}")
+                 for i in range(lanes)],
+                emitter=scheduler,
+                collector=TrajectoryAligner(n_rows),
+                feedback=True,
+                scheduling=config.scheduling,
+                name="sim-farm")
     if controller is not None:
         controller.attach_scheduler(scheduler)
-    return Pipeline(stages + consumers, name=name)
+    return Pipeline([source, farm] + consumers, name="cwc-workflow")
+
+
+@contextmanager
+def workflow_pool(config: WorkflowConfig, pool: Any = None,
+                  fault_hook: Optional[Callable] = None) -> Iterator[Any]:
+    """The pool a run's engines hand their quanta to, for the run's
+    duration: a borrowed ``pool`` as it is; under ``processes`` /
+    ``cluster`` a started :class:`~repro.distributed.net.ClusterMaster`
+    with ``config.n_sim_workers`` worker processes, closed when the run
+    ends (``fault_hook`` goes to it, for chaos tests); else None, and
+    each engine runs its quanta itself."""
+    if pool is not None or config.backend not in ("processes", "cluster"):
+        yield pool
+        return
+    from repro.distributed.net import ClusterMaster
+    master = ClusterMaster(
+        n_workers=config.n_sim_workers,
+        inflight_window=config.cluster_inflight,
+        heartbeat_interval=config.heartbeat_interval,
+        heartbeat_timeout=config.heartbeat_timeout,
+        fault_hook=fault_hook)
+    try:
+        master.start()
+        yield master
+    finally:
+        master.close()
 
 
 def execute_workflow(workflow: Pipeline, config: WorkflowConfig,
-                     tracer: Optional[Tracer] = None
+                     tracer: Optional[Tracer] = None, pool: Any = None
                      ) -> tuple[list, Optional[RunReport]]:
     """Run an assembled workflow: what its last stage emitted, and the
     run report when the run is traced (an explicit ``tracer``,
     ``config.trace`` or an adaptive policy, which reads it) -- also
-    saved to ``config.trace_report_path`` if that is set.
+    saved to ``config.trace_report_path`` if that is set.  A ``pool``
+    with ``counters()`` (the cluster master) adds its ``net.*`` totals.
 
-    Only ``sequential`` runs the graph on one thread; a cluster master
-    is a stage among the others' threads."""
+    Only ``sequential`` runs the graph on one thread."""
     if tracer is None and (config.trace or config.adaptive):
         tracer = Tracer()
     outputs = ff_run(
@@ -238,6 +248,9 @@ def execute_workflow(workflow: Pipeline, config: WorkflowConfig,
         trace=tracer)
     if tracer is None:
         return outputs, None
+    for counter, value in getattr(pool, "counters", dict)().items():
+        if value:
+            tracer.incr(counter, value)
     report = tracer.report()
     if config.trace_report_path:
         report.save(config.trace_report_path)
@@ -248,8 +261,7 @@ def build_workflow(model: Union[Model, ReactionNetwork],
                    config: WorkflowConfig,
                    controller: Optional[SteeringController] = None,
                    cut_store: Optional[list] = None,
-                   pool: Any = None,
-                   fault_hook: Optional[Callable] = None) -> Pipeline:
+                   pool: Any = None) -> Pipeline:
     """Wire the paper's Fig. 2 architecture for ``model``:
     :func:`assemble_workflow` in front of :func:`analysis_stages`.
 
@@ -260,7 +272,7 @@ def build_workflow(model: Union[Model, ReactionNetwork],
     return assemble_workflow(
         task_generator(model, config), config.n_simulations, config,
         analysis_stages(config, cut_store=cut_store, controller=controller),
-        controller=controller, pool=pool, fault_hook=fault_hook)
+        controller=controller, pool=pool)
 
 
 def run_workflow(model: Union[Model, ReactionNetwork],
@@ -279,7 +291,7 @@ def run_workflow(model: Union[Model, ReactionNetwork],
     ``config.trace_report_path`` is set, as a JSON file on disk.
 
     ``config.backend`` selects what runs the quanta (see
-    :func:`assemble_workflow`); every choice -- and a ``pool`` borrowed
+    :func:`workflow_pool`); every choice -- and a ``pool`` borrowed
     from a shared fleet -- produces bit-identical results for the same
     seeds.
     """
@@ -288,9 +300,9 @@ def run_workflow(model: Union[Model, ReactionNetwork],
         from repro.pipeline.adaptive import make_adaptive_controller
         controller = make_adaptive_controller(config)
     cut_store: Optional[list] = [] if config.keep_cuts else None
-    workflow = build_workflow(model, config, controller=controller,
-                              cut_store=cut_store, pool=pool,
-                              fault_hook=fault_hook)
-    windows, report = execute_workflow(workflow, config, tracer)
+    with workflow_pool(config, pool, fault_hook) as pool:
+        workflow = build_workflow(model, config, controller=controller,
+                                  cut_store=cut_store, pool=pool)
+        windows, report = execute_workflow(workflow, config, tracer, pool)
     return WorkflowResult(config=config, windows=windows,
                           cuts=cut_store or [], trace_report=report)

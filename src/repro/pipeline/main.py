@@ -180,8 +180,8 @@ def run_sweep_cli(args, model) -> int:
                            trace=args.trace or args.trace_report is not None,
                            trace_report_path=args.trace_report)
     except (KernelUnavailable, NodeError, KeyError, ValueError) as exc:
-        # a cluster run builds its tasks before the graph starts, so
-        # the same errors also arrive unwrapped
+        # a spec the tasks cannot be built from fails inside the source
+        # node (wrapped in NodeError), bad run parameters before it
         original = getattr(exc, "original", exc)
         if not isinstance(original, (KernelUnavailable, KeyError,
                                      ValueError)):

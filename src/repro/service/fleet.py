@@ -21,10 +21,12 @@ Between the facade and the workers sits the fair-share layer:
 
 Backends: ``"threads"`` (an in-process pool, for tests and tiny
 deployments) or a persistent :class:`~repro.distributed.net.
-ClusterMaster` in serve mode (``"processes"`` and ``"cluster"`` both
-name it): worker processes spawned on this host, task keys namespaced
-per tenant, results back through the shared-memory ring, replay on
-worker death.
+ClusterMaster` (``"processes"`` and ``"cluster"`` both name it): worker
+processes spawned on this host, task keys namespaced per tenant, tasks
+resident on their worker (a tenant's engines get checkpoints back, the
+master never unpickles one), results back through the shared-memory
+ring, replay on worker death.  Releasing a tenant drops its resident
+tasks from the workers once its last quantum has settled.
 
 Per-tenant results are **independent of dispatch order** -- each quantum
 is a pure function of its task state -- so fair-share interleaving never
@@ -57,7 +59,7 @@ class _Tenant:
     """Book-keeping of one registered tenant."""
 
     __slots__ = ("key", "weight", "max_inflight", "pending", "inflight",
-                 "submitted", "completed", "wait_s", "busy_s")
+                 "submitted", "completed", "wait_s", "busy_s", "released")
 
     def __init__(self, key: str, weight: float, max_inflight: int):
         self.key = key
@@ -69,6 +71,7 @@ class _Tenant:
         self.completed = 0
         self.wait_s = 0.0
         self.busy_s = 0.0
+        self.released = False
 
 
 class FleetClient:
@@ -96,7 +99,7 @@ class SharedFleet:
     Parameters
     ----------
     n_workers:
-        Worker slots (threads, or the served master's worker processes).
+        Worker slots (threads, or the master's worker processes).
     backend:
         ``"threads"``, or ``"processes"`` / ``"cluster"`` (one runtime).
     max_inflight:
@@ -153,10 +156,10 @@ class SharedFleet:
         else:
             from repro.distributed.net import ClusterMaster
             self._master = ClusterMaster(
-                [], n_workers=self.n_workers,
+                self.n_workers,
                 inflight_window=max(
                     1, -(-self.max_inflight // self.n_workers)))
-            self._master.serve()
+            self._master.start()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, daemon=True, name="fleet-dispatch")
         self._started = True
@@ -208,17 +211,28 @@ class SharedFleet:
 
     def release(self, tenant: str) -> None:
         """Deregister a tenant; its pending submissions fail, in-flight
-        quanta complete normally (their futures are already bound)."""
+        quanta complete normally (their futures are already bound), and
+        once the last of them has settled its resident tasks are
+        dropped from the workers (a cancelled run leaves live tasks
+        behind on a long-lived fleet)."""
         with self._cond:
             record = self._tenants.pop(tenant, None)
             pending = list(record.pending) if record else []
             if record:
                 record.pending.clear()
+                record.released = True
+            settled = record is not None and record.inflight == 0
             self._cond.notify_all()
         self._sched.remove(tenant)
         for _fn, _args, future, _t in pending:
             future.set_exception(FleetClosed(
                 f"tenant {tenant!r} released with work pending"))
+        if settled:
+            self._forget(tenant)
+
+    def _forget(self, tenant: str) -> None:
+        if self._master is not None:
+            self._master.forget(tenant)
 
     # -- submission ------------------------------------------------------
     def submit(self, tenant: str, fn: Callable, *args: Any) -> Future:
@@ -260,30 +274,31 @@ class SharedFleet:
                 record.wait_s += time.monotonic() - queued_at
                 self._global_inflight += 1
                 self._quanta_dispatched += 1
-            self._execute(key, fn, args, future)
+            self._execute(record, fn, args, future)
 
-    def _execute(self, tenant: str, fn: Callable, args: tuple,
+    def _execute(self, record: _Tenant, fn: Callable, args: tuple,
                  future: Future) -> None:
         started = time.monotonic()
         try:
             if self._master is not None:
-                # the served master runs ``task.run_quantum()`` on a
-                # worker and resolves to (advanced_task, result) -- the
-                # same contract as ``fn`` in a pool, so ``fn`` itself
+                # the master runs the quantum on the worker holding the
+                # task and resolves to (checkpoint, result), which the
+                # tenant's engine hands back for the next one; ``fn``
                 # never crosses the wire
-                inner = self._master.execute(args[0], namespace=tenant)
+                inner = self._master.submit(fn, args[0],
+                                            namespace=record.key)
             else:
                 inner = self._pool.submit(fn, *args)
         except BaseException as exc:  # noqa: BLE001 - fail this caller
-            self._settle(tenant, started)
+            self._settle(record, started)
             future.set_exception(exc)
             return
         inner.add_done_callback(
-            lambda done: self._on_done(tenant, future, started, done))
+            lambda done: self._on_done(record, future, started, done))
 
-    def _on_done(self, tenant: str, future: Future, started: float,
+    def _on_done(self, record: _Tenant, future: Future, started: float,
                  inner: Future) -> None:
-        self._settle(tenant, started)
+        self._settle(record, started)
         if inner.cancelled():
             future.set_exception(FleetClosed("quantum cancelled"))
             return
@@ -293,15 +308,16 @@ class SharedFleet:
         else:
             future.set_result(inner.result())
 
-    def _settle(self, tenant: str, started: float) -> None:
+    def _settle(self, record: _Tenant, started: float) -> None:
         with self._cond:
             self._global_inflight -= 1
-            record = self._tenants.get(tenant)
-            if record is not None:
-                record.inflight -= 1
-                record.completed += 1
-                record.busy_s += time.monotonic() - started
+            record.inflight -= 1
+            record.completed += 1
+            record.busy_s += time.monotonic() - started
+            retired = record.released and record.inflight == 0
             self._cond.notify_all()
+        if retired:
+            self._forget(record.key)
 
     # -- inspection ------------------------------------------------------
     def stats(self) -> dict[str, Any]:
@@ -325,8 +341,8 @@ class SharedFleet:
                 "global_inflight": self._global_inflight,
                 "quanta_dispatched": self._quanta_dispatched,
                 "swept_at_start": list(self._swept_at_start),
-                # seconds the served master waited on its workers with
-                # quanta queued behind full in-flight windows
+                # seconds quanta waited for a slot in their worker's
+                # in-flight window on the master
                 "inflight_wait_s": (self._master.inflight_wait_s
                                     if self._master is not None else 0.0),
                 "tenants": tenants,

@@ -9,10 +9,15 @@ quantum, streams the quantum's one result item (a
 alignment and reschedules the task back to the emitter along the farm's
 feedback channel.
 
-The quantum runs on the engine's own thread, or -- for a run that
-borrows a shared fleet (:mod:`repro.service.fleet`) -- wherever the
-borrowed ``pool`` puts it: a fleet thread, or a worker process of a
-served :class:`~repro.distributed.net.ClusterMaster`.
+The quantum runs on the engine's own thread, or wherever the run's
+``pool`` puts it: a worker process of a
+:class:`~repro.distributed.net.ClusterMaster` (``processes`` /
+``cluster``), or a shared fleet's thread or worker process
+(:mod:`repro.service.fleet`).  A worker-process pool keeps the task
+where it runs and hands back its
+:class:`~repro.distributed.net.Checkpoint` instead; the engine only
+reads ``steps`` and feeds back what it got, so the next quantum goes to
+the worker that holds the task.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ class SimEngineNode(Node):
 
     ``pool`` is anything with an executor's ``submit(fn, *args) ->
     future``; the engine blocks (GIL released) until the advanced task
-    and its result come back.  A batch quantum's block may then be a
+    (or its checkpoint) and its result come back.  A batch quantum's block may then be a
     view over shared-memory pages and must be released exactly once: a
     result this node drops (empty, not done) is released here, a
     forwarded one by the aligner after ingest.

@@ -5,9 +5,13 @@ it turns a model and run parameters into independent simulation tasks,
 "each of them wrapped in a C++ object" -- here, a picklable Python object.
 
 ``SimTaskEmitter`` is the scheduling logic of the *farm of simulation
-engines*: dispatch tasks on demand, re-dispatch every incomplete task that
-comes back on the feedback channel after a quantum, and end the stream
-once every task has reached its simulation end time.  An optional
+engines*, and the only scheduler on every backend: dispatch tasks on
+demand, re-dispatch every incomplete task that comes back on the feedback
+channel after a quantum, and end the stream once every task has reached
+its simulation end time.  What comes back is whatever the engines' pool
+returned -- the live task, or, from a worker-process pool, the task's
+:class:`~repro.distributed.net.Checkpoint`; the emitter reads only
+``done`` and (through a priority key) ``time``.  An optional
 :class:`SteeringHook` lets a front-end steer/terminate the run while it is
 in flight (the paper's GUI can "start new simulations, steer and terminate
 running simulations").
@@ -29,7 +33,7 @@ from repro.sim.task import SimulationTask, make_tasks
 
 class TaskSource(SourceNode):
     """Source stage streaming the tasks ``make()`` builds when the graph
-    starts: what feeds a run's scheduler, whichever one it is."""
+    starts: what feeds a run's :class:`SimTaskEmitter`."""
 
     def __init__(self, make: Callable[[], list], name: str = "task-gen"):
         super().__init__(name=name)
@@ -37,8 +41,7 @@ class TaskSource(SourceNode):
 
     def build_tasks(self) -> tuple[list, dict[str, int]]:
         """The run's tasks and the run-report counters describing them
-        (for runtimes that hand the tasks to their own scheduler instead
-        of streaming them from this node, e.g. the TCP cluster)."""
+        (subclasses add what they know about the tasks they built)."""
         from repro.cwc.batch import network_cache_stats
         hits_before = network_cache_stats()["hits"]
         tasks = self.make()

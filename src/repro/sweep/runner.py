@@ -130,11 +130,11 @@ def run_sweep(model: Union[Model, ReactionNetwork], spec: SweepSpec,
               **config_fields) -> SweepResult:
     """Run ``spec`` over ``model`` and reduce it to per-point summaries.
 
-    One farm (or, under ``backend="processes"`` / ``"cluster"``, one
-    master and its worker processes) runs the whole sweep: every fused
-    block advances many points per quantum, returns one result block for
-    it, and a single aligner + accumulator produce the ``(point, cut)``
-    matrices.  Point ``p``'s trajectories are bit-identical to a solo
+    One farm (under ``backend="processes"`` / ``"cluster"``, its engines
+    backed by one master and its worker processes) runs the whole sweep:
+    every fused block advances many points per quantum, returns one
+    result block for it, and a single aligner + accumulator produce the
+    ``(point, cut)`` matrices.  Point ``p``'s trajectories are bit-identical to a solo
     ``engine="batch"`` run of ``model.with_rates(spec.points[p])``
     seeded ``spec.seed_of(p)`` (single block, same kernel), on every
     backend.
@@ -151,7 +151,8 @@ def run_sweep(model: Union[Model, ReactionNetwork], spec: SweepSpec,
     """
     # lazy: building fused tasks or reading a sweep store should not
     # import the analysis plane repro.pipeline brings with it
-    from repro.pipeline.builder import assemble_workflow, execute_workflow
+    from repro.pipeline.builder import (assemble_workflow, execute_workflow,
+                                        workflow_pool)
     from repro.pipeline.config import WorkflowConfig
 
     if isinstance(model, ReactionNetwork):
@@ -171,10 +172,11 @@ def run_sweep(model: Union[Model, ReactionNetwork], spec: SweepSpec,
     source = TaskSource(lambda: make_fused_tasks(
         network, spec, t_end, quantum, sample_every,
         engine_kernel=engine_kernel, method=method))
-    workflow = assemble_workflow(
-        source, spec.n_rows, config, [accumulator],
-        stop_requested=stop_requested, pool=pool, fault_hook=fault_hook)
-    _, report = execute_workflow(workflow, config, tracer)
+    with workflow_pool(config, pool, fault_hook) as pool:
+        workflow = assemble_workflow(
+            source, spec.n_rows, config, [accumulator],
+            stop_requested=stop_requested, pool=pool)
+        _, report = execute_workflow(workflow, config, tracer, pool)
     return SweepResult(
         spec=spec, observable_names=tuple(observable_names),
         times=accumulator.times, mean=accumulator.mean,

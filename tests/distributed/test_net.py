@@ -1,10 +1,12 @@
 """The TCP master/worker cluster runtime (repro.distributed.net)."""
 
+import copy
 import socket
 import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -18,6 +20,7 @@ from repro.distributed.net import (
 from repro.distributed.worker import worker_main
 from repro.pipeline import SteeringController, WorkflowConfig, run_workflow
 from repro.sim.task import make_tasks
+from tests.distributed.pools import drive
 
 
 def config(**overrides):
@@ -120,26 +123,33 @@ class TestFaultTolerance:
             for worker_id in list(master.workers):
                 master.kill_worker(worker_id)
 
-        master = ClusterMaster(tasks, n_workers=2,
-                               fault_hook=kill_everything)
-        with pytest.raises(ClusterError, match="all workers dead"):
-            list(master.run())
+        master = ClusterMaster(n_workers=2, fault_hook=kill_everything)
+        master.start()
+        try:
+            with pytest.raises(ClusterError, match="all workers dead"):
+                drive(master, tasks)
+        finally:
+            master.close()
 
     def test_heartbeat_timeout_detects_silent_worker(self, neurospora_small):
         """A worker that connects, registers and then goes mute (no
         heartbeats, no results) is declared dead; its tasks complete on
         the live worker."""
         tasks = make_tasks(neurospora_small, 4, 4.0, 2.0, 0.5, seed=0)
-        master = ClusterMaster(tasks, n_workers=2, spawn_local=False,
+        master = ClusterMaster(n_workers=2, spawn_local=False,
                                heartbeat_interval=0.05,
                                heartbeat_timeout=0.5,
                                accept_timeout=10.0)
         results = []
 
-        def drive():
-            results.extend(master.run())
+        def run():
+            master.start()
+            try:
+                results.extend(drive(master, tasks))
+            finally:
+                master.close()
 
-        driver = threading.Thread(target=drive)
+        driver = threading.Thread(target=run)
         driver.start()
         for _ in range(100):  # wait for the master to bind its port
             if master.port:
@@ -159,7 +169,7 @@ class TestFaultTolerance:
         assert not driver.is_alive()
         assert master.workers_failed == 1
         assert not master.workers[1].alive
-        assert master.completed == 4
+        assert master.reassignments >= 1
         # the results stream is complete despite the dead worker
         done = [r for r in results if r.done]
         assert len(done) == 4
@@ -185,11 +195,48 @@ class TestSchedulingPolicies:
             fault_hook=recorder)
         assert recorder.max_in_flight <= 1
 
+    def test_concurrent_submitters_keep_the_books(self, enzyme_small):
+        """Submitting threads (more of them than cores) and the reader
+        threads share the master's book-keeping: under a short switch
+        interval no count is lost, no window overflows, and every task's
+        samples equal a local run's."""
+        tasks = make_tasks(enzyme_small, 16, 3.0, 0.5, 0.5, seed=4)
+        oracle = {}
+        for task in copy.deepcopy(tasks):
+            samples = []
+            while not task.done:
+                samples.extend(task.run_quantum().samples)
+            oracle[task.task_id] = samples
+        recorder = _Recorder()
+        master = ClusterMaster(n_workers=2, fault_hook=recorder)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            master.start()
+            with ThreadPoolExecutor(max_workers=8) as submitters:
+                runs = list(submitters.map(
+                    lambda share: drive(master, share),
+                    [tasks[i::8] for i in range(8)]))
+        finally:
+            sys.setswitchinterval(interval)
+            master.close()
+        got = {}
+        for result in (r for run in runs for r in run):
+            got.setdefault(result.task_id, []).extend(result.samples)
+        assert got == oracle
+        quanta = sum(len(run) for run in runs)
+        assert master.tasks_dispatched == master.results_received == quanta
+        assert master.state_sends == len(tasks)
+        assert master.state_sends + master.resident_sends == quanta
+        assert sum(h.items_done for h in master.workers.values()) == quanta
+        assert recorder.max_in_flight <= master.inflight_window
+        assert not any(h.in_flight for h in master.workers.values())
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="worker"):
-            ClusterMaster([], n_workers=0)
+            ClusterMaster(n_workers=0)
         with pytest.raises(ValueError, match="inflight"):
-            ClusterMaster([], n_workers=1, inflight_window=0)
+            ClusterMaster(n_workers=1, inflight_window=0)
         with pytest.raises(ValueError, match="backend"):
             config(backend="carrier-pigeon")
         with pytest.raises(ValueError, match="worker"):
@@ -203,18 +250,21 @@ class TestRemoteJoinCLI:
         import os
 
         tasks = make_tasks(neurospora_small, 2, 4.0, 2.0, 0.5, seed=0)
-        master = ClusterMaster(tasks, n_workers=1, spawn_local=False,
+        master = ClusterMaster(n_workers=1, spawn_local=False,
                                accept_timeout=60.0)
         results = []
         failure = []
 
-        def drive():
+        def run():
             try:
-                results.extend(master.run())
+                master.start()
+                results.extend(drive(master, tasks))
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 failure.append(exc)
+            finally:
+                master.close()
 
-        driver = threading.Thread(target=drive)
+        driver = threading.Thread(target=run)
         driver.start()
         for _ in range(200):
             if master.port:
@@ -233,7 +283,7 @@ class TestRemoteJoinCLI:
         assert not failure, failure
         assert proc.returncode == 0, proc.stderr
         assert "quanta executed" in proc.stdout
-        assert master.completed == 2
+        assert master.results_received == len(results) == 4
         assert len([r for r in results if r.done]) == 2
 
 

@@ -53,15 +53,27 @@ class TestBackendDispatch:
         assert built == [2, 2]
 
     def test_trace_covers_process_backend(self, enzyme_small):
-        """``--trace`` reads one vocabulary on every backend: the
-        engines' ``sim.*`` names come from the master.  A scalar run's
-        quanta are far below ``SHM_MIN_BYTES``: none goes through shm."""
-        counters = run(enzyme_small, backend="processes",
-                       trace=True).trace_report.counters
+        """``--trace`` reads one vocabulary on every backend: ``sim.*``
+        comes from the farm's emitter and engines, as on ``threads``,
+        and the master adds only ``net.*`` -- nothing is counted twice.
+        A scalar run's quanta are far below ``SHM_MIN_BYTES``: none goes
+        through shm."""
+        report = run(enzyme_small, backend="processes",
+                     trace=True).trace_report
+        counters = report.counters
+        engines = [node for node in report.to_dict()["nodes"]
+                   if node["name"].startswith("sim-farm.w")]
+        assert len(engines) == 2 * 2  # workers x in-flight window
+        # 4 tasks x 2 quanta, each run once on a worker
+        assert counters["sim.quanta"] == counters["net.results_received"] \
+            == counters["net.tasks_dispatched"] == 8
+        assert counters["sim.quanta_dispatched"] == 8
         assert counters["sim.trajectories_retired"] == 4
         assert counters["sim.tasks_completed"] == 4
-        assert counters["sim.quanta"] == counters["net.results_received"] == 8
         assert counters["sim.steps"] > 0
-        assert counters["net.state_sends"] == 4  # tasks + 0 reassignments
+        # without a death, state crosses once per task
+        assert counters["net.state_sends"] == counters["sim.tasks_generated"]
         assert counters["net.resident_sends"] == 4
+        assert not any(name.startswith("sim.")
+                       for name in net.ClusterMaster(n_workers=1).counters())
         assert "net.shm_blocks" not in counters

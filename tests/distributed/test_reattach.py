@@ -2,9 +2,8 @@
 
 The service keeps one worker fleet alive across many tenant runs, so
 the lifecycle pieces under it must be reentrant: a ClusterMaster's
-``start()`` / ``run_tasks()`` / ``close()`` split has to survive
-repeated runs and repeated closes, and serve mode must multiplex
-namespaces without key collisions.
+``start()`` / ``submit()`` / ``close()`` split has to survive repeated
+runs and repeated closes, and namespaced submissions must not collide.
 """
 
 from __future__ import annotations
@@ -13,8 +12,10 @@ import copy
 
 import pytest
 
-from repro.distributed.net import ClusterError, ClusterMaster, NamespacedTask
+from repro.distributed.net import ClusterError, ClusterMaster
+from repro.sim.engine import run_quantum
 from repro.sim.task import make_tasks
+from tests.distributed.pools import drive
 
 pytestmark = pytest.mark.slow
 
@@ -36,25 +37,25 @@ def reference_samples(tasks):
     return per_task
 
 
-def collect(results_iter):
+def collect(results):
     per_task = {}
-    for result in results_iter:
+    for result in results:
         per_task.setdefault(result.task_id, []).extend(result.samples)
     return per_task
 
 
 class TestClusterReattach:
     def test_two_runs_reuse_one_fleet(self, neurospora_small):
-        """run_tasks twice on one started master: both runs complete and
-        both match the local oracle -- warm workers don't bleed state
-        between runs."""
+        """Two runs of equal task ids on one started master: both
+        complete and both match the local oracle -- warm workers don't
+        bleed state between runs."""
         batch1 = small_tasks(neurospora_small, seed=0)
         batch2 = small_tasks(neurospora_small, seed=100)
-        master = ClusterMaster([], n_workers=2)
+        master = ClusterMaster(n_workers=2)
         master.start()
         try:
-            got1 = collect(master.run_tasks(batch1))
-            got2 = collect(master.run_tasks(batch2))
+            got1 = collect(drive(master, batch1))
+            got2 = collect(drive(master, batch2))
         finally:
             master.close()
         assert got1 == reference_samples(small_tasks(neurospora_small,
@@ -63,38 +64,40 @@ class TestClusterReattach:
                                                      seed=100))
 
     def test_close_is_idempotent(self, neurospora_small):
-        master = ClusterMaster(small_tasks(neurospora_small),
-                               n_workers=1)
+        master = ClusterMaster(n_workers=1)
         master.start()
         master.close()
         master.close()  # double-close must be a no-op
         master.close()
 
     def test_close_without_start_is_safe(self):
-        master = ClusterMaster([], n_workers=1)
+        master = ClusterMaster(n_workers=1)
         master.close()
         master.close()
 
     def test_closed_master_rejects_reuse(self, neurospora_small):
-        master = ClusterMaster([], n_workers=1)
+        master = ClusterMaster(n_workers=1)
         master.start()
         master.close()
         with pytest.raises(ClusterError):
             master.start()
         with pytest.raises(ClusterError):
-            list(master.run_tasks(small_tasks(neurospora_small)))
+            drive(master, small_tasks(neurospora_small))
 
     def test_run_tasks_requires_start(self, neurospora_small):
-        master = ClusterMaster([], n_workers=1)
+        master = ClusterMaster(n_workers=1)
         with pytest.raises(ClusterError):
-            list(master.run_tasks(small_tasks(neurospora_small)))
+            drive(master, small_tasks(neurospora_small))
 
     def test_one_shot_run_still_closes(self, neurospora_small):
-        """The historical run() contract: drive to completion, tear
-        down, and stay torn down."""
-        tasks = small_tasks(neurospora_small)
-        master = ClusterMaster(tasks, n_workers=2)
-        got = collect(master.run())
+        """Start, drive to completion, tear down -- and stay torn
+        down."""
+        master = ClusterMaster(n_workers=2)
+        master.start()
+        try:
+            got = collect(drive(master, small_tasks(neurospora_small)))
+        finally:
+            master.close()
         assert got == reference_samples(small_tasks(neurospora_small))
         with pytest.raises(ClusterError):
             master.start()
@@ -102,16 +105,19 @@ class TestClusterReattach:
 
 class TestServeMode:
     def test_execute_resolves_like_a_pool(self, neurospora_small):
+        """One task, quantum by quantum through ``submit``: each future
+        resolves to the checkpoint to submit next and the quantum's
+        result, which add up to the local run."""
         task = small_tasks(neurospora_small, n=1)[0]
         oracle = reference_samples([task])[task.task_id]
-        master = ClusterMaster([], n_workers=1)
-        master.serve()
+        master = ClusterMaster(n_workers=1)
+        master.start()
         try:
             samples = []
             current = task
             while not current.done:
-                current, result = master.execute(current).result(
-                    timeout=60)
+                current, result = master.submit(
+                    run_quantum, current).result(timeout=60)
                 samples.extend(result.samples)
             assert samples == oracle
         finally:
@@ -125,13 +131,13 @@ class TestServeMode:
         assert t_a.task_id == t_b.task_id
         oracle_a = reference_samples([t_a])[t_a.task_id]
         oracle_b = reference_samples([t_b])[t_b.task_id]
-        master = ClusterMaster([], n_workers=2)
-        master.serve()
+        master = ClusterMaster(n_workers=2)
+        master.start()
         try:
             samples = {"a": [], "b": []}
             current = {"a": t_a, "b": t_b}
             while any(not t.done for t in current.values()):
-                futures = {ns: master.execute(t, namespace=ns)
+                futures = {ns: master.submit(run_quantum, t, namespace=ns)
                            for ns, t in current.items() if not t.done}
                 for ns, future in futures.items():
                     advanced, result = future.result(timeout=60)
@@ -143,28 +149,19 @@ class TestServeMode:
         assert samples["b"] == oracle_b
         assert samples["a"] != samples["b"]
 
-    def test_run_tasks_refused_while_serving(self, neurospora_small):
-        master = ClusterMaster([], n_workers=1)
-        master.serve()
-        try:
-            with pytest.raises(ClusterError):
-                list(master.run_tasks(small_tasks(neurospora_small)))
-        finally:
-            master.close()
-
     def test_execute_after_close_raises(self, neurospora_small):
-        master = ClusterMaster([], n_workers=1)
-        master.serve()
+        master = ClusterMaster(n_workers=1)
+        master.start()
         master.close()
         with pytest.raises(ClusterError):
-            master.execute(small_tasks(neurospora_small, n=1)[0])
+            master.submit(run_quantum, small_tasks(neurospora_small, n=1)[0])
 
     def test_close_fails_orphaned_futures(self, neurospora_small):
         """Futures still pending when the master closes must fail, not
         hang their waiters forever."""
-        master = ClusterMaster([], n_workers=1)
-        master.serve()
-        futures = [master.execute(t)
+        master = ClusterMaster(n_workers=1, inflight_window=4)
+        master.start()
+        futures = [master.submit(run_quantum, t)
                    for t in small_tasks(neurospora_small, n=4)]
         master.close()
         outcomes = []
@@ -177,14 +174,3 @@ class TestServeMode:
         assert "failed" in outcomes or all(o == "ok" for o in outcomes)
         assert len(outcomes) == 4  # nobody hung
 
-
-class TestNamespacedTaskEnvelope:
-    def test_envelope_delegates_and_pickles(self, neurospora_small):
-        task = small_tasks(neurospora_small, n=1)[0]
-        wrapped = NamespacedTask("tenant-1", task)
-        assert wrapped.done == task.done
-        assert wrapped.time == task.time
-        import pickle
-        back = pickle.loads(pickle.dumps(wrapped))
-        assert back.namespace == "tenant-1"
-        assert back.task.task_id == task.task_id

@@ -1,16 +1,16 @@
 """Worker-resident tasks, master-held checkpoints (ISSUE 20).
 
-The worker keeps the live task it advances; the master keeps an opaque
-:class:`Checkpoint` per task and never unpickles one in ``run_tasks``
-mode.  What must hold: state crosses master->worker once per task (and
-once more per re-pin after a worker death), replay from a checkpoint is
-bit-identical, dispatch does not walk a backlog nobody has room for, the
-worker's ``resident`` map cannot grow across runs or tenants, and a
+The worker keeps the live task it advances; the master hands callers an
+opaque :class:`Checkpoint` per quantum and never unpickles one.  What
+must hold: state crosses master->worker once per task (and once more per
+re-pin after a worker death), replay from a checkpoint is bit-identical,
+the worker's ``resident`` map cannot grow across runs or tenants, and a
 protocol mismatch or a lost resident task ends in a ``ClusterError``.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 import socket
@@ -26,12 +26,13 @@ from repro.distributed.message import (StreamDecoder, encode_frame,
 from repro.distributed.net import (PROTOCOL, Checkpoint, ClusterError,
                                    ClusterMaster, Hello, KillWorkerAfter,
                                    ResultMsg, TaskMsg, WorkerFailure,
-                                   WorkerHandle, run_workflow_cluster)
+                                   run_workflow_cluster)
 from repro.distributed.shm import SEGMENT_PREFIX, leaked_segments
 from repro.distributed.worker import worker_main
 from repro.pipeline import WorkflowConfig, run_workflow
-from repro.pipeline.adaptive import task_lag_key
+from repro.sim.engine import run_quantum
 from repro.sim.task import make_tasks
+from tests.distributed.pools import drive
 
 N_TASKS, N_QUANTA = 6, 4
 
@@ -97,8 +98,12 @@ class TestStateCrossesOnce:
         first_sends = sum(
             len(encode_frame_oob(TaskMsg(Checkpoint.of(t), keep=True)))
             for t in tasks)
-        master = ClusterMaster(tasks, n_workers=1)
-        done = [r for r in master.run() if r.done]
+        master = ClusterMaster(n_workers=1)
+        master.start()
+        try:
+            done = [r for r in drive(master, tasks) if r.done]
+        finally:
+            master.close()
         assert len(done) == N_TASKS
         counters = master.counters()
         later = N_TASKS * (N_QUANTA - 1)
@@ -126,6 +131,39 @@ class TestStateCrossesOnce:
         assert counters["net.resident_sends"] == 16
         assert counters["net.state_bytes_in"] > 0
 
+    def test_service_tenant_never_unpickles_on_the_master(self,
+                                                          monkeypatch):
+        """A tenant run on a ``processes`` fleet is resident too: its
+        engines get checkpoints back and hand them on, so the master
+        unpickles no task state and steady-state quanta name their
+        task."""
+        from repro.service.fleet import SharedFleet
+        from repro.service.protocol import RunSpec
+        from repro.service.run_manager import RunManager, RunState
+
+        loads = []
+        monkeypatch.setattr(net, "pickle", types.SimpleNamespace(
+            dumps=pickle.dumps, PickleBuffer=pickle.PickleBuffer,
+            loads=lambda *a, **k: loads.append(a) or pickle.loads(*a, **k)))
+        spec = RunSpec.from_jsonable({"model": "enzyme", "config": dict(
+            n_simulations=4, t_end=3.0, quantum=0.5, sample_every=0.5,
+            window_size=2, n_sim_workers=2)})
+        fleet = SharedFleet(2, backend="processes").start()
+        manager = RunManager(fleet)
+        try:
+            tenant = manager.submit(spec)
+            assert tenant.wait(timeout=120)
+            assert tenant.state == RunState.DONE, tenant.error
+            counters = fleet._master.counters()
+        finally:
+            manager.close()
+            fleet.close()
+        assert loads == []
+        assert counters["net.state_sends"] == 4
+        assert counters["net.resident_sends"] > 0
+        solo = run_workflow(spec.build_model(), spec.config)
+        assert tenant.windows == solo.windows
+
 
 class TestReplayFromCheckpoint:
     @pytest.mark.parametrize("overrides", [
@@ -143,12 +181,14 @@ class TestReplayFromCheckpoint:
         threaded = run_workflow(neurospora_small, config(**overrides))
         chaos = KillWorkerAfter(n_results=3, worker_id=0)
         clustered = run_workflow_cluster(
-            neurospora_small, config(backend="processes", **overrides),
+            neurospora_small,
+            config(backend="processes", trace=True, **overrides),
             fault_hook=chaos)
         master = chaos.master
+        n_tasks = clustered.trace_report.counters["sim.tasks_generated"]
         assert chaos.fired and master.workers_failed == 1
         assert master.reassignments >= 1
-        assert master.state_sends == master.n_tasks + master.reassignments
+        assert master.state_sends == n_tasks + master.reassignments
         assert (master.state_sends + master.resident_sends
                 == master.tasks_dispatched)
         assert clustered.windows == threaded.windows
@@ -156,87 +196,15 @@ class TestReplayFromCheckpoint:
         assert leaked_segments(f"{SEGMENT_PREFIX}-{os.getpid()}") == []
 
 
-def _full_handle(worker_id, window):
-    handle = WorkerHandle(worker_id, sock=None)
-    handle.in_flight = {("busy", worker_id, i): None for i in range(window)}
-    return handle
-
-
-def _checkpoints(n):
-    return [Checkpoint(key, False, float(n - key), 0, b"") for key in range(n)]
-
-
-class TestDispatchFollowsFreeSlots:
-    def test_full_windows_leave_the_backlog_alone(self):
-        """(c) nobody has headroom: ``ready`` is not walked, re-keyed or
-        rebuilt, however long it is."""
-        calls = []
-
-        def counting_key(checkpoint):
-            calls.append(checkpoint)
-            return checkpoint.time
-
-        master = ClusterMaster([], n_workers=2, inflight_window=2)
-        master.workers = {i: _full_handle(i, 2) for i in range(2)}
-        master.repriority(counting_key)
-        master._dispatch()  # takes the key up: the one sort
-        master.ready.extend(sorted(_checkpoints(1000), key=task_lag_key))
-        before = list(master.ready)
-        calls.clear()
-        for _ in range(50):
-            master._dispatch()
-        assert calls == []
-        assert master.ready == before
-        assert all(a is b for a, b in zip(master.ready, before))
-        assert master.tasks_dispatched == 0
-
-    def test_skips_to_the_task_of_the_free_worker(self):
-        """(c) two workers, worker 0 full: a task pinned to it is skipped
-        in place, a later one pinned to worker 1 is sent."""
-        sent = []
-        master = ClusterMaster([], n_workers=2, inflight_window=2)
-        master.workers = {0: _full_handle(0, 2), 1: WorkerHandle(1, None)}
-        master._send = lambda handle, msg: sent.append(
-            (handle.worker_id, msg)) or True
-        master.ready.extend(_checkpoints(6))
-        master.assignment = {0: 0, 1: 0, 2: 1, 3: 0, 4: 1, 5: 1}
-        master._dispatch()
-        assert [(w, m.task.key) for w, m in sent] == [(1, 2), (1, 4)]
-        assert [c.key for c in master.ready] == [0, 1, 3, 5]
-        assert master.state_sends == 2 and master.resident_sends == 0
-
-    def test_returning_checkpoints_are_inserted_in_key_order(self):
-        """The priority path: one sort when the key is installed, then
-        ``insort`` after equals -- what re-sorting everything (stably) on
-        every result used to give."""
-        master = ClusterMaster([], n_workers=1)
-        master.workers = {0: _full_handle(0, 2)}
-        times = [3.0, 1.0, 2.0, 1.0, 3.0, 2.0, 0.5, 1.0]
-        arrivals = [Checkpoint(i, False, t, 0, b"")
-                    for i, t in enumerate(times)]
-        master.ready.extend(arrivals[:4])
-        master.repriority(task_lag_key)
-        master._dispatch()
-        oracle = sorted(arrivals[:4], key=task_lag_key)
-        assert master.ready == oracle
-        for checkpoint in arrivals[4:]:
-            master._enqueue(checkpoint)
-            oracle = sorted(oracle + [checkpoint], key=task_lag_key)
-            assert [c.key for c in master.ready] == [c.key for c in oracle]
-        master.repriority(None)  # arrival order again: append at the tail
-        master._dispatch()
-        master._enqueue(Checkpoint(99, False, 0.0, 0, b""))
-        assert master.ready[-1].key == 99
-
-
 class TestWorkerMemory:
     def test_stop_then_second_run_leaves_nothing_resident(self,
                                                           neurospora_small):
-        """(d) a steered stop retires tasks mid-horizon: the worker still
-        holds them when the run ends, forgets them when the next run
-        starts, and holds nothing once that one has run to completion."""
+        """(d) a steered stop retires a tenant's tasks mid-horizon: the
+        worker still holds them when the run ends, forgets them when the
+        pool forgets the tenant, and holds nothing once the next tenant
+        has run to completion."""
         resident: dict = {}
-        master = ClusterMaster([], n_workers=1, spawn_local=False)
+        master = ClusterMaster(n_workers=1, spawn_local=False)
         starter = threading.Thread(target=master.start)
         starter.start()
         while not master.port:
@@ -247,21 +215,87 @@ class TestWorkerMemory:
         worker.start()
         starter.join(timeout=30.0)
         try:
-            seen = []
-            master.stop_requested = lambda: len(seen) >= 3
-            seen.extend(master.run_tasks(
-                scalar_tasks(neurospora_small, t_end=20.0)))
-            assert master.tasks_retired > 0
-            assert resident, "retired tasks stay until the next run"
-            master.stop_requested = None
+            retired = drive(master, scalar_tasks(neurospora_small,
+                                                 t_end=20.0),
+                            namespace="a", stop=lambda seen: len(seen) >= 3)
+            assert not all(r.done for r in retired)
+            assert resident, "retired tasks stay until forgotten"
+            assert {key[0] for key in resident} == {"a"}
+            master.forget("a")
             second = scalar_tasks(neurospora_small, n=3, seed=50)
-            done = [r for r in master.run_tasks(second) if r.done]
+            done = [r for r in drive(master, second, namespace="b")
+                    if r.done]
             assert len(done) == 3
         finally:
             master.close()
         worker.join(timeout=10.0)
         assert not worker.is_alive()
         assert resident == {}
+
+    def test_cancelled_tenant_is_forgotten(self, monkeypatch):
+        """A tenant cancelled mid-run leaves retired tasks resident on a
+        long-lived fleet; releasing it drops them from the worker, and
+        the next tenant is bit-identical to a solo run."""
+        from repro.distributed.net import in_namespace
+        from repro.service.fleet import SharedFleet
+        from repro.service.protocol import RunSpec
+        from repro.service.run_manager import RunManager, RunState
+
+        resident: dict = {}
+        held_at_forget = []
+        forget = net.ClusterMaster.forget
+
+        def spy(master, namespace):
+            held_at_forget.append(
+                [key for key in resident if in_namespace(key, namespace)])
+            forget(master, namespace)
+
+        monkeypatch.setattr(net.ClusterMaster, "forget", spy)
+        monkeypatch.setattr(net, "ClusterMaster", functools.partial(
+            net.ClusterMaster, spawn_local=False))
+        fleet = SharedFleet(1, backend="processes")
+        starter = threading.Thread(target=fleet.start)
+        starter.start()
+        while fleet._master is None or not fleet._master.port:
+            time.sleep(0.01)
+        worker = threading.Thread(
+            target=worker_main, args=("127.0.0.1", fleet._master.port, 0),
+            kwargs={"resident": resident}, daemon=True)
+        worker.start()
+        starter.join(timeout=30.0)
+        assert not starter.is_alive()
+        manager = RunManager(fleet)
+        try:
+            cancelled = manager.submit(RunSpec.from_jsonable({
+                "model": "enzyme", "config": dict(
+                    n_simulations=4, t_end=500.0, quantum=0.5,
+                    sample_every=0.5, window_size=2, n_sim_workers=2)}))
+            deadline = time.monotonic() + 60.0
+            while not any(e["type"] == "window"
+                          for e in cancelled.events()):
+                assert time.monotonic() < deadline, "no window streamed"
+                time.sleep(0.01)
+            manager.cancel(cancelled.run_id)
+            assert cancelled.wait(timeout=60)
+            assert cancelled.state == RunState.CANCELLED
+            assert cancelled.tracer.report().counters["sim.tasks_retired"]
+            spec = RunSpec.from_jsonable({"model": "enzyme", "config": dict(
+                n_simulations=3, t_end=2.0, quantum=0.5, sample_every=0.5,
+                window_size=2, seed=9)})
+            second = manager.submit(spec)
+            assert second.wait(timeout=60)
+            assert second.state == RunState.DONE, second.error
+        finally:
+            manager.close()
+            fleet.close()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive()
+        assert held_at_forget[0], "the cancelled run left nothing resident"
+        assert not any(in_namespace(key, cancelled.run_id)
+                       for key in resident)
+        assert resident == {}
+        solo = run_workflow(spec.build_model(), spec.config)
+        assert second.windows == solo.windows
 
     def test_worker_keeps_a_task_only_when_asked(self, enzyme_small):
         """Serve-mode traffic (``keep`` unset) and finished tasks leave
@@ -336,10 +370,14 @@ class TestLostResidentTask:
                 asked.append(master._send(master.workers[0],
                                           TaskMsg(None, "ghost")))
 
-        master = ClusterMaster(scalar_tasks(enzyme_small), n_workers=2,
-                               fault_hook=ask_for_a_ghost)
-        with pytest.raises(ClusterError, match="no resident task.*ghost"):
-            list(master.run())
+        master = ClusterMaster(n_workers=2, fault_hook=ask_for_a_ghost)
+        master.start()
+        try:
+            with pytest.raises(ClusterError,
+                               match="no resident task.*ghost"):
+                drive(master, scalar_tasks(enzyme_small))
+        finally:
+            master.close()
         assert asked == [True]
 
 
@@ -357,7 +395,7 @@ class TestProtocolNumber:
         old_hello = Hello(worker_id=0, pid=1)
         object.__delattr__(old_hello, "protocol")
         assert "protocol" not in pickle.loads(pickle.dumps(old_hello)).__dict__
-        master = ClusterMaster([], n_workers=1, spawn_local=False,
+        master = ClusterMaster(n_workers=1, spawn_local=False,
                                accept_timeout=30.0)
         failure = []
 
@@ -383,22 +421,24 @@ class TestProtocolNumber:
 
 class TestServeModeContract:
     def test_execute_returns_the_live_advanced_task(self, enzyme_small):
-        """(e) the process-pool contract: the future resolves to a live
-        task equal, pickle for pickle, to a local ``run_quantum()``'s --
-        and the worker keeps nothing."""
+        """(e) the pool contract: the future resolves to the advanced
+        task's checkpoint -- its state equal, pickle for pickle, to a
+        local ``run_quantum()``'s -- which, handed back, runs the next
+        quantum on the worker's resident copy."""
         (task,) = scalar_tasks(enzyme_small, n=1)
         (local,) = scalar_tasks(enzyme_small, n=1)
-        master = ClusterMaster([], n_workers=1)
-        master.serve()
+        master = ClusterMaster(n_workers=1)
+        master.start()
         try:
             for _ in range(2):
-                task, result = master.execute(
-                    task, namespace="tenant").result(timeout=60)
+                task, result = master.submit(
+                    run_quantum, task, namespace="tenant").result(timeout=60)
                 expected = local.run_quantum()
-                assert type(task) is type(local)
-                assert pickle.dumps(task, 5) == pickle.dumps(local, 5)
+                assert isinstance(task, Checkpoint)
+                assert task.key == ("tenant", local.task_id)
+                assert bytes(task.state) == pickle.dumps(local, 5)
                 assert result.samples == expected.samples
-            assert master.state_sends == 2 and master.resident_sends == 0
-            assert not master.workers[0].holds
+            assert master.state_sends == 1 and master.resident_sends == 1
+            assert master.workers[0].holds == {("tenant", local.task_id)}
         finally:
             master.close()

@@ -276,20 +276,20 @@ class TestResourceTracker:
 
 class TestMasterSegmentLifetime:
     """What the master maps but does not forward it releases on the
-    spot, not at ``close()`` (a served fleet may never get there)."""
+    spot, not at ``close()`` (a shared fleet may never get there)."""
 
-    @pytest.mark.parametrize("handler, owed", [
-        ("_on_result", "other"), ("_serve_result", "k")],
-        ids=["stale-frame", "serve-result-without-future"])
-    def test_dropped_result_gives_its_segment_back(self, prefix, handler,
-                                                   owed):
-        master = ClusterMaster([], n_workers=1)
-        master.workers[0] = WorkerHandle(0, sock=None)
-        master.workers[0].in_flight[owed] = Checkpoint(owed, False, 0., 0, b"")
+    @pytest.mark.parametrize("owed", ["other", "k"],
+                             ids=["stale-frame", "serve-result-without-future"])
+    def test_dropped_result_gives_its_segment_back(self, prefix, owed):
+        """A frame for a task its worker does not owe, and one whose
+        future is gone (the pool failed or closed under it)."""
+        master = ClusterMaster(n_workers=1)
+        handle = master.workers[0] = WorkerHandle(0, sock=None)
+        handle.in_flight[owed] = Checkpoint(owed, False, 0., 0, b"")
         block = publish_results([result_block()], prefix)
         assert leaked_segments(prefix) == [block.name]
-        getattr(master, handler)(
-            ResultMsg(0, Checkpoint("k", False, 1.0, 1, b""), block))
+        master._on_result(
+            handle, ResultMsg(0, Checkpoint("k", False, 1.0, 1, b""), block))
         assert master.stale_results == (owed != "k")
         assert leaked_segments(prefix) == []
 
@@ -355,7 +355,7 @@ class TestDeadOwnerSweep:
 
 
 class TestFailedTenant:
-    """A tenant run that fails on a long-lived served fleet gives its
+    """A tenant run that fails on a long-lived shared fleet gives its
     segments back before anyone closes the master: blocks queued in (or
     later pushed into) a channel whose consumer died are released by the
     channel, the block the aligner held by the aligner."""

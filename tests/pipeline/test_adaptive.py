@@ -238,9 +238,12 @@ class TestCrossBackendDeterminism:
                 for w in result.windows]
 
     def test_identical_window_set(self, neurospora_small, backend):
+        from repro.sim.scheduler import SimTaskEmitter
         cfg = WorkflowConfig(**ADAPTIVE, backend=backend)
         controller = make_adaptive_controller(cfg)
         result = run_workflow(neurospora_small, cfg, controller=controller)
+        # one scheduler on every backend: the farm's emitter
+        assert isinstance(controller.scheduler, SimTaskEmitter)
         assert controller.stop_window is not None
         signature = (controller.stop_window, self._signature(result))
         reference = self.REFERENCE.setdefault("signature", signature)
@@ -268,15 +271,22 @@ class TestRepriorityEndToEnd:
         base = dict(n_simulations=16, t_end=60.0, sample_every=0.5,
                     quantum=2.0, window_size=10, seed=3)
         plain = run_workflow(neurospora_small, WorkflowConfig(**base))
-        cfg = WorkflowConfig(**base, adaptive_repriority=True, trace=True)
-        adaptive = run_workflow(neurospora_small, cfg)
         extract = lambda r: [(w.window_index,
                               tuple(c.mean for c in w.cuts))
                              for w in r.windows]
-        assert extract(plain) == extract(adaptive)
-        assert rekeys, "the controller never re-keyed the scheduler"
-        counters = adaptive.trace_report.counters
-        assert counters.get("adapt.reprioritized", 0) == sum(rekeys)
+        # one implementation of the hook on every backend
+        for backend in ("threads", "processes", "cluster"):
+            rekeys.clear()
+            cfg = WorkflowConfig(**base, adaptive_repriority=True,
+                                 trace=True, backend=backend)
+            controller = make_adaptive_controller(cfg)
+            adaptive = run_workflow(neurospora_small, cfg,
+                                    controller=controller)
+            assert isinstance(controller.scheduler, SimTaskEmitter)
+            assert extract(plain) == extract(adaptive)
+            assert rekeys, "the controller never re-keyed the scheduler"
+            counters = adaptive.trace_report.counters
+            assert counters.get("adapt.reprioritized", 0) == sum(rekeys)
 
 
     def test_batch_engine_keeps_its_backlog(self, neurospora_small):

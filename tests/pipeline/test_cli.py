@@ -189,19 +189,20 @@ class TestSweepCLI:
             node["name"] for node in report["nodes"]]
         workers = [name for name in counters
                    if name.startswith("net.worker.")]
+        engines = sum(name.startswith("sim-farm.w") for name in nodes)
         if backend == "processes":
             assert counters["net.tasks_dispatched"] > 0
             assert sorted(workers) == ["net.worker.0.items",
                                        "net.worker.1.items"]
-            assert not any(name.startswith("sim-farm.") for name in nodes)
+            assert engines == 2 * 3  # one engine per in-flight slot
         else:
             assert not workers
-            assert sum(name.startswith("sim-farm.w") for name in nodes) == 3
+            assert engines == 3
 
     def test_sweep_of_an_unknown_reaction_fails_cleanly(self, tmp_path,
                                                         capsys):
-        """A cluster run builds its tasks before the graph starts: the
-        spec error arrives unwrapped and must still exit 2."""
+        """The spec error arrives from inside the task source, on every
+        backend, and must exit 2 -- also after a worker fleet came up."""
         spec_path = tmp_path / "sweep.json"
         spec_path.write_text("{\"points\": [{\"no-such-reaction\": 1.0}]}")
         for backend in ("threads", "processes"):

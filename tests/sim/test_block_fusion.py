@@ -235,11 +235,12 @@ class TestWorkflow:
 
     @pytest.mark.parametrize("backend, channel", [
         ("sequential", "sim-farm.merge"), ("threads", "sim-farm.merge"),
-        ("processes", "cluster-workflow[0->1]")])
+        ("processes", "sim-farm.merge")])
     def test_one_stream_item_per_quantum(self, neurospora_small, backend,
                                          channel):
-        """What reaches the aligner -- from the farm's engines or the
-        cluster source -- is one item per quantum, not one per member."""
+        """What reaches the aligner from the farm's engines -- whether
+        they run the quanta or a worker process does -- is one item per
+        quantum, not one per member."""
         report = run_workflow(neurospora_small,
                               workflow_config(backend=backend)).trace_report
         pushed = {c["name"]: c["pushed"] for c in report.to_dict()["channels"]}
@@ -263,10 +264,14 @@ class TestWorkflow:
         result = run_workflow_cluster(
             neurospora_small, workflow_config(backend="cluster", **longer),
             fault_hook=chaos)
+        counters = result.trace_report.counters
         assert chaos.fired
         assert chaos.master.workers_failed == 1
         assert chaos.master.reassignments >= 1
-        assert [n_streams(task) for task in chaos.master.tasks] == [3, 3]
+        # two fused tasks of three seed blocks each
+        assert counters["sim.tasks_generated"] == 2
+        assert counters["sim.seed_blocks"] == 6
+        assert counters["sim.lockstep_rows_max"] == 12
         assert signature(result) == signature(reference)
 
     def test_scalar_engine_reports_width_one(self, neurospora_small):

@@ -157,9 +157,9 @@ class TestBackends:
                                                     method):
         chaos = KillWorkerAfter(n_results=3, worker_id=0)
         result = grid_sweep(2, method=method, backend="processes",
-                            fault_hook=chaos)
+                            fault_hook=chaos, trace=True)
         assert chaos.fired and chaos.master.workers_failed == 1
-        assert chaos.master.n_tasks == 4
+        assert result.trace_report.counters["sim.tasks_generated"] == 4
         assert chaos.master.reassignments >= 1
         assert_byte_equal(result, sequential[method])
 
