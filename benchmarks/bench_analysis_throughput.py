@@ -4,18 +4,18 @@
 Drives the online-analysis chain of the paper's Fig. 2 — trajectory
 alignment, sliding window, statistical engines (per-cut statistics,
 k-means, histogram, moving-average filter) — synchronously with a
-pre-built synthetic quantum-result stream, so the measurement isolates
-analysis cost from simulation and channel cost:
+pre-built synthetic stream of result blocks (one per trajectory and
+quantum, what scalar tasks ship), so the measurement isolates analysis
+cost from simulation and channel cost:
 
 * **scalar**:   ScalarTrajectoryAligner -> ScalarSlidingWindowNode ->
-  StatEngineNode(vectorized=False), fed row-format results (its native
-  wire format);
+  StatEngineNode(vectorized=False), the oracle chain: it reads each
+  block sample by sample into Python tuples;
 * **columnar**: TrajectoryAligner -> SlidingWindowNode ->
-  StatEngineNode(vectorized=True), fed columnar wire-format results
-  (what the engines actually ship) — samples land in the ring buffers
-  without an intermediate Python-object hop.
+  StatEngineNode(vectorized=True) — a block lands in the ring buffer
+  with one slice.
 
-Both streams are built *outside* the timed region.  The script verifies
+The stream is built *outside* the timed region.  The script verifies
 the two chains agree (exact k-means/histograms, 1e-9 statistics) before
 trusting the timing, writes ``BENCH_analysis.json``, and optionally
 asserts a speedup floor (CI runs ``--assert-speedup 5``; the acceptance
@@ -46,7 +46,7 @@ import numpy as np
 from repro.analysis.engines import StatEngineNode
 from repro.analysis.windows import ScalarSlidingWindowNode, SlidingWindowNode
 from repro.sim.alignment import ScalarTrajectoryAligner, TrajectoryAligner
-from repro.sim.task import QuantumResult
+from repro.sim.task import ResultBlock
 
 WINDOW_SIZE = 10
 WINDOW_SLIDE = 5
@@ -55,9 +55,9 @@ HISTOGRAM_BINS = 16
 FILTER_WIDTH = 3
 
 
-def make_streams(n_traj: int, n_grid: int, n_obs: int, quantum_samples: int,
-                 seed: int = 0):
-    """Synthetic quantum-result streams, one per wire format.
+def make_stream(n_traj: int, n_grid: int, n_obs: int, quantum_samples: int,
+                seed: int = 0) -> list[ResultBlock]:
+    """A synthetic stream of one-trajectory result blocks.
 
     Trajectories split into two populations (even/odd task ids) so
     k-means has real structure to find.  Results arrive round-robin by
@@ -71,20 +71,14 @@ def make_streams(n_traj: int, n_grid: int, n_obs: int, quantum_samples: int,
             + rng.normal(0.0, 5.0, size=(n_traj, n_grid, n_obs)))
     times = np.arange(n_grid, dtype=float) * 0.5
 
-    columnar, rows = [], []
+    stream = []
     for g0 in range(0, n_grid, quantum_samples):
         g1 = min(n_grid, g0 + quantum_samples)
-        for task_id in range(n_traj):
-            columnar.append(QuantumResult(
-                task_id, None, time=times[g1 - 1], steps=0, done=g1 == n_grid,
-                grid_start=g0, times=times[g0:g1],
-                values=data[task_id, g0:g1]))
-            rows.append(QuantumResult(
-                task_id,
-                [(g, times[g], tuple(data[task_id, g]))
-                 for g in range(g0, g1)],
-                time=times[g1 - 1], steps=0, done=g1 == n_grid))
-    return columnar, rows
+        stream.extend(
+            ResultBlock(range(task_id, task_id + 1), g0, times[g0:g1],
+                        data[task_id:task_id + 1, g0:g1], g1 == n_grid)
+            for task_id in range(n_traj))
+    return stream
 
 
 class _Feed:
@@ -153,18 +147,17 @@ def check_equivalence(scalar_out, columnar_out) -> None:
 
 def bench(n_traj: int, n_grid: int, repeats: int) -> dict:
     n_obs, quantum_samples = 3, 15
-    columnar_stream, row_stream = make_streams(
-        n_traj, n_grid, n_obs, quantum_samples)
+    stream = make_stream(n_traj, n_grid, n_obs, quantum_samples)
     n_samples = n_traj * n_grid
 
     # correctness first: the fast path must agree with the oracle
-    _, scalar_out = run_chain(row_stream, n_traj, columnar=False)
-    _, columnar_out = run_chain(columnar_stream, n_traj, columnar=True)
+    _, scalar_out = run_chain(stream, n_traj, columnar=False)
+    _, columnar_out = run_chain(stream, n_traj, columnar=True)
     check_equivalence(scalar_out, columnar_out)
 
-    scalar_best = min(run_chain(row_stream, n_traj, False)[0]
+    scalar_best = min(run_chain(stream, n_traj, False)[0]
                       for _ in range(repeats))
-    columnar_best = min(run_chain(columnar_stream, n_traj, True)[0]
+    columnar_best = min(run_chain(stream, n_traj, True)[0]
                         for _ in range(repeats))
     return {
         "n_trajectories": n_traj,

@@ -22,7 +22,7 @@ from repro.ff.queues import Channel
 from repro.models import neurospora_cwc_model, neurospora_network
 from repro.pipeline import WorkflowConfig, run_workflow
 from repro.sim.alignment import TrajectoryAligner
-from repro.sim.task import QuantumResult
+from repro.sim.task import ResultBlock
 from repro.sim.trajectory import Cut
 
 
@@ -105,16 +105,19 @@ def test_tree_matching(benchmark):
 def test_alignment_throughput(benchmark):
     n_traj, n_grid = 64, 32
 
+    # one scalar task's whole run per block, built outside the timing
+    times = np.arange(n_grid, dtype=float)
+    values = np.tile([1.0, 2.0, 3.0], (1, n_grid, 1))
+    blocks = [ResultBlock(range(task_id, task_id + 1), 0, times, values,
+                          True)
+              for task_id in range(n_traj)]
+
     def align_everything():
         aligner = TrajectoryAligner(n_traj)
         sink = []
         aligner._outbox = type("O", (), {"send": lambda _s, c: sink.append(c)})()
-        for task_id in range(n_traj):
-            aligner.svc(QuantumResult(
-                task_id=task_id,
-                samples=[(g, float(g), (1.0, 2.0, 3.0))
-                         for g in range(n_grid)],
-                time=0.0, steps=0, done=True))
+        for block in blocks:
+            aligner.svc(block)
         # the columnar aligner ships consecutive cuts as CutBlocks
         return sum(len(block) for block in sink)
 

@@ -67,9 +67,7 @@ def make_quantum(n_traj: int, samples_per_quantum: int, n_obs: int,
     times = np.arange(samples_per_quantum, dtype=float) * 0.5
     values = rng.integers(
         0, 200, size=(n_traj, samples_per_quantum, n_obs)).astype(float)
-    return [ResultBlock(range(n_traj), 0, times, values,
-                        np.full(n_traj, times[-1]),
-                        100 + np.arange(n_traj), False)]
+    return [ResultBlock(range(n_traj), 0, times, values, False)]
 
 
 def payload_nbytes(results: list[ResultBlock]) -> int:

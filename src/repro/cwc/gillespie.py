@@ -255,6 +255,10 @@ class CWCSimulator:
         """Sample the model's observables at the current state."""
         return self.model.measure(self.term)
 
+    @property
+    def observable_names(self) -> tuple[str, ...]:
+        return self.model.observable_names
+
     # ------------------------------------------------------------------
     # checkpointing
     # ------------------------------------------------------------------
@@ -267,6 +271,13 @@ class CWCSimulator:
             "steps": self.steps,
             "rng": self.rng.getstate(),
         }
+
+    def __setstate__(self, state: dict) -> None:
+        # the context cache is keyed by id(term): re-key it to the
+        # unpickled terms, or refreshes miss their old entry and the
+        # delta-maintained total drifts away from the original's
+        self.__dict__.update(state)
+        self._cache = {id(entry[0]): entry for entry in self._cache.values()}
 
     def restore(self, checkpoint: dict) -> None:
         """Resume exactly from a :meth:`snapshot`."""

@@ -47,11 +47,11 @@ two tenants' task 0 never collide and the workers never see tenancy;
 
 Local data plane: workers the master spawned itself share its
 ``/dev/shm``, so it hands them a :func:`~repro.distributed.shm.make_prefix`
-namespace and they return a batch quantum's block through the
-shared-memory result ring (``ResultMsg.results`` is then a
-:class:`~repro.distributed.shm.ShmBlock` the master maps; scalar results
-and small quanta ride inline in it); workers that joined over the
-network get no prefix and send everything in band.
+namespace and they return a quantum's block through the shared-memory
+result ring (``ResultMsg.results`` is then a
+:class:`~repro.distributed.shm.ShmBlock` the master maps; small quanta
+ride inline in it); workers that joined over the network get no prefix
+and send everything in band.
 This is also the ``processes`` backend: same master, same workers.
 
 The wire protocol (also see :mod:`repro.distributed.worker` for how to
@@ -207,7 +207,7 @@ class Shutdown:
 
 def _task_key(task: Any) -> Any:
     """Stable identity of a task across pickling: its id, or the id
-    tuple of a :class:`~repro.sim.task.BatchSimulationTask`."""
+    range of a :class:`~repro.sim.task.BatchSimulationTask`."""
     key = getattr(task, "task_id", None)
     if key is None:
         key = task.task_ids

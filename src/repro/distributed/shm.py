@@ -1,7 +1,7 @@
 """Shared-memory result ring: the local data plane of the cluster runtime.
 
 A worker the master spawned on its own host (``backend="processes"`` /
-``"cluster"``, the service's shared fleet) does not push a batch
+``"cluster"``, the service's shared fleet) does not push a large
 quantum's :class:`~repro.sim.task.ResultBlock` through its socket -- for
 a 1024-trajectory block that is megabytes copied into a frame, out of
 it, and once more into the aligner's ring.  It *publishes* the block's
@@ -27,10 +27,10 @@ Lifecycle is explicit and master-owned:
   reclaim pages leaked by a worker that died between publishing and
   sending without ever touching another master's segments.
 
-Everything else rides inline in the descriptor: a scalar task's
-:class:`~repro.sim.task.QuantumResult` (one trajectory's quantum, as it
-travels from every remote worker), a bare done marker, and any quantum
-under :data:`SHM_MIN_BYTES` -- shared-memory setup costs more than
+Every quantum is one :class:`~repro.sim.task.ResultBlock`, a scalar
+task's too (a block of one trajectory).  A block under
+:data:`SHM_MIN_BYTES` -- a bare done marker, a typical scalar quantum --
+rides inline in the descriptor: shared-memory setup costs more than
 pickling below that.
 """
 
@@ -195,35 +195,29 @@ class Segment:
 
 class ShmCoalescedEntry:
     """Descriptor of one :class:`~repro.sim.task.ResultBlock` whose
-    ``times`` / ``values`` arrays live in the segment.  The per-member
-    end times and step counters are small (one scalar per member) and
-    ride inline as tuples."""
+    ``times`` / ``values`` arrays live in the segment."""
 
-    __slots__ = ("task_ids", "grid_start", "done", "end_times",
-                 "member_steps", "times_offset", "values_offset",
-                 "n_grid", "n_obs")
+    __slots__ = ("task_ids", "grid_start", "done", "times_offset",
+                 "values_offset", "n_grid", "n_obs")
 
-    def __init__(self, task_ids, grid_start, done, end_times, member_steps,
-                 times_offset, values_offset, n_grid, n_obs):
+    def __init__(self, task_ids, grid_start, done, times_offset,
+                 values_offset, n_grid, n_obs):
         self.task_ids = task_ids
         self.grid_start = grid_start
         self.done = done
-        self.end_times = end_times
-        self.member_steps = member_steps
         self.times_offset = times_offset
         self.values_offset = values_offset
         self.n_grid = n_grid
         self.n_obs = n_obs
 
     def __getstate__(self):
-        return (self.task_ids, self.grid_start, self.done, self.end_times,
-                self.member_steps, self.times_offset, self.values_offset,
-                self.n_grid, self.n_obs)
+        return (self.task_ids, self.grid_start, self.done,
+                self.times_offset, self.values_offset, self.n_grid,
+                self.n_obs)
 
     def __setstate__(self, state):
-        (self.task_ids, self.grid_start, self.done, self.end_times,
-         self.member_steps, self.times_offset, self.values_offset,
-         self.n_grid, self.n_obs) = state
+        (self.task_ids, self.grid_start, self.done, self.times_offset,
+         self.values_offset, self.n_grid, self.n_obs) = state
 
 
 class ShmBlock:
@@ -233,7 +227,7 @@ class ShmBlock:
     segment.
 
     ``name is None`` means the whole quantum rode inline (payload under
-    :data:`SHM_MIN_BYTES`, or no block to share).
+    :data:`SHM_MIN_BYTES`).
     """
 
     __slots__ = ("name", "payload_nbytes", "entries")
@@ -269,21 +263,21 @@ def publish_results(results: list, prefix: str) -> ShmBlock:
     """Worker side: pack the sample arrays of the quantum's result
     block into one fresh segment and return the descriptor block.
 
-    Only a :class:`~repro.sim.task.ResultBlock` with samples is shared;
-    scalar results and bare done markers stay inline, and if the
-    payload totals under :data:`SHM_MIN_BYTES` everything stays inline
-    and no segment is created.
+    A block whose arrays total under :data:`SHM_MIN_BYTES` (a bare done
+    marker, a small scalar quantum) stays inline; if nothing is left to
+    share, no segment is created.
     """
     total = 0
     packed = {}
     for result in results:
-        if isinstance(result, ResultBlock) and len(result):
+        nbytes = _aligned(result._times.nbytes) + result._values.nbytes
+        if nbytes >= SHM_MIN_BYTES:
             times = np.ascontiguousarray(result._times, dtype=np.float64)
             values = np.ascontiguousarray(result._values, dtype=np.float64)
             packed[id(result)] = (times, values)
             total = _aligned(total + times.nbytes)
             total = _aligned(total + values.nbytes)
-    if total < SHM_MIN_BYTES:
+    if not packed:
         return ShmBlock(None, 0, list(results))
 
     name = f"{prefix}-{os.getpid()}-{next(_counter)}"
@@ -310,8 +304,6 @@ def publish_results(results: list, prefix: str) -> ShmBlock:
             offset = _aligned(v_off + values.nbytes)
             entries.append(ShmCoalescedEntry(
                 result.task_ids, result.grid_start, result.done,
-                tuple(float(t) for t in result._end_times),
-                tuple(int(s) for s in result._steps),
                 t_off, v_off, result.n_grid, values.shape[2]))
     except BaseException:
         shm.close()
@@ -349,10 +341,8 @@ def map_results(block: ShmBlock) -> list:
         values = np.ndarray(
             (len(entry.task_ids), entry.n_grid, entry.n_obs), np.float64,
             buffer=shm.buf, offset=entry.values_offset)
-        mapped = ResultBlock(
-            entry.task_ids, entry.grid_start, times, values,
-            np.array(entry.end_times),
-            np.array(entry.member_steps, dtype=np.int64), entry.done)
+        mapped = ResultBlock(entry.task_ids, entry.grid_start, times,
+                             values, entry.done)
         mapped.attach_segment(segment)
         results.append(mapped)
     return results

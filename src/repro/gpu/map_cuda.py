@@ -4,8 +4,9 @@ A :class:`MapCUDANode` sits in a streaming graph like any other node; each
 service call receives a *block* of simulation tasks, advances every task
 by one simulation quantum on the device (functionally real execution,
 modeled timing -- see :mod:`repro.gpu.simt`) and emits the quantum's
-result items downstream (one per scalar task, or the batch task's one
-:class:`~repro.sim.task.ResultBlock`).  Incomplete blocks are fed back
+result items downstream (a :class:`~repro.sim.task.ResultBlock` per
+task: one trajectory for a scalar task, the whole lockstep block for a
+batch task).  Incomplete blocks are fed back
 for the next quantum with optional re-balancing, mirroring the CWC
 design that "manages blocks of simulations as a FastFlow stream,
 splitting them in successive quanta and implementing a load
@@ -31,7 +32,7 @@ from typing import Sequence, Union
 
 from repro.ff.node import GO_ON, Node
 from repro.gpu.simt import SimtDevice
-from repro.sim.task import BatchSimulationTask, QuantumResult, SimulationTask
+from repro.sim.task import BatchSimulationTask, ResultBlock, SimulationTask
 
 #: modeled unified-memory traffic per task per quantum, in bytes
 TASK_MESSAGE_BYTES = 2048.0
@@ -42,9 +43,9 @@ class MapCUDANode(Node):
 
     Input: a list of :class:`~repro.sim.task.SimulationTask` or one
     :class:`~repro.sim.task.BatchSimulationTask` (a block).
-    Output: the block's quantum (a :class:`~repro.sim.task.QuantumResult`
-    per scalar task, one :class:`~repro.sim.task.ResultBlock` for a
-    batch task), followed by feedback of the (still incomplete) block.
+    Output: the block's quantum (one :class:`~repro.sim.task.ResultBlock`
+    per scalar task or for the batch task), followed by feedback of the
+    (still incomplete) block.
     """
 
     def __init__(self, device: SimtDevice, rebalance: bool = True,
@@ -103,10 +104,10 @@ class MapCUDANode(Node):
 
         steps_before = {t.task_id: t.steps for t in tasks}
 
-        def kernel(task: SimulationTask) -> QuantumResult:
+        def kernel(task: SimulationTask) -> ResultBlock:
             return task.run_quantum()
 
-        def work_of(task: SimulationTask, _result: QuantumResult) -> float:
+        def work_of(task: SimulationTask, _result: ResultBlock) -> float:
             return task.steps - steps_before[task.task_id]
 
         results, _stats = self.device.launch_map(

@@ -26,7 +26,7 @@ from repro.analysis.stats import cut_statistics
 from repro.cwc.network import FlatSimulator, ReactionNetwork
 from repro.perfsim.costmodel import CostModel
 from repro.sim.alignment import TrajectoryAligner
-from repro.sim.task import QuantumResult
+from repro.sim.task import ResultBlock
 from repro.sim.trajectory import Cut
 
 
@@ -91,13 +91,13 @@ def calibrate_cost_model(network: ReactionNetwork,
     # --- alignment cost per sample -----------------------------------------
     n_grid = 16
     sample_row = tuple(float(i) for i in range(n_observables))
-    # pre-built in the columnar wire format the simulation engines ship,
-    # so the probe times the aligner's insert, not result construction
+    # pre-built one-member blocks (what a scalar task ships), so the
+    # probe times the aligner's insert, not result construction
     probe_times = np.arange(n_grid, dtype=float)
-    probe_values = np.tile(sample_row, (n_grid, 1))
+    probe_values = np.tile(sample_row, (1, n_grid, 1))
     probe_results = [
-        QuantumResult(task_id, None, time=0.0, steps=0, done=True,
-                      grid_start=0, times=probe_times, values=probe_values)
+        ResultBlock(range(task_id, task_id + 1), 0, probe_times,
+                    probe_values, True)
         for task_id in range(n_trajectories)]
 
     def run_aligner():

@@ -8,7 +8,7 @@ into time-aligned cuts ready for on-line analysis).
 
 from repro.sim.task import (
     BatchSimulationTask,
-    QuantumResult,
+    ResultBlock,
     SimulationTask,
     make_batch_tasks,
     make_tasks,
@@ -27,7 +27,7 @@ from repro.sim.alignment import ScalarTrajectoryAligner, TrajectoryAligner
 __all__ = [
     "SimulationTask",
     "BatchSimulationTask",
-    "QuantumResult",
+    "ResultBlock",
     "make_tasks",
     "make_batch_tasks",
     "Cut",

@@ -4,10 +4,11 @@ Each engine receives a :class:`~repro.sim.task.SimulationTask` (or a
 :class:`~repro.sim.task.BatchSimulationTask` covering a whole block of
 lockstep trajectories), brings it forward by exactly one simulation
 quantum, streams the quantum's one result item (a
-:class:`~repro.sim.task.QuantumResult`, or the batch task's
-:class:`~repro.sim.task.ResultBlock`) downstream towards trajectory
-alignment and reschedules the task back to the emitter along the farm's
-feedback channel.
+:class:`~repro.sim.task.ResultBlock` over the task's trajectories)
+downstream towards trajectory alignment and reschedules the task back to
+the emitter along the farm's feedback channel.  The result goes out
+before the task goes back, so a trajectory's results enter the merge
+channel in grid order -- the order the aligner relies on.
 
 The quantum runs on the engine's own thread, or wherever the run's
 ``pool`` puts it: a worker process of a
@@ -40,8 +41,8 @@ class SimEngineNode(Node):
 
     ``pool`` is anything with an executor's ``submit(fn, *args) ->
     future``; the engine blocks (GIL released) until the advanced task
-    (or its checkpoint) and its result come back.  A batch quantum's block may then be a
-    view over shared-memory pages and must be released exactly once: a
+    (or its checkpoint) and its result come back.  The block may then be
+    a view over shared-memory pages and must be released exactly once: a
     result this node drops (empty, not done) is released here, a
     forwarded one by the aligner after ingest.
     """

@@ -9,12 +9,13 @@ results*.
 
 :class:`BatchSimulationTask` is the batched variant: one task owns a whole
 block of trajectories advanced in lockstep by the NumPy engine
-(:class:`~repro.cwc.batch.BatchFlatSimulator`); its ``run_quantum``
-returns one :class:`ResultBlock` for the whole block.  Either way one
-quantum is one stream item -- the granularity the paper uses for its GPU
-offload (blocks of simulations as stream items) -- and the type follows
-the engine: the alignment stage unpacks a block into per-member views,
-so it stays oblivious to how trajectories were grouped.
+(:class:`~repro.cwc.batch.BatchFlatSimulator`).  Either way one quantum
+is one stream item of one type, a :class:`ResultBlock` over the task's
+contiguous range of trajectory ids (a range of one for a scalar task) --
+the granularity the paper uses for its GPU offload (blocks of
+simulations as stream items).  The alignment stage writes a block's
+members with one slice, so it stays oblivious to how trajectories were
+grouped.
 
 Tasks are ordinary picklable objects, so they can cross process and
 (simulated) network boundaries -- the distributed simulator serialises
@@ -23,6 +24,7 @@ exactly these.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -34,189 +36,42 @@ from repro.cwc.model import Model
 from repro.cwc.network import FlatSimulator, ReactionNetwork
 
 
-class QuantumResult:
-    """Samples produced by one task during one quantum.
-
-    Two interchangeable representations are supported:
-
-    * **row form** -- ``samples`` is a list of ``(grid index, time,
-      observable tuple)`` triples in time order (the historical layout);
-    * **columnar form** -- ``grid_start`` + ``times`` (1-D array) +
-      ``values`` (``(n_samples, n_observables)`` array), produced
-      natively by the batched NumPy engine so samples can land in the
-      aligner's columnar buffers without an intermediate Python-object
-      hop (also what crosses the cluster wire).
-
-    Whichever form was not supplied is materialised lazily on first
-    access, so downstream code can use either view.
-
-    Results pickle in whichever form they currently hold: an array-form
-    result ships ``grid_start`` + the two arrays (as out-of-band buffers
-    under pickle protocol 5) without ever materialising the per-sample
-    Python tuples, and a lazily materialised view is dropped rather than
-    shipped twice.
-
-    A result always travels in band; ``n_members`` and :meth:`release`
-    are the vocabulary it shares with :class:`ResultBlock`, so consumers
-    handle either stream item alike.
-    """
-
-    __slots__ = ("task_id", "time", "steps", "done", "grid_start",
-                 "_samples", "_grid_indices", "_times", "_values", "_n")
-
-    #: trajectories this stream item reports on
-    n_members = 1
-
-    def __init__(self, task_id: int,
-                 samples: Optional[list[tuple[int, float,
-                                              tuple[float, ...]]]] = None,
-                 time: float = 0.0, steps: int = 0, done: bool = False,
-                 *, grid_start: Optional[int] = None,
-                 times: Optional[np.ndarray] = None,
-                 values: Optional[np.ndarray] = None):
-        self.task_id = task_id
-        #: trajectory simulation time after this quantum
-        self.time = time
-        #: SSA steps executed so far (for cost accounting)
-        self.steps = steps
-        self.done = done
-        if samples is not None:
-            self._samples: Optional[list] = samples
-            self._grid_indices: Optional[np.ndarray] = None
-            self._times = None
-            self._values = None
-            self._n = len(samples)
-            #: first grid index (columnar form only; the grid indices of
-            #: a columnar result are ``grid_start .. grid_start + n - 1``
-            #: *by construction*, which the aligner exploits)
-            self.grid_start: Optional[int] = None
-        else:
-            if times is None or values is None:
-                raise ValueError(
-                    "QuantumResult needs samples or times+values")
-            self._samples = None
-            self._times = np.asarray(times, dtype=float)
-            self._values = np.asarray(values, dtype=float)
-            self._n = len(self._times)
-            self._grid_indices = None  # built lazily from grid_start
-            self.grid_start = 0 if grid_start is None else int(grid_start)
-
-    @property
-    def samples(self) -> list[tuple[int, float, tuple[float, ...]]]:
-        """(grid index, time, observable values) triples, in time order."""
-        if self._samples is None:
-            grids = range(self.grid_start, self.grid_start + self._n)
-            times = self._times.tolist()
-            rows = self._values.tolist()
-            self._samples = [
-                (g, t, tuple(row))
-                for g, t, row in zip(grids, times, rows)]
-        return self._samples
-
-    def columnar(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(grid_indices, times, values)`` arrays; values is
-        ``(n_samples, n_observables)``.  Cached."""
-        if self._values is None:
-            samples = self._samples
-            self._grid_indices = np.array(
-                [s[0] for s in samples], dtype=np.int64)
-            self._times = np.array([s[1] for s in samples], dtype=float)
-            if samples:
-                self._values = np.asarray(
-                    [s[2] for s in samples], dtype=float)
-                if self._values.ndim == 1:
-                    self._values = self._values.reshape(len(samples), -1)
-            else:
-                self._values = np.empty((0, 0), dtype=float)
-        elif self._grid_indices is None:
-            self._grid_indices = np.arange(
-                self.grid_start, self.grid_start + self._n)
-        return self._grid_indices, self._times, self._values
-
-    def __len__(self) -> int:
-        return self._n
-
-    def release(self) -> None:
-        """No-op: a result owns its arrays.  Consumers call it on every
-        stream item once ingested; only a :class:`ResultBlock` may have
-        a shared-memory segment to give back."""
-
-    # -- pickling (lazy: ship the form we hold, never materialise) ------
-    def __getstate__(self):
-        if self._samples is None:
-            # columnar form: two arrays + scalars, shipped without ever
-            # building per-sample tuples
-            return (self.task_id, self.time, self.steps, self.done,
-                    self.grid_start, None, self._times, self._values)
-        # row form is authoritative; a lazily derived columnar view is
-        # redundant (rebuilt on demand) -- drop it instead of doubling
-        # the payload
-        return (self.task_id, self.time, self.steps, self.done,
-                self.grid_start, self._samples, None, None)
-
-    def __setstate__(self, state):
-        (self.task_id, self.time, self.steps, self.done,
-         self.grid_start, samples, times, values) = state
-        self._grid_indices = None
-        if samples is not None:
-            self._samples = samples
-            self._times = None
-            self._values = None
-            self._n = len(samples)
-        else:
-            self._samples = None
-            self._times = times
-            self._values = values
-            self._n = len(times)
-
-    def __repr__(self) -> str:
-        return (f"<QuantumResult task={self.task_id} n={self._n} "
-                f"t={self.time:.3g} done={self.done}>")
-
-
 class ResultBlock:
-    """One quantum's samples for a *whole* lockstep block.
+    """One quantum's samples for a contiguous range of trajectories.
 
-    What a batch task advancing ``m`` member trajectories returns per
-    quantum, as *one* stream item: the member task ids, the shared
-    ``times`` vector, one member-major ``(n_members, n_grid,
-    n_observables)`` ``values`` array, and the per-member end
-    times/step counters.  Because the lockstep engine stops every member
-    at the same quantum boundary, ``done`` is a single flag.
+    What every task returns per quantum, as *one* stream item: the
+    member task ids (a step-1 ``range``: one id for a scalar task, the
+    lockstep block for a batch task), the shared ``times`` vector and
+    one member-major ``(n_members, n_grid, n_observables)`` ``values``
+    array.  Grid indices are ``grid_start .. grid_start + n_grid - 1``
+    by construction.  Because every member stops at the same quantum
+    boundary, ``done`` is a single flag.
 
-    Downstream code treats a block like a result: ``len(block)`` is the
-    total sample count (so the engines' ``len(r) or r.done`` forwarding
-    filter works unchanged) and :meth:`unpack` yields per-member
-    :class:`QuantumResult` *views* (no copies) for consumers that ingest
-    member-wise, e.g. the aligner.  ``attach_segment`` / :meth:`release`
-    tie a block to a shared-memory segment when its arrays are views
-    over shared pages (the cluster runtime's local result ring): the
-    consumer calls :meth:`release` once the samples are ingested and the
-    segment unlinks.  The member views never own the segment, the block
-    does.
+    ``len(block)`` is the total sample count (0 for a bare progress or
+    done marker), so the engines forward ``len(r) or r.done`` items.
+    ``attach_segment`` / :meth:`release` tie a block to a shared-memory
+    segment when its arrays are views over shared pages (the cluster
+    runtime's local result ring): the consumer calls :meth:`release`
+    once the samples are ingested and the segment unlinks.
+
+    Arrays pickle out of band under protocol 5; a block with no grid
+    points pickles without them.
     """
 
     __slots__ = ("task_ids", "grid_start", "done", "_times", "_values",
-                 "_end_times", "_steps", "_segment")
+                 "_segment")
 
     def __init__(self, task_ids: Sequence[int], grid_start: int,
-                 times: np.ndarray, values: np.ndarray,
-                 end_times: np.ndarray, steps: np.ndarray, done: bool):
-        self.task_ids = tuple(task_ids)
+                 times: np.ndarray, values: np.ndarray, done: bool):
+        self.task_ids = task_ids = id_range(task_ids)
         self.grid_start = int(grid_start)
         self.done = bool(done)
-        self._times = np.asarray(times, dtype=float)
-        self._values = np.asarray(values, dtype=float)
-        self._end_times = np.asarray(end_times, dtype=float)
-        self._steps = np.asarray(steps, dtype=np.int64)
-        if self._values.shape[0] != len(self.task_ids):
+        self._times = times
+        self._values = values
+        if values.shape[:2] != (len(task_ids), len(times)):
             raise ValueError(
-                f"values has {self._values.shape[0]} member rows for "
-                f"{len(self.task_ids)} task ids")
-        if self._values.shape[1] != len(self._times):
-            raise ValueError(
-                f"values has {self._values.shape[1]} grid points for "
-                f"{len(self._times)} times")
+                f"values of shape {values.shape} for {len(task_ids)} "
+                f"task ids and {len(times)} times")
         self._segment = None
 
     @property
@@ -227,29 +82,9 @@ class ResultBlock:
     def n_grid(self) -> int:
         return len(self._times)
 
-    @property
-    def steps(self) -> int:
-        """Total SSA steps across the block (cost accounting)."""
-        return int(self._steps.sum())
-
     def __len__(self) -> int:
         """Total sample count across members (0 for a bare done marker)."""
         return self._values.shape[0] * self._values.shape[1]
-
-    def unpack(self):
-        """Yield per-member columnar :class:`QuantumResult` views.
-
-        The views alias this block's arrays: ingest (copy) them before
-        calling :meth:`release`.
-        """
-        times = self._times
-        values = self._values
-        for i, task_id in enumerate(self.task_ids):
-            yield QuantumResult(task_id, None,
-                                float(self._end_times[i]),
-                                int(self._steps[i]), self.done,
-                                grid_start=self.grid_start,
-                                times=times, values=values[i])
 
     # -- shared-memory lifecycle ----------------------------------------
     def attach_segment(self, segment) -> None:
@@ -267,24 +102,53 @@ class ResultBlock:
         if segment is not None:
             self._times = None
             self._values = None
-            self._end_times = None
-            self._steps = None
             segment.release()
 
-    # -- pickling: arrays ship out-of-band under protocol 5 -------------
+    # -- pickling: arrays out-of-band under protocol 5, none if empty ----
     def __getstate__(self):
-        return (self.task_ids, self.grid_start, self.done, self._times,
-                self._values, self._end_times, self._steps)
+        ids = self.task_ids
+        if len(self._times):
+            return (ids.start, ids.stop, self.grid_start, self.done,
+                    self._times, self._values)
+        return (ids.start, ids.stop, self.grid_start, self.done,
+                self._values.shape[2])
 
     def __setstate__(self, state):
-        (self.task_ids, self.grid_start, self.done, self._times,
-         self._values, self._end_times, self._steps) = state
+        first, stop, self.grid_start, self.done, *arrays = state
+        self.task_ids = range(first, stop)
+        if len(arrays) == 2:
+            self._times, self._values = arrays
+        else:
+            self._times, self._values = _no_samples(stop - first,
+                                                    arrays[0])
         self._segment = None
 
     def __repr__(self) -> str:
         return (f"<ResultBlock members={self.n_members} "
                 f"grid={self.grid_start}+{self.n_grid} "
                 f"done={self.done}>")
+
+
+def id_range(task_ids: Sequence[int]) -> range:
+    """``task_ids`` as a step-1 ``range``; ``ValueError`` unless they
+    are contiguous and ascending."""
+    if isinstance(task_ids, range) and task_ids.step == 1:
+        return task_ids
+    first = task_ids[0] if len(task_ids) else 0
+    ids = range(first, first + len(task_ids))
+    if list(task_ids) != list(ids):
+        raise ValueError(f"member task ids must be contiguous: {task_ids}")
+    return ids
+
+
+@lru_cache(maxsize=None)
+def _no_samples(n_members: int, n_obs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The shared zero-size ``(times, values)`` pair of a block with no
+    grid points (read-only: nothing can be written into them anyway)."""
+    times = np.empty(0)
+    values = np.empty((n_members, 0, n_obs))
+    times.flags.writeable = values.flags.writeable = False
+    return times, values
 
 
 class SimulationTask:
@@ -319,43 +183,39 @@ class SimulationTask:
         """Number of grid points in [0, t_end]."""
         return int(round(self.t_end / self.sample_every)) + 1
 
-    def run_quantum(self) -> QuantumResult:
+    def run_quantum(self) -> ResultBlock:
         """Advance by one quantum (clamped at ``t_end``) and sample.
 
         The simulator is driven from grid point to grid point so samples
         are taken exactly on the global grid (times ``k * sample_every``).
+        The result is a one-member :class:`ResultBlock`.
         """
-        if self.done:
-            return QuantumResult(self.task_id, [], self.time,
-                                 self.steps, True)
-        target = min(self.time + self.quantum, self.t_end)
         grid_start = self._next_grid
         grid_times: list[float] = []
         rows: list[tuple[float, ...]] = []
-        while True:
-            grid_time = self._next_grid * self.sample_every
-            if grid_time > target + 1e-12:
-                break
-            if grid_time > self.time:
-                self.simulator.advance(grid_time - self.time)
-            grid_times.append(grid_time)
-            rows.append(self.simulator.observe())
-            self._next_grid += 1
-            if grid_time >= self.t_end - 1e-12:
-                break
-        if self.time < target:
-            self.simulator.advance(target - self.time)
-        if not rows:
-            return QuantumResult(self.task_id, [], self.time,
-                                 self.steps, self.done)
-        # ship columnar: the samples cross process/network boundaries as
-        # two arrays and land in the aligner's buffers without a
-        # per-sample Python-object hop (row form stays a lazy view)
-        return QuantumResult(self.task_id, None, self.time,
-                             self.steps, self.done,
-                             grid_start=grid_start,
-                             times=np.array(grid_times),
-                             values=np.asarray(rows, dtype=float))
+        if not self.done:
+            target = min(self.time + self.quantum, self.t_end)
+            while True:
+                grid_time = self._next_grid * self.sample_every
+                if grid_time > target + 1e-12:
+                    break
+                if grid_time > self.time:
+                    self.simulator.advance(grid_time - self.time)
+                grid_times.append(grid_time)
+                rows.append(self.simulator.observe())
+                self._next_grid += 1
+                if grid_time >= self.t_end - 1e-12:
+                    break
+            if self.time < target:
+                self.simulator.advance(target - self.time)
+        if rows:
+            times = np.array(grid_times)
+            values = np.asarray(rows, dtype=float)[None]
+        else:
+            times, values = _no_samples(
+                1, len(self.simulator.observable_names))
+        return ResultBlock(range(self.task_id, self.task_id + 1),
+                           grid_start, times, values, self.done)
 
     def __repr__(self) -> str:
         return (f"<SimulationTask {self.task_id} t={self.time:.3g}/"
@@ -378,7 +238,7 @@ class BatchSimulationTask:
         if len(task_ids) != batch.n:
             raise ValueError(
                 f"{len(task_ids)} task ids for {batch.n} trajectories")
-        self.task_ids = tuple(task_ids)
+        self.task_ids = id_range(task_ids)
         self.batch = batch
         self.t_end = t_end
         self.quantum = quantum
@@ -416,10 +276,10 @@ class BatchSimulationTask:
         The block is driven from grid point to grid point (one vectorized
         ``advance_to`` per grid crossing), exactly like the scalar task.
         """
-        if self.done:
-            return self._block(0, [], [])
-        target = min(self.time + self.quantum, self.t_end)
         grid_start = self._next_grid
+        if self.done:
+            return self._block(grid_start, [], [])
+        target = min(self.time + self.quantum, self.t_end)
         rows: list[np.ndarray] = []      # one (n, n_obs) matrix per grid pt
         grid_times: list[float] = []
         while True:
@@ -443,14 +303,14 @@ class BatchSimulationTask:
         matrix per grid point crossed (none: a bare progress / done
         marker)."""
         if rows:
-            # one member-major copy; members stay views into it downstream
+            # one member-major copy of the quantum's samples
+            times = np.array(grid_times)
             values = np.ascontiguousarray(np.stack(rows).transpose(1, 0, 2))
         else:
-            n_obs = len(self.batch.compiled.observable_columns)
-            values = np.empty((self.n, 0, n_obs))
-        return ResultBlock(self.task_ids, grid_start, np.array(grid_times),
-                           values, self.batch.times.copy(),
-                           self.batch.steps.copy(), self.done)
+            times, values = _no_samples(
+                self.n, len(self.batch.compiled.observable_columns))
+        return ResultBlock(self.task_ids, grid_start, times, values,
+                           self.done)
 
     def __repr__(self) -> str:
         return (f"<BatchSimulationTask ids={self.task_ids[0]}.."

@@ -1,7 +1,7 @@
 """Coalesced result transport: ResultBlock over frames and shared pages.
 
-The sweep plane ships one :class:`~repro.sim.task.ResultBlock` per
-quantum instead of per-member results.  These tests pin the transport
+Every task ships one :class:`~repro.sim.task.ResultBlock` per quantum
+(a scalar task's has one member).  These tests pin the transport
 contract: blocks round-trip bit-identically through pickles, the
 cluster's v2 out-of-band frames (any mix of block shapes, any frame
 order, truncation detected) and the processes backend's shared-memory
@@ -24,7 +24,7 @@ from repro.distributed.net import ResultMsg
 from repro.distributed.shm import (leaked_segments, make_prefix,
                                    map_results, publish_results,
                                    sweep_orphans)
-from repro.sim.task import QuantumResult, ResultBlock
+from repro.sim.task import ResultBlock
 
 
 def make_block(n_members=5, n_grid=4, n_obs=3, grid_start=2,
@@ -35,8 +35,6 @@ def make_block(n_members=5, n_grid=4, n_obs=3, grid_start=2,
         grid_start=grid_start,
         times=np.arange(n_grid, dtype=float) * 0.5,
         values=rng.random((n_members, n_grid, n_obs)),
-        end_times=rng.random(n_members) * 10,
-        steps=rng.integers(0, 1000, n_members),
         done=done)
 
 
@@ -46,8 +44,6 @@ def assert_blocks_equal(a: ResultBlock, b: ResultBlock) -> None:
     assert b.done == a.done
     assert b._times.tobytes() == a._times.tobytes()
     assert b._values.tobytes() == a._values.tobytes()
-    assert np.array_equal(b._end_times, a._end_times)
-    assert np.array_equal(b._steps, a._steps)
 
 
 class TestResultBlock:
@@ -61,23 +57,13 @@ class TestResultBlock:
         # the engine forwards when `len(r) or r.done` -- pin both halves
         assert len(block) == 0 and block.done
 
-    def test_unpack_yields_zero_copy_views(self):
-        block = make_block()
-        members = list(block.unpack())
-        assert [m.task_id for m in members] == list(block.task_ids)
-        for i, member in enumerate(members):
-            assert member._values.base is block._values
-            assert np.array_equal(member._values, block._values[i])
-            assert member._times is block._times
-            assert member.grid_start == block.grid_start
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ResultBlock(range(3), 0, np.zeros(2), np.zeros((2, 2, 1)),
-                        np.zeros(3), np.zeros(3, dtype=np.int64), False)
+                        False)
         with pytest.raises(ValueError):
             ResultBlock(range(2), 0, np.zeros(3), np.zeros((2, 2, 1)),
-                        np.zeros(2), np.zeros(2, dtype=np.int64), False)
+                        False)
 
     def test_pickle_roundtrip(self):
         block = make_block(done=True)
@@ -92,16 +78,13 @@ class TestCoalescedFrames:
         assert_blocks_equal(msg.results[0], clone.results[0])
 
     def test_mixed_members_and_blocks(self):
-        """A wire message may carry blocks and loose member results."""
-        loose = QuantumResult(99, None, time=1.0, steps=7, done=False,
-                              grid_start=0,
-                              times=np.array([0.0, 0.5]),
-                              values=np.ones((2, 3)))
-        msg = ResultMsg(0, None, (make_block(), loose))
+        """A wire message may carry a wide block next to a scalar task's
+        one-member block."""
+        scalar = make_block(n_members=1, n_grid=2, first_id=99)
+        msg = ResultMsg(0, None, (make_block(), scalar))
         clone, _ = decode_frame(encode_frame_oob(msg))
         assert_blocks_equal(msg.results[0], clone.results[0])
-        assert clone.results[1]._values.tobytes() == \
-            loose._values.tobytes()
+        assert_blocks_equal(scalar, clone.results[1])
 
     def test_truncated_frame_detected(self):
         frame = encode_frame_oob(ResultMsg(0, None, (make_block(),)))
@@ -145,7 +128,7 @@ class TestCoalescedSharedPages:
     def test_publish_map_roundtrip_and_release(self):
         prefix = make_prefix()
         blocks = [make_block(n_members=40, n_grid=8, seed=1),
-                  make_block(n_members=16, n_grid=8, seed=2,
+                  make_block(n_members=24, n_grid=8, seed=2,
                              first_id=50)]
         try:
             shm_block = publish_results(blocks, prefix)
@@ -155,11 +138,8 @@ class TestCoalescedSharedPages:
             for original, view in zip(blocks, mapped):
                 assert isinstance(view, ResultBlock)
                 assert_blocks_equal(original, view)
-            # unpacked members are views over the shared pages; the
-            # block owns the segment and one release frees it
+            # both blocks share the segment; the last release frees it
             for view in mapped:
-                for member in view.unpack():
-                    member.release()  # a no-op: views own nothing
                 assert leaked_segments(prefix) == [shm_block.name]
                 view.release()
             assert leaked_segments(prefix) == []

@@ -14,22 +14,21 @@ import sys
 import pytest
 
 from repro.distributed.message import decode_frame, encode_frame
-from repro.sim.task import QuantumResult, ResultBlock, make_tasks
+from repro.sim.task import ResultBlock, make_tasks
+from tests.sim.samples import block_samples
 
 
 def run_to_end(task, max_quanta=1000):
     results = []
     for _ in range(max_quanta):
-        outcome = task.run_quantum()
-        results.extend(outcome.unpack() if isinstance(outcome, ResultBlock)
-                       else [outcome])
+        results.append(task.run_quantum())
         if task.done:
             return results
     raise AssertionError("task never finished")
 
 
 def flat_samples(results):
-    return [s for r in results for s in r.samples]
+    return [s for r in results for s in block_samples(r)]
 
 
 # One quantum in a *real* child process: unpickle the task from stdin,
@@ -62,11 +61,12 @@ class TestProcessBoundary:
         assert proc.returncode == 0, proc.stderr.decode()
         remote, remote_result = pickle.loads(proc.stdout)
 
-        assert remote_result.samples == local_result.samples
-        assert remote_result.steps == local_result.steps
+        assert block_samples(remote_result) == block_samples(local_result)
+        assert remote.steps == local.steps
         assert remote.time == local.time
         # and the returned state continues identically
-        assert local.run_quantum().samples == remote.run_quantum().samples
+        assert block_samples(local.run_quantum()) == \
+            block_samples(remote.run_quantum())
 
     def test_frame_codec_preserves_task_state(self, neurospora_small):
         task = make_tasks(neurospora_small, 1, 6.0, 2.0, 0.5, seed=3)[0]
@@ -79,11 +79,10 @@ class TestProcessBoundary:
         task = make_tasks(neurospora_small, 1, 4.0, 2.0, 0.5, seed=1)[0]
         result = task.run_quantum()
         clone, _ = decode_frame(encode_frame(result))
-        assert isinstance(clone, QuantumResult)
-        assert (clone.task_id, clone.samples, clone.time,
-                clone.steps, clone.done) == (
-            result.task_id, result.samples, result.time,
-            result.steps, result.done)
+        assert isinstance(clone, ResultBlock)
+        assert clone.task_ids == range(0, 1)
+        assert (block_samples(clone), clone.done) == (
+            block_samples(result), result.done)
 
 
 class TestSeededReplay:

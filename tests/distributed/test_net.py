@@ -21,6 +21,7 @@ from repro.distributed.worker import worker_main
 from repro.pipeline import SteeringController, WorkflowConfig, run_workflow
 from repro.sim.task import make_tasks
 from tests.distributed.pools import drive
+from tests.sim.samples import scalar_samples
 
 
 def config(**overrides):
@@ -205,7 +206,7 @@ class TestSchedulingPolicies:
         for task in copy.deepcopy(tasks):
             samples = []
             while not task.done:
-                samples.extend(task.run_quantum().samples)
+                samples.extend(scalar_samples(task.run_quantum()))
             oracle[task.task_id] = samples
         recorder = _Recorder()
         master = ClusterMaster(n_workers=2, fault_hook=recorder)
@@ -222,7 +223,8 @@ class TestSchedulingPolicies:
             master.close()
         got = {}
         for result in (r for run in runs for r in run):
-            got.setdefault(result.task_id, []).extend(result.samples)
+            got.setdefault(result.task_ids.start, []).extend(
+                scalar_samples(result))
         assert got == oracle
         quanta = sum(len(run) for run in runs)
         assert master.tasks_dispatched == master.results_received == quanta

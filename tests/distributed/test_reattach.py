@@ -16,6 +16,7 @@ from repro.distributed.net import ClusterError, ClusterMaster
 from repro.sim.engine import run_quantum
 from repro.sim.task import make_tasks
 from tests.distributed.pools import drive
+from tests.sim.samples import scalar_samples
 
 pytestmark = pytest.mark.slow
 
@@ -32,7 +33,7 @@ def reference_samples(tasks):
     for task in copy.deepcopy(tasks):
         samples = []
         while not task.done:
-            samples.extend(task.run_quantum().samples)
+            samples.extend(scalar_samples(task.run_quantum()))
         per_task[task.task_id] = samples
     return per_task
 
@@ -40,7 +41,8 @@ def reference_samples(tasks):
 def collect(results):
     per_task = {}
     for result in results:
-        per_task.setdefault(result.task_id, []).extend(result.samples)
+        per_task.setdefault(result.task_ids.start, []).extend(
+            scalar_samples(result))
     return per_task
 
 
@@ -118,7 +120,7 @@ class TestServeMode:
             while not current.done:
                 current, result = master.submit(
                     run_quantum, current).result(timeout=60)
-                samples.extend(result.samples)
+                samples.extend(scalar_samples(result))
             assert samples == oracle
         finally:
             master.close()
@@ -142,7 +144,7 @@ class TestServeMode:
                 for ns, future in futures.items():
                     advanced, result = future.result(timeout=60)
                     current[ns] = advanced
-                    samples[ns].extend(result.samples)
+                    samples[ns].extend(scalar_samples(result))
         finally:
             master.close()
         assert samples["a"] == oracle_a

@@ -33,6 +33,7 @@ from repro.pipeline import WorkflowConfig, run_workflow
 from repro.sim.engine import run_quantum
 from repro.sim.task import make_tasks
 from tests.distributed.pools import drive
+from tests.sim.samples import scalar_samples
 
 N_TASKS, N_QUANTA = 6, 4
 
@@ -339,7 +340,7 @@ class TestWorkerMemory:
         assert isinstance(reply, ResultMsg) and type(reply.results) is tuple
         assert reply.task.key == task.task_id
         assert bytes(reply.task.state) == pickle.dumps(task, 5)
-        assert reply.results[0].samples == local.samples
+        assert scalar_samples(reply.results[0]) == scalar_samples(local)
         # ... and ResultMsg(worker_id, live task, results) still frames
         (back,) = StreamDecoder().feed(
             encode_frame_oob(ResultMsg(0, task, (local,))))
@@ -437,7 +438,7 @@ class TestServeModeContract:
                 assert isinstance(task, Checkpoint)
                 assert task.key == ("tenant", local.task_id)
                 assert bytes(task.state) == pickle.dumps(local, 5)
-                assert result.samples == expected.samples
+                assert scalar_samples(result) == scalar_samples(expected)
             assert master.state_sends == 1 and master.resident_sends == 1
             assert master.workers[0].holds == {("tenant", local.task_id)}
         finally:

@@ -30,27 +30,16 @@ from repro.distributed.shm import (
     sweep_orphans,
 )
 from repro.pipeline import WorkflowConfig, run_workflow
-from repro.sim.task import QuantumResult, ResultBlock
+from repro.sim.task import ResultBlock
 
 
-def columnar_result(task_id=0, n=128, n_obs=4, grid_start=0, done=False):
-    """A scalar task's quantum: always rides inline."""
-    times = np.arange(n, dtype=float) * 0.5
-    values = (np.arange(n * n_obs, dtype=float).reshape(n, n_obs)
-              + 1000 * task_id)
-    return QuantumResult(task_id, None, time=float(n) * 0.5, steps=17,
-                         done=done, grid_start=grid_start,
-                         times=times, values=values)
-
-
-def result_block(first_id=0, n_members=4, n=128, n_obs=4, grid_start=0):
-    """A batch task's quantum: what the ring shares."""
+def result_block(first_id=0, n_members=4, n=128, n_obs=4, grid_start=0,
+                 done=False):
+    """A quantum's block (``n_members=1``: a scalar task's)."""
     values = (np.arange(n_members * n * n_obs, dtype=float)
               .reshape(n_members, n, n_obs) + 1000 * first_id)
     return ResultBlock(range(first_id, first_id + n_members), grid_start,
-                       np.arange(n, dtype=float) * 0.5, values,
-                       np.full(n_members, n * 0.5),
-                       np.full(n_members, 17), False)
+                       np.arange(n, dtype=float) * 0.5, values, done)
 
 
 @pytest.fixture
@@ -71,14 +60,14 @@ class TestPublishMap:
         for orig, clone in zip(originals, mapped):
             assert clone.task_ids == orig.task_ids
             assert clone.grid_start == orig.grid_start
-            assert clone.steps == orig.steps
+            assert clone.done == orig.done
             assert np.array_equal(clone._times, orig._times)
             assert np.array_equal(clone._values, orig._values)
         for clone in mapped:
             clone.release()
 
     def test_small_payload_stays_inline(self, prefix):
-        small = [columnar_result(n=4, n_obs=2)]
+        small = [result_block(n_members=1, n=4, n_obs=2)]
         assert small[0]._values.nbytes < SHM_MIN_BYTES
         block = publish_results(small, prefix)
         assert block.name is None
@@ -88,8 +77,10 @@ class TestPublishMap:
         assert publish_results([tiny], prefix).entries == [tiny]
 
     def test_row_form_and_empty_results_ride_inline(self, prefix):
-        rows = QuantumResult(1, [(0, 0.0, (1.0,))], time=1.0, steps=2)
-        empty = QuantumResult(2, [], time=1.0, steps=0, done=True)
+        """A one-sample scalar quantum and a done marker stay inline next
+        to a block that is shared."""
+        rows = result_block(first_id=1, n_members=1, n=1, n_obs=1)
+        empty = result_block(first_id=2, n_members=1, n=0, done=True)
         big = result_block()
         block = publish_results([rows, big, empty], prefix)
         assert block.name is not None
@@ -101,12 +92,17 @@ class TestPublishMap:
         assert np.array_equal(mapped[1]._values, big._values)
         mapped[1].release()
 
-    def test_scalar_result_rides_inline_whatever_its_size(self, prefix):
-        big = columnar_result(n=1024, n_obs=8)
+    def test_big_scalar_block_is_shared(self, prefix):
+        """Size decides, not the task type: a scalar task's block above
+        SHM_MIN_BYTES goes through the ring like a batch task's."""
+        big = result_block(n_members=1, n=1024, n_obs=8)
         assert big._values.nbytes > SHM_MIN_BYTES
         block = publish_results([big], prefix)
-        assert block.name is None and block.payload_nbytes == 0
-        assert map_results(block) == [big]
+        assert block.name is not None
+        (mapped,) = map_results(block)
+        assert mapped.task_ids == range(0, 1)
+        assert np.array_equal(mapped._values, big._values)
+        mapped.release()
         assert leaked_segments(prefix) == []
 
 
@@ -196,10 +192,10 @@ class TestProcessesBackendZeroCopy:
         assert counters.get("net.shm_blocks", 0) >= 1
         assert counters.get("net.shm_bytes", 0) > 0
 
-    def test_scalar_quanta_ride_in_band_whatever_their_size(
-            self, neurospora_small):
+    def test_big_scalar_quanta_go_through_shm(self, neurospora_small):
         """200 samples x 3 observables per quantum is above
-        SHM_MIN_BYTES, but only a batch task's block goes through shm."""
+        SHM_MIN_BYTES, so a scalar task's block goes through shm too,
+        and the windows are the threads backend's."""
         def windows(backend):
             result = run_workflow(neurospora_small, _shm_config(
                 engine="flat", n_simulations=3, t_end=4.0,
@@ -212,7 +208,7 @@ class TestProcessesBackendZeroCopy:
 
         counters, got = windows("processes")
         assert counters["sim.quanta"] == 6
-        assert "net.shm_blocks" not in counters
+        assert counters["net.shm_blocks"] == 6
         assert got == windows("threads")[1]
 
     def test_run_leaves_no_segments_behind(self, neurospora_small):
@@ -247,8 +243,7 @@ class TestResourceTracker:
             "    publish_results, sweep_orphans)\n"
             "from repro.sim.task import ResultBlock\n"
             "block = ResultBlock(range(64), 0, np.arange(16.0),\n"
-            "    np.zeros((64, 16, 4)), np.zeros(64), np.zeros(64, int),\n"
-            "    False)\n"
+            "    np.zeros((64, 16, 4)), False)\n"
             "prefix = make_prefix()\n"
             "(mapped,) = map_results(publish_results([block], prefix))\n"
             "assert sweep_orphans(prefix)\n"

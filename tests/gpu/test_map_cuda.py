@@ -10,6 +10,7 @@ from repro.gpu.simt import SimtDevice
 from repro.sim.task import make_tasks
 from repro.sim.alignment import TrajectoryAligner
 from repro.sim.trajectory import assemble_trajectories, iter_cuts
+from tests.sim.samples import block_samples
 
 
 class _BlockEmitter(MasterWorkerEmitter):
@@ -69,7 +70,8 @@ class TestMapCUDAFunctional:
         node._outbox = _Out()
         node.svc(tasks)
         assert all(task.done for task in tasks)
-        grids = sorted(g for r in collected for g, _t, _v in r.samples)
+        grids = sorted(g for b in collected
+                       for _id, g, _t, _v in block_samples(b))
         assert grids == sorted(list(range(4)) * 2)
 
     def test_empty_block(self):
@@ -120,8 +122,8 @@ class TestMapCUDABatchBlocks:
         node._outbox = _Out()
         node.svc(block)
         assert block.done
-        grids = sorted(g for b in collected for r in b.unpack()
-                       for g, _t, _v in r.samples)
+        grids = sorted(g for b in collected
+                       for _id, g, _t, _v in block_samples(b))
         assert grids == sorted(list(range(4)) * 2)
 
     def test_launch_map_batched_stats(self, neurospora_small):

@@ -1,19 +1,23 @@
-"""Trajectory alignment: out-of-order quantum results -> in-order cuts.
+"""Trajectory alignment: interleaved result blocks -> in-order cuts.
 
 Parametrised over both aligners: the columnar :class:`TrajectoryAligner`
 (emits :class:`CutBlock` batches) and the scalar oracle
 :class:`ScalarTrajectoryAligner` (emits one :class:`Cut` per grid
 point).  The capture helper flattens blocks so every test asserts the
-same per-cut sequence against both implementations.
+same per-cut sequence against both implementations.  Streams are
+interleaved across trajectories but in grid order per trajectory, the
+order every runtime delivers; the columnar aligner refuses any other.
 """
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ff.node import Node
 from repro.sim.alignment import ScalarTrajectoryAligner, TrajectoryAligner
-from repro.sim.task import QuantumResult
+from repro.sim.task import ResultBlock
 from repro.sim.trajectory import Cut, CutBlock, iter_cuts
 
 ALIGNERS = (TrajectoryAligner, ScalarTrajectoryAligner)
@@ -35,20 +39,29 @@ class _Capture:
         return list(iter_cuts(self.items))
 
 
+def block(first, g0, values, done=False):
+    """A block of ``len(values)`` members from task ``first`` on, each
+    reporting grids ``g0 ..``: ``values[member][k]`` is one sample's
+    observable row (or its one observable); grid ``g`` is at time
+    ``float(g)``."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim == 2:  # one observable
+        vals = vals[..., None]
+    times = np.arange(g0, g0 + vals.shape[1], dtype=float)
+    return ResultBlock(range(first, first + len(vals)), g0, times, vals,
+                       done)
+
+
 def result(task_id, samples, done=False):
-    return QuantumResult(task_id=task_id,
-                         samples=[(g, float(g), (float(v),))
-                                  for g, v in samples],
-                         time=0.0, steps=0, done=done)
+    """One trajectory's quantum: ``(grid, value)`` pairs, consecutive."""
+    g0 = samples[0][0] if samples else 0
+    assert [g for g, _ in samples] == list(range(g0, g0 + len(samples)))
+    return block(task_id, g0, [[v for _, v in samples]], done)
 
 
 def col_result(task_id, g0, values_2d, done=False):
-    """Columnar wire-format result: grids g0..g0+n-1 by construction."""
-    import numpy as np
-    vals = np.asarray(values_2d, dtype=float)
-    times = np.array([float(g) for g in range(g0, g0 + len(vals))])
-    return QuantumResult(task_id, None, time=0.0, steps=0, done=done,
-                         grid_start=g0, times=times, values=vals)
+    """One trajectory's quantum from ``(n_samples, n_obs)`` rows."""
+    return block(task_id, g0, [values_2d], done)
 
 
 @pytest.mark.parametrize("aligner_cls", ALIGNERS)
@@ -196,17 +209,14 @@ class TestColumnarBatching:
         assert columnar.cuts_emitted == scalar.cuts_emitted
 
     def test_fast_regime_duplicate_detected_after_demote(self):
-        """In-order columnar results keep the aligner in the scalar fast
-        regime (no seen matrix); a later duplicate must still be caught
-        by the reconstructed one."""
+        """After an in-order prefix, a block starting below its task's
+        high-water mark is a duplicate report, refused ("twice")."""
         aligner = TrajectoryAligner(2)
         _Capture(aligner)
         aligner.svc(col_result(0, 0, [[1.0], [2.0]]))   # grids 0,1
         aligner.svc(col_result(1, 0, [[9.0]]))          # grid 0 -> emit 0
-        assert aligner._fast
         with pytest.raises(ValueError, match="grid point 1 twice"):
             aligner.svc(col_result(0, 1, [[5.0]]))
-        assert not aligner._fast
 
     def test_fast_regime_stale_detected_after_demote(self):
         aligner = TrajectoryAligner(1)
@@ -216,17 +226,12 @@ class TestColumnarBatching:
         with pytest.raises(ValueError, match="already emitted"):
             aligner.svc(col_result(0, 0, [[1.0]]))
 
-    def test_fast_prefix_then_gap_matches_oracle(self):
-        """A stream that is in-order long enough to stay in the fast
-        regime, then deviates (a task jumps ahead leaving a gap), must
-        produce exactly the oracle's cuts and accounting."""
+    def test_in_order_prefix_then_gap_raises(self):
+        """A task that jumps ahead, leaving a gap, is refused ("gap");
+        the cuts emitted before it are exactly the oracle's."""
         spec = [
             (0, 0, [10, 11]), (1, 0, [20, 21]), (2, 0, [30, 31]),
             (0, 2, [12, 13]),
-            (1, 4, [24]),            # gap: task 1 skips grids 2,3
-            (2, 2, [32, 33]),
-            (1, 2, [22, 23]),        # fills the gap
-            (0, 4, [14]), (2, 4, [34]),
         ]
 
         def feed(aligner):
@@ -236,29 +241,120 @@ class TestColumnarBatching:
                                        [[float(v)] for v in vals]))
             return out
 
-        out_c = feed(TrajectoryAligner(3))
+        columnar = TrajectoryAligner(3)
+        out_c = feed(columnar)
         out_s = feed(ScalarTrajectoryAligner(3))
-        assert len(out_c.cuts) == len(out_s.cuts) == 5
-        for c, s in zip(out_c.cuts, out_s.cuts):
-            assert c.grid_index == s.grid_index
-            assert c.values == s.values
+        assert [(c.grid_index, c.values) for c in out_c.cuts] == \
+            [(c.grid_index, c.values) for c in out_s.cuts]
+        assert len(out_c.cuts) == 2
+        with pytest.raises(ValueError, match=r"task 1 skipped grid points "
+                                             r"2\.\.3 \(gap\)"):
+            columnar.svc(col_result(1, 4, [[24.0]]))  # skips grids 2, 3
 
     def test_columnar_results_feed_without_row_hop(self):
-        """Array-carrying QuantumResults (the BatchSimulationTask wire
-        format) land in the cut matrix without materialising samples."""
-        import numpy as np
+        """One-member blocks (what a scalar task ships) land in the cut
+        matrix with one slice each."""
         aligner = TrajectoryAligner(2)
         out = _Capture(aligner)
         for task_id in range(2):
-            res = QuantumResult(
-                task_id, None, time=1.0, steps=3,
-                grid_start=0,
-                times=np.array([0.0, 0.5, 1.0]),
-                values=np.array([[task_id + 0.0], [task_id + 0.5],
-                                 [task_id + 1.0]]))
-            assert res._samples is None
-            aligner.svc(res)
-            assert res._samples is None  # never materialised
+            aligner.svc(ResultBlock(
+                range(task_id, task_id + 1), 0, np.array([0.0, 0.5, 1.0]),
+                np.array([[[task_id + 0.0], [task_id + 0.5],
+                           [task_id + 1.0]]]), False))
         assert len(out.items) == 1
         assert [c.values for c in out.items[0]] == [
             [(0.0,), (1.0,)], [(0.5,), (1.5,)], [(1.0,), (2.0,)]]
+
+    def test_wide_block_lands_in_one_call(self):
+        """A batch quantum's block covers its members in one ``svc``;
+        the cut completes once the other trajectories report."""
+        aligner = TrajectoryAligner(4)
+        out = _Capture(aligner)
+        aligner.svc(block(0, 0, [[[1.0], [2.0]], [[3.0], [4.0]],
+                                 [[5.0], [6.0]]]))
+        assert out.items == []
+        aligner.svc(result(3, [(0, 7.0), (1, 8.0)]))
+        assert [c.values for c in out.cuts] == [
+            [(1.0,), (3.0,), (5.0,), (7.0,)],
+            [(2.0,), (4.0,), (6.0,), (8.0,)]]
+
+    def test_block_members_must_share_their_mark(self):
+        aligner = TrajectoryAligner(3)
+        _Capture(aligner)
+        aligner.svc(result(1, [(0, 1.0)]))
+        with pytest.raises(ValueError, match="task 1 reported grid point "
+                                             "0 twice"):
+            aligner.svc(block(0, 0, [[1.0], [2.0], [3.0]]))
+        with pytest.raises(ValueError, match="task 0 skipped"):
+            aligner.svc(block(0, 1, [[1.0], [2.0], [3.0]]))
+
+
+@pytest.mark.parametrize("aligner_cls", ALIGNERS)
+@pytest.mark.parametrize("first, n_members", [(-1, 1), (1, 2), (2, 1)])
+def test_out_of_range_ids_rejected_before_any_write(aligner_cls, first,
+                                                    n_members):
+    """Ids outside ``[0, n_trajectories)`` are refused before anything
+    is written: no cut ever carries a trajectory that did not report."""
+    aligner = aligner_cls(2)
+    out = _Capture(aligner)
+    bad = block(first, 0, [[99.0]] * n_members)
+    with pytest.raises(ValueError, match="outside"):
+        aligner.svc(bad)
+    aligner.svc(result(0, [(0, 1.0)]))
+    assert out.items == []  # trajectory 1 never reported
+    aligner.svc(result(1, [(0, 2.0)]))
+    assert [c.values for c in out.cuts] == [[(1.0,), (2.0,)]]
+
+
+@st.composite
+def in_order_streams(draw):
+    """Tasks over contiguous id ranges of random widths, each reporting
+    its grid in quanta of random length, with empty markers in between,
+    and ending with a done marker; quanta interleaved at random across
+    tasks but in grid order per task."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    n_grid = draw(st.integers(1, 12))
+    n_obs = draw(st.integers(1, 3))
+    tasks, first = [], 0
+    for width in widths:
+        quanta, g = [], 0
+        while g < n_grid:
+            if draw(st.booleans()):
+                quanta.append((first, width, g, 0, False))
+            length = draw(st.integers(1, min(4, n_grid - g)))
+            quanta.append((first, width, g, length, False))
+            g += length
+        quanta.append((first, width, g, 0, True))
+        tasks.append(quanta)
+        first += width
+    order = []
+    cursors = [0] * len(tasks)
+    while any(c < len(q) for c, q in zip(cursors, tasks)):
+        live = [i for i, q in enumerate(tasks) if cursors[i] < len(q)]
+        i = draw(st.sampled_from(live))
+        order.append(tasks[i][cursors[i]])
+        cursors[i] += 1
+    return first, n_obs, order
+
+
+@given(stream=in_order_streams())
+@settings(max_examples=60, deadline=None)
+def test_columnar_matches_oracle_on_in_order_interleavings(stream):
+    n_traj, n_obs, order = stream
+    values = np.arange(n_traj * 12 * n_obs, dtype=float).reshape(
+        n_traj, 12, n_obs)
+    blocks = [
+        ResultBlock(range(first, first + width), g0,
+                    np.arange(g0, g0 + length) * 0.5,
+                    values[first:first + width, g0:g0 + length], done)
+        for first, width, g0, length, done in order]
+    columnar = TrajectoryAligner(n_traj)
+    scalar = ScalarTrajectoryAligner(n_traj)
+    out_c, out_s = _Capture(columnar), _Capture(scalar)
+    for item in blocks:
+        columnar.svc(item)
+        scalar.svc(item)
+    assert [(c.grid_index, c.time, c.values) for c in out_c.cuts] == \
+        [(c.grid_index, c.time, c.values) for c in out_s.cuts]
+    assert columnar.cuts_emitted == scalar.cuts_emitted
+    assert columnar.max_buffered == scalar.max_buffered

@@ -9,6 +9,7 @@ import pytest
 from repro.sim.task import (BatchSimulationTask, ResultBlock,
                             make_batch_tasks, make_tasks)
 from repro.cwc.batch import BatchFlatSimulator
+from tests.sim.samples import block_samples
 
 
 class TestBatchQuantumStepping:
@@ -17,8 +18,8 @@ class TestBatchQuantumStepping:
                                 sample_every=1.0, seed=0)[0]
         per_member = {i: [] for i in task.task_ids}
         while not task.done:
-            for result in task.run_quantum().unpack():
-                per_member[result.task_id].extend(result.samples)
+            for task_id, g, t, v in block_samples(task.run_quantum()):
+                per_member[task_id].append((g, t, v))
         for samples in per_member.values():
             assert [t for _g, t, _v in samples] == [0.0, 1.0, 2.0, 3.0, 4.0]
             assert [g for g, _t, _v in samples] == [0, 1, 2, 3, 4]
@@ -28,10 +29,9 @@ class TestBatchQuantumStepping:
                                 sample_every=0.5, seed=1)[0]
         seen = {i: set() for i in task.task_ids}
         while not task.done:
-            for result in task.run_quantum().unpack():
-                for g, _t, _v in result.samples:
-                    assert g not in seen[result.task_id]
-                    seen[result.task_id].add(g)
+            for task_id, g, _t, _v in block_samples(task.run_quantum()):
+                assert g not in seen[task_id]
+                seen[task_id].add(g)
         for got in seen.values():
             assert got == set(range(task.n_samples_total))
 
@@ -40,16 +40,16 @@ class TestBatchQuantumStepping:
                                 sample_every=1.0, seed=0)[0]
         task.run_quantum()
         assert task.done
-        for result in task.run_quantum().unpack():
-            assert result.done and result.samples == []
+        block = task.run_quantum()
+        assert block.done and len(block) == 0
+        assert block.n_members == task.n
 
     def test_samples_are_plain_floats(self, neurospora_small):
         task = make_batch_tasks(neurospora_small, 2, t_end=1.0, quantum=1.0,
                                 sample_every=0.5, seed=2)[0]
-        for result in task.run_quantum().unpack():
-            for _g, t, values in result.samples:
-                assert type(t) is float
-                assert all(type(v) is float for v in values)
+        for _id, _g, t, values in block_samples(task.run_quantum()):
+            assert type(t) is float
+            assert all(type(v) is float for v in values)
 
     def test_validation(self, neurospora_small):
         with pytest.raises(ValueError):
@@ -113,8 +113,8 @@ class TestOneBlockPerQuantum:
                 for i in range(task.n):
                     assert [row.tolist() for row in block._values[i]] == \
                         [np.asarray(r)[i].tolist() for r in rows]
-                assert block._end_times.tolist() == twin.times.tolist()
-                assert block._steps.tolist() == twin.steps.tolist()
+                assert task.batch.times.tolist() == twin.times.tolist()
+                assert task.batch.steps.tolist() == twin.steps.tolist()
                 assert block.done == task.done
                 grid += len(times)
                 empty_quanta += not times
@@ -123,8 +123,6 @@ class TestOneBlockPerQuantum:
             assert type(marker) is ResultBlock
             assert marker.done and len(marker) == 0
             assert marker.n_members == task.n
-            assert marker._end_times.tolist() == twin.times.tolist()
-            assert marker._steps.tolist() == twin.steps.tolist()
 
 
 class TestMakeBatchTasks:
@@ -133,7 +131,7 @@ class TestMakeBatchTasks:
                                  batch_size=4)
         assert [t.n for t in tasks] == [4, 4, 2]
         assert [t.task_ids for t in tasks] == [
-            (0, 1, 2, 3), (4, 5, 6, 7), (8, 9)]
+            range(0, 4), range(4, 8), range(8, 10)]
 
     def test_engine_batch_dispatch(self, neurospora_small):
         tasks = make_tasks(neurospora_small, 10, 1.0, 1.0, 1.0,
@@ -157,8 +155,7 @@ class TestMakeBatchTasks:
                                     seed=seed)[0]
             out = []
             while not task.done:
-                out.extend((r.task_id, tuple(r.samples))
-                           for r in task.run_quantum().unpack())
+                out.extend(block_samples(task.run_quantum()))
             return out
 
         assert run(42) == run(42)
@@ -168,14 +165,13 @@ class TestMakeBatchTasks:
                                 seed=5)[0]
         task.run_quantum()
         clone = pickle.loads(pickle.dumps(task))
-        original = [r.samples for r in task.run_quantum().unpack()]
-        copied = [r.samples for r in clone.run_quantum().unpack()]
+        original = block_samples(task.run_quantum())
+        copied = block_samples(clone.run_quantum())
         assert original == copied
 
     def test_steps_accounting(self, neurospora_small):
         task = make_batch_tasks(neurospora_small, 4, 2.0, 2.0, 1.0,
                                 seed=6)[0]
-        block = task.run_quantum()
+        task.run_quantum()
+        assert task.steps > 0
         assert task.steps == sum(int(s) for s in task.steps_by_trajectory)
-        assert task.steps == block.steps
-        assert task.steps == sum(r.steps for r in block.unpack())

@@ -51,12 +51,17 @@ def tasks_for(model, n, batch_size, n_workers, method="exact",
 
 
 def run_quantum(tasks):
-    """One quantum of every task: the per-member results in task-id
-    order, as comparable tuples."""
-    return [(r.task_id, r.grid_start, r.time, r.steps, r.done,
-             r._times.tobytes() if len(r) else b"",
-             r._values.tobytes() if len(r) else b"")
-            for task in tasks for r in task.run_quantum().unpack()]
+    """One quantum of every task: per member, in task-id order, its
+    samples and its clock and step count after the quantum, as
+    comparable tuples."""
+    out = []
+    for task in tasks:
+        block = task.run_quantum()
+        out.extend((task_id, block.grid_start, float(task.batch.times[i]),
+                    int(task.batch.steps[i]), block.done,
+                    block._times.tobytes(), block._values[i].tobytes())
+                   for i, task_id in enumerate(block.task_ids))
+    return out
 
 
 def drain(tasks):

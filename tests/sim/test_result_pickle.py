@@ -1,10 +1,10 @@
-"""Lazy pickling of results and cuts.
+"""Pickling of result blocks and cuts.
 
-The columnar wire format only pays off if serialisation preserves it: an
-array-form :class:`QuantumResult` must cross process and socket
-boundaries as two arrays plus scalars, never materialising the
-per-sample Python tuples, and a lazily derived second view must be
-dropped rather than shipped twice.
+A quantum's one stream item, a :class:`ResultBlock`, crosses process and
+socket boundaries as a few scalars plus its two arrays (out of band under
+protocol 5); a block with no grid points -- a bare done or progress
+marker, most of a fine-grained scalar run's quanta -- ships no arrays at
+all.
 """
 
 import pickle
@@ -13,100 +13,83 @@ import numpy as np
 import pytest
 
 from repro.distributed.message import (
+    FrameCodec,
+    StreamDecoder,
     decode_frame,
     encode_frame_oob,
     encode_frame_segments,
     segments_nbytes,
 )
-from repro.sim.task import QuantumResult, ResultBlock
+from repro.sim.task import ResultBlock
 from repro.sim.trajectory import Cut, CutBlock
 
 
-def columnar_result(n=64, n_obs=3, task_id=5, grid_start=7):
-    times = np.arange(n, dtype=float) * 0.5
-    values = np.arange(n * n_obs, dtype=float).reshape(n, n_obs)
-    return QuantumResult(task_id, None, time=32.0, steps=400, done=False,
-                         grid_start=grid_start, times=times, values=values)
-
-
-def result_block(n_members=3, n=2, n_obs=3):
+def result_block(n_members=3, n=2, n_obs=3, done=False):
     values = np.arange(n_members * n * n_obs, dtype=float)
-    return ResultBlock(range(n_members), 7, np.arange(n) * 0.5,
-                       values.reshape(n_members, n, n_obs),
-                       np.full(n_members, 32.0), np.full(n_members, 400),
-                       False)
+    return ResultBlock(range(5, 5 + n_members), 7, np.arange(n) * 0.5,
+                       values.reshape(n_members, n, n_obs), done)
+
+
+def codec_roundtrip(item):
+    """Through the cluster runtime's frame codec and stream decoder."""
+    (clone,) = StreamDecoder().feed(
+        b"".join(FrameCodec("test").encode_segments(item)))
+    return clone
+
+
+def assert_blocks_equal(a, b):
+    assert (b.task_ids, b.grid_start, b.done) == \
+        (a.task_ids, a.grid_start, a.done)
+    assert b._times.shape == a._times.shape
+    assert b._values.shape == a._values.shape
+    assert np.array_equal(b._times, a._times)
+    assert np.array_equal(b._values, a._values)
 
 
 class TestQuantumResultPickle:
-    def test_array_form_roundtrip_stays_lazy(self):
-        result = columnar_result()
-        blob = pickle.dumps(result)
-        # pickling must not have materialised the row view...
-        assert result._samples is None
-        clone = pickle.loads(blob)
-        # ...and neither has the clone
-        assert clone._samples is None
-        assert clone.grid_start == result.grid_start
-        assert clone.task_id == result.task_id
-        assert clone.time == result.time
-        assert clone.steps == result.steps
-        assert clone.done == result.done
-        g, t, v = clone.columnar()
-        g0, t0, v0 = result.columnar()
-        assert np.array_equal(g, g0)
-        assert np.array_equal(t, t0)
-        assert np.array_equal(v, v0)
+    """A quantum's result, which is always a :class:`ResultBlock`."""
 
-    def test_row_view_still_derivable_after_roundtrip(self):
-        result = columnar_result(n=4, n_obs=2)
-        clone = pickle.loads(pickle.dumps(result))
-        assert clone.samples == result.samples
-
-    def test_row_form_roundtrip(self):
-        samples = [(0, 0.0, (1.0, 2.0)), (1, 0.5, (3.0, 4.0))]
-        result = QuantumResult(2, samples, time=1.0, steps=10, done=True)
-        clone = pickle.loads(pickle.dumps(result))
-        assert clone._values is None  # stays in row form
-        assert clone.samples == samples
-        assert clone.done and clone.steps == 10
-
-    def test_row_form_with_derived_arrays_ships_rows_once(self):
-        """A row result whose columnar view was materialised must ship
-        the authoritative rows only (grid_start stays None)."""
-        samples = [(3, 1.5, (9.0,)), (4, 2.0, (8.0,))]
-        result = QuantumResult(1, samples, time=2.0, steps=5, done=False)
-        result.columnar()  # derive the arrays
-        clone = pickle.loads(pickle.dumps(result))
-        assert clone._values is None
-        assert clone.samples == samples
+    def test_one_sample_block_roundtrip(self):
+        """A scalar task's typical quantum: one member, one grid point."""
+        block = ResultBlock(range(4, 5), 9, np.array([4.5]),
+                            np.array([[[1.0, 2.0]]]), False)
+        for clone in (pickle.loads(pickle.dumps(block, 5)),
+                      codec_roundtrip(block)):
+            assert isinstance(clone.task_ids, range)
+            assert_blocks_equal(block, clone)
 
     def test_empty_result_roundtrip(self):
-        result = QuantumResult(3, [], time=4.0, steps=7, done=True)
-        clone = pickle.loads(pickle.dumps(result))
-        assert len(clone) == 0 and clone.done
+        """A done marker carries no arrays through pickle or the frame
+        codec, and comes back with correctly shaped empty ones."""
+        marker = result_block(n_members=2, n=0, n_obs=3, done=True)
+        assert len(pickle.dumps(marker, 5)) < 100
+        assert len(encode_frame_segments(marker)) == 2  # no buffer
+        for clone in (pickle.loads(pickle.dumps(marker, 5)),
+                      codec_roundtrip(marker)):
+            assert len(clone) == 0 and clone.done
+            assert_blocks_equal(marker, clone)
 
     def test_arrays_go_out_of_band(self):
-        """Under protocol 5 the value matrix leaves as a raw buffer, not
+        """Under protocol 5 the value array leaves as a raw buffer, not
         through the pickle stream."""
-        result = columnar_result(n=256, n_obs=4)
-        segments = encode_frame_segments(result)
+        block = result_block(n_members=1, n=256, n_obs=4)
+        segments = encode_frame_segments(block)
         control_bytes = segments_nbytes(segments[:2])
         total = segments_nbytes(segments)
-        assert total - control_bytes >= result._values.nbytes
-        assert control_bytes < result._values.nbytes / 4
+        assert total - control_bytes >= block._values.nbytes
+        assert control_bytes < block._values.nbytes / 4
 
     def test_oob_frame_roundtrip(self):
-        result = columnar_result(n=128, n_obs=2)
-        clone, rest = decode_frame(encode_frame_oob(result))
+        block = result_block(n_members=2, n=128, n_obs=2)
+        clone, rest = decode_frame(encode_frame_oob(block))
         assert rest == b""
-        assert clone._samples is None
-        assert np.array_equal(clone._values, result._values)
-        assert np.array_equal(clone._times, result._times)
+        assert_blocks_equal(block, clone)
 
     def test_release_without_segment_is_noop(self):
-        result = columnar_result(n=2)
-        result.release()
-        result.release()
+        block = result_block()
+        block.release()
+        block.release()
+        assert block._values is not None
 
     def test_release_releases_attached_segment_once(self):
         class FakeSegment:
@@ -129,6 +112,15 @@ class TestQuantumResultPickle:
         clone = pickle.loads(pickle.dumps(block))
         assert clone._segment is None
         assert np.array_equal(clone._values, block._values)
+
+    def test_member_ids_must_be_contiguous(self):
+        assert result_block().task_ids == range(5, 8)
+        assert ResultBlock((3, 4), 0, np.zeros(1), np.zeros((2, 1, 1)),
+                           False).task_ids == range(3, 5)
+        for ids in ((0, 2), (1, 0), range(0, 4, 2)):
+            with pytest.raises(ValueError, match="contiguous"):
+                ResultBlock(ids, 0, np.zeros(1),
+                            np.zeros((len(ids), 1, 1)), False)
 
 
 class TestCutPickle:
@@ -178,9 +170,4 @@ class TestTaskStateOverOobFrames:
         assert rest == b""
         expected = batch_task.run_quantum()
         actual = clone.run_quantum()  # mutates decoded arrays in place
-        for a, b in zip(actual.unpack(), expected.unpack()):
-            ga, ta, va = a.columnar()
-            gb, tb, vb = b.columnar()
-            assert np.array_equal(ga, gb)
-            assert np.array_equal(ta, tb)
-            assert np.array_equal(va, vb)
+        assert_blocks_equal(expected, actual)

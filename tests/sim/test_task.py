@@ -6,6 +6,7 @@ import pytest
 
 from repro.sim.task import SimulationTask, make_tasks
 from repro.cwc.network import FlatSimulator, ReactionNetwork
+from tests.sim.samples import scalar_samples
 
 
 class TestQuantumStepping:
@@ -15,7 +16,7 @@ class TestQuantumStepping:
         task = tasks[0]
         all_samples = []
         while not task.done:
-            all_samples.extend(task.run_quantum().samples)
+            all_samples.extend(scalar_samples(task.run_quantum()))
         times = [t for _g, t, _v in all_samples]
         assert times == [0.0, 1.0, 2.0, 3.0, 4.0]
         indices = [g for g, _t, _v in all_samples]
@@ -26,7 +27,7 @@ class TestQuantumStepping:
                           sample_every=0.5, seed=1)[0]
         seen = set()
         while not task.done:
-            for g, _t, _v in task.run_quantum().samples:
+            for g, _t, _v in scalar_samples(task.run_quantum()):
                 assert g not in seen
                 seen.add(g)
         assert seen == set(range(task.n_samples_total))
@@ -36,7 +37,7 @@ class TestQuantumStepping:
                           sample_every=1.0, seed=0)[0]
         result = task.run_quantum()
         assert result.done
-        assert len(result.samples) == 3
+        assert len(scalar_samples(result)) == 3
 
     def test_done_task_yields_empty(self, neurospora_small):
         task = make_tasks(neurospora_small, 1, t_end=1.0, quantum=2.0,
@@ -44,7 +45,7 @@ class TestQuantumStepping:
         task.run_quantum()
         assert task.done
         follow_up = task.run_quantum()
-        assert follow_up.done and follow_up.samples == []
+        assert follow_up.done and scalar_samples(follow_up) == []
 
     def test_equivalent_to_plain_run(self, neurospora_small):
         """Quantum-sliced sampling is bit-identical to a direct run with
@@ -56,7 +57,8 @@ class TestQuantumStepping:
                           sample_every=1.0, seed=3)[0]
         sliced = []
         while not task.done:
-            sliced.extend(v for _g, _t, v in task.run_quantum().samples)
+            sliced.extend(
+                v for _g, _t, v in scalar_samples(task.run_quantum()))
         assert sliced == direct.samples
 
     def test_validation(self, neurospora_small):
@@ -108,11 +110,27 @@ class TestMakeTasks:
         # the clone continues identically to the original
         original = task.run_quantum()
         copied = clone.run_quantum()
-        assert original.samples == copied.samples
+        assert scalar_samples(original) == scalar_samples(copied)
+
+    def test_cwc_task_pickled_mid_run_continues_identically(self):
+        """The CWC engine's propensity cache is keyed by term identity;
+        a copy unpickled mid-run (a replayed checkpoint) must re-key it
+        and draw exactly the original's remaining trajectory."""
+        from repro.models import neurospora_cwc_model
+        task = make_tasks(neurospora_cwc_model(omega=20), 1, 6.0, 2.0, 0.5,
+                          engine="cwc", seed=3)[0]
+        task.run_quantum()
+        task.run_quantum()
+        clone = pickle.loads(pickle.dumps(task, 5))
+        while not task.done:
+            assert scalar_samples(clone.run_quantum()) == \
+                scalar_samples(task.run_quantum())
+        assert clone.done and clone.steps == task.steps
 
     def test_cwc_task_is_picklable(self, neurospora_cwc_small):
         task = make_tasks(neurospora_cwc_small, 1, 2.0, 1.0, 1.0,
                           engine="cwc", seed=5)[0]
         task.run_quantum()
         clone = pickle.loads(pickle.dumps(task))
-        assert clone.run_quantum().samples == task.run_quantum().samples
+        assert scalar_samples(clone.run_quantum()) == \
+            scalar_samples(task.run_quantum())

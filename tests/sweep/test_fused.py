@@ -15,7 +15,7 @@ from repro.cwc.batch import BatchFlatSimulator, compile_network
 from repro.cwc.kernels import kernel_available
 from repro.pipeline.builder import run_workflow
 from repro.pipeline.config import WorkflowConfig
-from repro.sim.task import BatchSimulationTask, ResultBlock
+from repro.sim.task import BatchSimulationTask
 from repro.sweep import SweepSpec, make_fused_tasks, run_sweep
 from tests.cwc.test_kernels import PythonKernel
 
@@ -33,31 +33,21 @@ def _use_python_kernel(batch):
     batch.kernel_name = "python"
 
 
-def drain(task):
-    """Run a task to completion; returns its results quantum by quantum."""
-    out = []
+def member_streams(task):
+    """Run a task to completion: task_id -> (times bytes, values bytes,
+    end time, end steps) from its ResultBlock stream."""
+    streams = {task_id: (b"", b"") for task_id in task.task_ids}
     while True:
-        result = task.run_quantum()
-        out.append(result)
-        done = (result.done if isinstance(result, ResultBlock)
-                else all(r.done for r in result))
-        if done:
-            return out
-
-
-def member_streams(quanta_blocks):
-    """task_id -> (times bytes, values bytes, end time, end steps) from
-    a fused task's ResultBlock stream."""
-    streams = {}
-    for block in quanta_blocks:
-        for member in block.unpack():
-            t, v, _, _ = streams.get(
-                member.task_id, (b"", b"", None, None))
-            streams[member.task_id] = (
-                t + member._times.tobytes(),
-                v + member._values.tobytes(),
-                member.time, member.steps)
-    return streams
+        block = task.run_quantum()
+        for i, task_id in enumerate(block.task_ids):
+            t, v = streams[task_id]
+            streams[task_id] = (t + block._times.tobytes(),
+                                v + block._values[i].tobytes())
+        if block.done:
+            break
+    return {task_id: (t, v, float(task.batch.times[i]),
+                      int(task.batch.steps[i]))
+            for i, (task_id, (t, v)) in enumerate(streams.items())}
 
 
 def run_fused(network, spec, kernel_obj=None, kernel_name="numpy"):
@@ -68,7 +58,7 @@ def run_fused(network, spec, kernel_obj=None, kernel_name="numpy"):
             _use_python_kernel(task.batch)
     streams = {}
     for task in tasks:
-        streams.update(member_streams(drain(task)))
+        streams.update(member_streams(task))
     return streams
 
 
@@ -82,7 +72,7 @@ def run_solo(network, spec, point, kernel_obj=None, kernel_name="numpy"):
         _use_python_kernel(batch)
     task = BatchSimulationTask(
         range(point * T, (point + 1) * T), batch, T_END, QUANTUM, SAMPLE)
-    return member_streams(drain(task))
+    return member_streams(task)
 
 
 @pytest.mark.parametrize("kernel_obj,kernel_name", [
