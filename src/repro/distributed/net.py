@@ -3,7 +3,7 @@
 This is the socket half of the paper's distributed CWC simulator (section
 IV-B).  The simulation farm above it is the one every backend runs
 (:class:`~repro.sim.scheduler.SimTaskEmitter` and its engines); what
-changes is where an engine's quantum runs -- on a remote *worker
+changes is where an engine's quanta run -- on a remote *worker
 process*, with everything really crossing the network:
 
 * :class:`ClusterMaster` listens on a TCP port, spawns (or waits for)
@@ -13,14 +13,15 @@ process*, with everything really crossing the network:
   by :mod:`repro.distributed.message`;
 * the worker keeps the live task it advances (as in the paper, a
   trajectory lives on the host that simulates it): a steady-state task
-  message names the task by key and carries no state.  Per quantum the
-  worker returns a :class:`Checkpoint` -- the pickled post-quantum task
-  as one opaque blob -- *and* the quantum's result item in a single
-  atomic frame;
+  message names the task by key and carries no state.  Per dispatch
+  the worker runs quanta until one yields a sample or the task is done
+  (:func:`~repro.sim.engine.run_quantum`) and returns a
+  :class:`Checkpoint` -- the pickled task after that chain as one opaque
+  blob -- *and* the last quantum's result item in a single atomic frame;
 * the submit future resolves to that ``(Checkpoint, result item)``
   pair.  The engines and the emitter read only the checkpoint's
-  ``done/time/steps`` and hand it back for the next quantum, so the
-  master never unpickles task state.
+  ``done/time/steps/quanta`` and hand it back for the next dispatch, so
+  the master never unpickles task state.
 
 There is no scheduling thread: which task runs next is the emitter's
 business.  :meth:`~ClusterMaster.submit` pins and sends on the caller's
@@ -28,7 +29,7 @@ thread, and each connection's reader thread acknowledges the results
 and resolves their futures.  What is left of scheduling here is
 **host affinity** (a task is pinned to the worker that holds it; pins
 only move when a worker dies) and a **bounded in-flight window** per
-worker (a submit whose worker has ``inflight_window`` quanta
+worker (a submit whose worker has ``inflight_window`` dispatches
 outstanding waits for a slot).
 
 Fault tolerance: workers send heartbeats; the master declares a worker
@@ -37,8 +38,9 @@ blocked that long counts too), re-pins that worker's in-flight tasks to
 the survivors and re-sends their checkpoints verbatim.  Because a
 checkpoint holds the complete simulator state (including the RNG state)
 and the master only replaces it when the result frame has fully
-arrived, a replayed quantum is *bit-identical* to the lost one: killing
-a worker mid-run never changes the results.
+arrived, a replayed dispatch -- the whole chain of quanta, re-run from
+the checkpoint taken before its first quantum -- is *bit-identical* to
+the lost one: killing a worker mid-run never changes the results.
 
 Tenancy: a pool shared by many runs (:mod:`repro.service.fleet`)
 submits under a ``namespace``, which becomes part of the task key, so
@@ -49,7 +51,7 @@ Local data plane: workers the master spawned itself share its
 ``/dev/shm``, so it hands them a :func:`~repro.distributed.shm.make_prefix`
 namespace and they return a quantum's block through the shared-memory
 result ring (``ResultMsg.results`` is then a
-:class:`~repro.distributed.shm.ShmBlock` the master maps; small quanta
+:class:`~repro.distributed.shm.ShmBlock` the master maps; small blocks
 ride inline in it); workers that joined over the network get no prefix
 and send everything in band.
 This is also the ``processes`` backend: same master, same workers.
@@ -63,9 +65,10 @@ message               direction      meaning
 :class:`Hello`        worker->master first frame after connect: register,
                                      state the wire-protocol number
 :class:`Heartbeat`    worker->master liveness beacon, every ``interval`` s
-:class:`TaskMsg`      master->worker run one quantum: of the resident task
-                                     ``key``, or of the carried checkpoint
-:class:`ResultMsg`    worker->master checkpoint + quantum results
+:class:`TaskMsg`      master->worker run quanta until a sample: of the
+                                     resident task ``key``, or of the
+                                     carried checkpoint
+:class:`ResultMsg`    worker->master checkpoint + the last quantum's result
 :class:`Forget`       master->worker drop a namespace's resident tasks
 :class:`WorkerFailure` worker->master unrecoverable worker-side error
 :class:`Shutdown`     master->worker run is over, exit cleanly
@@ -100,8 +103,9 @@ class ClusterError(RuntimeError):
 #: wire-protocol number, stated in :class:`Hello`.  1 = every quantum
 #: ships the live task both ways (frames of that era carry no number);
 #: 2 = worker-resident tasks, :class:`Checkpoint` results, :class:`Forget`;
-#: 3 = :class:`Forget` names the namespace to drop.
-PROTOCOL = 3
+#: 3 = :class:`Forget` names the namespace to drop; 4 = a dispatch runs
+#: quanta until a sample, and :class:`Checkpoint` carries ``quanta``.
+PROTOCOL = 4
 
 
 @dataclass(frozen=True)
@@ -126,30 +130,35 @@ class Heartbeat:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """What the master holds of a task: its scheduling facts and its
-    complete state as an opaque blob (``pickle.dumps(task, 5)``, made
-    where the live task is).  The blob crosses the wire as one
-    out-of-band buffer and is only ever unpickled by a worker."""
+    """What the master holds of a task: its scheduling facts, its
+    cost counters (``steps``, and ``quanta`` run, which a dispatch
+    advances by its chain's length) and its complete state as an opaque
+    blob (``pickle.dumps(task, 5)``, made where the live task is).  The
+    blob crosses the wire as one out-of-band buffer and is only ever
+    unpickled by a worker."""
 
     key: Any
     done: bool
     time: float
     steps: int
+    quanta: int
     state: Any
 
     @classmethod
     def of(cls, task: Any, key: Any = None) -> "Checkpoint":
         return cls(_task_key(task) if key is None else key, task.done,
-                   task.time, task.steps, pickle.dumps(task, 5))
+                   task.time, task.steps, task.quanta,
+                   pickle.dumps(task, 5))
 
     def __reduce__(self):
         return (Checkpoint, (self.key, self.done, self.time, self.steps,
-                             pickle.PickleBuffer(self.state)))
+                             self.quanta, pickle.PickleBuffer(self.state)))
 
 
 @dataclass(frozen=True)
 class TaskMsg:
-    """Master -> worker: advance a task by one quantum.
+    """Master -> worker: one dispatch, i.e. advance a task by quanta
+    until a sample (until a quantum yields one or the task is done).
 
     ``TaskMsg(None, key)`` names the task the worker already holds --
     the steady state.  A state-carrying message brings a
@@ -165,15 +174,16 @@ class TaskMsg:
 
 @dataclass(frozen=True)
 class ResultMsg:
-    """Worker -> master: the post-quantum :class:`Checkpoint` (in
-    ``task``) plus the quantum's result item -- as a 1-tuple, or the
+    """Worker -> master: the :class:`Checkpoint` after a dispatch's
+    chain of quanta (in ``task``) plus the last quantum's result item --
+    as a 1-tuple, or the
     :class:`~repro.distributed.shm.ShmBlock` a worker with a shm prefix
     published it into.
 
     State and results travel in *one* frame on purpose: the master either
     sees both (checkpoint replaced, results forwarded downstream) or
-    neither (worker died mid-quantum, task replayed from the previous
-    checkpoint) -- the atomicity deterministic reassignment relies on.
+    neither (worker died mid-chain, the whole chain replayed from the
+    previous checkpoint) -- the atomicity deterministic reassignment relies on.
     """
 
     worker_id: int
@@ -251,8 +261,8 @@ class WorkerHandle:
 
 
 class ClusterMaster:
-    """TCP master: listens, spawns/accepts workers, and runs quanta on
-    them through :meth:`submit` -- the executor contract
+    """TCP master: listens, spawns/accepts workers, and runs chains of
+    quanta on them through :meth:`submit` -- the executor contract
     :class:`~repro.sim.engine.SimEngineNode` takes as its ``pool``.
 
     Book-keeping is guarded by one condition variable shared by the
@@ -307,6 +317,7 @@ class ClusterMaster:
         self.workers: dict[int, WorkerHandle] = {}
         #: task key -> worker id (host affinity; re-pinned only on death)
         self.assignment: dict[Any, int] = {}
+        #: dispatches sent / answered: each a chain of quanta, not a quantum
         self.tasks_dispatched = 0
         self.results_received = 0
         self.reassignments = 0
@@ -323,7 +334,7 @@ class ClusterMaster:
         self._cond = threading.Condition()
         #: the reader threads call ``fault_hook`` one at a time
         self._hook_lock = threading.Lock()
-        #: task key -> the future of its outstanding quantum
+        #: task key -> the future of its outstanding dispatch
         self._futures: dict[Any, Future] = {}
         #: why the pool is down (every later submit raises it)
         self._error: Optional[BaseException] = None
@@ -444,12 +455,13 @@ class ClusterMaster:
 
     # -- the pool --------------------------------------------------------
     def submit(self, fn: Any, task: Any, namespace: Any = None) -> Future:
-        """Run one quantum of ``task`` on its worker; returns a future of
-        ``(Checkpoint, result item)``.
+        """Dispatch ``task`` to its worker, which runs quanta until a
+        sample (:func:`~repro.sim.engine.run_quantum`); returns a future
+        of ``(Checkpoint, result item)``.
 
         ``task`` is a live task (first dispatch: its state goes to the
         worker, which keeps it) or the :class:`Checkpoint` the previous
-        quantum's future returned (the worker holding it advances its
+        dispatch's future returned (the worker holding it advances its
         resident copy; a re-pinned one gets the checkpoint).  ``fn`` is
         the executor contract's callable and is not shipped: a worker
         always runs :func:`~repro.sim.engine.run_quantum`.
@@ -591,7 +603,7 @@ class ClusterMaster:
     def _on_result(self, handle: WorkerHandle, msg: ResultMsg) -> None:
         """Take a result frame's checkpoint off its worker's window and
         resolve its future.  A stale frame -- its worker declared dead
-        (the replayed quantum supersedes it) or no longer owing that
+        (the replayed dispatch supersedes it) or no longer owing that
         task -- or a result nobody waits for gives its segment back."""
         checkpoint = msg.task
         key = checkpoint.key
@@ -626,10 +638,10 @@ class ClusterMaster:
 
     # -- failure handling ------------------------------------------------
     def _worker_dead(self, handle: WorkerHandle, reason: str) -> None:
-        """Declare ``handle`` dead and replay its in-flight quanta on the
-        survivors from their last acknowledged checkpoints (re-pinned to
-        the least-loaded, even past a full window), from whichever thread
-        noticed; with no survivor, fail the pool."""
+        """Declare ``handle`` dead and replay its in-flight dispatches on
+        the survivors from their last acknowledged checkpoints (re-pinned
+        to the least-loaded, even past a full window), from whichever
+        thread noticed; with no survivor, fail the pool."""
         with self._cond:
             if not handle.alive or self._closed:
                 return
@@ -692,7 +704,7 @@ class ClusterMaster:
         for future in orphaned:
             if not future.done():
                 future.set_exception(
-                    ClusterError("master closed with quanta in flight"))
+                    ClusterError("master closed with dispatches in flight"))
         for handle in self.workers.values():
             if handle.alive:
                 self._send(handle, Shutdown())
@@ -717,8 +729,11 @@ class ClusterMaster:
     # -- accounting ------------------------------------------------------
     def counters(self) -> dict[str, float]:
         """Run-report counters: pool totals plus per-link traffic (the
-        farm above the pool counts quanta, steps and tasks)."""
+        farm above the pool counts quanta, steps and tasks).  Every
+        count here is of dispatches (one ``TaskMsg`` / ``ResultMsg``
+        round trip, a chain of quanta), not of quanta."""
         counters: dict[str, float] = {
+            # dispatches sent / answered
             "net.tasks_dispatched": self.tasks_dispatched,
             "net.results_received": self.results_received,
             "net.reassignments": self.reassignments,
@@ -730,7 +745,7 @@ class ClusterMaster:
             "net.state_sends": self.state_sends,
             "net.resident_sends": self.resident_sends,
             "net.state_bytes_in": self.state_bytes_in,
-            # quanta whose results came back through a shared segment
+            # dispatches whose result came back through a shared segment
             "net.shm_blocks": self.shm_blocks,
             "net.shm_bytes": self.shm_bytes,
         }

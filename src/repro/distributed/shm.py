@@ -13,7 +13,7 @@ network never get a prefix and keep sending results in band.
 
 Lifecycle is explicit and master-owned:
 
-* the **worker** creates one segment per quantum (the block's ``times``
+* the **worker** creates one segment per dispatch (the block's ``times``
   and ``values`` packed back to back), immediately detaches its own
   ``resource_tracker`` registration (so a worker exiting does not yank
   pages the master still reads) and closes its mapping;
@@ -52,7 +52,7 @@ from repro.sim.task import ResultBlock
 #: master pid and a random token (see :func:`make_prefix`)
 SEGMENT_PREFIX = "repro-shm"
 
-#: below this many payload bytes per quantum, the socket wins (one
+#: below this many payload bytes per dispatch, the socket wins (one
 #: shm_open + ftruncate + mmap + unlink round trip costs more than
 #: copying a few KB through the result frame)
 SHM_MIN_BYTES = 4096
@@ -221,7 +221,7 @@ class ShmCoalescedEntry:
 
 
 class ShmBlock:
-    """The picklable message a worker returns for one quantum: inline
+    """The picklable message a worker returns for one dispatch: inline
     results interleaved (in original order) with
     :class:`ShmCoalescedEntry` descriptors pointing into the named
     segment.

@@ -13,12 +13,14 @@ the master only their checkpoints:
 3. for every :class:`~repro.distributed.net.TaskMsg`: take the task from
    the message (a :class:`~repro.distributed.net.Checkpoint` to unpickle,
    or a live task) or, for ``TaskMsg(None, key)``, from ``resident``; run
-   **one** simulation quantum and send a single
-   :class:`~repro.distributed.net.ResultMsg` frame carrying the advanced
-   task's checkpoint *and* the quantum's one result item (atomic: the
-   master never sees one without the other) -- the item itself, or, for
-   a worker its master spawned with a shared-memory prefix, the
-   :class:`~repro.distributed.shm.ShmBlock` it was published into.
+   simulation quanta until one yields a sample or the task is done
+   (:func:`~repro.sim.engine.run_quantum`, what an in-process engine
+   runs) and send a single :class:`~repro.distributed.net.ResultMsg`
+   frame carrying the advanced task's checkpoint *and* that quantum's
+   one result item (atomic: the master never sees one without the
+   other) -- the item itself, or, for a worker its master spawned with
+   a shared-memory prefix, the :class:`~repro.distributed.shm.ShmBlock`
+   it was published into.
    The task stays resident if the master
    asked for that and it is not done; a key the worker does not hold is
    a :class:`~repro.distributed.net.WorkerFailure`;
@@ -68,6 +70,7 @@ from repro.distributed.net import (
     in_namespace,
 )
 from repro.distributed.shm import publish_results
+from repro.sim.engine import run_quantum
 
 
 def _connect(host: str, port: int, retries: int = 50,
@@ -93,15 +96,16 @@ def worker_main(host: str, port: int, worker_id: int,
                 heartbeat_interval: float = 0.5,
                 resident: Optional[dict] = None,
                 shm_prefix: Optional[str] = None) -> int:
-    """Run the worker loop until shutdown; returns quanta executed.
+    """Run the worker loop until shutdown; returns quanta executed
+    (counted by the tasks, so a dispatch adds its chain's length).
 
     Frames ship their numpy payloads as out-of-band buffer segments:
-    the checkpoint blob and the quantum's sample arrays cross the wire
+    the checkpoint blob and the result's sample arrays cross the wire
     without being copied into the pickle stream.  ``resident`` (task key
     -> live task) is where the worker keeps the tasks it holds; an
     in-thread caller may pass its own dict to watch it.  ``shm_prefix``
     is set only by a master that spawned this worker on its own host:
-    quantum results then go through the shared-memory result ring
+    results then go through the shared-memory result ring
     (:func:`~repro.distributed.shm.publish_results`) and the frame
     carries their descriptor.
     """
@@ -175,8 +179,9 @@ def worker_main(host: str, port: int, worker_id: int,
 
 def _run_one(send, worker_id: int, msg: TaskMsg, resident: dict,
              shm_prefix: Optional[str]) -> int:
-    """Advance the task ``msg`` names or carries by one quantum and ship
-    its checkpoint + results atomically."""
+    """Advance the task ``msg`` names or carries by quanta until a
+    sample and ship its checkpoint + result atomically; returns the
+    quanta run."""
     try:
         task, key = msg.task, msg.key
         if task is None:
@@ -185,7 +190,8 @@ def _run_one(send, worker_id: int, msg: TaskMsg, resident: dict,
                 raise LookupError(f"no resident task for key {key!r}")
         elif isinstance(task, Checkpoint):
             key, task = task.key, pickle.loads(task.state)
-        results = (task.run_quantum(),)
+        quanta_before = task.quanta
+        task, result = run_quantum(task)
     except Exception as exc:  # noqa: BLE001 - reported to the master
         _try_send(send, WorkerFailure(
             worker_id, f"{type(exc).__name__}: {exc}"))
@@ -197,10 +203,11 @@ def _run_one(send, worker_id: int, msg: TaskMsg, resident: dict,
         resident[checkpoint.key] = task
     else:
         resident.pop(checkpoint.key, None)
+    results = (result,)
     send(ResultMsg(worker_id, checkpoint,
                    results if shm_prefix is None
                    else publish_results(results, shm_prefix)))
-    return 1
+    return task.quanta - quanta_before
 
 
 def _hang_up(sock: socket.socket) -> None:

@@ -14,7 +14,8 @@ dispatches the input stream across them.  Options mirror FastFlow:
   tags assigned at dispatch, reorder buffer at the merge point);
 * ``feedback`` -- workers get a feedback edge back to the emitter, turning
   the farm into a master-worker: the paper's simulation farm reschedules
-  each incomplete simulation task along this edge after every quantum.
+  each incomplete simulation task along this edge after every quantum
+  that yields a sample.
 
 Workers may be :class:`~repro.ff.node.Node` instances, callables, or whole
 :class:`~repro.ff.pipeline.Pipeline` objects (the *farm of simulation

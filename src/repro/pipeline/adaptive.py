@@ -10,8 +10,8 @@ the scheduler link every run registers at start: its
 :class:`~repro.sim.scheduler.SimTaskEmitter`, the one scheduler on
 every backend.  The design follows OSPREY's ``asynch_repriority`` task
 queues (re-prioritise queued work from a running analysis, never kill a
-task) and FastFlow's feedback-channel farms (decisions ride the same
-quantum boundaries the paper's scheduler already has).
+task) and FastFlow's feedback-channel farms (decisions ride the
+dispatch boundaries the scheduler already has: a task's next sample).
 
 Three concrete policies:
 
@@ -19,8 +19,8 @@ Three concrete policies:
   per-cut ensemble statistics into a running per-species estimate of the
   time-averaged mean, and retire the run at the first analysed window
   where every tracked species' confidence-interval half-width is below
-  the threshold.  In-flight quanta are retired at their next quantum
-  boundary (steering), queued ones are cancelled outright, and windows
+  the threshold.  In-flight dispatches are retired when they come back
+  (steering), queued ones are cancelled outright, and windows
   past the decision point are suppressed so every backend reports the
   same (bit-identical) truncated window set.
 * :class:`LaggardRepriorityPolicy` -- mid-run re-prioritisation: on every
@@ -64,7 +64,7 @@ __all__ = [
 @dataclass(frozen=True)
 class StopRun:
     """Retire the run: windows after ``window_index`` are suppressed and
-    simulation tasks retire at their next quantum boundary."""
+    simulation tasks retire at the end of their current dispatch."""
 
     window_index: int
     reason: str = ""
@@ -358,6 +358,7 @@ class PointResult:
     runs: list = field(default_factory=list)
     n_trajectories: int = 0
     extra_granted: int = 0
+    #: dispatches (chains of quanta), the ``sim.quanta_dispatched`` sum
     quanta_dispatched: float = 0.0
     converged: bool = False
     stop_window: Optional[int] = None
@@ -412,7 +413,7 @@ def run_adaptive_sweep(points: Sequence[ParameterPoint], config, *,
     Phase 1 (probe): every point runs the configured workflow
     (``config.n_simulations`` trajectories) under a
     :class:`ConvergenceStopPolicy` -- points whose statistics already
-    converge retire their surplus quanta at quantum boundaries.  Phase 2
+    converge retire their surplus quanta at dispatch boundaries.  Phase 2
     (top-up): ``extra_budget`` additional trajectory tasks are granted to
     the still-unconverged points proportionally to their pooled variance
     score; each top-up fleet continues pooling from the probe's

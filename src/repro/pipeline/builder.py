@@ -168,12 +168,12 @@ def assemble_workflow(source: TaskSource, n_rows: int,
                       stop_requested: Optional[Callable[[], bool]] = None,
                       pool: Any = None) -> Pipeline:
     """Wire the simulation half of Fig. 2 -- ``source``'s tasks, advanced
-    quantum by quantum, aligned into cuts of ``n_rows`` trajectories --
-    in front of ``consumers``.
+    a chain of quanta at a time, aligned into cuts of ``n_rows``
+    trajectories -- in front of ``consumers``.
 
     One pattern on every backend (paper section IV-B: a port changes
     what runs the quanta, not the simulator): a feedback farm whose
-    :class:`~repro.sim.scheduler.SimTaskEmitter` schedules every quantum
+    :class:`~repro.sim.scheduler.SimTaskEmitter` schedules every dispatch
     and whose engines run them on their own threads or hand them to
     ``pool`` (:func:`workflow_pool`: a
     :class:`~repro.distributed.net.ClusterMaster` under ``processes`` /

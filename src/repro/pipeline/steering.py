@@ -60,7 +60,9 @@ class SteeringController:
     # -- control ---------------------------------------------------------
     def stop(self) -> None:
         """Request early termination: running trajectories are retired at
-        their next quantum boundary."""
+        the end of their current dispatch (the quantum that yields their
+        next sample, or their horizon; see
+        :class:`~repro.sim.scheduler.SimTaskEmitter`)."""
         self._stop.set()
 
     @property

@@ -3,16 +3,18 @@
 A batch run owns its backend: ``backend="processes"`` spawns worker
 processes, runs, and tears them down.  The service inverts that: one
 :class:`SharedFleet` outlives every run, and each tenant run submits its
-simulation quanta through a :class:`FleetClient` facade that looks
-exactly like an executor (``submit(fn, *args) -> Future``), which is
-what :class:`~repro.sim.engine.SimEngineNode` takes as its ``pool``.
+simulation dispatches (each a chain of quanta until a sample, see
+:func:`~repro.sim.engine.run_quantum`) through a :class:`FleetClient`
+facade that looks exactly like an executor (``submit(fn, *args) ->
+Future``), which is what :class:`~repro.sim.engine.SimEngineNode` takes
+as its ``pool``.
 
 Between the facade and the workers sits the fair-share layer:
 
 * every submission lands in its tenant's **pending queue** -- never
   directly on the pool;
-* a tenant has at most ``max_inflight`` quanta on workers at once (the
-  per-tenant backpressure bound: a sweep with 10k queued quanta holds
+* a tenant has at most ``max_inflight`` dispatches on workers at once
+  (the per-tenant backpressure bound: a sweep with 10k queued ones holds
   the same number of worker slots as anyone else);
 * one dispatcher thread moves work from pending queues to the pool,
   picking the next tenant by **stride scheduling**
@@ -26,9 +28,9 @@ processes spawned on this host, task keys namespaced per tenant, tasks
 resident on their worker (a tenant's engines get checkpoints back, the
 master never unpickles one), results back through the shared-memory
 ring, replay on worker death.  Releasing a tenant drops its resident
-tasks from the workers once its last quantum has settled.
+tasks from the workers once its last dispatch has settled.
 
-Per-tenant results are **independent of dispatch order** -- each quantum
+Per-tenant results are **independent of dispatch order** -- each dispatch
 is a pure function of its task state -- so fair-share interleaving never
 changes what a run computes, only when.  That is the invariant behind
 the service's bit-identical-to-batch guarantee.
@@ -103,7 +105,7 @@ class SharedFleet:
     backend:
         ``"threads"``, or ``"processes"`` / ``"cluster"`` (one runtime).
     max_inflight:
-        Default per-tenant bound on quanta occupying worker slots
+        Default per-tenant bound on dispatches occupying worker slots
         (clients may lower it per run).  Defaults to ``n_workers`` -- a
         lone tenant saturates the fleet; under contention the stride
         scheduler shares slots out fairly anyway.
@@ -130,6 +132,7 @@ class SharedFleet:
         self._cond = threading.Condition(self._lock)
         self._tenants: dict[str, _Tenant] = {}
         self._global_inflight = 0
+        #: dispatches (chains of quanta until a sample), not quanta
         self._quanta_dispatched = 0
         self._started = False
         self._closed = False
@@ -168,7 +171,7 @@ class SharedFleet:
 
     def close(self) -> None:
         """Tear the fleet down; idempotent.  Pending (undispatched)
-        submissions fail with :class:`FleetClosed`; in-flight quanta are
+        submissions fail with :class:`FleetClosed`; in-flight ones are
         allowed to finish so engine threads blocked on their futures
         always wake."""
         with self._cond:
@@ -211,8 +214,8 @@ class SharedFleet:
 
     def release(self, tenant: str) -> None:
         """Deregister a tenant; its pending submissions fail, in-flight
-        quanta complete normally (their futures are already bound), and
-        once the last of them has settled its resident tasks are
+        dispatches complete normally (their futures are already bound),
+        and once the last of them has settled its resident tasks are
         dropped from the workers (a cancelled run leaves live tasks
         behind on a long-lived fleet)."""
         with self._cond:
@@ -281,7 +284,7 @@ class SharedFleet:
         started = time.monotonic()
         try:
             if self._master is not None:
-                # the master runs the quantum on the worker holding the
+                # the master runs the chain on the worker holding the
                 # task and resolves to (checkpoint, result), which the
                 # tenant's engine hands back for the next one; ``fn``
                 # never crosses the wire
@@ -341,7 +344,7 @@ class SharedFleet:
                 "global_inflight": self._global_inflight,
                 "quanta_dispatched": self._quanta_dispatched,
                 "swept_at_start": list(self._swept_at_start),
-                # seconds quanta waited for a slot in their worker's
+                # seconds dispatches waited for a slot in their worker's
                 # in-flight window on the master
                 "inflight_wait_s": (self._master.inflight_wait_s
                                     if self._master is not None else 0.0),

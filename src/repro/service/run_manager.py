@@ -265,8 +265,9 @@ class RunManager:
             return list(self._runs.values())
 
     def cancel(self, run_id: str) -> dict[str, Any]:
-        """Steered early stop: in-flight quanta retire at their next
-        quantum boundary, the backlog is cancelled outright."""
+        """Steered early stop: in-flight dispatches retire when they come
+        back (at a task's next sample), the backlog is cancelled
+        outright."""
         handle = self.get(run_id)
         if not handle.finished:
             handle.cancel_requested = True

@@ -73,8 +73,8 @@ class TrajectoryAligner(Node):
     past the last grid point reported) and the fleet minimum over it.
     That is all the bookkeeping needed because each trajectory's results
     arrive in grid order: the farm's merge channel is one FIFO, an engine
-    sends a quantum's result before feeding the task back for the next
-    one, a replayed quantum resolves its future once and the cluster
+    sends a dispatch's result before feeding the task back for the next
+    one, a replayed dispatch resolves its future once and the cluster
     master drops a dead worker's late frames.  So a block must start at
     its members' mark; one that does not is refused with ``ValueError``
     ("already emitted" below the next cut, "twice" below the mark,

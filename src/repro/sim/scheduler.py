@@ -7,10 +7,13 @@ it turns a model and run parameters into independent simulation tasks,
 ``SimTaskEmitter`` is the scheduling logic of the *farm of simulation
 engines*, and the only scheduler on every backend: dispatch tasks on
 demand, re-dispatch every incomplete task that comes back on the feedback
-channel after a quantum, and end the stream once every task has reached
-its simulation end time.  What comes back is whatever the engines' pool
-returned -- the live task, or, from a worker-process pool, the task's
-:class:`~repro.distributed.net.Checkpoint`; the emitter reads only
+channel, and end the stream once every task has reached its simulation
+end time.  One dispatch is one chain of quanta: an engine runs quanta
+until one yields a sample or the task is done
+(:func:`~repro.sim.engine.run_quantum`), so the emitter sees a task at
+most once per sampling interval.  What comes back is whatever the
+engines' pool returned -- the live task, or, from a worker-process pool,
+the task's :class:`~repro.distributed.net.Checkpoint`; the emitter reads only
 ``done`` and (through a priority key) ``time``.  An optional
 :class:`SteeringHook` lets a front-end steer/terminate the run while it is
 in flight (the paper's GUI can "start new simulations, steer and terminate
@@ -115,11 +118,14 @@ class SimTaskEmitter(MasterWorkerEmitter):
     docstring).  ``stop_requested`` (a zero-argument callable) is polled on
     every reschedule: when it returns True, in-flight tasks are retired
     instead of re-dispatched and queued tasks are cancelled outright,
-    draining the run early.
+    draining the run early.  A reschedule happens at the end of a chain,
+    not after every quantum: steering stops, adaptive retirement and
+    :meth:`repriority` take effect at the next sample a task reaches (or
+    its horizon), which is the granularity windows see anyway.
 
     The emitter holds its runnable work in a **priority-queue backlog**
     rather than flooding the worker channels: at most ``priority_window``
-    quanta are outstanding (dispatched, not yet fed back) at any time, the
+    dispatches are outstanding (sent, not yet fed back) at any time, the
     rest wait in a heap ordered by the current priority key (FIFO by
     default).  :meth:`repriority` re-keys the backlog mid-run -- the hook
     the adaptive policy layer drives -- and because un-dispatched work
@@ -128,9 +134,11 @@ class SimTaskEmitter(MasterWorkerEmitter):
     kill.  ``priority_window=None`` (the default) dispatches immediately,
     preserving the historical flood-the-channels behaviour.
 
-    Counters: ``sim.quanta_dispatched`` counts actual dispatches (a quantum
-    cancelled from the backlog at stop time was never dispatched -- that is
-    the adaptive saving), ``sim.tasks_completed`` counts tasks that reached
+    Counters: ``sim.quanta_dispatched`` counts dispatches, not quanta (each
+    is a chain of quanta; the engines count quanta run as ``sim.quanta``),
+    and only actual ones (a dispatch cancelled from the backlog at stop
+    time never ran -- that is the adaptive saving),
+    ``sim.tasks_completed`` counts tasks that reached
     their full horizon, ``sim.tasks_retired`` counts tasks retired early by
     steering.
     """

@@ -10,7 +10,7 @@ results*.
 :class:`BatchSimulationTask` is the batched variant: one task owns a whole
 block of trajectories advanced in lockstep by the NumPy engine
 (:class:`~repro.cwc.batch.BatchFlatSimulator`).  Either way one quantum
-is one stream item of one type, a :class:`ResultBlock` over the task's
+returns one item of one type, a :class:`ResultBlock` over the task's
 contiguous range of trajectory ids (a range of one for a scalar task) --
 the granularity the paper uses for its GPU offload (blocks of
 simulations as stream items).  The alignment stage writes a block's
@@ -48,7 +48,9 @@ class ResultBlock:
     boundary, ``done`` is a single flag.
 
     ``len(block)`` is the total sample count (0 for a bare progress or
-    done marker), so the engines forward ``len(r) or r.done`` items.
+    done marker); an engine's chain of quanta
+    (:func:`~repro.sim.engine.run_quantum`) only ever returns a block
+    with samples or a done marker.
     ``attach_segment`` / :meth:`release` tie a block to a shared-memory
     segment when its arrays are views over shared pages (the cluster
     runtime's local result ring): the consumer calls :meth:`release`
@@ -141,6 +143,8 @@ def id_range(task_ids: Sequence[int]) -> range:
     return ids
 
 
+# kept although no empty progress block leaves an engine: every skipped
+# quantum inside a chain, and a done marker at an off-grid t_end, is one
 @lru_cache(maxsize=None)
 def _no_samples(n_members: int, n_obs: int) -> tuple[np.ndarray, np.ndarray]:
     """The shared zero-size ``(times, values)`` pair of a block with no
@@ -165,6 +169,8 @@ class SimulationTask:
         self.quantum = quantum
         self.sample_every = sample_every
         self._next_grid = 0  # next sampling grid index to emit
+        #: quanta run so far (one per :meth:`run_quantum` that advanced)
+        self.quanta = 0
 
     @property
     def time(self) -> float:
@@ -194,6 +200,7 @@ class SimulationTask:
         grid_times: list[float] = []
         rows: list[tuple[float, ...]] = []
         if not self.done:
+            self.quanta += 1
             target = min(self.time + self.quantum, self.t_end)
             while True:
                 grid_time = self._next_grid * self.sample_every
@@ -244,6 +251,8 @@ class BatchSimulationTask:
         self.quantum = quantum
         self.sample_every = sample_every
         self._next_grid = 0  # shared: members advance in lockstep
+        #: quanta run so far (one per :meth:`run_quantum` that advanced)
+        self.quanta = 0
 
     @property
     def n(self) -> int:
@@ -279,6 +288,7 @@ class BatchSimulationTask:
         grid_start = self._next_grid
         if self.done:
             return self._block(grid_start, [], [])
+        self.quanta += 1
         target = min(self.time + self.quantum, self.t_end)
         rows: list[np.ndarray] = []      # one (n, n_obs) matrix per grid pt
         grid_times: list[float] = []

@@ -145,7 +145,7 @@ def run_sweep(model: Union[Model, ReactionNetwork], spec: SweepSpec,
     ``fault_hook`` are those of :func:`~repro.pipeline.run_workflow` --
     the service passes its shared fleet as ``pool``.
     ``stop_requested`` (a zero-argument callable) drains the sweep early
-    at the next quantum boundaries when it returns True (steered
+    at the end of the dispatches in flight when it returns True (steered
     cancellation); cuts never reached stay NaN in ``times`` and zero in
     the matrices.
     """

@@ -1,6 +1,7 @@
 """Drive a resident worker pool by hand, the way the simulation farm's
-engines do: one quantum per ``submit``, each task's next quantum
-submitted with the checkpoint its last one returned."""
+engines do: one dispatch (quanta until a sample) per ``submit``, each
+task's next dispatch submitted with the checkpoint its last one
+returned."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from repro.sim.engine import run_quantum
 
 def drive(pool, tasks, namespace=None, stop=None, timeout=60.0) -> list:
     """Run ``tasks`` to completion on ``pool`` -- all of them in flight
-    together, a round at a time -- and return every quantum's result
+    together, a round at a time -- and return every dispatch's result
     item.  ``stop(results)`` returning True retires the unfinished
     tasks at the end of that round, as a steered stop does."""
     results: list = []

@@ -396,6 +396,17 @@ class TestProtocolNumber:
         old_hello = Hello(worker_id=0, pid=1)
         object.__delattr__(old_hello, "protocol")
         assert "protocol" not in pickle.loads(pickle.dumps(old_hello)).__dict__
+        self._assert_refused(old_hello, 1)
+
+    def test_one_quantum_per_dispatch_worker_is_refused(self):
+        """Protocol 3 ran one quantum per dispatch and sent checkpoints
+        without a quanta count: a master that reads one off every
+        checkpoint cannot serve it."""
+        assert PROTOCOL == 4
+        self._assert_refused(Hello(worker_id=0, pid=1, protocol=3), 3)
+
+    @staticmethod
+    def _assert_refused(old_hello: Hello, protocol: int) -> None:
         master = ClusterMaster(n_workers=1, spawn_local=False,
                                accept_timeout=30.0)
         failure = []
@@ -415,7 +426,7 @@ class TestProtocolNumber:
             starter.join(timeout=30.0)
         assert not starter.is_alive()
         assert len(failure) == 1
-        assert "protocol 1" in failure[0]
+        assert f"protocol {protocol}," in failure[0]
         assert f"speaks {PROTOCOL}" in failure[0]
         assert not master.workers
 

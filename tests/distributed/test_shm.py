@@ -280,11 +280,12 @@ class TestMasterSegmentLifetime:
         future is gone (the pool failed or closed under it)."""
         master = ClusterMaster(n_workers=1)
         handle = master.workers[0] = WorkerHandle(0, sock=None)
-        handle.in_flight[owed] = Checkpoint(owed, False, 0., 0, b"")
+        handle.in_flight[owed] = Checkpoint(owed, False, 0., 0, 0, b"")
         block = publish_results([result_block()], prefix)
         assert leaked_segments(prefix) == [block.name]
         master._on_result(
-            handle, ResultMsg(0, Checkpoint("k", False, 1.0, 1, b""), block))
+            handle,
+            ResultMsg(0, Checkpoint("k", False, 1.0, 1, 1, b""), block))
         assert master.stale_results == (owed != "k")
         assert leaked_segments(prefix) == []
 

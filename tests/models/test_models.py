@@ -99,14 +99,28 @@ class TestLotkaVolterra:
         assert prey[-1] == 0 or max(prey) > 1.5 * min(p for p in prey if p > 0)
 
     def test_trajectory_cost_is_heavily_unbalanced(self):
-        """The property the paper's load balancing addresses."""
+        """The property the paper's load balancing addresses.
+
+        A trajectory whose predators die out grows its prey without
+        bound (tens of millions of events by ``t = 30``), so each seed
+        advances in 1.0-time chunks and stops once it passes
+        ``STEP_CAP``: a capped count is a lower bound on the real one,
+        so ``max > 2 * min`` still holds of the uncapped costs as long
+        as the cheapest seed ran to the end uncapped."""
+        STEP_CAP = 200_000
         net = lotka_volterra_network(prey0=50, predator0=50,
                                      birth=1.0, predation=0.02, death=1.0)
-        steps = []
+        steps, reached = [], []
         for seed in range(15):
             simulator = FlatSimulator(net, seed=seed)
-            simulator.advance(30.0)
+            while simulator.time < 30.0 - 1e-9 \
+                    and simulator.steps <= STEP_CAP:
+                simulator.advance(min(1.0, 30.0 - simulator.time))
             steps.append(simulator.steps)
+            reached.append(simulator.time)
+        cheapest = steps.index(min(steps))
+        assert reached[cheapest] == pytest.approx(30.0)
+        assert steps[cheapest] <= STEP_CAP
         assert max(steps) > 2 * min(steps)
 
 
