@@ -19,15 +19,21 @@ from repro.cwc.rule import CompartmentPattern, Pattern
 from repro.cwc.multiset import Multiset
 from repro.distributed.message import decode_frame, encode_frame
 from repro.ff.queues import Channel
-from repro.models import neurospora_cwc_model, neurospora_network
+from repro.models import (mm_enzyme_network, neurospora_cwc_model,
+                          neurospora_network)
 from repro.pipeline import WorkflowConfig, run_workflow
 from repro.sim.alignment import TrajectoryAligner
 from repro.sim.task import ResultBlock
 from repro.sim.trajectory import Cut
 
 
-def test_flat_ssa_throughput(benchmark):
-    network = neurospora_network(omega=100)
+@pytest.mark.parametrize("model", [
+    "neurospora",   # Hill laws: called through Reaction.propensity
+    "mm-enzyme",    # mass action only: inlined in the generated loop
+])
+def test_flat_ssa_throughput(benchmark, model):
+    network = (neurospora_network(omega=100) if model == "neurospora"
+               else mm_enzyme_network(omega=100))
 
     def one_hour():
         simulator = FlatSimulator(network, seed=1)

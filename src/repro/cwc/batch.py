@@ -31,7 +31,9 @@ resampled on the next call -- the same argument
 from __future__ import annotations
 
 import math
+import sys
 import threading
+import weakref
 from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -39,7 +41,8 @@ import numpy as np
 from repro.cwc.gillespie import SSAResult
 from repro.cwc.kernels import NumpyKernel, make_kernel
 from repro.cwc.model import Model
-from repro.cwc.network import ReactionNetwork, StateView
+from repro.cwc.network import ReactionNetwork, StateView, \
+    build_direct_loop
 from repro.cwc.rates import (
     Constant,
     HillActivation,
@@ -384,6 +387,44 @@ def compile_network(network: Union[ReactionNetwork, "CompiledNetwork"]
         return _compile_cache[key]
 
 
+#: generated scalar direct-method loops (:func:`direct_loop`), under the
+#: same lock and cap; loops of networks without a content hash are kept
+#: per network object
+_loop_cache: "dict[tuple, Callable]" = {}
+_loop_by_object: "weakref.WeakKeyDictionary[ReactionNetwork, Callable]" = \
+    weakref.WeakKeyDictionary()
+
+
+def direct_loop(network: ReactionNetwork) -> Callable:
+    """``network``'s generated direct-method loop
+    (:func:`~repro.cwc.network.build_direct_loop`), memoized per process
+    by content hash like :func:`compile_network`: generating one costs
+    about a millisecond, and every scalar task of a run shares it.
+    Thread-safe.
+    """
+    fingerprint = network.fingerprint()
+    if fingerprint is None:
+        cache, key = _loop_by_object, network
+    else:
+        # the hash prints an int constant like the float it equals; the
+        # loop multiplies by the object itself, so its type is part of
+        # the key
+        cache, key = _loop_cache, (fingerprint, tuple(
+            type(r.rate) for r in network.reactions))
+    with _compile_lock:
+        loop = cache.get(key)
+    if loop is not None:
+        return loop
+    loop = build_direct_loop(network)  # generate outside the lock
+    with _compile_lock:
+        if key not in cache:
+            while cache is _loop_cache and \
+                    len(cache) >= _COMPILE_CACHE_CAP:
+                cache.pop(next(iter(cache)))
+            cache[key] = loop
+        return cache[key]
+
+
 def network_cache_stats() -> dict[str, int]:
     """A snapshot of the compile cache counters (hits / misses /
     uncacheable)."""
@@ -395,6 +436,7 @@ def clear_network_cache() -> None:
     """Drop every memoized compilation and zero the counters (tests)."""
     with _compile_lock:
         _compile_cache.clear()
+        _loop_cache.clear()
         for key in _compile_stats:
             _compile_stats[key] = 0
 
@@ -558,7 +600,6 @@ class BatchFlatSimulator:
             self.compiled = network
         else:
             self.compiled = CompiledNetwork(network)
-        self.network = self.compiled.network
         self.n = n_trajectories
         self.counts = np.tile(self.compiled.initial, (n_trajectories, 1))
         self.times = np.zeros(n_trajectories)
@@ -615,14 +656,27 @@ class BatchFlatSimulator:
 
     def __getstate__(self) -> dict:
         # kernel objects hold workspace buffers / jitted dispatchers /
-        # device handles; ship the name, rebuild on first use over there
-        return {**self.__dict__, "_kernel": None}
+        # device handles; ship the name, rebuild on first use over there.
+        # A pickle writes equal strs once only when they are one object:
+        # the name ships interned, as a literal and a module name are, so
+        # an unpickled simulator pickles to the same bytes
+        return {**self.__dict__, "_kernel": None,
+                "kernel_name": sys.intern(self.kernel_name)}
 
     @property
     def kernel(self):
         if not self._kernel:
             self._kernel = make_kernel(self.kernel_name, self.compiled)
         return self._kernel
+
+    @property
+    def network(self) -> ReactionNetwork:
+        # read through ``compiled``, never held twice: an unpickled
+        # ``compiled`` resolves through the compile cache to the network
+        # that compiled first, so a second reference would pickle as a
+        # second network and a task's first pickle would differ from
+        # its second
+        return self.compiled.network
 
     @property
     def model(self) -> ReactionNetwork:

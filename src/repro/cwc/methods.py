@@ -60,6 +60,14 @@ class FirstReactionSimulator(FlatSimulator):
         self.steps += 1
         return True
 
+    def advance(self, quantum: float) -> float:
+        # per step: the inherited advance runs the direct method's loop
+        target = self.time + quantum
+        while self.time < target:
+            if not self.step(t_max=target):
+                break
+        return self.time
+
 
 class TauLeapSimulator:
     """Explicit tau-leaping (approximate, accelerated).

@@ -296,6 +296,160 @@ class ReactionNetwork:
         return cls(model.name, initial, reactions, observables)
 
 
+def build_direct_loop(network: ReactionNetwork) -> Callable:
+    """Generate and ``exec`` ``network``'s direct-method loop,
+    ``direct(sim, target, once) -> fired`` (see :class:`FlatSimulator`).
+    Memoised per process by :func:`repro.cwc.batch.direct_loop`.
+
+    Locals: ``x<c>`` the count of species ``c``, ``a<j>`` the propensity
+    of reaction ``j``, ``k<j>`` its mass-action constant, ``p<j>`` its
+    bound :meth:`Reaction.propensity` when the rate is a law, ``n<c>``
+    the species name.  Names, constants and laws reach the code only
+    through the namespace (as parameter defaults); the source holds
+    indices and stoichiometry.
+    """
+    species = network.species
+    col = {s: c for c, s in enumerate(species)}
+    reactions = network.reactions
+    deps = network.reaction_dependencies()
+    # counts no reaction changes are never stale in ``counts``
+    mutable = sorted({col[s] for r in reactions
+                      for s, _ in r.changed_species})
+    laws = [j for j, r in enumerate(reactions) if callable(r.rate)]
+    every = range(len(reactions))
+
+    def gate(j: int) -> str:
+        return " and ".join(f"x{col[s]} >= {need}"
+                            for s, need in reactions[j].reactants)
+
+    def mass_action(j: int) -> str:
+        factors = []
+        for s, need in reactions[j].reactants:
+            x = f"x{col[s]}"
+            factors.append(x if need == 1 else
+                           f"({x} * ({x} - 1) >> 1)" if need == 2 else
+                           f"_comb({x}, {need})")
+        if not factors:
+            return f"k{j} * 1"
+        h = factors[0] if len(factors) == 1 else f"({' * '.join(factors)})"
+        return f"k{j} * {h} if {gate(j)} else 0.0"
+
+    def write_back(cols) -> list[str]:
+        return [f"counts[n{c}] = x{c}" for c in cols]
+
+    def law_reads(j: int) -> list[int]:
+        reads = _rate_law_reads(reactions[j].rate)
+        if reads is None:
+            return mutable
+        reads = reads | {s for s, _ in reactions[j].reactants}
+        return [c for c in mutable if species[c] in reads]
+
+    def assign(j: int, out: str) -> list[str]:
+        if j not in laws:
+            return [f"{out} = {mass_action(j)}"]
+        call = [*write_back(law_reads(j)), f"{out} = p{j}(counts)"]
+        if not reactions[j].reactants:
+            return call
+        return [f"if {gate(j)}:", *("    " + line for line in call),
+                "else:", f"    {out} = 0.0"]
+
+    props = ", ".join(f"a{j}" for j in every)
+    recompute = [line for j in every for line in assign(j, f"a{j}")]
+    recompute.append(f"total = _sum(({props},))")
+
+    def fire(j: int) -> list[str]:
+        body = [f"x{col[s]} {'+' if d > 0 else '-'}= {abs(d)}"
+                for s, d in reactions[j].changed_species]
+        body.append("delta = 0.0")
+        for i in deps[j]:
+            body += assign(i, "new")
+            body += [f"delta += new - a{i}", f"a{i} = new"]
+        return body + [
+            "total += delta",
+            "since += 1",
+            "if since >= resum:",
+            f"    total = _sum(({props},))",
+            "    since = 0"]
+
+    select = []
+    for j in every:
+        if len(reactions) == 1:
+            head = None
+        elif j == 0:
+            head = "if pick < (acc := 0.0 + a0):"
+        elif j < len(reactions) - 1:
+            head = f"elif pick < (acc := acc + a{j}):"
+        else:
+            head = "else:"
+        ind = "" if head is None else "    "
+        select += ([head] if head else []) + [ind + l for l in fire(j)]
+
+    def block(lines, depth: int) -> str:
+        pad = "    " * depth
+        return "\n".join(pad + line for line in lines)
+
+    # bound as parameter defaults: locals at no per-call cost
+    bound = {**{f"k{j}": reactions[j].rate for j in every if j not in laws},
+             **{f"p{j}": reactions[j].propensity for j in laws},
+             **{f"n{c}": s for c, s in enumerate(species)}}
+    params = "".join(f", {name}=_{name}" for name in bound)
+    source = f"""\
+def direct(sim, target, once{params}):
+    t = sim.time
+    if not (t < target or once):
+        return False
+    counts = sim.counts
+{block([f"x{c} = counts.get(n{c}, 0)" for c in range(len(species))], 1)}
+    rng = sim.rng
+    expo = rng.expovariate
+    rand = rng.random
+    resum = sim.RESUM_INTERVAL
+    steps = sim.steps
+    if sim._props_valid:
+        {props}, = sim._props
+        total = sim._total
+        since = sim._steps_since_resum
+    else:
+{block(recompute, 2)}
+        since = 0
+    fired = False
+    while t < target or once:
+        if total <= 0.0:
+            # drift could leave a tiny negative total while some
+            # propensity is still positive: settle it exactly
+{block(recompute, 3)}
+            since = 0
+            if total <= 0.0:
+                if target < _inf:
+                    t = _max(t, target)
+                break
+        tau = expo(total)
+        if t + tau > target:
+            t = target
+            break
+        pick = rand() * total
+{block(select, 2)}
+        t += tau
+        steps += 1
+        if once:
+            fired = True
+            break
+{block(write_back(mutable), 1)}
+    sim.time = t
+    sim.steps = steps
+    sim._props = [{props}]
+    sim._total = total
+    sim._props_valid = True
+    sim._steps_since_resum = since
+    return fired
+"""
+    namespace = {f"_{name}": value for name, value in bound.items()}
+    namespace.update(_sum=sum, _max=max, _inf=math.inf, _comb=math.comb)
+    exec(compile(source, f"<direct loop of {len(reactions)} reactions>",
+                 "exec"), namespace)
+    return namespace["direct"]
+
+
 class FlatSimulator:
     """Plain Gillespie direct method on a species-count vector.
 
@@ -304,12 +458,17 @@ class FlatSimulator:
     ``advance``, ``run``, ``observe``), so the simulation pipeline can farm
     either engine interchangeably.
 
-    Propensities are maintained incrementally through the network's
-    Gibson-Bruck dependency graph: after a reaction fires, only the
-    propensities of reactions reading a changed species are recomputed,
-    and the running total is updated by their delta.  The total is
-    re-summed exactly every :data:`RESUM_INTERVAL` steps to keep float
-    drift from the incremental updates bounded.
+    The SSA loop is generated per network (:func:`build_direct_loop`):
+    species counts live in locals, mass-action propensities are inlined,
+    the reaction is selected by the running ``acc`` chain and, after a
+    firing, only the propensities in the Gibson-Bruck dependency graph
+    of the fired reaction are recomputed, with the running total kept
+    by their delta.  The total is re-summed exactly every
+    :data:`RESUM_INTERVAL` events to keep float drift bounded.  A
+    functional rate law is called through :meth:`Reaction.propensity`
+    once the counts it reads are written back.  Every arithmetic step
+    is the one the per-event interpreter took, so the trajectories are
+    that interpreter's, byte for byte.
     """
 
     #: steps between exact re-summations of the total propensity
@@ -323,86 +482,42 @@ class FlatSimulator:
         self.time = 0.0
         self.steps = 0
         self.rng = random.Random(seed)
-        self._deps = network.reaction_dependencies()
         self._props: list[float] = []
         self._total = 0.0
         self._props_valid = False
         self._steps_since_resum = 0
+        self._loop: Optional[Callable] = None
+
+    def __getstate__(self) -> dict:
+        # generated code does not pickle: rebuilt (or found in the
+        # process cache) on first use over there
+        return {**self.__dict__, "_loop": None}
 
     @property
     def model(self) -> ReactionNetwork:
         return self.network
 
-    # ------------------------------------------------------------------
-    # incremental propensity cache
-    # ------------------------------------------------------------------
-    def _recompute_propensities(self) -> None:
-        self._props = [r.propensity(self.counts)
-                       for r in self.network.reactions]
-        self._total = sum(self._props)
-        self._props_valid = True
-        self._steps_since_resum = 0
-
-    def _refresh_dependents(self, fired: int) -> None:
-        """Recompute only the propensities depending on what ``fired``
-        changed; maintain the total by their delta."""
-        counts = self.counts
-        props = self._props
-        reactions = self.network.reactions
-        delta = 0.0
-        for i in self._deps[fired]:
-            new = reactions[i].propensity(counts)
-            delta += new - props[i]
-            props[i] = new
-        self._total += delta
-        self._steps_since_resum += 1
-        if self._steps_since_resum >= self.RESUM_INTERVAL:
-            self._total = sum(props)
-            self._steps_since_resum = 0
+    def _direct(self) -> Callable:
+        if self._loop is None:
+            from repro.cwc.batch import direct_loop
+            self._loop = direct_loop(self.network)
+        return self._loop
 
     def total_propensity(self) -> float:
         if not self._props_valid:
-            self._recompute_propensities()
+            self._props = [r.propensity(self.counts)
+                           for r in self.network.reactions]
+            self._total = sum(self._props)
+            self._props_valid = True
+            self._steps_since_resum = 0
         return self._total
 
     def step(self, t_max: float = math.inf) -> bool:
         """One SSA step; see :meth:`CWCSimulator.step` for semantics."""
-        if not self._props_valid:
-            self._recompute_propensities()
-        total = self._total
-        if total <= 0.0:
-            # incremental drift could leave a tiny negative total while
-            # some propensity is still positive: settle it exactly
-            self._recompute_propensities()
-            total = self._total
-            if total <= 0.0:
-                if t_max < math.inf:
-                    self.time = max(self.time, t_max)
-                return False
-        tau = self.rng.expovariate(total)
-        if self.time + tau > t_max:
-            self.time = t_max
-            return False
-        pick = self.rng.random() * total
-        acc = 0.0
-        chosen = len(self._props) - 1
-        for i, a in enumerate(self._props):
-            acc += a
-            if pick < acc:
-                chosen = i
-                break
-        reaction = self.network.reactions[chosen]
-        reaction.apply(self.counts)
-        self._refresh_dependents(chosen)
-        self.time += tau
-        self.steps += 1
-        return True
+        return self._direct()(self, t_max, True)
 
     def advance(self, quantum: float) -> float:
-        target = self.time + quantum
-        while self.time < target:
-            if not self.step(t_max=target):
-                break
+        self._direct()(self, self.time + quantum, False)
         return self.time
 
     def observe(self) -> tuple[float, ...]:

@@ -81,6 +81,9 @@ def calibrate_cost_model(network: ReactionNetwork,
       of ``n_trajectories``.
     """
     # --- SSA step cost ----------------------------------------------------
+    # a network's first advance in a process generates its loop (about
+    # a millisecond, once): pay that outside the probe
+    FlatSimulator(network, seed=seed).advance(0.0)
     simulator = FlatSimulator(network, seed=seed)
     started = time.perf_counter()
     simulator.advance(t_probe)

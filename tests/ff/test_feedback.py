@@ -92,7 +92,10 @@ class StoppingEmitter(CountdownEmitter):
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestEarlyTermination:
     def test_emitter_drains_early(self, backend):
-        tasks = [CountdownTask(i, 100) for i in range(4)]
+        # 400 quanta in all, but task 0 completes after its first one:
+        # the others cannot all finish 133 quanta before its feedback
+        # retires them (equal lengths could finish in lockstep)
+        tasks = [CountdownTask(i, n) for i, n in enumerate((1, 133, 133, 133))]
         farm = Farm([CountdownWorker(name=f"w{i}") for i in range(2)],
                     emitter=StoppingEmitter(stop_after=1), feedback=True)
         out = run(Pipeline([tasks, farm]), backend=backend)

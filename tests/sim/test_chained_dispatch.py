@@ -23,7 +23,7 @@ from repro.pipeline.builder import analysis_stages, execute_workflow
 from repro.service.fleet import SharedFleet
 from repro.sim.alignment import TrajectoryAligner
 from repro.sim.engine import run_quantum
-from repro.sim.task import make_tasks
+from repro.sim.task import make_batch_tasks, make_tasks
 
 #: quantum < sample_every: (quantum, sample_every, t_end).  0.3 does not
 #: divide 0.5, and t_end = 3.1 is off the grid, so every trajectory ends
@@ -157,12 +157,24 @@ class TestReplay:
 
 class TestTaskState:
     def test_pickle_after_a_chain_is_a_fixed_point(self, enzyme):
-        (task,) = make_tasks(enzyme, 1, 3.1, 0.3, 0.5, seed=3)
-        for _ in range(3):
-            task, result = run_quantum(task)
-            assert len(result)
-            blob = pickle.dumps(task, 5)
-            assert pickle.dumps(pickle.loads(blob), 5) == blob
+        """Scalar, batch exact and batch tau tasks (two fused RNG streams
+        each): the first pickle of a task equals the pickle of what it
+        unpickles to, and nothing generated or compiled is shipped."""
+        tasks = [*make_tasks(enzyme, 1, 3.1, 0.3, 0.5, seed=3)]
+        for method in ("exact", "tau"):
+            tasks += make_batch_tasks(enzyme, 4, 3.1, 0.3, 0.5, seed=3,
+                                      batch_size=2, method=method,
+                                      n_workers=1)
+        for task in tasks:
+            for _ in range(3):
+                task, result = run_quantum(task)
+                assert len(result)
+                blob = pickle.dumps(task, 5)
+                loaded = pickle.loads(blob)
+                assert pickle.dumps(loaded, 5) == blob
+                engine = getattr(loaded, "simulator", None)
+                assert (engine._loop if engine else loaded.batch._kernel) \
+                    is None
 
     def test_checkpoint_carries_the_quanta_run(self, enzyme):
         (task,) = make_tasks(enzyme, 1, 3.1, 0.3, 0.5, seed=3)
