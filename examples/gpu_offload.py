@@ -4,44 +4,43 @@ Run with::
 
     python examples/gpu_offload.py
 
-Offloads blocks of simulations to a modeled NVidia K40 through the
-``ff_mapCUDA``-equivalent node: execution is functionally real (the NumPy
-batch SSA engine advances a whole block per kernel, the faithful rendering
-of the paper's CUDA kernel), while the SIMT device models warp-lockstep
-timing, thread divergence, occupancy and launch overheads from the
-*measured* per-trajectory step counts.  Prints a miniature Table I (CPU
-vs. GPU across ensemble sizes and quantum settings) on real SSA, plus the
+Runs the workflow on a modeled NVidia K40 by handing its quanta to a
+``DevicePool`` -- the ``ff_mapCUDA`` equivalent, passed to the same
+``run_workflow`` every backend uses: execution is functionally real (the
+NumPy batch SSA engine advances a whole block per kernel, the faithful
+rendering of the paper's CUDA kernel, so the windows equal a threads
+run's), while the SIMT device models warp-lockstep timing, thread
+divergence, occupancy and launch overheads from the *measured*
+per-trajectory step counts.  Prints a miniature Table I (CPU vs. GPU
+across ensemble sizes and quantum settings) on real SSA, plus the
 divergence diagnostics that explain it.
 """
 
-from repro.ff import Farm, Pipeline, run
-from repro.gpu import MapCUDANode, SimtDevice, simulate_gpu_run_ssa, tesla_k40
-from repro.gpu.workflow import BlockEmitter
+from repro.gpu import DevicePool, SimtDevice, simulate_gpu_run_ssa, tesla_k40
 from repro.models import neurospora_network
 from repro.perfsim import CostModel
-from repro.sim.alignment import TrajectoryAligner
-from repro.sim.task import make_batch_tasks
-from repro.sim.trajectory import assemble_trajectories, iter_cuts
+from repro.pipeline import WorkflowConfig, run_workflow
 
 
 def functional_offload() -> None:
-    """A real (small) run through the mapCUDA node, batch-kernel path."""
+    """A real (small) run of the workflow on a one-device pool."""
     network = neurospora_network(omega=50)
     n, t_end = 8, 12.0
+    config = WorkflowConfig(n_simulations=n, t_end=t_end, quantum=1.0,
+                            sample_every=0.5, seed=2, engine="batch",
+                            batch_size=n, keep_cuts=True)
     device = SimtDevice(tesla_k40(), step_cost=1e-6)
-    tasks = make_batch_tasks(network, n, t_end, quantum=1.0,
-                             sample_every=0.5, seed=2, batch_size=n)
-    farm = Farm([MapCUDANode(device)], emitter=BlockEmitter(n_devices=1),
-                collector=TrajectoryAligner(n), feedback=True)
-    cuts = list(iter_cuts(run(Pipeline([tasks, farm]),
-                              backend="sequential")))
-    trajectories = assemble_trajectories(cuts, n)
+    pool = DevicePool([device])
+    result = run_workflow(network, config, pool=pool)
+    counters = pool.counters()
     print(f"offloaded {n} trajectories x {t_end:.0f} h: "
-          f"{len(cuts)} aligned cuts, "
-          f"{device.kernels_launched} kernels launched, "
-          f"modeled device time {device.total_device_time * 1000:.1f} ms")
-    final_m = [t.samples[-1][0] for t in trajectories]
-    print(f"final frq-mRNA counts per trajectory: {final_m}\n")
+          f"{len(result.cuts)} aligned cuts, "
+          f"{counters['gpu.kernels']} kernels launched, "
+          f"modeled device time {counters['gpu.device_s'] * 1000:.1f} ms")
+    final_m = [t.samples[-1][0] for t in result.trajectories()]
+    print(f"final frq-mRNA counts per trajectory: {final_m}")
+    threads = run_workflow(network, config)
+    print(f"identical to threads: {result.windows == threads.windows}\n")
 
 
 def table_one_mini() -> None:

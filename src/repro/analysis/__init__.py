@@ -22,7 +22,6 @@ from repro.analysis.windows import (
 from repro.analysis.kmeans import kmeans, kmeans_array, KMeansResult
 from repro.analysis.filters import (
     exponential_smoothing,
-    exponential_smoothing_block,
     moving_average,
     moving_average_array,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "moving_average",
     "moving_average_array",
     "exponential_smoothing",
-    "exponential_smoothing_block",
     "find_peaks",
     "local_periods",
     "PeriodEstimate",

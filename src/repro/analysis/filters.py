@@ -47,23 +47,3 @@ def exponential_smoothing(values: Sequence[float],
         out.append(state)
     return out
 
-
-def exponential_smoothing_block(series: np.ndarray,
-                                alpha: float) -> np.ndarray:
-    """Exponential smoothing of many series at once (rows = series).
-
-    The recurrence is inherently sequential in time but vectorises
-    across series: one array op per time step instead of one Python op
-    per sample."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    block = np.asarray(series, dtype=float)
-    if block.ndim != 2:
-        raise ValueError(f"expected 2-D (series, time), got {block.shape}")
-    out = np.empty_like(block)
-    if block.shape[1] == 0:
-        return out
-    out[:, 0] = block[:, 0]
-    for t in range(1, block.shape[1]):
-        out[:, t] = alpha * block[:, t] + (1 - alpha) * out[:, t - 1]
-    return out

@@ -99,10 +99,6 @@ class Window:
         view a k-means engine clusters."""
         return self.data[:, :, observable].T.tolist()
 
-    def trajectory_matrix_array(self, observable: int) -> np.ndarray:
-        """``(n_trajectories, n_cuts)`` array for one observable."""
-        return np.ascontiguousarray(self.data[:, :, observable].T)
-
     def __len__(self) -> int:
         return len(self.times)
 

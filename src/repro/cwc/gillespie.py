@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -272,12 +273,20 @@ class CWCSimulator:
             "rng": self.rng.getstate(),
         }
 
+    def __getstate__(self) -> dict:
+        # the context cache is keyed by id(term), which names nothing in
+        # another process (and would make a task's pickle depend on where
+        # its terms happen to live): ship the entries, re-key on arrival
+        return {**self.__dict__, "_cache": list(self._cache.values())}
+
     def __setstate__(self, state: dict) -> None:
-        # the context cache is keyed by id(term): re-key it to the
-        # unpickled terms, or refreshes miss their old entry and the
-        # delta-maintained total drifts away from the original's
-        self.__dict__.update(state)
-        self._cache = {id(entry[0]): entry for entry in self._cache.values()}
+        # re-key the cache to the unpickled terms, or refreshes miss
+        # their old entry and the delta-maintained total drifts away from
+        # the original's.  The attribute names go back interned, as the
+        # default unpickling does, so an unpickled simulator shares them
+        # with its model's and pickles to the same bytes
+        self.__dict__.update((sys.intern(k), v) for k, v in state.items())
+        self._cache = {id(entry[0]): entry for entry in self._cache}
 
     def restore(self, checkpoint: dict) -> None:
         """Resume exactly from a :meth:`snapshot`."""

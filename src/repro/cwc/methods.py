@@ -92,7 +92,6 @@ class TauLeapSimulator:
         if not 0.0 < epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
         self.compiled = compile_network(network)
-        self.network = self.compiled.network
         self._x = self.compiled.initial.astype(np.float64)[None, :].copy()
         self._stoich = self.compiled.stoich.astype(np.float64)
         # stays bound to the one-row state, which only changes in place
@@ -104,6 +103,14 @@ class TauLeapSimulator:
         self.epsilon = epsilon
         self.ssa_threshold = ssa_threshold
         self.rng = np.random.default_rng(seed)
+
+    @property
+    def network(self) -> ReactionNetwork:
+        # read through ``compiled``, never held twice (as
+        # ``BatchFlatSimulator.network``): a second reference would
+        # pickle as a second network once ``compiled`` resolves through
+        # the compile cache on the other side
+        return self.compiled.network
 
     @property
     def counts(self) -> dict[str, int]:

@@ -12,8 +12,11 @@ quantum (Table I's Q/tau sensitivity).
 * :mod:`repro.gpu.simt` -- the SIMT executor: functionally runs a kernel
   per item while modeling warp-lockstep timing, occupancy-limited warp
   slots and kernel-launch overhead;
-* :mod:`repro.gpu.map_cuda` -- the ``ff_mapCUDA`` equivalent: a stream
-  node offloading blocks of simulation tasks to a device;
+* :mod:`repro.gpu.map_cuda` -- the ``ff_mapCUDA`` equivalent: a pool of
+  devices that runs the one workflow's quanta as kernels
+  (``run_workflow(..., pool=DevicePool(devices))``);
+* :mod:`repro.gpu.real` -- a real CUDA device behind the same launch
+  surface (CuPy only);
 * :mod:`repro.gpu.stencil_reduce` -- FastFlow's GPU core pattern
   ``stencilReduce``.
 """
@@ -26,11 +29,9 @@ from repro.gpu.simt import (
     simulate_gpu_run,
     simulate_gpu_run_ssa,
 )
-from repro.gpu.map_cuda import MapCUDANode
-from repro.gpu.real import (RealGpuDevice, gpu_batch_simulator,
-                            real_gpu_available)
+from repro.gpu.map_cuda import DevicePool
+from repro.gpu.real import RealGpuDevice, real_gpu_available
 from repro.gpu.stencil_reduce import stencil_reduce
-from repro.gpu.workflow import GpuWorkflowResult, run_gpu_workflow
 
 __all__ = [
     "GPUSpec",
@@ -40,11 +41,8 @@ __all__ = [
     "simulate_gpu_run",
     "simulate_gpu_run_ssa",
     "GpuRunStats",
-    "MapCUDANode",
+    "DevicePool",
     "RealGpuDevice",
     "real_gpu_available",
-    "gpu_batch_simulator",
     "stencil_reduce",
-    "GpuWorkflowResult",
-    "run_gpu_workflow",
 ]

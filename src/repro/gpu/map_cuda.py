@@ -1,129 +1,129 @@
-"""The ``ff_mapCUDA`` equivalent: stream-offloading to a SIMT device.
+"""The ``ff_mapCUDA`` equivalent: a pool of devices under the one workflow.
 
-A :class:`MapCUDANode` sits in a streaming graph like any other node; each
-service call receives a *block* of simulation tasks, advances every task
-by one simulation quantum on the device (functionally real execution,
-modeled timing -- see :mod:`repro.gpu.simt`) and emits the quantum's
-result items downstream (a :class:`~repro.sim.task.ResultBlock` per
-task: one trajectory for a scalar task, the whole lockstep block for a
-batch task).  Incomplete blocks are fed back
-for the next quantum with optional re-balancing, mirroring the CWC
-design that "manages blocks of simulations as a FastFlow stream,
-splitting them in successive quanta and implementing a load
-re-balancing strategy after the computation of each quantum".
+The paper's port to GPUs "would amount to writing the CUDA code for a
+CUDA kernel which runs a simulation quantum for a single instance, then
+wrapping it into ff_mapCUDA nodes (one for each GPGPU available)": the
+workflow stays, what runs the quanta changes.  :class:`DevicePool` is
+that swap.  It is a pool like the cluster master, so
+``run_workflow(..., pool=DevicePool(devices))`` (or ``run_sweep``) wires
+the same Fig. 2 farm (:func:`repro.pipeline.builder.assemble_workflow`)
+with one engine per device, and each engine's chain of quanta
+(:func:`repro.sim.engine.run_quantum`) runs on its task's device.
 
-A block is either a list of scalar
-:class:`~repro.sim.task.SimulationTask` objects (one Python kernel call
-per thread) or one :class:`~repro.sim.task.BatchSimulationTask` (the NumPy
-lockstep engine advances the whole block in a single vectorized kernel --
-the faithful rendering of the paper's CUDA kernel, where one launch
-advances every instance by a quantum).  Either way the per-thread work
-fed to the warp timing model is *measured* from the real execution.
+Execution is functionally real -- the chain is the engine's own, so a
+pool run's windows are a threads run's, bit for bit -- and the device
+prices it (:mod:`repro.gpu.simt` models warp lockstep, divergence and
+launch overhead; :class:`~repro.gpu.real.RealGpuDevice` measures).  The
+per-thread work is each member trajectory's measured SSA step delta,
+and threads are grouped into warps in the order of their previous cost,
+the CWC design's "load re-balancing strategy after the computation of
+each quantum".  A chain of q quanta counts as q kernels, priced as one
+launch over the chain's work; nothing chains where ``quantum >=
+sample_every``.
 
 FastFlow's Unified-Memory story maps to: tasks are ordinary Python
 objects, no manual serialisation is needed to cross the host/device
 boundary, and the model charges a per-byte unified-memory migration cost
-per quantum.
+per launch.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+import threading
+from concurrent.futures import Future
+from typing import Any, Callable, Sequence
 
-from repro.ff.node import GO_ON, Node
-from repro.gpu.simt import SimtDevice
-from repro.sim.task import BatchSimulationTask, ResultBlock, SimulationTask
+import numpy as np
+
+from repro.sim.task import BatchSimulationTask
 
 #: modeled unified-memory traffic per task per quantum, in bytes
 TASK_MESSAGE_BYTES = 2048.0
 
 
-class MapCUDANode(Node):
-    """Farm-worker-like node offloading blocks of tasks to one device.
+def _member_steps(task) -> tuple[range, np.ndarray]:
+    """A task's member trajectory ids and their SSA step counts so far."""
+    if isinstance(task, BatchSimulationTask):
+        return task.task_ids, task.steps_by_trajectory.copy()
+    return range(task.task_id, task.task_id + 1), np.array([task.steps])
 
-    Input: a list of :class:`~repro.sim.task.SimulationTask` or one
-    :class:`~repro.sim.task.BatchSimulationTask` (a block).
-    Output: the block's quantum (one :class:`~repro.sim.task.ResultBlock`
-    per scalar task or for the batch task), followed by feedback of the
-    (still incomplete) block.
+
+class _Lane:
+    """One device, the lock that serialises its launches, and what it
+    remembers between them."""
+
+    def __init__(self, device: Any):
+        self.device = device
+        self.lock = threading.Lock()
+        self.kernels = 0
+        #: member id -> SSA steps of its last chain (the warp order key)
+        self.last_cost: dict[int, float] = {}
+
+
+class DevicePool:
+    """Runs the workflow's quanta as kernels on ``devices``; see module
+    docstring.
+
+    ``devices`` are :class:`~repro.gpu.simt.SimtDevice` or
+    :class:`~repro.gpu.real.RealGpuDevice` objects (anything with their
+    ``launch_map_batched`` and device-time totals).  A task keeps the
+    device its first member id was first dispatched to.
     """
 
-    def __init__(self, device: SimtDevice, rebalance: bool = True,
-                 name: str = "mapCUDA"):
-        super().__init__(name=name)
-        self.device = device
-        self.rebalance = rebalance
-        self.blocks_processed = 0
-        self._last_cost: dict[int, float] = {}
+    def __init__(self, devices: Sequence[Any]):
+        if not devices:
+            raise ValueError("a device pool needs at least one device")
+        self.devices = list(devices)
+        self._lanes = [_Lane(device) for device in self.devices]
+        self._lane_of: dict[int, _Lane] = {}
+        self._affinity = threading.Lock()
 
-    def svc(self, block: Union[Sequence[SimulationTask],
-                               BatchSimulationTask]):
-        if isinstance(block, BatchSimulationTask):
-            return self._svc_batch(block)
-        return self._svc_scalar(block)
+    @property
+    def lanes(self) -> int:
+        """One engine per device (one ff_mapCUDA node per GPGPU)."""
+        return len(self.devices)
 
-    def _svc_batch(self, block: BatchSimulationTask):
-        """One vectorized kernel advances the whole lockstep batch."""
-        if block.done:
-            return GO_ON
-        steps_before = block.steps_by_trajectory.copy()
-        # warp re-grouping: order threads by their previous-quantum cost
-        # so similar-cost trajectories share a warp
-        if self.rebalance and self._last_cost:
-            order = sorted(
-                range(block.n),
-                key=lambda i: self._last_cost.get(block.task_ids[i], 0.0))
-        else:
-            order = list(range(block.n))
+    def submit(self, fn: Callable[[Any], Any], task: Any) -> Future:
+        """Run ``fn(task)`` (one chain of quanta) on ``task``'s device,
+        on the caller's thread; a done future of its result or of the
+        kernel's exception."""
+        ids, before = _member_steps(task)
+        with self._affinity:
+            lane = self._lane_of.get(ids[0])
+            if lane is None:
+                lane = self._lanes[len(self._lane_of) % len(self._lanes)]
+                self._lane_of[ids[0]] = lane
+        future: Future = Future()
+        try:
+            with lane.lock:
+                future.set_result(self._launch(lane, fn, task, ids, before))
+        except Exception as exc:  # the engine's .result() re-raises it
+            future.set_exception(exc)
+        return future
 
-        def work_of(batch: BatchSimulationTask, _results) -> list[float]:
-            per_thread = batch.steps_by_trajectory - steps_before
-            return [float(per_thread[i]) for i in order]
+    @staticmethod
+    def _launch(lane: _Lane, fn: Callable[[Any], Any], task: Any,
+                ids: range, before: np.ndarray) -> Any:
+        order = sorted(range(len(ids)),
+                       key=lambda i: lane.last_cost.get(ids[i], 0.0))
+        quanta = task.quanta
 
-        result, _stats = self.device.launch_map_batched(
-            BatchSimulationTask.run_quantum, block, work_of,
-            bytes_moved=block.n * TASK_MESSAGE_BYTES)
-        per_thread = block.steps_by_trajectory - steps_before
-        for i, task_id in enumerate(block.task_ids):
-            self._last_cost[task_id] = float(per_thread[i])
-        if len(result) or result.done:
-            self.ff_send_out(result)
-        self.blocks_processed += 1
-        if self.has_feedback:
-            self.send_feedback(block)
-        elif not block.done:
-            return self._svc_batch(block)
-        return GO_ON
+        def work_of(task, _advanced) -> np.ndarray:
+            work = _member_steps(task)[1] - before
+            lane.last_cost.update(zip(ids, work.tolist()))
+            return work[order]
 
-    def _svc_scalar(self, block: Sequence[SimulationTask]):
-        tasks = [t for t in block if not t.done]
-        if not tasks:
-            return GO_ON
-        if self.rebalance and self._last_cost:
-            tasks.sort(key=lambda t: self._last_cost.get(t.task_id, 0.0))
+        advanced, _stats = lane.device.launch_map_batched(
+            fn, task, work_of, bytes_moved=len(ids) * TASK_MESSAGE_BYTES)
+        lane.kernels += task.quanta - quanta
+        return advanced
 
-        steps_before = {t.task_id: t.steps for t in tasks}
-
-        def kernel(task: SimulationTask) -> ResultBlock:
-            return task.run_quantum()
-
-        def work_of(task: SimulationTask, _result: ResultBlock) -> float:
-            return task.steps - steps_before[task.task_id]
-
-        results, _stats = self.device.launch_map(
-            kernel, tasks, work_of,
-            bytes_moved=sum(2048.0 for _ in tasks))
-        for task, result in zip(tasks, results):
-            self._last_cost[task.task_id] = work_of(task, result)
-            if len(result) or result.done:
-                self.ff_send_out(result)
-        remaining = [t for t in tasks if not t.done]
-        self.blocks_processed += 1
-        if self.has_feedback:
-            # always feed the block back: the emitter retires it once
-            # every task is done (and re-dispatches it otherwise)
-            self.send_feedback(remaining if remaining else tasks)
-        elif remaining:
-            # no feedback edge: loop the block locally to completion
-            return self.svc(remaining)
-        return GO_ON
+    def counters(self) -> dict[str, float]:
+        """Run-report counters: kernels (quanta run on a device) and the
+        devices' total and divergence-lost time, in seconds."""
+        return {
+            "gpu.kernels": sum(lane.kernels for lane in self._lanes),
+            "gpu.device_s": sum(d.total_device_time for d in self.devices),
+            "gpu.divergence_s": sum(d.total_divergence_loss
+                                    for d in self.devices),
+        }

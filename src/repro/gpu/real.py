@@ -8,7 +8,9 @@ a CUDA device are present, :class:`RealGpuDevice` exposes the same
 but the kernel really executes on the GPU (via the batch engine's
 ``"cupy"`` kernel, :mod:`repro.cwc.kernels`) and the returned
 :class:`~repro.gpu.simt.KernelStats` carry measured wall-clock time
-instead of modeled time.
+instead of modeled time.  ``DevicePool([RealGpuDevice()])`` with
+``engine_kernel="cupy"`` runs the whole workflow that way
+(:mod:`repro.gpu.map_cuda`).
 
 Everything here is import-safe without CuPy: probing is lazy
 (:func:`real_gpu_available`), and constructing the device without the
@@ -21,7 +23,6 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Sequence
 
-from repro.cwc.batch import BatchFlatSimulator
 from repro.cwc.kernels import (KernelUnavailable, kernel_available,
                                make_kernel)
 from repro.gpu.simt import KernelStats
@@ -30,18 +31,6 @@ from repro.gpu.simt import KernelStats
 def real_gpu_available() -> bool:
     """True when CuPy is importable *and* a CUDA device answers."""
     return kernel_available("cupy")
-
-
-def gpu_batch_simulator(network, n_trajectories: int,
-                        seed=None) -> BatchFlatSimulator:
-    """A :class:`~repro.cwc.batch.BatchFlatSimulator` whose inner loop
-    dispatches to the real device (``kernel="cupy"``).
-
-    Raises :class:`KernelUnavailable` without CuPy/device -- same
-    behaviour as ``engine_kernel="cupy"`` in the workflow config.
-    """
-    return BatchFlatSimulator(network, n_trajectories, seed=seed,
-                              kernel="cupy")
 
 
 class RealGpuDevice:

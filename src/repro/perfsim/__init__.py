@@ -34,7 +34,6 @@ from repro.perfsim.platform import (
     PlatformSpec,
     intel32,
     cluster,
-    ec2_vm,
     ec2_virtual_cluster,
     heterogeneous_96,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "PlatformSpec",
     "intel32",
     "cluster",
-    "ec2_vm",
     "ec2_virtual_cluster",
     "heterogeneous_96",
     "TrajectoryWorkload",

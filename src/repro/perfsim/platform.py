@@ -120,13 +120,6 @@ def cluster(n_hosts: int, cores_per_host: int = 12,
                         hosts=hosts, inter_channel=network)
 
 
-def ec2_vm(cores: int = 4) -> PlatformSpec:
-    """One Amazon EC2 VM: 4 x Intel E5-2670 @2.6GHz virtual cores."""
-    return PlatformSpec(
-        name=f"ec2-vm{cores}",
-        hosts=(HostSpec("vm0", cores=cores, core_speed=1.3),))
-
-
 def ec2_virtual_cluster(n_vms: int = 8, cores_per_vm: int = 4) -> PlatformSpec:
     """The paper's virtual cluster: eight quad-core EC2 VMs."""
     hosts = tuple(

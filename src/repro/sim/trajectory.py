@@ -88,10 +88,6 @@ class Cut:
         """The cross-section of one observable across all trajectories."""
         return self.data[:, index].tolist()
 
-    def observable_array(self, index: int) -> np.ndarray:
-        """Like :meth:`observable` but as a NumPy view (no copy)."""
-        return self.data[:, index]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cut):
             return NotImplemented

@@ -1,10 +1,9 @@
-"""The GPU-offloaded workflow must equal the CPU workflow exactly."""
-
-import pytest
+"""The GPU-offloaded workflow (``run_workflow`` on a device pool) must
+equal the CPU workflow exactly."""
 
 from repro.gpu.device import tesla_k40
+from repro.gpu.map_cuda import DevicePool
 from repro.gpu.simt import SimtDevice
-from repro.gpu.workflow import run_gpu_workflow
 from repro.pipeline import WorkflowConfig, run_workflow
 
 
@@ -15,42 +14,22 @@ def config(**overrides):
     return WorkflowConfig(**base)
 
 
+def statistics(result):
+    return [(s.grid_index, s.mean, s.variance)
+            for s in result.cut_statistics()]
+
+
 class TestGpuWorkflow:
     def test_identical_to_cpu_workflow(self, neurospora_small):
         cpu = run_workflow(neurospora_small, config())
-        gpu = run_gpu_workflow(neurospora_small, config(), block_size=3)
-        cpu_stats = [(s.grid_index, s.mean, s.variance)
-                     for s in cpu.cut_statistics()]
-        gpu_stats = [(s.grid_index, s.mean, s.variance)
-                     for s in gpu.workflow.cut_statistics()]
-        assert cpu_stats == gpu_stats
-
-    def test_device_accounting(self, neurospora_small):
-        result = run_gpu_workflow(neurospora_small, config(), block_size=6)
-        # one block, three quanta (t_end 6, quantum 2)
-        assert result.total_kernels == 3
-        assert result.total_device_time > 0
+        gpu = run_workflow(neurospora_small, config(),
+                           pool=DevicePool([SimtDevice(tesla_k40())]))
+        assert statistics(gpu) == statistics(cpu)
 
     def test_multi_device_split(self, neurospora_small):
         devices = [SimtDevice(tesla_k40()) for _ in range(2)]
-        result = run_gpu_workflow(neurospora_small, config(),
-                                  devices=devices, block_size=3)
+        gpu = run_workflow(neurospora_small, config(),
+                           pool=DevicePool(devices))
         assert all(d.kernels_launched > 0 for d in devices)
         cpu = run_workflow(neurospora_small, config())
-        assert [s.mean for s in result.workflow.cut_statistics()] == \
-            [s.mean for s in cpu.cut_statistics()]
-
-    def test_trajectories_retained(self, neurospora_small):
-        result = run_gpu_workflow(neurospora_small, config(), block_size=2)
-        assert len(result.workflow.trajectories()) == 6
-
-    def test_sequential_backend(self, neurospora_small):
-        cfg = config(backend="sequential")
-        result = run_gpu_workflow(neurospora_small, cfg, block_size=3)
-        assert result.workflow.n_windows >= 1
-
-    def test_validation(self, neurospora_small):
-        with pytest.raises(ValueError):
-            run_gpu_workflow(neurospora_small, config(), devices=[])
-        with pytest.raises(ValueError):
-            run_gpu_workflow(neurospora_small, config(), block_size=0)
+        assert statistics(gpu) == statistics(cpu)

@@ -1,130 +1,83 @@
-"""The mapCUDA offloading node: functional equivalence with CPU engines."""
+"""The device pool (``ff_mapCUDA``): the one workflow, its quanta run as
+kernels on modeled devices, must equal the threads run bit for bit."""
 
+import numpy as np
 import pytest
 
 from repro.cwc.network import FlatSimulator
-from repro.ff import Farm, GO_ON, MasterWorkerEmitter, Pipeline, run
+from repro.ff.errors import NodeError
 from repro.gpu.device import tesla_k40
-from repro.gpu.map_cuda import MapCUDANode
+from repro.gpu.map_cuda import DevicePool
 from repro.gpu.simt import SimtDevice
-from repro.sim.task import make_tasks
-from repro.sim.alignment import TrajectoryAligner
-from repro.sim.trajectory import assemble_trajectories, iter_cuts
-from tests.sim.samples import block_samples
+from repro.pipeline import WorkflowConfig, run_workflow
+from repro.sim.task import BatchSimulationTask, make_tasks
+from repro.sweep import SweepSpec, run_sweep
 
 
-class _BlockEmitter(MasterWorkerEmitter):
-    """Streams whole blocks of simulations (the GPU version's unit)."""
+def config(**overrides):
+    base = dict(n_simulations=6, t_end=6.0, sample_every=0.5, quantum=2.0,
+                n_sim_workers=2, window_size=5, seed=0, keep_cuts=True)
+    base.update(overrides)
+    return WorkflowConfig(**base)
 
-    def is_complete(self, block):
-        return all(task.done for task in block)
+
+def k40():
+    return SimtDevice(tesla_k40(), step_cost=1e-6)
 
 
-def gpu_block_workflow(network, n, t_end, quantum, sample_every, seed):
-    """generation -> mapCUDA (with feedback) -> alignment."""
-    device = SimtDevice(tesla_k40(), step_cost=1e-6)
-    tasks = make_tasks(network, n, t_end, quantum, sample_every, seed=seed)
-    farm = Farm([MapCUDANode(device)], emitter=_BlockEmitter(),
-                collector=TrajectoryAligner(n), feedback=True)
-    cuts = list(iter_cuts(run(Pipeline([[tasks], farm]),
-                              backend="sequential")))
-    return cuts, device
+def pool_run(model, cfg, n_devices=1):
+    pool = DevicePool([k40() for _ in range(n_devices)])
+    return run_workflow(model, cfg, pool=pool), pool
 
 
 class TestMapCUDAFunctional:
+    """Scalar tasks: one-thread launches."""
+
     def test_results_identical_to_cpu_engine(self, neurospora_small):
         """Offloaded execution is functionally the CPU computation: every
         trajectory matches a direct run with the same seed."""
         n, t_end, dt, seed = 4, 4.0, 1.0, 3
-        cuts, _device = gpu_block_workflow(
-            neurospora_small, n, t_end, quantum=2.0, sample_every=dt,
-            seed=seed)
-        trajectories = assemble_trajectories(cuts, n)
-        for task_id, trajectory in enumerate(trajectories):
+        result, _pool = pool_run(neurospora_small, config(
+            n_simulations=n, t_end=t_end, quantum=2.0, sample_every=dt,
+            seed=seed, engine="flat"))
+        for task_id, trajectory in enumerate(result.trajectories()):
             direct = FlatSimulator(neurospora_small,
                                    seed=seed + task_id).run(t_end, dt)
             assert trajectory.samples == direct.samples
 
     def test_device_time_accounted(self, neurospora_small):
-        _cuts, device = gpu_block_workflow(
-            neurospora_small, 4, 4.0, quantum=1.0, sample_every=1.0, seed=0)
-        assert device.kernels_launched == 4  # one per quantum
-        assert device.total_device_time > 0
+        _result, pool = pool_run(neurospora_small, config(
+            n_simulations=4, t_end=4.0, quantum=1.0, sample_every=1.0,
+            engine="flat"))
+        # four one-thread tasks, four quanta each
+        assert pool.counters()["gpu.kernels"] == 16
+        assert pool.devices[0].kernels_launched == 16
+        assert pool.counters()["gpu.device_s"] > 0
 
     def test_all_cuts_produced(self, neurospora_small):
-        cuts, _ = gpu_block_workflow(
-            neurospora_small, 3, 6.0, quantum=1.5, sample_every=0.5, seed=1)
-        assert [c.grid_index for c in cuts] == list(range(13))
-
-    def test_local_loop_without_feedback(self, neurospora_small):
-        """Without a feedback edge the node loops the block internally."""
-        device = SimtDevice(tesla_k40(), step_cost=1e-6)
-        node = MapCUDANode(device)
-        tasks = make_tasks(neurospora_small, 2, 3.0, 1.0, 1.0, seed=0)
-        collected = []
-
-        class _Out:
-            def send(self, item):
-                collected.append(item)
-
-        node._outbox = _Out()
-        node.svc(tasks)
-        assert all(task.done for task in tasks)
-        grids = sorted(g for b in collected
-                       for _id, g, _t, _v in block_samples(b))
-        assert grids == sorted(list(range(4)) * 2)
-
-    def test_empty_block(self):
-        node = MapCUDANode(SimtDevice(tesla_k40()))
-        assert node.svc([]) is GO_ON
+        result, _pool = pool_run(neurospora_small, config(
+            n_simulations=3, t_end=6.0, quantum=1.5, sample_every=0.5,
+            seed=1, engine="flat"))
+        assert [c.grid_index for c in result.cuts] == list(range(13))
 
 
 class TestMapCUDABatchBlocks:
-    """The batched kernel path: one BatchSimulationTask per stream item."""
-
-    def _workflow(self, network, n, t_end, quantum, sample_every, seed):
-        from repro.gpu.workflow import BlockEmitter
-        from repro.sim.task import make_batch_tasks
-        device = SimtDevice(tesla_k40(), step_cost=1e-6)
-        tasks = make_batch_tasks(network, n, t_end, quantum, sample_every,
-                                 seed=seed, batch_size=n)
-        farm = Farm([MapCUDANode(device)], emitter=BlockEmitter(n_devices=1),
-                    collector=TrajectoryAligner(n), feedback=True)
-        cuts = list(iter_cuts(run(Pipeline([tasks, farm]),
-                                  backend="sequential")))
-        return cuts, device
+    """Batch tasks: one vectorized kernel advances the whole block."""
 
     def test_all_cuts_produced(self, neurospora_small):
         n = 4
-        cuts, device = self._workflow(
-            neurospora_small, n, 6.0, quantum=1.5, sample_every=0.5, seed=1)
-        assert [c.grid_index for c in cuts] == list(range(13))
-        assert all(len(c.values) == n for c in cuts)
-        assert device.kernels_launched > 0
+        result, pool = pool_run(neurospora_small, config(
+            n_simulations=n, t_end=6.0, quantum=1.5, sample_every=0.5,
+            seed=1, engine="batch", batch_size=n))
+        assert [c.grid_index for c in result.cuts] == list(range(13))
+        assert all(len(c.values) == n for c in result.cuts)
+        assert pool.counters()["gpu.kernels"] > 0
 
     def test_one_kernel_per_quantum(self, neurospora_small):
-        _cuts, device = self._workflow(
-            neurospora_small, 4, 4.0, quantum=1.0, sample_every=1.0, seed=0)
-        assert device.kernels_launched == 4
-
-    def test_batch_local_loop_without_feedback(self, neurospora_small):
-        from repro.sim.task import make_batch_tasks
-        device = SimtDevice(tesla_k40(), step_cost=1e-6)
-        node = MapCUDANode(device)
-        block = make_batch_tasks(neurospora_small, 2, 3.0, 1.0, 1.0,
-                                 seed=0, batch_size=2)[0]
-        collected = []
-
-        class _Out:
-            def send(self, item):
-                collected.append(item)
-
-        node._outbox = _Out()
-        node.svc(block)
-        assert block.done
-        grids = sorted(g for b in collected
-                       for _id, g, _t, _v in block_samples(b))
-        assert grids == sorted(list(range(4)) * 2)
+        _result, pool = pool_run(neurospora_small, config(
+            n_simulations=4, t_end=4.0, quantum=1.0, sample_every=1.0,
+            engine="batch", batch_size=4))
+        assert pool.devices[0].kernels_launched == 4
 
     def test_launch_map_batched_stats(self, neurospora_small):
         from repro.cwc.batch import BatchFlatSimulator
@@ -136,6 +89,68 @@ class TestMapCUDABatchBlocks:
         assert stats.n_items == 8
         assert stats.duration > 0
         assert device.kernels_launched == 1
+
+
+class TestDevicePool:
+    @pytest.mark.parametrize("n_devices", [1, 2])
+    @pytest.mark.parametrize("backend", ["threads", "sequential"])
+    @pytest.mark.parametrize("method", ["exact", "tau", "hybrid"])
+    def test_windows_equal_the_threads_run(self, neurospora_small, method,
+                                           backend, n_devices):
+        batch = dict(engine="batch", batch_size=2, method=method)
+        pooled, _pool = pool_run(
+            neurospora_small, config(backend=backend, **batch), n_devices)
+        threads = run_workflow(neurospora_small, config(**batch))
+        assert pooled.windows == threads.windows
+        assert [t.samples for t in pooled.trajectories()] == \
+            [t.samples for t in threads.trajectories()]
+
+    def test_sweep_equals_the_threads_sweep(self, enzyme_small):
+        first = enzyme_small.reactions[0].name
+        spec = SweepSpec.grid({first: [0.5, 1.0, 2.0]}, n_trajectories=3,
+                              seed=4, points_per_block=1)
+        args = (enzyme_small, spec, 3.0, 1.0, 0.5)
+        threads = run_sweep(*args, n_sim_workers=2)
+        pooled = run_sweep(*args, n_sim_workers=2,
+                           pool=DevicePool([k40(), k40()]))
+        for name in ("times", "mean", "variance"):
+            assert np.array_equal(getattr(pooled, name),
+                                  getattr(threads, name), equal_nan=True)
+
+    @pytest.mark.parametrize("quantum", [2.0, 0.25])
+    def test_kernels_are_quanta(self, neurospora_small, quantum):
+        """A chain of q quanta counts q kernels; ``quantum`` 0.25 <
+        ``sample_every`` 0.5 chains two quanta per dispatch."""
+        cfg = config(engine="batch", batch_size=2, quantum=quantum,
+                     trace=True)
+        result, pool = pool_run(neurospora_small, cfg, 2)
+        counters = result.trace_report.counters
+        # two fused tasks of three trajectories, t_end 6
+        assert counters["gpu.kernels"] == counters["sim.quanta"] \
+            == 2 * 6.0 / quantum
+        launches = sum(d.kernels_launched for d in pool.devices)
+        assert launches == counters["sim.quanta_dispatched"]
+        assert counters["gpu.device_s"] == pool.counters()["gpu.device_s"]
+        assert counters["gpu.divergence_s"] > 0
+        cfg.trace = False
+        assert result.windows == run_workflow(neurospora_small, cfg).windows
+
+    def test_kernel_exception_is_the_runs_error(self, neurospora_small,
+                                                monkeypatch):
+        def fault(task):
+            raise RuntimeError("kernel fault")
+
+        (task,) = make_tasks(neurospora_small, 1, 1.0, 1.0, 1.0)
+        future = DevicePool([k40()]).submit(fault, task)
+        assert isinstance(future.exception(), RuntimeError)
+
+        monkeypatch.setattr(BatchSimulationTask, "run_quantum", fault)
+        with pytest.raises(NodeError, match="kernel fault"):
+            pool_run(neurospora_small, config(engine="batch"))
+
+    def test_needs_a_device(self):
+        with pytest.raises(ValueError):
+            DevicePool([])
 
 
 class TestStencilReduce:

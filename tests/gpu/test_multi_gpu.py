@@ -1,49 +1,36 @@
-"""Multi-GPU offloading: a farm of mapCUDA nodes (one per device), as the
-paper describes ("wrapping it into ff_mapCUDA nodes, one for each GPGPU
-available")."""
+"""Multi-GPU offloading: one engine per device, as the paper describes
+("wrapping it into ff_mapCUDA nodes, one for each GPGPU available")."""
 
-import pytest
+import sys
+import threading
 
 from repro.cwc.network import FlatSimulator
-from repro.ff import Farm, MasterWorkerEmitter, Pipeline, run
-from repro.ff.graph import ToWorker
 from repro.gpu.device import tesla_k40
-from repro.gpu.map_cuda import MapCUDANode
+from repro.gpu.map_cuda import DevicePool
 from repro.gpu.simt import SimtDevice
-from repro.sim.alignment import TrajectoryAligner
+from repro.pipeline import WorkflowConfig, run_workflow
+from repro.sim.engine import run_quantum
 from repro.sim.task import make_tasks
-from repro.sim.trajectory import assemble_trajectories
 
 
-class _MultiDeviceEmitter(MasterWorkerEmitter):
-    """Splits the stream of blocks across devices with block affinity."""
+class _RecordingDevice(SimtDevice):
+    """A K40 that remembers which scalar tasks it ran."""
 
-    def __init__(self, n_devices: int):
-        super().__init__(name="gpu-dispatch")
-        self.n_devices = n_devices
-        self._device_of_block: dict[int, int] = {}
-        self._next = 0
+    def __init__(self):
+        super().__init__(tesla_k40(), step_cost=1e-6)
+        self.task_ids = set()
 
-    def _route(self, block):
-        # key on the block's first trajectory: the mapCUDA node feeds a
-        # *new list* back after each quantum, so object identity would
-        # not be stable
-        key = block[0].task_id
-        device = self._device_of_block.get(key)
-        if device is None:
-            device = self._next
-            self._next = (self._next + 1) % self.n_devices
-            self._device_of_block[key] = device
-        return ToWorker(device, block)
+    def launch_map_batched(self, kernel, batch, work_of, bytes_moved=0.0):
+        self.task_ids.add(batch.task_id)
+        return super().launch_map_batched(kernel, batch, work_of,
+                                          bytes_moved)
 
-    def is_complete(self, block):
-        return all(task.done for task in block)
 
-    def on_task(self, block):
-        return self._route(block)
-
-    def on_reschedule(self, block):
-        return self._route(block)
+def scalar_config(**overrides):
+    base = dict(n_simulations=4, t_end=6.0, quantum=1.0, sample_every=1.0,
+                n_sim_workers=2, seed=0, engine="flat", keep_cuts=True)
+    base.update(overrides)
+    return WorkflowConfig(**base)
 
 
 class TestMultiGPU:
@@ -51,19 +38,12 @@ class TestMultiGPU:
         n, t_end, dt, seed = 6, 4.0, 1.0, 9
         devices = [SimtDevice(tesla_k40(), step_cost=1e-6)
                    for _ in range(2)]
-        nodes = [MapCUDANode(device, name=f"mapCUDA{i}")
-                 for i, device in enumerate(devices)]
-        tasks = make_tasks(neurospora_small, n, t_end, quantum=2.0,
-                           sample_every=dt, seed=seed)
-        # two blocks of three simulations, one per device
-        blocks = [tasks[:3], tasks[3:]]
-        farm = Farm(nodes, emitter=_MultiDeviceEmitter(2),
-                    collector=TrajectoryAligner(n), feedback=True)
-        cuts = run(Pipeline([blocks, farm]), backend="sequential")
+        result = run_workflow(neurospora_small, scalar_config(
+            n_simulations=n, t_end=t_end, quantum=2.0, sample_every=dt,
+            seed=seed), pool=DevicePool(devices))
 
         # functional equality with direct simulation
-        trajectories = assemble_trajectories(cuts, n)
-        for task_id, trajectory in enumerate(trajectories):
+        for task_id, trajectory in enumerate(result.trajectories()):
             direct = FlatSimulator(neurospora_small,
                                    seed=seed + task_id).run(t_end, dt)
             assert trajectory.samples == direct.samples
@@ -71,19 +51,42 @@ class TestMultiGPU:
         # both devices really executed kernels
         assert all(device.kernels_launched > 0 for device in devices)
         total_kernels = sum(d.kernels_launched for d in devices)
-        assert total_kernels == 2 * 2  # 2 blocks x 2 quanta each
+        assert total_kernels == n * 2  # one-thread tasks x 2 quanta each
 
     def test_block_affinity_is_stable(self, neurospora_small):
-        devices = [SimtDevice(tesla_k40(), step_cost=1e-6)
-                   for _ in range(2)]
-        nodes = [MapCUDANode(device, name=f"mapCUDA{i}")
-                 for i, device in enumerate(devices)]
-        tasks = make_tasks(neurospora_small, 2, 6.0, quantum=1.0,
-                           sample_every=1.0, seed=1)
-        blocks = [tasks[:1], tasks[1:]]
-        farm = Farm(nodes, emitter=_MultiDeviceEmitter(2),
-                    collector=TrajectoryAligner(2), feedback=True)
-        run(Pipeline([blocks, farm]), backend="sequential")
-        # six quanta per block, all on the block's own device
-        assert devices[0].kernels_launched == 6
-        assert devices[1].kernels_launched == 6
+        devices = [_RecordingDevice(), _RecordingDevice()]
+        run_workflow(neurospora_small, scalar_config(),
+                     pool=DevicePool(devices))
+        first, second = (d.task_ids for d in devices)
+        assert first and second and not first & second
+        assert first | second == set(range(4))
+        # six quanta per task, all on the task's own device
+        assert [d.kernels_launched for d in devices] == [12, 12]
+
+    def test_concurrent_submits_keep_counts_and_affinity(self, enzyme_small):
+        """More submitting threads than devices, switching often: every
+        quantum is counted once and every task stays on one device."""
+        devices = [_RecordingDevice(), _RecordingDevice()]
+        pool = DevicePool(devices)
+        tasks = make_tasks(enzyme_small, 16, 2.0, 0.25, 0.5, seed=1)
+
+        def drive(mine):
+            for task in mine:
+                while not task.done:
+                    pool.submit(run_quantum, task).result()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=drive, args=(tasks[i::8],))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert pool.counters()["gpu.kernels"] == sum(t.quanta for t in tasks)
+        first, second = (d.task_ids for d in devices)
+        assert not first & second and first | second == set(range(16))

@@ -14,16 +14,19 @@ import pickle
 
 import pytest
 
+from repro.cwc.network import FlatSimulator
 from repro.distributed.net import Checkpoint, KillWorkerAfter, \
     run_workflow_cluster
 from repro.ff import Pipeline, SourceNode
-from repro.models import mm_enzyme_network
+from repro.models import mm_enzyme_network, neurospora_cwc_model
 from repro.pipeline import WorkflowConfig, run_workflow
 from repro.pipeline.builder import analysis_stages, execute_workflow
 from repro.service.fleet import SharedFleet
 from repro.sim.alignment import TrajectoryAligner
 from repro.sim.engine import run_quantum
 from repro.sim.task import make_batch_tasks, make_tasks
+from repro.sweep.fused import make_fused_tasks
+from repro.sweep.spec import SweepSpec
 
 #: quantum < sample_every: (quantum, sample_every, t_end).  0.3 does not
 #: divide 0.5, and t_end = 3.1 is off the grid, so every trajectory ends
@@ -157,24 +160,36 @@ class TestReplay:
 
 class TestTaskState:
     def test_pickle_after_a_chain_is_a_fixed_point(self, enzyme):
-        """Scalar, batch exact and batch tau tasks (two fused RNG streams
-        each): the first pickle of a task equals the pickle of what it
-        unpickles to, and nothing generated or compiled is shipped."""
-        tasks = [*make_tasks(enzyme, 1, 3.1, 0.3, 0.5, seed=3)]
-        for method in ("exact", "tau"):
+        """Every shipped task type -- scalar exact / first / tau / hybrid,
+        CWC, batch exact / tau / hybrid (two fused RNG streams each) and
+        a fused sweep block: the first pickle of a task equals the pickle
+        of what it unpickles to, and no generated loop or kernel object
+        is shipped."""
+        tasks = []
+        for method in ("exact", "first", "tau", "hybrid"):
+            tasks += make_tasks(enzyme, 1, 3.1, 0.3, 0.5, seed=3,
+                                method=method)
+        tasks += make_tasks(neurospora_cwc_model(omega=5), 1, 3.1, 0.3,
+                            0.5, seed=3, engine="cwc")
+        for method in ("exact", "tau", "hybrid"):
             tasks += make_batch_tasks(enzyme, 4, 3.1, 0.3, 0.5, seed=3,
                                       batch_size=2, method=method,
                                       n_workers=1)
+        first = enzyme.reactions[0].name
+        tasks += make_fused_tasks(
+            enzyme, SweepSpec([{first: 1.0}, {first: 2.0}],
+                              n_trajectories=2, seed=3), 3.1, 0.3, 0.5)
         for task in tasks:
             for _ in range(3):
                 task, result = run_quantum(task)
                 assert len(result)
                 blob = pickle.dumps(task, 5)
                 loaded = pickle.loads(blob)
-                assert pickle.dumps(loaded, 5) == blob
-                engine = getattr(loaded, "simulator", None)
-                assert (engine._loop if engine else loaded.batch._kernel) \
-                    is None
+                assert pickle.dumps(loaded, 5) == blob, task
+                if hasattr(loaded, "batch"):
+                    assert loaded.batch._kernel is None
+                elif isinstance(loaded.simulator, FlatSimulator):
+                    assert loaded.simulator._loop is None
 
     def test_checkpoint_carries_the_quanta_run(self, enzyme):
         (task,) = make_tasks(enzyme, 1, 3.1, 0.3, 0.5, seed=3)
