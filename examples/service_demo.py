@@ -33,7 +33,7 @@ INTERACTIVE = {
     "label": "interactive",
     "config": {"n_simulations": 8, "t_end": 4.0, "sample_every": 0.2,
                "quantum": 1.0, "window_size": 10, "window_slide": 10,
-               "kmeans_k": 2, "seed": 42, "n_sim_workers": 2},
+               "kmeans_k": 2, "seed": 42},
 }
 
 SWEEP = {
@@ -42,7 +42,7 @@ SWEEP = {
     "max_inflight": 1,  # backpressure: deep backlog, one worker slot
     "config": {"n_simulations": 64, "t_end": 300.0, "sample_every": 0.2,
                "quantum": 1.0, "window_size": 50, "window_slide": 50,
-               "kmeans_k": 2, "seed": 7, "n_sim_workers": 4},
+               "kmeans_k": 2, "seed": 7},
 }
 
 
@@ -77,7 +77,8 @@ def main() -> int:
         tenants = client.fleet()["tenants"]
         sweep_stats = tenants.get(sweep_id, {})
         print(f"sweep while sharing: {sweep_stats.get('completed', 0)} "
-              f"quanta done, {sweep_stats.get('pending', 0)} queued")
+              f"dispatches done, {sweep_stats.get('inflight', 0)} in "
+              f"flight (max {sweep_stats.get('max_inflight', 0)})")
 
         # 3. cancel the sweep mid-run
         client.cancel(sweep_id)

@@ -7,7 +7,8 @@ workflow stays, what runs the quanta changes.  :class:`DevicePool` is
 that swap.  It is a pool like the cluster master, so
 ``run_workflow(..., pool=DevicePool(devices))`` (or ``run_sweep``) wires
 the same Fig. 2 farm (:func:`repro.pipeline.builder.assemble_workflow`)
-with one engine per device, and each engine's chain of quanta
+with one engine per device, fuses seed blocks into one lockstep task
+per device, and each engine's chain of quanta
 (:func:`repro.sim.engine.run_quantum`) runs on its task's device.
 
 Execution is functionally real -- the chain is the engine's own, so a
@@ -74,14 +75,13 @@ class DevicePool:
         if not devices:
             raise ValueError("a device pool needs at least one device")
         self.devices = list(devices)
+        #: the pool contract: dispatches run (``n_workers``) and held
+        #: (``lanes``) at once -- one per device, one engine each (one
+        #: ff_mapCUDA node per GPGPU)
+        self.n_workers = self.lanes = len(self.devices)
         self._lanes = [_Lane(device) for device in self.devices]
         self._lane_of: dict[int, _Lane] = {}
         self._affinity = threading.Lock()
-
-    @property
-    def lanes(self) -> int:
-        """One engine per device (one ff_mapCUDA node per GPGPU)."""
-        return len(self.devices)
 
     def submit(self, fn: Callable[[Any], Any], task: Any) -> Future:
         """Run ``fn(task)`` (one chain of quanta) on ``task``'s device,

@@ -142,15 +142,18 @@ def analysis_stages(config: WorkflowConfig,
 
 
 def task_generator(model: Union[Model, ReactionNetwork],
-                   config: WorkflowConfig) -> TaskGenerator:
-    """The task source of a run.
+                   config: WorkflowConfig, pool: Any = None
+                   ) -> TaskGenerator:
+    """The task source of a run on ``pool``.
 
-    Knowing the worker count lets the batch engine fuse seed blocks into
-    wider lockstep tasks (DESIGN.md par.8) -- except under
+    The batch engine fuses seed blocks into one lockstep task per
+    dispatch the pool runs at once (``pool.n_workers``, else
+    ``config.n_sim_workers`` threads), not per dispatch it holds
+    (``lanes``; EXPERIMENTS.md, "Lockstep width").  Not under
     ``adaptive_repriority``, whose unit of scheduling is the task: only
     tasks beyond the dispatch slots wait in the re-keyable backlog, and
     fusing down to even three tasks per worker left it nothing to
-    reorder (EXPERIMENTS.md, "Lockstep width").
+    reorder.
     """
     return TaskGenerator(
         model, config.n_simulations, config.t_end, config.quantum,
@@ -159,7 +162,8 @@ def task_generator(model: Union[Model, ReactionNetwork],
         engine_kernel=config.engine_kernel,
         method=config.method,
         n_workers=(None if config.adaptive_repriority
-                   else config.n_sim_workers))
+                   else config.n_sim_workers if pool is None
+                   else pool.n_workers))
 
 
 def assemble_workflow(source: TaskSource, n_rows: int,
@@ -177,15 +181,17 @@ def assemble_workflow(source: TaskSource, n_rows: int,
     and whose engines run them on their own threads or hand them to
     ``pool`` (:func:`workflow_pool`: a
     :class:`~repro.distributed.net.ClusterMaster` under ``processes`` /
-    ``cluster``, or a service tenant's shared fleet).  A pool that says
-    how many quanta it holds at once (``lanes``) gets that many engines,
-    otherwise ``config.n_sim_workers``.  ``controller`` (or a bare
-    ``stop_requested`` callable) drains the run early; the controller is
-    also linked to the emitter it may re-prioritise.
+    ``cluster``, a :class:`~repro.gpu.map_cuda.DevicePool` or a service
+    tenant's :class:`~repro.service.fleet.FleetClient`).  There is one
+    engine per dispatch the pool holds at once (``pool.lanes``), or
+    ``config.n_sim_workers`` engine threads without a pool.
+    ``controller`` (or a bare ``stop_requested`` callable) drains the run
+    early; the controller is also linked to the emitter it may
+    re-prioritise.
     """
     if controller is not None:
         stop_requested = lambda: controller.stop_requested  # noqa: E731
-    lanes = getattr(pool, "lanes", config.n_sim_workers)
+    lanes = config.n_sim_workers if pool is None else pool.lanes
     # re-prioritisation needs the emitter to *hold* runnable work: bound
     # the outstanding quanta to a small multiple of the lane count so
     # the rest waits in the re-keyable backlog instead of the channels
@@ -270,7 +276,7 @@ def build_workflow(model: Union[Model, ReactionNetwork],
     output; run it via :func:`run_workflow`.
     """
     return assemble_workflow(
-        task_generator(model, config), config.n_simulations, config,
+        task_generator(model, config, pool), config.n_simulations, config,
         analysis_stages(config, cut_store=cut_store, controller=controller),
         controller=controller, pool=pool)
 

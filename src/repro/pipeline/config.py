@@ -22,9 +22,9 @@ class WorkflowConfig:
     t_end: float = 50.0
     sample_every: float = 0.5
     quantum: float = 2.5
-    #: simulation engines: farm threads, or worker processes under
-    #: backend="processes" / "cluster"; also how many lockstep tasks the
-    #: batch engine fuses its seed blocks into
+    #: how big a pool the run builds: worker processes under
+    #: backend="processes" / "cluster", else engine threads.  A borrowed
+    #: pool (a DevicePool, a service fleet) brings its own width
     n_sim_workers: int = 4
     n_stat_workers: int = 1
     window_size: int = 10

@@ -46,7 +46,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--t-end", type=float, default=96.0)
     parser.add_argument("--sample-every", type=float, default=0.5)
     parser.add_argument("--quantum", type=float, default=2.0)
-    parser.add_argument("--sim-workers", type=int, default=4)
+    parser.add_argument("--sim-workers", "--workers", type=int, default=4,
+                        help="simulation engine threads, or worker "
+                             "processes under --backend processes/"
+                             "cluster")
     parser.add_argument("--stat-workers", type=int, default=1)
     parser.add_argument("--window", type=int, default=20)
     parser.add_argument("--slide", type=int, default=None)
@@ -90,9 +93,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
                              "runtime with worker processes on this "
                              "host (processes and cluster name the "
                              "same thing)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes (--backend processes/"
-                             "cluster: overrides --sim-workers there)")
     parser.add_argument("--inflight", type=int, default=2,
                         help="bounded in-flight tasks per worker process "
                              "(backpressure window)")
@@ -145,14 +145,6 @@ def parse_adaptive_spec(spec: str) -> tuple[float, bool]:
     return threshold, kind == "ci"
 
 
-def _sim_workers(args) -> int:
-    """``--workers`` names the worker processes of the out-of-process
-    backends; elsewhere only ``--sim-workers`` counts."""
-    if args.workers is not None and args.backend in ("processes", "cluster"):
-        return args.workers
-    return args.sim_workers
-
-
 def run_sweep_cli(args, model) -> int:
     """The ``--sweep`` path: fused sweep run + optional columnar store."""
     import json
@@ -172,7 +164,7 @@ def run_sweep_cli(args, model) -> int:
         result = run_sweep(model, spec, t_end=args.t_end,
                            quantum=args.quantum,
                            sample_every=args.sample_every,
-                           n_sim_workers=_sim_workers(args),
+                           n_sim_workers=args.sim_workers,
                            engine_kernel=args.engine_kernel,
                            method=args.method,
                            backend=args.backend,
@@ -225,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         config = WorkflowConfig(
             n_simulations=args.simulations, t_end=args.t_end,
             sample_every=args.sample_every, quantum=args.quantum,
-            n_sim_workers=_sim_workers(args),
+            n_sim_workers=args.sim_workers,
             n_stat_workers=args.stat_workers,
             window_size=args.window, window_slide=args.slide,
             kmeans_k=args.kmeans, filter_width=args.filter_width,

@@ -36,14 +36,10 @@ def main(argv=None) -> int:
     parser.add_argument("--backend", default="processes",
                         choices=SharedFleet.BACKENDS,
                         help="what the worker slots are")
-    parser.add_argument("--max-inflight", type=int, default=None,
-                        help="default per-tenant bound on quanta "
-                             "occupying workers (default: --workers)")
     args = parser.parse_args(argv)
 
     app = ServiceApp(host=args.host, port=args.port,
-                     n_workers=args.workers, backend=args.backend,
-                     max_inflight=args.max_inflight)
+                     n_workers=args.workers, backend=args.backend)
     print(f"repro.service: {args.backend} fleet x{args.workers}, "
           f"listening on {args.host}:{args.port}", flush=True)
     try:

@@ -29,12 +29,10 @@ class ServiceApp:
     """The repro service: N tenant runs over one shared worker fleet."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8642,
-                 n_workers: int = 4, backend: str = "processes",
-                 max_inflight: Optional[int] = None):
+                 n_workers: int = 4, backend: str = "processes"):
         self.host = host
         self.port = port
-        self.fleet = SharedFleet(n_workers, backend=backend,
-                                 max_inflight=max_inflight)
+        self.fleet = SharedFleet(n_workers, backend=backend)
         self.manager = RunManager(self.fleet)
         self.api = ServiceAPI(self.manager)
         self._loop: Optional[asyncio.AbstractEventLoop] = None

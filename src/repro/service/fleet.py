@@ -80,12 +80,17 @@ class FleetClient:
     """Executor facade for one tenant: what a run's engine nodes hold.
 
     Quacks like an executor (``submit`` returning a future), which is
-    all :class:`~repro.sim.engine.SimEngineNode` asks of its pool.
+    all :class:`~repro.sim.engine.SimEngineNode` asks of its pool, and
+    states its width like every pool: the fleet's ``n_workers`` run
+    dispatches at once (the run fuses its seed blocks to them), the
+    tenant's ``max_inflight`` of them are its (one engine each).
     """
 
-    def __init__(self, fleet: "SharedFleet", tenant: str):
+    def __init__(self, fleet: "SharedFleet", tenant: str, lanes: int):
         self._fleet = fleet
         self.tenant = tenant
+        self.n_workers = fleet.n_workers
+        self.lanes = lanes
 
     def submit(self, fn: Callable, *args: Any) -> Future:
         return self._fleet.submit(self.tenant, fn, *args)
@@ -104,28 +109,24 @@ class SharedFleet:
         Worker slots (threads, or the master's worker processes).
     backend:
         ``"threads"``, or ``"processes"`` / ``"cluster"`` (one runtime).
-    max_inflight:
-        Default per-tenant bound on dispatches occupying worker slots
-        (clients may lower it per run).  Defaults to ``n_workers`` -- a
-        lone tenant saturates the fleet; under contention the stride
-        scheduler shares slots out fairly anyway.
+
+    A tenant holds up to ``n_workers`` dispatches on worker slots at once
+    unless its client sets another bound (``max_inflight``): a lone
+    tenant saturates the fleet; under contention the stride scheduler
+    shares slots out fairly anyway.
     """
 
     BACKENDS = ("threads", "processes", "cluster")
 
-    def __init__(self, n_workers: int, backend: str = "processes",
-                 max_inflight: Optional[int] = None):
+    def __init__(self, n_workers: int, backend: str = "processes"):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if backend not in self.BACKENDS:
             raise ValueError(
                 f"unknown fleet backend {backend!r}; pick one of "
                 f"{', '.join(self.BACKENDS)}")
-        if max_inflight is not None and max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
         self.n_workers = n_workers
         self.backend = backend
-        self.max_inflight = max_inflight or n_workers
 
         self._sched = StrideScheduler()
         self._lock = threading.Lock()
@@ -158,10 +159,9 @@ class SharedFleet:
                 thread_name_prefix="fleet-worker")
         else:
             from repro.distributed.net import ClusterMaster
-            self._master = ClusterMaster(
-                self.n_workers,
-                inflight_window=max(
-                    1, -(-self.max_inflight // self.n_workers)))
+            # the dispatcher holds at most n_workers dispatches on the
+            # master: one in flight per worker
+            self._master = ClusterMaster(self.n_workers, inflight_window=1)
             self._master.start()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, daemon=True, name="fleet-dispatch")
@@ -199,18 +199,20 @@ class SharedFleet:
     # -- tenancy ---------------------------------------------------------
     def client(self, tenant: str, weight: float = 1.0,
                max_inflight: Optional[int] = None) -> FleetClient:
-        """Register ``tenant`` and hand back its submission facade."""
+        """Register ``tenant`` (at most ``max_inflight`` dispatches on
+        worker slots at once, default ``n_workers``) and hand back its
+        submission facade."""
         if max_inflight is not None and max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
+        max_inflight = max_inflight or self.n_workers
         with self._cond:
             if self._closed:
                 raise FleetClosed("fleet closed")
             if tenant in self._tenants:
                 raise KeyError(f"tenant {tenant!r} already registered")
-            self._tenants[tenant] = _Tenant(
-                tenant, weight, max_inflight or self.max_inflight)
+            self._tenants[tenant] = _Tenant(tenant, weight, max_inflight)
         self._sched.add(tenant, weight)
-        return FleetClient(self, tenant)
+        return FleetClient(self, tenant, max_inflight)
 
     def release(self, tenant: str) -> None:
         """Deregister a tenant; its pending submissions fail, in-flight

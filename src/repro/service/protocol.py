@@ -61,12 +61,13 @@ MODEL_FACTORIES = {
     "enzyme": lambda omega: mm_enzyme_network(omega=omega),
 }
 
-#: WorkflowConfig fields a tenant may set.  Backend and tracing are the
-#: *service's* business: a spec naming them -- or anything that is no
-#: config field at all -- is rejected loudly, not silently ignored.
+#: WorkflowConfig fields a tenant may set.  Backend, tracing and width
+#: (``n_sim_workers``: the fleet decides it) are the *service's*
+#: business: a spec naming them -- or anything that is no config field
+#: at all -- is rejected loudly, not silently ignored.
 CONFIG_FIELDS = frozenset({
     "n_simulations", "t_end", "sample_every", "quantum",
-    "n_sim_workers", "n_stat_workers", "window_size", "window_slide",
+    "n_stat_workers", "window_size", "window_slide",
     "kmeans_k", "filter_width", "histogram_bins", "seed",
     "engine", "batch_size", "engine_kernel", "method",
     "adaptive_ci", "adaptive_relative", "adaptive_min_windows",

@@ -203,7 +203,6 @@ class RunManager:
                 result = run_sweep(
                     model, spec.sweep, t_end=cfg.t_end,
                     quantum=cfg.quantum, sample_every=cfg.sample_every,
-                    n_sim_workers=cfg.n_sim_workers,
                     engine_kernel=cfg.engine_kernel,
                     method=cfg.method,
                     tracer=handle.tracer,

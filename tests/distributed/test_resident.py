@@ -148,7 +148,7 @@ class TestStateCrossesOnce:
             loads=lambda *a, **k: loads.append(a) or pickle.loads(*a, **k)))
         spec = RunSpec.from_jsonable({"model": "enzyme", "config": dict(
             n_simulations=4, t_end=3.0, quantum=0.5, sample_every=0.5,
-            window_size=2, n_sim_workers=2)})
+            window_size=2)})
         fleet = SharedFleet(2, backend="processes").start()
         manager = RunManager(fleet)
         try:
@@ -270,7 +270,7 @@ class TestWorkerMemory:
             cancelled = manager.submit(RunSpec.from_jsonable({
                 "model": "enzyme", "config": dict(
                     n_simulations=4, t_end=500.0, quantum=0.5,
-                    sample_every=0.5, window_size=2, n_sim_workers=2)}))
+                    sample_every=0.5, window_size=2)}))
             deadline = time.monotonic() + 60.0
             while not any(e["type"] == "window"
                           for e in cancelled.events()):

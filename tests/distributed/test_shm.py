@@ -358,8 +358,7 @@ class TestFailedTenant:
 
     SPEC = {"model": "neurospora", "config": dict(
         n_simulations=64, t_end=24.0, sample_every=0.25, quantum=2.0,
-        window_size=8, seed=3, engine="batch", batch_size=32,
-        n_sim_workers=2)}
+        window_size=8, seed=3, engine="batch", batch_size=32)}
 
     @pytest.mark.parametrize("target", [
         "repro.analysis.engines.StatEngineNode.svc",

@@ -135,6 +135,23 @@ class TestDevicePool:
         cfg.trace = False
         assert result.windows == run_workflow(neurospora_small, cfg).windows
 
+    def test_one_device_runs_one_lockstep_task(self, neurospora_small):
+        """The pool decides the width: one device fuses four seed blocks
+        into one 256-row kernel per quantum, whatever ``n_sim_workers``
+        (left at its default 4) says."""
+        cfg = WorkflowConfig(n_simulations=256, t_end=4.0, quantum=1.0,
+                             sample_every=1.0, window_size=5, seed=0,
+                             engine="batch", batch_size=64, trace=True)
+        assert cfg.n_sim_workers == 4
+        result, _pool = pool_run(neurospora_small, cfg)
+        counters = result.trace_report.counters
+        assert counters["sim.seed_blocks"] == 4
+        assert counters["sim.tasks_generated"] == 1
+        assert counters["sim.lockstep_rows_max"] == 256
+        assert counters["gpu.kernels"] == counters["sim.quanta"] == 4
+        cfg.trace = False
+        assert result.windows == run_workflow(neurospora_small, cfg).windows
+
     def test_kernel_exception_is_the_runs_error(self, neurospora_small,
                                                 monkeypatch):
         def fault(task):

@@ -31,9 +31,11 @@ class TestArgParser:
             parser.parse_args(["--backend", "telepathy"])
 
     def test_cluster_knobs(self):
+        """``--workers`` is ``--sim-workers`` by another name."""
         args = build_arg_parser().parse_args(
             ["--backend", "cluster", "--workers", "3", "--inflight", "4"])
-        assert args.workers == 3 and args.inflight == 4
+        assert args.sim_workers == 3 and args.inflight == 4
+        assert not hasattr(args, "workers")
 
 
 class TestMain:

@@ -46,8 +46,6 @@ class TestLifecycle:
             SharedFleet(0)
         with pytest.raises(ValueError):
             SharedFleet(2, backend="gpu-rack")
-        with pytest.raises(ValueError):
-            SharedFleet(2, max_inflight=0)
 
     def test_close_fails_pending_lets_inflight_finish(self):
         release = threading.Event()
@@ -174,6 +172,50 @@ class TestBackpressure:
             assert peak[0] <= 2
         finally:
             fleet.close()
+
+
+class TestPoolWidth:
+    def test_client_states_the_fleets_width(self):
+        """A tenant's client is a pool like any other: the fleet's
+        workers run dispatches at once, the tenant holds
+        ``max_inflight`` of them (default: the fleet's workers)."""
+        fleet = _fleet(n_workers=3)
+        try:
+            default = fleet.client("a")
+            bounded = fleet.client("b", max_inflight=1)
+            assert (default.n_workers, default.lanes) == (3, 3)
+            assert (bounded.n_workers, bounded.lanes) == (3, 1)
+        finally:
+            fleet.close()
+
+    def test_tenant_fuses_to_the_fleets_workers(self):
+        """Six seed blocks on a 2-worker fleet run as two lockstep
+        tasks, and the windows are the batch run's."""
+        from repro.pipeline import run_workflow
+        from repro.service.protocol import RunSpec
+        from repro.service.run_manager import RunManager, RunState
+
+        spec = RunSpec.from_jsonable({
+            "model": "neurospora", "omega": 20,
+            "config": {"n_simulations": 24, "t_end": 4.0,
+                       "sample_every": 0.5, "quantum": 1.0,
+                       "window_size": 4, "seed": 3, "engine": "batch",
+                       "batch_size": 4}})
+        fleet = _fleet(n_workers=2)
+        manager = RunManager(fleet)
+        try:
+            handle = manager.submit(spec)
+            assert handle.wait(60.0)
+            assert handle.state == RunState.DONE, handle.error
+        finally:
+            manager.close()
+            fleet.close()
+        counters = handle.tracer.report().counters
+        assert counters["sim.seed_blocks"] == 6
+        assert counters["sim.tasks_generated"] == 2
+        assert counters["sim.lockstep_rows_max"] == 12
+        solo = run_workflow(spec.build_model(), spec.config)
+        assert handle.windows == solo.windows
 
 
 class TestFairShare:

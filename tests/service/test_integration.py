@@ -29,14 +29,13 @@ from repro.service.run_manager import RunState
 pytestmark = pytest.mark.slow
 
 
-def tenant_spec(seed, n_simulations=8, t_end=4.0, n_sim_workers=2):
+def tenant_spec(seed, n_simulations=8, t_end=4.0):
     return {
         "model": "lotka-volterra",
         "config": {"n_simulations": n_simulations, "t_end": t_end,
                    "sample_every": 0.2, "quantum": 1.0,
                    "window_size": 10, "window_slide": 10,
-                   "kmeans_k": 2, "seed": seed,
-                   "n_sim_workers": n_sim_workers},
+                   "kmeans_k": 2, "seed": seed},
     }
 
 
@@ -104,8 +103,7 @@ class TestFairShare:
         worker slot, so the interactive run keeps the lion's share of
         the machine.  (Pure dispatch-order fairness is pinned
         separately in test_fleet.py on deterministic thread jobs.)"""
-        interactive = tenant_spec(11, n_simulations=8, t_end=4.0,
-                                  n_sim_workers=2)
+        interactive = tenant_spec(11, n_simulations=8, t_end=4.0)
 
         # solo baseline: the interactive run with the fleet to itself
         t0 = time.monotonic()
@@ -116,15 +114,15 @@ class TestFairShare:
 
         # a saturating sweep: a backlog of ~77k quanta that would hold
         # every slot forever if the service let it; backpressure caps
-        # its occupancy at one worker
-        sweep = tenant_spec(77, n_simulations=128, t_end=600.0,
-                            n_sim_workers=8)
+        # its occupancy at one worker (one engine: the rest of the
+        # backlog waits in the run's own emitter)
+        sweep = tenant_spec(77, n_simulations=128, t_end=600.0)
         sweep["max_inflight"] = 1
         sweep_id = client.submit(sweep)
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
             stats = client.fleet()["tenants"].get(f"{sweep_id}")
-            if stats and stats["inflight"] >= 1 and stats["pending"] >= 1:
+            if stats and stats["inflight"] >= 1:
                 break
             time.sleep(0.05)
         else:

@@ -53,9 +53,11 @@ class TestRunSpec:
             RunSpec.from_jsonable(["model"])
 
     def test_service_owned_config_fields_rejected(self):
-        """backend/trace/columnar belong to the service, not tenants --
-        naming them must fail loudly, not be silently ignored."""
+        """backend/trace/columnar and the width belong to the service,
+        not tenants -- naming them must fail loudly, not be silently
+        ignored."""
         for field in ("backend", "trace", "columnar", "keep_cuts",
+                      "n_sim_workers",
                       "zero_copy"):  # the last: no such field any more
             with pytest.raises(ProtocolError, match="not settable"):
                 RunSpec.from_jsonable({"model": "toggle",

@@ -14,7 +14,7 @@ PAYLOAD = {
     "model": "neurospora",
     "omega": 20,
     "config": {"n_simulations": 1, "t_end": 2.0, "sample_every": 0.5,
-               "quantum": 1.0, "n_sim_workers": 2},
+               "quantum": 1.0},
     "sweep": {"points": [{"translation": 0.3}, {"translation": 0.7}],
               "n_trajectories": 4, "seed": 5},
 }
@@ -50,7 +50,7 @@ class TestServiceSweep:
         oracle = run_sweep(
             neurospora_network(omega=20),
             SweepSpec.from_dict(PAYLOAD["sweep"]),
-            t_end=2.0, quantum=1.0, sample_every=0.5, n_sim_workers=2)
+            t_end=2.0, quantum=1.0, sample_every=0.5)
         assert np.array_equal(handle.sweep_result.mean, oracle.mean)
         assert np.array_equal(handle.sweep_result.variance,
                               oracle.variance)

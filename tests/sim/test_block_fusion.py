@@ -251,10 +251,13 @@ class TestWorkflow:
         pushed = {c["name"]: c["pushed"] for c in report.to_dict()["channels"]}
         assert pushed[channel] == report.counters["sim.quanta"] == 6
 
+    @pytest.mark.parametrize("inflight", [2, 3])
     def test_cluster_workers_set_the_width(self, neurospora_small,
-                                           unfused_run):
+                                           unfused_run, inflight):
+        """Three workers fuse to three tasks whatever their in-flight
+        window: width follows the workers, not the 6 or 9 lanes."""
         result = run_workflow(neurospora_small, workflow_config(
-            backend="cluster", n_sim_workers=3))
+            backend="cluster", n_sim_workers=3, cluster_inflight=inflight))
         assert result.trace_report.counters["sim.tasks_generated"] == 3
         assert signature(result) == unfused_run
 
