@@ -21,13 +21,18 @@ useful locally; CI installs numba and asserts the speedup floor.
 ``--streams N`` times the same rows a second time as ``N`` equal RNG
 streams (``rng_streams``, what a fused lockstep task of ``N`` seed
 blocks runs) and prints us/iteration for both, so the cost of the two
-extra generator calls per stream per iteration is a number.
+extra generator calls per stream per iteration is a number.  One value
+applies to every batch; one value per ``--batch`` pairs them up, so
+``--batch 128 1536 --streams 2 48`` prints both shapes of the
+end-to-end workloads (a 128-row task of two seed blocks, a 1536-row
+sweep task of 48 points) in one run.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py \
         [--batch 64 256 1024] [--t-end 0.5] [--omega 100] [--repeat 3] \
-        [--streams 8] [--json BENCH_kernels.json] [--assert-speedup 3]
+        [--streams 8 | --streams 1 4 8] [--json BENCH_kernels.json] \
+        [--assert-speedup 3]
 """
 
 from __future__ import annotations
@@ -83,10 +88,11 @@ def main(argv=None) -> int:
     parser.add_argument("--omega", type=int, default=100)
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--streams", type=int, default=1,
+    parser.add_argument("--streams", type=int, nargs="+", default=[1],
                         help="also time every batch split into this "
                              "many equal RNG streams (a fused lockstep "
-                             "task) and print us/iteration for both")
+                             "task) and print us/iteration for both; one "
+                             "value, or one per --batch")
     parser.add_argument("--json", default="BENCH_kernels.json")
     parser.add_argument("--assert-speedup", type=float, default=None,
                         help="fail unless every available JIT kernel "
@@ -100,8 +106,13 @@ def main(argv=None) -> int:
                              "install fails the job instead of "
                              "silently shipping a numpy-only artifact")
     args = parser.parse_args(argv)
-    if args.streams < 1 or any(b % args.streams for b in args.batch):
-        parser.error("--streams must be >= 1 and divide every --batch")
+    if len(args.streams) == 1:
+        args.streams *= len(args.batch)
+    if len(args.streams) != len(args.batch):
+        parser.error("--streams takes one value or one per --batch")
+    if any(n < 1 or b % n for b, n in zip(args.batch, args.streams)):
+        parser.error("every --streams value must be >= 1 and divide its "
+                     "--batch")
 
     network = neurospora_network(omega=args.omega)
     kernels = [k for k in KERNEL_NAMES if kernel_available(k)]
@@ -114,7 +125,7 @@ def main(argv=None) -> int:
 
     report = {"t_end": args.t_end, "omega": args.omega,
               "missing_kernels": missing, "batches": {}}
-    for batch in args.batch:
+    for batch, streams in zip(args.batch, args.streams):
         # correctness gate: same seed => bit-identical states for every
         # kernel (the cupy kernel is excluded -- its device scan is not
         # bit-pinned; it gets a statistical sanity check instead)
@@ -147,18 +158,18 @@ def main(argv=None) -> int:
                   f"{steps / best:>12,.0f} steps/s "
                   f"{best / iterations * 1e6:>8.1f} us/iteration "
                   f"{timings[kernel]['speedup_vs_numpy']:>6.2f}x vs numpy")
-            if args.streams > 1:
+            if streams > 1:
                 # other seeds, other trajectories: compare per iteration
                 _, elapsed, split_iterations = best_lap(
                     network, kernel, batch, args.t_end, args.seed,
-                    args.repeat, args.streams)
+                    args.repeat, streams)
                 split = elapsed / split_iterations * 1e6
                 one = timings[kernel]["us_per_iteration"]
-                timings[kernel]["streams"] = args.streams
+                timings[kernel]["streams"] = streams
                 timings[kernel]["us_per_iteration_streams"] = split
-                print(f"      as {args.streams:>3} streams: "
+                print(f"      as {streams:>3} streams: "
                       f"{split:>8.1f} us/iteration "
-                      f"({(split - one) / (args.streams - 1):+.2f} us per "
+                      f"({(split - one) / (streams - 1):+.2f} us per "
                       "extra stream)")
     if missing:
         print(f"not installed here (skipped): {', '.join(missing)}")

@@ -15,11 +15,12 @@ NumPy array operations over the batch.  The building blocks:
 * :class:`BatchFlatSimulator` holds the batched state (counts matrix,
   per-trajectory clocks and step counters) and one
   :class:`numpy.random.Generator`.  Every lockstep iteration draws all
-  exponential waiting times at once, selects one reaction per trajectory
-  by cumulative-sum inversion, and applies all state changes with a single
-  scatter-add.  Trajectories that reach their time target (or exhaust
-  their propensities) drop out of the *active mask* without stalling the
-  rest of the batch.
+  exponential waiting times at once, then selects and applies one
+  reaction per trajectory by cumulative-sum inversion (one exact matmul
+  on the numpy kernel).  A trajectory that reaches its time target is
+  written back at once and stays as a masked *dead lane* without
+  stalling the rest of the batch; the working set is compacted when
+  half of it is dead (an exhausted trajectory leaves at once).
 
 Stopping at a quantum boundary remains statistically exact for every
 member: the exponential clock is memoryless, so the partially elapsed
@@ -143,6 +144,52 @@ def _vectorize_rate_law(rate, index: dict[str, int]
 _ONE_SPECIES_LAWS = (Linear, HillRepression, HillActivation, MichaelisMenten)
 
 
+def _law_calls(rate, index: dict[str, int], j: int) -> Optional[list]:
+    """A law of :mod:`repro.cwc.rates` as in-place plan calls into row
+    ``j`` and its scratch rows -- :func:`_vectorize_rate_law`'s
+    expression, operation for operation (``omega * v * kn`` is one
+    Python float either way) -- or None for the laws left to their
+    closure (:class:`Product`, opaque callables)."""
+    out, s, t = ("a", j), ("s", j), ("t", j)
+    if isinstance(rate, Constant):
+        return [(np.multiply, float(rate.value), 1.0, out)]
+    if isinstance(rate, Linear):
+        return [(np.multiply, float(rate.k), ("x", index[rate.species]), out)]
+    if not isinstance(rate, (HillRepression, HillActivation,
+                             MichaelisMenten)):
+        return None
+    x, omega, v = ("x", index[rate.species]), float(rate.omega), \
+        float(rate.v)
+    if isinstance(rate, MichaelisMenten):
+        K = float(rate.K)
+        return [(np.divide, x, omega, s), (np.multiply, omega * v, s, t),
+                (np.add, K, s, s), (np.divide, t, s, out)]
+    n = float(rate.n)
+    kn = float(rate.K) ** n
+    if isinstance(rate, HillRepression):
+        return [(np.divide, x, omega, s), (np.power, s, n, s),
+                (np.add, kn, s, s), (np.divide, omega * v * kn, s, out)]
+    return [(np.divide, x, omega, s), (np.power, s, n, s),
+            (np.multiply, omega * v, s, t), (np.add, kn, s, s),
+            (np.divide, t, s, out)]
+
+
+def _nonnegative_law(rate) -> bool:
+    """Whether ``rate`` is >= 0 (or NaN) at every non-negative count:
+    a law of :mod:`repro.cwc.rates` with non-negative parameters (and a
+    positive ``omega``); an opaque callable cannot be told."""
+    if isinstance(rate, Product):
+        return all(_nonnegative_law(side) if callable(side) else side >= 0
+                   for side in (rate.left, rate.right))
+    if isinstance(rate, Constant):
+        return rate.value >= 0
+    if isinstance(rate, Linear):
+        return rate.k >= 0
+    if isinstance(rate, (HillRepression, HillActivation, MichaelisMenten)):
+        return rate.v >= 0 and rate.K >= 0 and rate.omega > 0
+    return False
+
+
 # plan steps that are not plain ufuncs, in the ufunc calling convention
 def _evaluate(law: Callable, X: np.ndarray, out: np.ndarray) -> None:
     np.copyto(out, law(X))
@@ -206,6 +253,12 @@ class CompiledNetwork:
         #: columns of species consumed by at least one reaction -- the
         #: populations whose scale decides the hybrid leap/exact switch
         self.reactant_columns = np.flatnonzero(self.order.any(axis=0))
+        #: every propensity is >= 0 at non-negative counts, so the
+        #: running sums never decrease (what the numpy kernel's one-matmul
+        #: pick and fire needs)
+        self.nonnegative = bool((rates >= 0.0).all()) and all(
+            _nonnegative_law(r.rate) for r in network.reactions
+            if callable(r.rate))
         #: the propensity matrix as bindable NumPy calls (immutable, so
         #: shared by every simulator of this network)
         self.plan = self._compile_plan()
@@ -228,15 +281,17 @@ class CompiledNetwork:
         """The propensity matrix as a flat list of ``(op, a, b, out)``
         NumPy calls over symbolic operands (bound to buffers by
         :class:`~repro.cwc.kernels.NumpyKernel`), one reaction after
-        the other, each writing its own row -- so the ``accumulate``
-        down the reaction axis sees the original order.
+        the other, each writing its own row -- so the running sums down
+        the reaction axis see the original order.
 
         Mass action is ``rate * prod_i comb(x_i, need_i)``: ``comb(n,
         1) = n`` needs no call, ``comb(n, 2) = n(n-1)/2`` and the
         falling-factorial product of higher orders yield exactly 0
         whenever a reactant is short, so availability gating is
-        implicit.  Functional rates run their :func:`_vectorize_rate_law`
-        closure and give the full propensity; their reactant list only
+        implicit.  Functional rates give the full propensity, the
+        laws of :mod:`repro.cwc.rates` as in-place calls
+        (:func:`_law_calls`), the others through their
+        :func:`_vectorize_rate_law` closure; their reactant list only
         gates on availability (as in ``Reaction.propensity``).  Operand
         order and association match the scalar expressions, so the
         results are bit-identical.
@@ -271,7 +326,11 @@ class CompiledNetwork:
                     h = factor
                 emit(np.multiply, ("k", j), 1.0 if h is None else h, out)
                 continue
-            emit(_evaluate, law, ("X", 0), out)
+            calls = _law_calls(rate, self.species_index, j)
+            if calls is None:
+                emit(_evaluate, law, ("X", 0), out)
+            else:
+                plan.extend(calls)
             # a one-species law that is +0.0 at zero copies is its own
             # gate on consuming one copy of that species (counts are
             # non-negative integers: short of one means zero)
@@ -460,7 +519,7 @@ def _require_exact(sim: "BatchFlatSimulator", X: np.ndarray,
     :data:`MAX_POPULATION`.  NaN (inf - inf of an escaped row) fails the
     comparison too, so the int64 cast behind this check is always
     defined."""
-    if X.size and not X.max() <= MAX_POPULATION:
+    if X.size and not np.maximum.reduce(X, axis=None) <= MAX_POPULATION:
         i, col = np.argwhere(~(X <= MAX_POPULATION))[0]
         raise PopulationOverflow(
             f"trajectory row {rows[i]} of {sim.network.name!r}: "
@@ -472,14 +531,19 @@ def _require_exact(sim: "BatchFlatSimulator", X: np.ndarray,
 class _Workspace:
     """The working set of one ``advance_to`` call.
 
-    The rows still short of their target are gathered once, advanced in
-    place (float64 counts, exact up to :data:`MAX_POPULATION`; beyond it
-    :func:`_require_exact` ends the run) and written back only when they
-    retire.  Everything sized by the number
-    of active rows lives here -- row state, the exact loop's per-phase
+    The rows still short of their target are gathered once and advanced
+    in place (float64 counts, exact up to :data:`MAX_POPULATION`; beyond
+    it :func:`_require_exact` ends the run).  Everything sized by the
+    number of rows lives here -- row state, the exact loop's per-phase
     buffers, the per-stream draw views -- and is rebuilt only by
-    :meth:`retire`, so the loop itself allocates nothing between two
-    retirements.
+    :meth:`_compact`, so the loop itself allocates nothing in between.
+
+    A row is written back as soon as it is done.  :meth:`retire` then
+    drops it from the working set at once (the leap loop, and an
+    exhausted row of the exact loop); :meth:`kill` keeps it as a *dead
+    lane* -- no draws, no change of state -- until dead lanes are at
+    least as many as live ones, so the exact loop compacts a block
+    about ``log2(rows)`` times per call instead of once per retirement.
     """
 
     def __init__(self, sim: "BatchFlatSimulator", targets: np.ndarray,
@@ -489,7 +553,6 @@ class _Workspace:
         self.active = active
         self.X = sim.counts[active].astype(np.float64)
         self.tw, self.trg = sim.times[active], targets[active]
-        self.new_times = np.empty(active.size)
         self.rr = None if sim.row_rates is None else sim.row_rates[active]
         self.rs = None if sim._stream_of is None else sim._stream_of[active]
         #: per-row counters the leap loop adds to steps / leaps /
@@ -499,37 +562,87 @@ class _Workspace:
 
     def _size_buffers(self) -> None:
         m = self.active.size
-        self.e, self.u = np.empty(m), np.empty(m)
+        self.e, self.u, self.ec, self.uc = np.empty((4, m))
+        self.new_times, self.picks = np.empty(m), np.empty(m)
         self.flag = np.empty(m, dtype=bool)
-        #: (generator, exponential view, uniform view) per RNG stream
-        self.spans = [(rng, self.e[lo:hi], self.u[lo:hi]) for rng, lo, hi
-                      in self.sim._stream_spans(self.rs)]
+        #: lanes written back but still in the working set (a new array
+        #: whenever it changes), and how many lanes are not
+        self.dead, self.live = np.empty(0, dtype=np.intp), m
+        self.alive = np.ones(m, dtype=bool)
+        self._spread(None)
 
-    def retire(self, done: np.ndarray, steps: int = 0,
-               exhausted: bool = False) -> np.ndarray:
-        """Write the ``done`` rows back (each fired ``steps`` times plus
-        its tally) and compact the working set; returns the keep mask."""
-        sim, idx = self.sim, self.active[done]
-        X_done, reached = self.X[done], self.targets[idx]
+    def _spread(self, lanes: Optional[np.ndarray]) -> None:
+        """Point the per-stream draws at the live lanes: ``spans`` holds
+        one ``(generator, exponential view, uniform view)`` per stream
+        with live rows.  With dead lanes the views are of compact
+        buffers that :meth:`scatter` copies to ``lanes``."""
+        self.lanes = lanes
+        if lanes is None:
+            e, u, rs = self.e, self.u, self.rs
+        else:
+            e, u = self.ec[:lanes.size], self.uc[:lanes.size]
+            rs = None if self.rs is None else self.rs[lanes]
+        self.spans = [(rng, e[lo:hi], u[lo:hi]) for rng, lo, hi
+                      in self.sim._stream_spans(rs)]
+
+    def _write_back(self, lanes: np.ndarray, steps: int,
+                    exhausted: bool) -> None:
+        """Write ``lanes`` to the simulator: each fired ``steps`` times
+        plus its tally and reached its target."""
+        sim, idx = self.sim, self.active[lanes]
+        X_done, reached = self.X[lanes], self.targets[idx]
         _require_exact(sim, X_done, idx, reached)
         sim.counts[idx] = X_done.astype(np.int64)
         sim.times[idx] = reached
         sim.steps[idx] += steps
         for total, new in zip((sim.steps, sim.leaps, sim.exact_steps),
                               self.tally):
-            total[idx] += new[done]
+            total[idx] += new[lanes]
         if exhausted:
             sim.exhausted[idx] = True
-        keep = ~done
+
+    def retire(self, done: np.ndarray, steps: int = 0,
+               exhausted: bool = False) -> None:
+        """Write the ``done`` rows back and compact the working set
+        (dead lanes leave with them)."""
+        self._write_back(done.nonzero()[0], steps, exhausted)
+        self.alive &= ~done
+        self._compact()
+
+    def kill(self, done: np.ndarray, steps: int) -> None:
+        """Write the ``done`` rows back and keep them as dead lanes: a
+        zero exponential keeps their clocks, an infinite target keeps
+        them from retiring again and a uniform of -1 makes their pick
+        negative; the kernel's ``fire`` leaves the ``dead`` lanes
+        unfired.  Every value stays finite and in range."""
+        lanes = done.nonzero()[0]
+        self._write_back(lanes, steps, False)
+        self.e[lanes], self.u[lanes], self.trg[lanes] = 0.0, -1.0, np.inf
+        self.alive[lanes] = False
+        self.dead = np.concatenate((self.dead, lanes))
+        self.live -= lanes.size
+        if self.live:
+            self._spread(self.alive.nonzero()[0])
+
+    def compact_if_half_dead(self) -> None:
+        if self.dead.size >= self.live:
+            self._compact()
+
+    def _compact(self) -> None:
+        keep = self.alive
         self.active, self.X = self.active[keep], self.X[keep]
         self.tw, self.trg = self.tw[keep], self.trg[keep]
-        self.new_times, self.tally = self.new_times[keep], self.tally[:, keep]
+        self.tally = self.tally[:, keep]
         if self.rr is not None:
             self.rr = self.rr[keep]
         if self.rs is not None:
             self.rs = self.rs[keep]
         self._size_buffers()
-        return keep
+
+    def scatter(self, buffer: np.ndarray, compact: np.ndarray) -> None:
+        """Copy one phase's compact draws to the live lanes."""
+        if self.lanes is not None:
+            buffer[self.lanes] = compact[:self.live]
 
 
 class BatchFlatSimulator:
@@ -725,37 +838,38 @@ class BatchFlatSimulator:
             return self._advance_to_leap(targets)
         ws = _Workspace(self, targets)
         kernel = self.kernel
-        stoich = self.compiled.stoich.astype(np.float64)
-        # lockstep: every row still active fired once per past iteration
+        # lockstep: every live row fired once per past iteration
         steps = 0
-        while ws.active.size:
+        while ws.live:
+            ws.compact_if_half_dead()
             # (n_reactions, m) cumulative propensities: the running sums
             # drive reaction selection and their last row is the totals
             cumulative = kernel.propensities_cumsum_T(ws.X, ws.rr)
             totals = cumulative[-1]
             if np.count_nonzero(np.less_equal(totals, 0.0, out=ws.flag)):
-                # no draw happened yet: start over on the survivors
+                # no draw happened yet: start over on the survivors (a
+                # dead lane's total stays that of a live step: > 0)
                 ws.retire(ws.flag, steps, exhausted=True)
                 continue
 
             for rng, e, _ in ws.spans:
                 rng.standard_exponential(out=e)
+            ws.scatter(ws.e, ws.ec)
             taus = np.divide(ws.e, totals, out=ws.e)
             new_times = np.add(ws.tw, taus, out=ws.new_times)
             if np.count_nonzero(
                     np.greater_equal(new_times, ws.trg, out=ws.flag)):
                 # exact: discard the residual exponential (memoryless);
                 # a landing exactly on the target also retires
-                cumulative = cumulative[:, ws.retire(ws.flag, steps)]
-                if not ws.active.size:
+                ws.kill(ws.flag, steps)
+                if not ws.live:
                     break
-                totals = cumulative[-1]
 
             for rng, _, u in ws.spans:
                 rng.random(out=u)
-            picks = np.multiply(ws.u, totals, out=ws.u)
-            kernel.apply_stoich(ws.X, stoich,
-                                kernel.select_events(cumulative, picks))
+            ws.scatter(ws.u, ws.uc)
+            kernel.fire(ws.X, cumulative,
+                        np.multiply(ws.u, totals, out=ws.picks), ws.dead)
             ws.tw, ws.new_times = ws.new_times, ws.tw
             steps += 1
         return self.times
@@ -885,8 +999,7 @@ class BatchFlatSimulator:
         """
         if rs is None:
             return [(self.rng, 0, None)]
-        bounds = np.searchsorted(
-            rs, np.arange(len(self._streams) + 1)).tolist()
+        bounds = rs.searchsorted(np.arange(len(self._streams) + 1)).tolist()
         return [(rng, lo, hi) for rng, lo, hi
                 in zip(self._streams, bounds, bounds[1:]) if hi > lo]
 

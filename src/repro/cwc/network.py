@@ -400,9 +400,7 @@ def direct(sim, target, once{params}):
         return False
     counts = sim.counts
 {block([f"x{c} = counts.get(n{c}, 0)" for c in range(len(species))], 1)}
-    rng = sim.rng
-    expo = rng.expovariate
-    rand = rng.random
+    rand = sim.rng.random
     resum = sim.RESUM_INTERVAL
     steps = sim.steps
     if sim._props_valid:
@@ -423,7 +421,8 @@ def direct(sim, target, once{params}):
                 if target < _inf:
                     t = _max(t, target)
                 break
-        tau = expo(total)
+        # random.expovariate's body: the same random() call and bits
+        tau = -_log(1.0 - rand()) / total
         if t + tau > target:
             t = target
             break
@@ -444,7 +443,8 @@ def direct(sim, target, once{params}):
     return fired
 """
     namespace = {f"_{name}": value for name, value in bound.items()}
-    namespace.update(_sum=sum, _max=max, _inf=math.inf, _comb=math.comb)
+    namespace.update(_sum=sum, _max=max, _inf=math.inf, _comb=math.comb,
+                     _log=math.log)
     exec(compile(source, f"<direct loop of {len(reactions)} reactions>",
                  "exec"), namespace)
     return namespace["direct"]

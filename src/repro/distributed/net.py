@@ -651,6 +651,14 @@ class ClusterMaster:
             handle.in_flight.clear()
             handle.holds.clear()
             survivors = any(h.alive for h in self.workers.values())
+            if not survivors:
+                # down before the lock is released: a submit must not
+                # find the pool up with no live worker to pin to
+                down = ClusterError(
+                    f"all workers dead (last: worker {handle.worker_id}: "
+                    f"{reason})")
+                if self._error is None:
+                    self._error = down
             resend = []
             if survivors and self._error is None:
                 for checkpoint in replay:
@@ -662,9 +670,7 @@ class ClusterMaster:
         if handle.proc is not None:
             _kill_process(handle.proc)
         if not survivors:
-            self._fail(ClusterError(
-                f"all workers dead (last: worker {handle.worker_id}: "
-                f"{reason})"))
+            self._fail(down)
         for target, msg in resend:
             self._send(target, msg)
 

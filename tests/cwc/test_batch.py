@@ -12,6 +12,10 @@ from repro.models import (
     toggle_switch_network,
 )
 
+# the benchmark runs under this filter: a warning in the lockstep loop
+# (a stale value in a dead lane, say) fails here as it fails there
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _random_states(network, rng, n):
     """Random count matrices roughly around the initial state."""

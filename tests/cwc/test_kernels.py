@@ -15,12 +15,16 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.cwc import kernels
 from repro.cwc.batch import BatchFlatSimulator, CompiledNetwork
 from repro.cwc.kernels import (
     KernelUnavailable,
     MassActionPlan,
+    NumbaKernel,
     NumpyKernel,
     _apply_stoich,
+    _leap_fire,
+    _leap_tau,
     _propensities_cumsum_T,
     _propensities_cumsum_T_rows,
     _select_events,
@@ -92,6 +96,14 @@ class PythonKernel(NumpyKernel):
         _apply_stoich(X, stoich, chosen)
 
 
+def unjitted(monkeypatch):
+    """Build :class:`NumbaKernel` over the plain loops, as if ``njit``
+    returned them unchanged."""
+    monkeypatch.setattr(kernels, "_NUMBA_CACHE", (
+        _propensities_cumsum_T, _select_events, _apply_stoich,
+        _propensities_cumsum_T_rows, _leap_tau, _leap_fire))
+
+
 def networks():
     return [neurospora_network(omega=20),  # Hill functional rates
             third_order_network()]         # pure mass action, order 3
@@ -152,6 +164,36 @@ class TestPlanAndLoops:
         PythonKernel(compiled).apply_stoich(ours, stoich, chosen)
         assert ours.tobytes() == oracle.tobytes()
 
+    @pytest.mark.parametrize("network", networks(),
+                             ids=["neurospora", "trimer"])
+    @pytest.mark.parametrize("kernel_cls", [NumpyKernel, PythonKernel,
+                                            NumbaKernel],
+                             ids=["matmul", "count", "numba-unjitted"])
+    def test_fire_equals_count_clamp_take(self, network, kernel_cls,
+                                          monkeypatch):
+        """One reaction per live lane, the one count and clamp picks --
+        also on a pick equal to a running sum (``<`` is strict), a
+        zero pick and a pick above the total; a dead lane (negative
+        pick) keeps its counts."""
+        unjitted(monkeypatch)
+        compiled = CompiledNetwork(network)
+        kernel = kernel_cls(compiled)
+        X = random_states(compiled)
+        cumulative = kernel.propensities_cumsum_T(X)
+        rng = np.random.default_rng(6)
+        picks = rng.random(X.shape[0]) * cumulative[-1]
+        ties = np.arange(compiled.n_reactions)
+        picks[ties] = cumulative[ties, ties]
+        picks[6], picks[7] = 0.0, np.nextafter(cumulative[-1, 7], np.inf)
+        dead = np.array([8, 9, 20], dtype=np.intp)
+        picks[dead] = -cumulative[-1, dead]
+        chosen = np.minimum((cumulative < picks).sum(axis=0),
+                            compiled.n_reactions - 1)
+        oracle = X + compiled.stoich[chosen]
+        oracle[dead] = X[dead]
+        kernel.fire(X, cumulative, picks, dead)
+        assert X.tobytes() == oracle.tobytes()
+
 
 def run_batch(network, kernel_obj=None, kernel_name="numpy", n=16,
               seed=42, t_end=8.0):
@@ -179,6 +221,18 @@ class TestTrajectoryBitIdentity:
         assert alt.times.tobytes() == ref.times.tobytes()
         assert np.array_equal(alt.steps, ref.steps)
         assert np.array_equal(alt.exhausted, ref.exhausted)
+
+    def test_numba_kernel_class_without_the_jit(self, monkeypatch):
+        """:class:`NumbaKernel` itself -- its count-and-clamp ``fire``
+        and the zero row a dead lane picks -- over the plain loops
+        ``njit`` would compile."""
+        unjitted(monkeypatch)
+        network = neurospora_network(omega=20)
+        ref = run_batch(network, t_end=6.0)
+        alt = run_batch(network, kernel_obj=NumbaKernel, t_end=6.0)
+        assert alt.counts.tobytes() == ref.counts.tobytes()
+        assert alt.times.tobytes() == ref.times.tobytes()
+        assert np.array_equal(alt.steps, ref.steps)
 
     @needs_numba
     @pytest.mark.parametrize("network", networks(),

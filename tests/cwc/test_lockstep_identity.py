@@ -7,12 +7,22 @@ looping reactions in Python, ``np.cumsum`` / ``np.clip`` / ``.any()``,
 per-iteration temporaries, ``searchsorted`` stream bounds per phase and
 ``rng.exponential(1.0, size=m)`` draws.  It is kept verbatim (only
 re-homed from methods to functions) and must never be "optimised": it
-is what every later kernel change is measured against.  For every case
-the new loops must leave ``counts`` / ``times`` / ``steps`` /
-``exhausted`` and every generator's ``bit_generator.state`` byte-equal
-to the oracle's.
+is what every later kernel change is measured against.  It reads the
+network, never the compiled plan, and its functional laws are the frozen
+closed forms of :mod:`tests.oracles.rate_laws`.  For every case the new
+loops must leave ``counts`` / ``times`` / ``steps`` / ``exhausted`` and
+every generator's ``bit_generator.state`` byte-equal to the oracle's.
+
+The engine's exact loop keeps a retired row as a *dead lane* until half
+the working set is dead; :class:`TestDeadLanes` drives that path (a
+stream whose rows all retire while the others run, retirements spread
+over many iterations, exhaustion next to dead lanes, many widths).
+Every test here turns a ``RuntimeWarning`` into a failure, as the
+benchmark does: a dead lane holding a stale value that overflows would
+warn.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -20,6 +30,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cwc import Reaction, ReactionNetwork
+from repro.cwc import batch as batch_module
 from repro.cwc.batch import BatchFlatSimulator, CompiledNetwork
 from repro.cwc.kernels import numpy_leap_fire, numpy_leap_tau
 from repro.cwc.rates import (
@@ -36,15 +47,34 @@ from repro.models import (
     neurospora_network,
     toggle_switch_network,
 )
+from tests.oracles.rate_laws import vectorize
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 # ---------------------------------------------------------------------------
 # the frozen oracle
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)
+def oracle_terms(compiled):
+    """Per reaction, read off the network: its ``(column, need)``
+    reactants, its mass-action constant (0 for a law) and, for a
+    functional law, the frozen vectorised law."""
+    network = compiled.network
+    index = {s: i for i, s in enumerate(network.species)}
+    reactants = [tuple((index[s], n) for s, n in r.reactants)
+                 for r in network.reactions]
+    rates = np.array([0.0 if callable(r.rate) else float(r.rate)
+                      for r in network.reactions])
+    laws = [(j, vectorize(r.rate, index))
+            for j, r in enumerate(network.reactions) if callable(r.rate)]
+    return reactants, rates, laws
+
+
 def oracle_combinatorics(compiled, X, j):
     h = 1.0
-    for col, need in compiled._reactants[j]:
+    for col, need in oracle_terms(compiled)[0][j]:
         n = X[:, col]
         if need == 1:
             h = h * n
@@ -62,16 +92,17 @@ def oracle_combinatorics(compiled, X, j):
 
 
 def oracle_propensities_T(compiled, X, rates_rows=None):
+    reactants, rates, laws = oracle_terms(compiled)
+    functional = {j for j, _ in laws}
     out = np.empty((compiled.n_reactions, X.shape[0]))
     for j in range(compiled.n_reactions):
-        if j in compiled._functional_set:
+        if j in functional:
             continue
-        rate = (compiled._rates[j] if rates_rows is None
-                else rates_rows[:, j])
+        rate = rates[j] if rates_rows is None else rates_rows[:, j]
         np.multiply(rate, oracle_combinatorics(compiled, X, j), out=out[j])
-    for j, law in compiled._functional:
+    for j, law in laws:
         value = law(X)
-        for col, need in compiled._reactants[j]:
+        for col, need in reactants[j]:
             value = np.where(X[:, col] >= need, value, 0.0)
         out[j] = value
     return out
@@ -513,3 +544,162 @@ class TestLeapLoopIdentity:
     def test_tau_on_an_exhausting_network(self):
         check(exhausting_network(), n=6, method="tau",
               targets=(0.5, 30.0))
+
+
+# ---------------------------------------------------------------------------
+# the masked exact loop: dead lanes
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def lanes_seen(monkeypatch):
+    """Record, per write-back of the exact loop, whether it was a kill
+    (the row stays as a dead lane) or a retirement, and how many dead
+    and live lanes the working set held just before -- checking that
+    every dead lane still holds the counts it was written back with."""
+    seen = []
+    kill, retire = batch_module._Workspace.kill, batch_module._Workspace.retire
+
+    def record(ws, kind):
+        written = ws.sim.counts[ws.active[ws.dead]]
+        assert ws.X[ws.dead].tobytes() == written.astype(float).tobytes()
+        seen.append((kind, ws.dead.size, ws.live))
+
+    def spy_kill(ws, done, steps):
+        record(ws, "kill")
+        kill(ws, done, steps)
+
+    def spy_retire(ws, done, steps=0, exhausted=False):
+        record(ws, "exhausted" if exhausted else "retire")
+        retire(ws, done, steps, exhausted)
+
+    monkeypatch.setattr(batch_module._Workspace, "kill", spy_kill)
+    monkeypatch.setattr(batch_module._Workspace, "retire", spy_retire)
+    return seen
+
+
+def check_targets(network, targets_per_call, seed=42, **kwargs):
+    """:func:`check` with per-row targets (one array per call)."""
+    n = len(targets_per_call[0])
+    new = BatchFlatSimulator(network, n, seed=seed, **kwargs)
+    ref = BatchFlatSimulator(network, n, seed=seed, **kwargs)
+    for targets in targets_per_call:
+        new.advance_to(targets)
+        oracle_advance_to(ref, targets)
+        assert_identical(new, ref)
+    assert ref.total_steps > 0
+    return new
+
+
+def stream_rates(network, sizes):
+    compiled = CompiledNetwork(network)
+    return np.repeat(np.stack([
+        compiled.rates_for({"translation": 0.3 + 0.1 * p})
+        for p in range(len(sizes))]), sizes, axis=0)
+
+
+class TestDeadLanes:
+    def test_one_stream_retires_while_the_others_run(self, lanes_seen):
+        """Stream 1 reaches its early target first: its generator must
+        see no draw after that while streams 0 and 2 keep drawing."""
+        network = neurospora_network(omega=30)
+        sizes = (4, 6, 5)
+        early = np.concatenate([np.full(4, 2.0), np.full(6, 0.05),
+                                np.full(5, 2.0)])
+        check_targets(network, [early, np.full(15, 3.0)], seed=None,
+                      rng_streams=[(size, 200 + p)
+                                   for p, size in enumerate(sizes)])
+        assert any(kind == "kill" and dead > 0 for kind, dead, _
+                   in lanes_seen)
+
+    def test_retirements_spread_over_many_iterations(self, lanes_seen):
+        rng = np.random.default_rng(4)
+        network = neurospora_network(omega=30)
+        first = rng.permutation(np.linspace(0.02, 2.0, 24))
+        check_targets(network, [first, first + rng.uniform(0, 1.0, 24)])
+        kills = [dead for kind, dead, _ in lanes_seen if kind == "kill"]
+        assert len(kills) > 10 and max(kills) > 0
+
+    def test_exhaustion_next_to_dead_lanes(self, lanes_seen):
+        targets = np.concatenate([np.full(4, 0.05), np.full(12, 60.0)])
+        sim = check_targets(exhausting_network(), [targets, targets + 1.0],
+                            seed=3)
+        assert sim.exhausted[4:].all()
+        assert any(kind == "exhausted" and dead > 0
+                   for kind, dead, _ in lanes_seen)
+
+    def test_exhaustion_next_to_dead_lanes_with_streams(self, lanes_seen):
+        targets = np.concatenate([np.full(3, 0.05), np.full(9, 60.0)])
+        check_targets(exhausting_network(), [targets], seed=None,
+                      rng_streams=[(5, 11), (4, 12), (3, 13)])
+        assert any(kind == "exhausted" and dead > 0
+                   for kind, dead, _ in lanes_seen)
+
+    def test_row_rates_and_streams_with_per_row_targets(self):
+        network = neurospora_network(omega=30)
+        sizes = (3, 7, 2)
+        rng = np.random.default_rng(8)
+        targets = rng.uniform(0.1, 1.5, sum(sizes))
+        check_targets(network, [targets, targets + 1.0], seed=None,
+                      row_rates=stream_rates(network, sizes),
+                      rng_streams=[(size, 300 + p)
+                                   for p, size in enumerate(sizes)])
+
+    @pytest.mark.parametrize("width", [1, 2, 63, 128])
+    def test_widths(self, width):
+        rng = np.random.default_rng(width)
+        network = neurospora_network(omega=30)
+        targets = rng.uniform(0.2, 1.0, width)
+        check_targets(network, [targets, targets + 0.5], seed=width)
+
+    def test_1536_rows_in_48_streams(self, lanes_seen):
+        network = neurospora_network(omega=20)
+        rng = np.random.default_rng(48)
+        targets = rng.uniform(0.05, 0.25, 1536)
+        check_targets(network, [targets], seed=None,
+                      rng_streams=[(32, 1000 + 32 * p) for p in range(48)])
+        kills = [dead for kind, dead, _ in lanes_seen if kind == "kill"]
+        assert len(kills) > 8 and max(kills) > 0
+
+    def test_negative_propensities_keep_count_and_clamp(self):
+        """A negative rate constant breaks the non-decreasing running
+        sums the one-matmul pick relies on: the kernel counts instead."""
+        network = ReactionNetwork("negative", {"a": 50, "b": 50}, [
+            Reaction.make("make_a", {}, {"a": 1}, 40.0),
+            Reaction.make("odd", {"a": 1}, {"b": 1}, -0.05),
+            Reaction.make("b_out", {"b": 1}, {}, 0.5),
+        ])
+        assert not CompiledNetwork(network).nonnegative
+        check_targets(network, [np.linspace(0.05, 0.6, 8)])
+
+    def test_negative_row_rates_keep_count_and_clamp(self):
+        network = neurospora_network(omega=30)
+        compiled = CompiledNetwork(network)
+        rates = np.stack([compiled.rates_for({"transport_out": -0.01 * i})
+                          for i in range(6)])
+        sim = check_targets(network, [np.linspace(0.1, 0.8, 6)],
+                            row_rates=rates)
+        assert not sim.kernel._prefix
+
+
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_random_per_row_targets(data):
+    """Any per-row targets, any split into streams, two calls."""
+    n = data.draw(st.integers(1, 24), label="rows")
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=4),
+                            label="cuts")) if n > 1 else []
+    sizes = np.diff([0, *cuts, n]).tolist()
+    targets = np.array(data.draw(st.lists(
+        st.floats(0.0, 1.2), min_size=n, max_size=n), label="targets"))
+    more = np.array(data.draw(st.lists(
+        st.floats(0.0, 0.8), min_size=n, max_size=n), label="more"))
+    network = neurospora_network(omega=15)
+    kwargs = {} if len(sizes) == 1 else dict(
+        seed=None, rng_streams=[(size, 7 + p)
+                                for p, size in enumerate(sizes)])
+    new = BatchFlatSimulator(network, n, **{"seed": 1, **kwargs})
+    ref = BatchFlatSimulator(network, n, **{"seed": 1, **kwargs})
+    for call in (targets, targets + more):
+        new.advance_to(call)
+        oracle_advance_to(ref, call)
+        assert_identical(new, ref)

@@ -17,8 +17,10 @@ from repro.distributed.net import (
     KillWorkerAfter,
     run_workflow_cluster,
 )
+from repro.distributed import net as net_module
 from repro.distributed.worker import worker_main
 from repro.pipeline import SteeringController, WorkflowConfig, run_workflow
+from repro.sim.engine import run_quantum
 from repro.sim.task import make_tasks
 from tests.distributed.pools import drive
 from tests.sim.samples import scalar_samples
@@ -129,6 +131,35 @@ class TestFaultTolerance:
         try:
             with pytest.raises(ClusterError, match="all workers dead"):
                 drive(master, tasks)
+        finally:
+            master.close()
+
+    def test_submit_racing_the_last_death_raises_cluster_error(
+            self, neurospora_small, monkeypatch):
+        """A submit landing after the last worker is marked dead but
+        before its socket is closed (the window the reader thread of a
+        killed worker opens) raises ClusterError, not a ``min()`` over
+        no live worker."""
+        tasks = make_tasks(neurospora_small, 2, 6.0, 2.0, 0.5, seed=0)
+        master = ClusterMaster(n_workers=1)
+        master.start()
+        raised = []
+        close = net_module._close_socket
+
+        def close_then_submit(sock):
+            close(sock)
+            if not raised:
+                try:
+                    master.submit(run_quantum, tasks[0])
+                except Exception as exc:  # noqa: BLE001 - checked below
+                    raised.append(exc)
+        monkeypatch.setattr(net_module, "_close_socket", close_then_submit)
+        try:
+            (handle,) = master.workers.values()
+            master._worker_dead(handle, "killed by the test")
+            assert len(raised) == 1
+            assert isinstance(raised[0], ClusterError)
+            assert "all workers dead" in str(raised[0])
         finally:
             master.close()
 

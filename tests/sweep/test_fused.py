@@ -19,6 +19,10 @@ from repro.sim.task import BatchSimulationTask
 from repro.sweep import SweepSpec, make_fused_tasks, run_sweep
 from tests.cwc.test_kernels import PythonKernel
 
+# the benchmark runs under this filter: a warning in the lockstep loop
+# (a stale value in a dead lane, say) fails here as it fails there
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 needs_numba = pytest.mark.skipif(not kernel_available("numba"),
                                  reason="numba not installed")
 
