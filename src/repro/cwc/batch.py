@@ -17,9 +17,12 @@ NumPy array operations over the batch.  The building blocks:
   :class:`numpy.random.Generator`.  Every lockstep iteration draws all
   exponential waiting times at once, then selects and applies one
   reaction per trajectory by cumulative-sum inversion (one exact matmul
-  on the numpy kernel).  A trajectory that reaches its time target is
-  written back at once and stays as a masked *dead lane* without
-  stalling the rest of the batch; the working set is compacted when
+  on the numpy kernel).  The tau-leaping methods instead leap the whole
+  working set at once, in place, through the kernel's leap primitives.
+  In both loops a trajectory that reaches its time target is written
+  back at once and stays as a masked *dead lane* without stalling the
+  rest of the batch -- under leaping a lane with a zero span, whose
+  Poisson draws touch no generator; the working set is compacted when
   half of it is dead (an exhausted trajectory leaves at once).
 
 Stopping at a quantum boundary remains statistically exact for every
@@ -534,16 +537,17 @@ class _Workspace:
     The rows still short of their target are gathered once and advanced
     in place (float64 counts, exact up to :data:`MAX_POPULATION`; beyond
     it :func:`_require_exact` ends the run).  Everything sized by the
-    number of rows lives here -- row state, the exact loop's per-phase
-    buffers, the per-stream draw views -- and is rebuilt only by
-    :meth:`_compact`, so the loop itself allocates nothing in between.
+    number of rows lives here -- row state and each loop's per-phase
+    buffers (:class:`_ExactWorkspace`, :class:`_LeapWorkspace`) -- and
+    is rebuilt only by :meth:`_compact`, so the loops themselves
+    allocate nothing in between.
 
     A row is written back as soon as it is done.  :meth:`retire` then
-    drops it from the working set at once (the leap loop, and an
-    exhausted row of the exact loop); :meth:`kill` keeps it as a *dead
-    lane* -- no draws, no change of state -- until dead lanes are at
-    least as many as live ones, so the exact loop compacts a block
-    about ``log2(rows)`` times per call instead of once per retirement.
+    drops it from the working set at once (an exhausted row);
+    :meth:`kill` keeps it as a *dead lane* -- no draws, no change of
+    state -- until dead lanes are at least as many as live ones, so a
+    loop compacts a block about ``log2(rows)`` times per call instead of
+    once per retirement.
     """
 
     def __init__(self, sim: "BatchFlatSimulator", targets: np.ndarray,
@@ -556,34 +560,17 @@ class _Workspace:
         self.rr = None if sim.row_rates is None else sim.row_rates[active]
         self.rs = None if sim._stream_of is None else sim._stream_of[active]
         #: per-row counters the leap loop adds to steps / leaps /
-        #: exact_steps at retirement (the exact loop counts in lockstep)
+        #: exact_steps at write-back (the exact loop counts in lockstep)
         self.tally = np.zeros((n_tallies, active.size), dtype=np.int64)
         self._size_buffers()
 
     def _size_buffers(self) -> None:
         m = self.active.size
-        self.e, self.u, self.ec, self.uc = np.empty((4, m))
-        self.new_times, self.picks = np.empty(m), np.empty(m)
         self.flag = np.empty(m, dtype=bool)
         #: lanes written back but still in the working set (a new array
         #: whenever it changes), and how many lanes are not
         self.dead, self.live = np.empty(0, dtype=np.intp), m
         self.alive = np.ones(m, dtype=bool)
-        self._spread(None)
-
-    def _spread(self, lanes: Optional[np.ndarray]) -> None:
-        """Point the per-stream draws at the live lanes: ``spans`` holds
-        one ``(generator, exponential view, uniform view)`` per stream
-        with live rows.  With dead lanes the views are of compact
-        buffers that :meth:`scatter` copies to ``lanes``."""
-        self.lanes = lanes
-        if lanes is None:
-            e, u, rs = self.e, self.u, self.rs
-        else:
-            e, u = self.ec[:lanes.size], self.uc[:lanes.size]
-            rs = None if self.rs is None else self.rs[lanes]
-        self.spans = [(rng, e[lo:hi], u[lo:hi]) for rng, lo, hi
-                      in self.sim._stream_spans(rs)]
 
     def _write_back(self, lanes: np.ndarray, steps: int,
                     exhausted: bool) -> None:
@@ -609,20 +596,18 @@ class _Workspace:
         self.alive &= ~done
         self._compact()
 
-    def kill(self, done: np.ndarray, steps: int) -> None:
-        """Write the ``done`` rows back and keep them as dead lanes: a
-        zero exponential keeps their clocks, an infinite target keeps
-        them from retiring again and a uniform of -1 makes their pick
-        negative; the kernel's ``fire`` leaves the ``dead`` lanes
-        unfired.  Every value stays finite and in range."""
+    def kill(self, done: np.ndarray, steps: int = 0) -> None:
+        """Write the ``done`` rows back and keep them as dead lanes
+        (:meth:`_park` makes them inert for the loop at hand)."""
         lanes = done.nonzero()[0]
         self._write_back(lanes, steps, False)
-        self.e[lanes], self.u[lanes], self.trg[lanes] = 0.0, -1.0, np.inf
         self.alive[lanes] = False
         self.dead = np.concatenate((self.dead, lanes))
         self.live -= lanes.size
-        if self.live:
-            self._spread(self.alive.nonzero()[0])
+        self._park(lanes)
+
+    def _park(self, lanes: np.ndarray) -> None:
+        raise NotImplementedError
 
     def compact_if_half_dead(self) -> None:
         if self.dead.size >= self.live:
@@ -639,10 +624,87 @@ class _Workspace:
             self.rs = self.rs[keep]
         self._size_buffers()
 
+
+class _ExactWorkspace(_Workspace):
+    """The exact loop's working set: per-phase draw buffers and the
+    per-stream draw views over the live lanes.
+
+    A dead lane draws nothing: each stream draws one value per live row
+    into a compact buffer that :meth:`scatter` copies to the live lanes,
+    so every generator sees the calls and sizes of a fully compacted
+    working set.  The per-stream live counts give the draw views
+    without gathering the live lanes' stream ids.
+    """
+
+    def _size_buffers(self) -> None:
+        super()._size_buffers()
+        m = self.active.size
+        self.e, self.u, self.ec, self.uc = np.empty((4, m))
+        self.new_times, self.picks = np.empty(m), np.empty(m)
+        self.lanes = None
+        self.per_stream = [m] if self.rs is None else np.bincount(
+            self.rs, minlength=len(self.sim._streams)).tolist()
+        self._spread(self.e, self.u)
+
+    def _spread(self, e: np.ndarray, u: np.ndarray) -> None:
+        """Point ``spans`` -- one ``(generator, exponential view,
+        uniform view)`` per stream with live rows -- at consecutive
+        pieces of ``e`` and ``u``, one per stream's live rows."""
+        self.spans, hi = [], 0
+        for rng, count in zip(self.sim._streams, self.per_stream):
+            if count:
+                lo, hi = hi, hi + count
+                self.spans.append((rng, e[lo:hi], u[lo:hi]))
+
+    def _park(self, lanes: np.ndarray) -> None:
+        """A zero exponential keeps a dead lane's clock, an infinite
+        target keeps it from retiring again and a uniform of -1 makes
+        its pick negative; the kernel's ``fire`` leaves the ``dead``
+        lanes unfired.  Every value stays finite and in range."""
+        self.e[lanes], self.u[lanes], self.trg[lanes] = 0.0, -1.0, np.inf
+        if not self.live:
+            return
+        self.lanes = self.alive.nonzero()[0]
+        if self.rs is None:
+            self.per_stream[0] -= lanes.size
+        else:
+            for stream in self.rs[lanes].tolist():
+                self.per_stream[stream] -= 1
+        self._spread(self.ec[:self.live], self.uc[:self.live])
+
     def scatter(self, buffer: np.ndarray, compact: np.ndarray) -> None:
         """Copy one phase's compact draws to the live lanes."""
         if self.lanes is not None:
             buffer[self.lanes] = compact[:self.live]
+
+
+class _LeapWorkspace(_Workspace):
+    """The leap loop's working set: the raw propensities, leap spans,
+    Poisson means and firing counts of every lane, and one
+    ``(generator, means, firing counts)`` view per stream over the
+    whole working set.
+
+    A dead lane keeps its place with a zero leap span (its target
+    becomes its clock), so its Poisson means are 0 and its draws touch
+    no generator: the live rows draw exactly what a fully compacted
+    working set would, and the per-stream views never change between
+    compactions.
+    """
+
+    def _size_buffers(self) -> None:
+        super()._size_buffers()
+        m, (n_reactions, _) = self.active.size, self.sim.compiled.stoich.shape
+        self.a, self.lam_T = np.empty((2, n_reactions, m))
+        self.fires = np.empty((m, n_reactions))
+        self.ones = np.ones(n_reactions)
+        self.span, self.product, self.fired = np.empty((3, m))
+        self.leap, self.done = np.empty((2, m), dtype=bool)
+        lam = self.lam_T.T
+        self.spans = [(rng, lam[lo:hi], self.fires[lo:hi])
+                      for rng, lo, hi in self.sim._stream_spans(self.rs)]
+
+    def _park(self, lanes: np.ndarray) -> None:
+        self.trg[lanes] = self.tw[lanes]
 
 
 class BatchFlatSimulator:
@@ -836,7 +898,7 @@ class BatchFlatSimulator:
         self.times[self.exhausted] = targets[self.exhausted]
         if self.method != "exact":
             return self._advance_to_leap(targets)
-        ws = _Workspace(self, targets)
+        ws = _ExactWorkspace(self, targets)
         kernel = self.kernel
         # lockstep: every live row fired once per past iteration
         steps = 0
@@ -878,111 +940,168 @@ class BatchFlatSimulator:
         """The tau/hybrid lockstep loop (``targets`` pre-clamped by
         :meth:`advance_to`).
 
-        Same working-set discipline as the exact loop -- gather the
-        active rows once, compact on retirement -- but each iteration
-        splits the rows: rows whose CGP tau covers at least
-        ``ssa_threshold`` expected SSA steps (and, under ``"hybrid"``,
-        whose every reactant population is at or above
+        Each iteration splits the live rows: rows whose CGP tau covers
+        at least ``ssa_threshold`` expected SSA steps (and, under
+        ``"hybrid"``, whose every reactant population is at or above
         ``pop_threshold``) fire a whole ``Poisson(a_j * tau)`` leap;
-        the rest take one exact SSA step.  A leap that would drive any
-        population negative is rejected, its tau halved and redrawn, up
-        to :data:`MAX_LEAP_ATTEMPTS` times before falling back to an
-        exact step.  Leaps are clamped to the row's remaining time, so
-        quantum boundaries are honoured exactly like the exact path.
+        the rest take one exact SSA step first.  Leaps are clamped to
+        the row's remaining time, so quantum boundaries are honoured
+        exactly like the exact path.
+
+        The leap itself runs over the whole working set, in place and
+        without gathers: a row that does not leap this iteration (an
+        exact step, a dead lane) has a zero span, so its Poisson means
+        are 0, it draws nothing and its counts stay put; an iteration
+        in which no row leaps skips the leap.  A leap that would drive
+        any population negative is rejected, its tau halved and redrawn
+        on the rejected rows alone, up to
+        :data:`MAX_LEAP_ATTEMPTS` attempts before falling back to an
+        exact step.  A row that reaches its target is written back at
+        once and stays as a dead lane until half the working set is
+        dead (an exhausted row leaves at once).
         """
-        ws = _Workspace(self, targets, n_tallies=3)
+        ws = _LeapWorkspace(self, targets, n_tallies=3)
         kernel = self.kernel
         stoich = self.compiled.stoich.astype(np.float64)
         rcols = self.compiled.reactant_columns
-        while ws.active.size:
-            X, tw, trg, rs = ws.X, ws.tw, ws.trg, ws.rs
-            new_steps, new_leaps, new_exact = ws.tally
+        hybrid = self.method == "hybrid" and rcols.size
+        while ws.live:
+            ws.compact_if_half_dead()
+            X, tw, trg, a, span, leap, done = \
+                ws.X, ws.tw, ws.trg, ws.a, ws.span, ws.leap, ws.done
+            new_steps, new_leaps, _ = ws.tally
             cumulative = kernel.propensities_cumsum_T(X, ws.rr)
             totals = cumulative[-1]
-            dead = totals <= 0.0
-            if dead.any():
+            exhausted = np.less_equal(totals, 0.0, out=ws.flag)
+            if ws.dead.size:
+                # a dead lane is done with this call whatever its state
+                exhausted &= ws.alive
+            if np.count_nonzero(exhausted):
                 # no draw happened yet: start over on the survivors
-                ws.retire(dead, exhausted=True)
+                ws.retire(exhausted, exhausted=True)
                 continue
 
-            # raw propensities back out of the running sums (tau is an
-            # approximation bound; no bit-pinning requirement here)
-            a = np.empty_like(cumulative)
+            # raw propensities back out of the running sums, in place
             a[0] = cumulative[0]
-            a[1:] = cumulative[1:] - cumulative[:-1]
+            np.subtract(cumulative[1:], cumulative[:-1], out=a[1:])
             tau_cgp = kernel.leap_tau(a, X, stoich, self.epsilon)
-            leap = tau_cgp * totals >= self.ssa_threshold
-            if self.method == "hybrid" and rcols.size:
+            if ws.dead.size:
+                tau_cgp[ws.dead] = 0.0  # no leap (and no 0 * inf)
+            np.greater_equal(np.multiply(tau_cgp, totals, out=ws.product),
+                             self.ssa_threshold, out=leap)
+            if hybrid:
                 leap &= X[:, rcols].min(axis=1) >= self.pop_threshold
+            # clamp each leap to the row's remaining span so quantum
+            # boundaries are honoured (no residual to discard: the leap
+            # is a closed-interval update, not a waiting time); a dead
+            # lane's target is its clock
+            np.minimum(tau_cgp, np.subtract(trg, tw, out=span), out=span)
 
-            retire_mask = np.zeros(tw.size, dtype=bool)
+            over = pending = None
+            leaping = np.count_nonzero(leap)
+            if leaping < ws.live:
+                exact_rows = np.flatnonzero(~leap & ws.alive)
+                span[exact_rows] = 0.0
+                over = self._leap_exact_step(ws, exact_rows, cumulative,
+                                             stoich)
 
-            def exact_step(sub: np.ndarray) -> None:
-                """One exact SSA step for the row subset ``sub``
-                (sorted, so per-stream draw groups stay contiguous)."""
-                taus = self._draw(None if rs is None else rs[sub],
-                                  sub.size, False) / totals[sub]
-                nt = tw[sub] + taus
-                over = nt >= trg[sub]
-                retire_mask[sub[over]] = True
-                go = sub[~over]
-                if not go.size:
-                    return
-                picks = self._draw(None if rs is None else rs[go],
-                                   go.size, True) * totals[go]
-                chosen = kernel.select_events(
-                    np.ascontiguousarray(cumulative[:, go]), picks)
-                Xg = X[go]
-                kernel.apply_stoich(Xg, stoich, chosen)
-                X[go] = Xg
-                tw[go] = nt[~over]
-                new_steps[go] += 1
-                new_exact[go] += 1
-
-            exact_rows = np.flatnonzero(~leap)
-            if exact_rows.size:
-                exact_step(exact_rows)
-
-            pending = np.flatnonzero(leap)
-            if pending.size:
-                # clamp each leap to the row's remaining span so quantum
-                # boundaries are honoured (no residual to discard: the
-                # leap is a closed-interval update, not a waiting time)
-                ptau = np.minimum(tau_cgp[pending], trg[pending] - tw[pending])
-                for _attempt in range(self.MAX_LEAP_ATTEMPTS):
-                    lam = a[:, pending].T * ptau[:, None]
-                    fires = self._draw_poisson(
-                        None if rs is None else rs[pending], lam)
-                    Xp = X[pending]
-                    ok = kernel.leap_fire(Xp, stoich, fires)
-                    X[pending] = Xp
-                    committed = pending[ok]
-                    if committed.size:
-                        tw[committed] += ptau[ok]
-                        # rejected rows are unchanged, so one reduce over
-                        # all of Xp vets exactly the committed ones
-                        _require_exact(self, Xp, ws.active[pending],
-                                       tw[pending])
-                        new_steps[committed] += fires[ok].sum(
-                            axis=1).astype(np.int64)
-                        new_leaps[committed] += 1
-                        done = tw[committed] >= trg[committed] - 1e-12
-                        retire_mask[committed[done]] = True
-                    rej = ~ok
-                    if not rej.any():
-                        break
-                    pending = pending[rej]
-                    ptau = ptau[rej] * 0.5
-                else:
-                    # still rejecting after MAX_LEAP_ATTEMPTS halvings:
-                    # the state is effectively small-count, take one
-                    # exact step (propensities are still current -- the
-                    # rejected rows never committed a change)
-                    exact_step(pending)
-
-            if retire_mask.any():
-                ws.retire(retire_mask)
+            if leaping:
+                # one leap over the whole working set (the means drawn
+                # through a transposed view: a generator walks any
+                # array in row-major order of its shape)
+                np.multiply(a, span, out=ws.lam_T)
+                for rng, lam, fires in ws.spans:
+                    fires[...] = rng.poisson(lam)
+                ok = kernel.leap_fire(X, stoich, ws.fires)
+                if np.count_nonzero(ok) < ok.size:
+                    # rejected rows commit nothing now and retry below
+                    pending = np.flatnonzero(~ok)
+                    retry = span[pending] * 0.5
+                    span[pending], ws.fires[pending], leap[pending] = \
+                        0.0, 0.0, False
+                np.add(tw, span, out=tw)
+                _require_exact(self, X, ws.active, tw)
+                # firings per row: integer-valued, so exact in any order
+                np.add(new_steps,
+                       np.matmul(ws.fires, ws.ones, out=ws.fired),
+                       out=new_steps, casting="unsafe")
+                np.add(new_leaps, leap, out=new_leaps)
+                np.greater_equal(tw,
+                                 np.subtract(trg, 1e-12, out=ws.product),
+                                 out=done)
+                done &= leap
+            else:
+                # every live row stepped exactly (or nothing is left)
+                done.fill(False)
+            if over is not None:
+                done[over] = True
+            if pending is not None:
+                self._leap_retries(ws, pending, retry, cumulative, stoich)
+            if np.count_nonzero(done):
+                ws.kill(done)
         return self.times
+
+    def _leap_retries(self, ws: _LeapWorkspace, pending: np.ndarray,
+                      ptau: np.ndarray, cumulative: np.ndarray,
+                      stoich: np.ndarray) -> None:
+        """Redraw the rejected leap rows ``pending`` on their own, each
+        attempt with half the previous tau, and fall back to one exact
+        step for those still rejected after :data:`MAX_LEAP_ATTEMPTS`
+        attempts in all (their propensities are still current: a
+        rejected row never committed a change)."""
+        X, tw, trg, rs, done = ws.X, ws.tw, ws.trg, ws.rs, ws.done
+        new_steps, new_leaps, _ = ws.tally
+        for _attempt in range(1, self.MAX_LEAP_ATTEMPTS):
+            lam = ws.a[:, pending].T * ptau[:, None]
+            fires = self._draw_poisson(None if rs is None else rs[pending],
+                                       lam)
+            Xp = X[pending]
+            ok = self.kernel.leap_fire(Xp, stoich, fires)
+            X[pending] = Xp
+            committed = pending[ok]
+            if committed.size:
+                tw[committed] += ptau[ok]
+                # rejected rows are unchanged, so one reduce over all
+                # of Xp vets exactly the committed ones
+                _require_exact(self, Xp, ws.active[pending], tw[pending])
+                new_steps[committed] += fires[ok].sum(axis=1).astype(np.int64)
+                new_leaps[committed] += 1
+                reached = tw[committed] >= trg[committed] - 1e-12
+                done[committed[reached]] = True
+            rej = ~ok
+            if not rej.any():
+                return
+            pending = pending[rej]
+            ptau = ptau[rej] * 0.5
+        # still rejecting: the state is effectively small-count
+        done[self._leap_exact_step(ws, pending, cumulative, stoich)] = True
+
+    def _leap_exact_step(self, ws: _LeapWorkspace, sub: np.ndarray,
+                         cumulative: np.ndarray,
+                         stoich: np.ndarray) -> np.ndarray:
+        """One exact SSA step for the working rows ``sub`` (sorted, so
+        per-stream draw groups stay contiguous); returns the rows whose
+        next event falls past their target (they fire nothing)."""
+        X, tw, trg, rs = ws.X, ws.tw, ws.trg, ws.rs
+        new_steps, _, new_exact = ws.tally
+        totals = cumulative[-1]
+        taus = self._draw(None if rs is None else rs[sub], sub.size,
+                          False) / totals[sub]
+        nt = tw[sub] + taus
+        over = nt >= trg[sub]
+        go = sub[~over]
+        if go.size:
+            picks = self._draw(None if rs is None else rs[go], go.size,
+                               True) * totals[go]
+            chosen = self.kernel.select_events(
+                np.ascontiguousarray(cumulative[:, go]), picks)
+            Xg = X[go]
+            self.kernel.apply_stoich(Xg, stoich, chosen)
+            X[go] = Xg
+            tw[go] = nt[~over]
+            new_steps[go] += 1
+            new_exact[go] += 1
+        return sub[over]
 
     def _stream_spans(self, rs: Optional[np.ndarray]
                       ) -> list[tuple[np.random.Generator, int, Any]]:

@@ -35,8 +35,11 @@ Python, every one of them.
   decrease make ``below`` a prefix of ones, so this is exact only for
   networks whose propensities are never negative
   (``CompiledNetwork.nonnegative`` and non-negative per-row rates);
-  others keep the count-and-clamp form.  Always available; the
-  correctness oracle for everything else.
+  others keep the count-and-clamp form.  The leap primitives run in
+  place too (:meth:`NumpyKernel.leap_tau` on buffers bound to the
+  propensity matrix, :meth:`NumpyKernel.leap_fire` on the bound working
+  set; gathered rows take :func:`numpy_leap_fire`).  Always available;
+  the correctness oracle for everything else.
 * ``"numba"`` -- ``@njit``-compiled fused loops.  **Bit-identical** to
   numpy for the same seeds: every random draw stays in Python (same
   generator, same call order, same sizes) and the compiled code performs
@@ -301,37 +304,9 @@ def _leap_fire(X, stoich, fires, ok) -> None:
 
 
 # ---------------------------------------------------------------------------
-# numpy reference implementations of the leap primitives (the oracle the
-# jitted loops are tested against)
+# numpy reference implementation of leap_fire for gathered rows (the
+# leap loop's retries, the cupy kernel's host side)
 # ---------------------------------------------------------------------------
-
-def numpy_leap_tau(a: np.ndarray, X: np.ndarray, stoich: np.ndarray,
-                   epsilon: float) -> np.ndarray:
-    """Vectorized :func:`_leap_tau`: same IEEE-754 operations in the
-    same per-element order (species outer, reactions inner, mu-bound
-    before sigma-bound), so the plain loops reproduce it bit for bit."""
-    m = a.shape[1]
-    n_species = X.shape[1]
-    tau = np.full(m, np.inf)
-    for s in range(n_species):
-        mu = np.zeros(m)
-        sig2 = np.zeros(m)
-        for j in range(a.shape[0]):
-            v = stoich[j, s]
-            if v != 0.0:
-                mu += v * a[j]
-                sig2 += (v * v) * a[j]
-        bound = np.maximum(epsilon * X[:, s], 1.0)
-        with np.errstate(divide="ignore"):
-            t = bound / np.abs(mu)
-        t[mu == 0.0] = np.inf
-        np.minimum(tau, t, out=tau)
-        with np.errstate(divide="ignore"):
-            t = (bound * bound) / sig2
-        t[sig2 <= 0.0] = np.inf
-        np.minimum(tau, t, out=tau)
-    return tau
-
 
 def numpy_leap_fire(X: np.ndarray, stoich: np.ndarray,
                     fires: np.ndarray) -> np.ndarray:
@@ -426,6 +401,8 @@ class NumpyKernel:
         self._flags = np.empty(shape, dtype=bool)
         self._chosen = np.empty(X.shape[0], dtype=np.intp)
         self._delta = np.empty_like(X)
+        # the leap primitives' buffers, bound on their first call
+        self._leap_a = self._leap_stoich = self._leap_out = None
 
     def __reduce__(self):
         return type(self), (self.compiled,)  # the buffers are a cache
@@ -490,13 +467,74 @@ class NumpyKernel:
         np.add(X, np.take(stoich, chosen, axis=0, out=delta, mode="clip"),
                out=X)
 
+    def _bind_leap_tau(self, a: np.ndarray, stoich: np.ndarray) -> None:
+        """Bind :meth:`leap_tau` to ``a`` (and rows of its width): per
+        species its ``(mu, sigma^2)`` accumulator pair and, per reaction
+        changing it, ``([[v], [v * v]], a[j])`` -- the terms
+        :func:`_leap_tau` adds, both accumulators in one call."""
+        n_species, m = stoich.shape[1], a.shape[1]
+        self._leap_a, self._leap_stoich = a, stoich
+        self._moments = np.empty((n_species, 2, m))
+        self._leap_program = [
+            (pair, [(np.array([[v], [v * v]]), a_j)
+                    for v, a_j in zip(column, a) if v != 0.0])
+            for pair, column in zip(self._moments, stoich.T)]
+        #: the bounds ``bound / |mu|`` and ``bound^2 / sigma^2``
+        self._leap_t = np.empty((2, n_species, m))
+        self._leap_scratch = (np.empty((2, m)), np.empty((n_species, m)),
+                              np.empty((n_species, m), dtype=bool),
+                              np.empty(m))
+
     def leap_tau(self, a: np.ndarray, X: np.ndarray, stoich: np.ndarray,
                  epsilon: float) -> np.ndarray:
-        return numpy_leap_tau(a, X, stoich, epsilon)
+        """:func:`_leap_tau` vectorized into buffers bound to ``a``
+        (the loop hands over the same propensity buffer until it
+        compacts), every element seeing the loop's operations in the
+        same order: each species' mu and sigma^2 summed from 0.0 over
+        the reactions in order, the bound ``max(epsilon * x, 1)``, then
+        both step bounds of every species at once and their minimum
+        (exact in any order).  Its ``mu != 0`` test is left out: the
+        bound is at least 1, so ``bound / |0|`` is already ``inf``.
+        The result is scratch, valid until the next call."""
+        if a is not self._leap_a or stoich is not self._leap_stoich:
+            self._bind_leap_tau(a, stoich)
+        moments, t = self._moments, self._leap_t
+        term, bound, flag, tau = self._leap_scratch
+        add, multiply = np.add, np.multiply
+        moments.fill(0.0)
+        for pair, terms in self._leap_program:
+            for coefficients, a_j in terms:
+                add(pair, multiply(coefficients, a_j, out=term), out=pair)
+        mu, sig2 = moments[:, 0], moments[:, 1]
+        np.maximum(multiply(epsilon, X.T, out=bound), 1.0, out=bound)
+        with np.errstate(divide="ignore"):
+            np.divide(bound, np.absolute(mu, out=t[0]), out=t[0])
+            np.divide(multiply(bound, bound, out=t[1]), sig2, out=t[1])
+        np.copyto(t[1], np.inf, where=np.less_equal(sig2, 0.0, out=flag))
+        return np.minimum.reduce(t.reshape(-1, tau.size), axis=0, out=tau)
 
     def leap_fire(self, X: np.ndarray, stoich: np.ndarray,
                   fires: np.ndarray) -> np.ndarray:
-        return numpy_leap_fire(X, stoich, fires)
+        """:func:`numpy_leap_fire` in place on the bound working set:
+        ``delta`` and ``new`` in bound buffers, and one reduce to see
+        that every row stays non-negative (the usual case) before the
+        per-row mask.  Any other ``X`` takes the allocating function;
+        the returned mask is scratch, valid until the next call."""
+        if X is not self._X:
+            return numpy_leap_fire(X, stoich, fires)
+        if self._leap_out is None:
+            self._leap_out = (np.empty_like(X), np.empty(X.shape, dtype=bool),
+                              np.empty(X.shape[0], dtype=bool))
+        new, flags, ok = self._leap_out
+        np.add(X, np.matmul(fires, stoich, out=self._delta), out=new)
+        if np.minimum.reduce(new, axis=None, initial=0.0) >= 0.0:
+            np.copyto(X, new)
+            ok.fill(True)
+            return ok
+        np.logical_and.reduce(np.greater_equal(new, 0.0, out=flags), axis=1,
+                              out=ok)
+        np.copyto(X, new, where=ok[:, None])
+        return ok
 
 
 _NUMBA_CACHE: Optional[tuple[Callable, ...]] = None

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.cwc.batch import CompiledNetwork, compile_network
 from repro.cwc.gillespie import SSAResult
-from repro.cwc.kernels import NumpyKernel, numpy_leap_fire, numpy_leap_tau
+from repro.cwc.kernels import NumpyKernel
 from repro.cwc.network import FlatSimulator, ReactionNetwork
 
 
@@ -79,9 +79,9 @@ class TauLeapSimulator:
 
     State lives in a one-row batch matrix and propensities come from
     :class:`~repro.cwc.batch.CompiledNetwork` -- the same vectorised
-    evaluators (and the same :func:`numpy_leap_tau` /
-    :func:`numpy_leap_fire` primitives) the batch engine uses, so this
-    scalar engine shares the compiled fast path instead of looping
+    evaluators, and the same in-place :meth:`NumpyKernel.leap_tau` /
+    :meth:`NumpyKernel.leap_fire` primitives, the batch engine uses, so
+    this scalar engine shares the compiled fast path instead of looping
     ``reaction.propensity(...)`` per step.
     """
 
@@ -147,8 +147,8 @@ class TauLeapSimulator:
             if t_max < math.inf:
                 self.time = max(self.time, t_max)
             return False
-        tau = float(numpy_leap_tau(aT, self._x, self._stoich,
-                                   self.epsilon)[0])
+        tau = float(self._kernel.leap_tau(aT, self._x, self._stoich,
+                                          self.epsilon)[0])
         if tau < self.ssa_threshold / total:
             # leap not worth it: take one exact step
             return self._exact_step(aT, total, t_max)
@@ -158,7 +158,8 @@ class TauLeapSimulator:
             return False
         for _attempt in range(30):
             fires = self.rng.poisson(aT[:, 0] * tau).astype(np.float64)
-            ok = numpy_leap_fire(self._x, self._stoich, fires[None, :])
+            ok = self._kernel.leap_fire(self._x, self._stoich,
+                                        fires[None, :])
             if ok[0]:
                 self.time += tau
                 self.steps += int(fires.sum())

@@ -13,10 +13,13 @@ closed forms of :mod:`tests.oracles.rate_laws`.  For every case the new
 loops must leave ``counts`` / ``times`` / ``steps`` / ``exhausted`` and
 every generator's ``bit_generator.state`` byte-equal to the oracle's.
 
-The engine's exact loop keeps a retired row as a *dead lane* until half
-the working set is dead; :class:`TestDeadLanes` drives that path (a
-stream whose rows all retire while the others run, retirements spread
-over many iterations, exhaustion next to dead lanes, many widths).
+Both engine loops keep a row that reached its target as a *dead lane*
+until half the working set is dead; :class:`TestDeadLanes` drives the
+exact loop's (a stream whose rows all retire while the others run,
+retirements spread over many iterations, exhaustion next to dead lanes,
+many widths) and :class:`TestLeapDeadLanes` the leap loop's, where a
+dead lane leaps with a zero span next to exact fallbacks, rejections
+and exhaustion.
 Every test here turns a ``RuntimeWarning`` into a failure, as the
 benchmark does: a dead lane holding a stale value that overflows would
 warn.
@@ -32,7 +35,6 @@ from hypothesis import given, settings, strategies as st
 from repro.cwc import Reaction, ReactionNetwork
 from repro.cwc import batch as batch_module
 from repro.cwc.batch import BatchFlatSimulator, CompiledNetwork
-from repro.cwc.kernels import numpy_leap_fire, numpy_leap_tau
 from repro.cwc.rates import (
     Constant,
     HillActivation,
@@ -47,6 +49,8 @@ from repro.models import (
     neurospora_network,
     toggle_switch_network,
 )
+from tests.oracles.leap import leap_fire as oracle_leap_fire
+from tests.oracles.leap import leap_tau as oracle_leap_tau
 from tests.oracles.rate_laws import vectorize
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -257,7 +261,7 @@ def oracle_advance_to_leap(sim, targets):
         a = np.empty_like(cumulative)
         a[0] = cumulative[0]
         a[1:] = cumulative[1:] - cumulative[:-1]
-        tau_cgp = numpy_leap_tau(a, X, stoich, sim.epsilon)
+        tau_cgp = oracle_leap_tau(a, X, stoich, sim.epsilon)
         leap = tau_cgp * totals >= sim.ssa_threshold
         if sim.method == "hybrid" and rcols.size:
             leap &= X[:, rcols].min(axis=1) >= sim.pop_threshold
@@ -295,7 +299,7 @@ def oracle_advance_to_leap(sim, targets):
                 fires = oracle_draw_poisson(
                     sim, None if rs is None else rs[pending], lam)
                 Xp = X[pending]
-                ok = numpy_leap_fire(Xp, stoich, fires)
+                ok = oracle_leap_fire(Xp, stoich, fires)
                 X[pending] = Xp
                 committed = pending[ok]
                 if committed.size:
@@ -564,7 +568,7 @@ def lanes_seen(monkeypatch):
         assert ws.X[ws.dead].tobytes() == written.astype(float).tobytes()
         seen.append((kind, ws.dead.size, ws.live))
 
-    def spy_kill(ws, done, steps):
+    def spy_kill(ws, done, steps=0):
         record(ws, "kill")
         kill(ws, done, steps)
 
@@ -703,3 +707,174 @@ def test_random_per_row_targets(data):
         new.advance_to(call)
         oracle_advance_to(ref, call)
         assert_identical(new, ref)
+
+
+# ---------------------------------------------------------------------------
+# the leap loop: dead lanes with a zero span
+# ---------------------------------------------------------------------------
+
+def test_poisson_of_zero_draws_nothing():
+    """The leap loop's dead lanes rest on this: ``Generator.poisson``
+    returns 0 for a mean of 0 without touching the bit generator, so
+    zero means anywhere in the array leave the other elements' draws
+    and the final state exactly as if they were not there."""
+    lam = np.array([[0.0, 3.5, 0.0], [40.0, 0.0, 0.7], [0.0, 0.0, 0.0]])
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    drawn = ours.poisson(lam)
+    assert (drawn[lam == 0.0] == 0).all()
+    assert drawn[lam > 0.0].tobytes() == theirs.poisson(
+        lam[lam > 0.0]).tobytes()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    before = ours.bit_generator.state
+    assert not ours.poisson(np.zeros((4, 6))).any()
+    assert ours.bit_generator.state == before
+
+
+@pytest.fixture
+def leap_phases(monkeypatch, lanes_seen):
+    """:func:`lanes_seen`, plus the dead lanes present whenever the
+    leap loop takes exact steps or retries rejected leaps."""
+    seen = {"exact": [], "retry": []}
+    exact = BatchFlatSimulator._leap_exact_step
+    retries = BatchFlatSimulator._leap_retries
+
+    def spy_exact(sim, ws, *args):
+        seen["exact"].append(ws.dead.size)
+        return exact(sim, ws, *args)
+
+    def spy_retries(sim, ws, *args):
+        seen["retry"].append(ws.dead.size)
+        return retries(sim, ws, *args)
+
+    monkeypatch.setattr(BatchFlatSimulator, "_leap_exact_step", spy_exact)
+    monkeypatch.setattr(BatchFlatSimulator, "_leap_retries", spy_retries)
+    seen["lanes"] = lanes_seen
+    return seen
+
+
+def killed_with_dead(seen):
+    return [dead for kind, dead, _ in seen["lanes"] if kind == "kill"]
+
+
+class TestLeapDeadLanes:
+    def test_retirements_over_many_grid_points(self, leap_phases):
+        """Rows reach their per-row targets at different iterations,
+        over eight calls of a grid."""
+        rng = np.random.default_rng(21)
+        network = neurospora_network(omega=400)
+        start = rng.uniform(0.05, 0.5, 24)
+        sim = check_targets(network, [start + 0.25 * k for k in range(8)],
+                            method="tau")
+        assert sim.leaps.sum() > 0
+        kills = killed_with_dead(leap_phases)
+        assert len(kills) > 16 and max(kills) > 0
+
+    def test_one_stream_dead_while_the_others_leap(self, leap_phases):
+        network = neurospora_network(omega=400)
+        sizes = (4, 6, 5)
+        early = np.concatenate([np.full(4, 1.5), np.full(6, 0.02),
+                                np.full(5, 1.5)])
+        check_targets(network, [early, np.full(15, 2.0)], seed=None,
+                      method="tau", row_rates=stream_rates(network, sizes),
+                      rng_streams=[(size, 400 + p)
+                                   for p, size in enumerate(sizes)])
+        assert max(killed_with_dead(leap_phases)) >= 6
+
+    def test_hybrid_exact_fallbacks_next_to_dead_lanes(self, leap_phases):
+        rng = np.random.default_rng(22)
+        network = neurospora_network(omega=200)
+        sizes = (7, 5)
+        targets = rng.uniform(0.1, 1.0, 12)
+        sim = check_targets(network, [targets, targets + 0.5], seed=None,
+                            method="hybrid",
+                            rng_streams=[(size, 500 + p)
+                                         for p, size in enumerate(sizes)])
+        assert sim.leaps.sum() > 0 and sim.exact_steps.sum() > 0
+        assert max(leap_phases["exact"]) > 0
+
+    def test_rejections_next_to_dead_lanes(self, leap_phases):
+        """Lotka-Volterra at a small size rejects leaps: the rejected
+        rows redraw on their own, with halved taus, next to dead lanes
+        and to rows that took an exact step."""
+        network = lotka_volterra_network(omega=10)
+        rng = np.random.default_rng(23)
+        targets = rng.uniform(0.02, 0.3, 16)
+        sim = check_targets(network, [targets, targets + 0.2], method="tau",
+                            ssa_threshold=2.0, epsilon=0.6, seed=6)
+        assert sim.exact_steps.sum() > 0
+        assert leap_phases["retry"] and max(leap_phases["retry"]) > 0
+
+    def test_exhaustion_next_to_dead_lanes(self, leap_phases):
+        """Every row leaps (tiny threshold) down a decay chain: some
+        reach their target on the leap that empties them -- a dead lane
+        whose propensities are all zero, which must neither retire as
+        exhausted nor warn -- while the others run on and exhaust."""
+        targets = np.concatenate([np.full(6, 0.6), np.full(10, 40.0)])
+        sim = check_targets(exhausting_network(), [targets, targets + 1.0],
+                            method="tau", ssa_threshold=1e-9, seed=6)
+        assert sim.exhausted[6:].all()
+        assert any(kind == "exhausted" and dead > 0
+                   for kind, dead, _ in leap_phases["lanes"])
+
+    def test_empty_dead_lanes_stay_put(self, monkeypatch):
+        """A lane written back on the leap that emptied it stays dead
+        (not exhausted) for the rest of the call."""
+        emptied = []
+        kill = batch_module._Workspace.kill
+
+        def spy_kill(ws, done, steps=0):
+            lanes = done.nonzero()[0]
+            totals = ws.sim.compiled.propensities(ws.X[lanes]).sum(axis=1)
+            emptied.append(bool((totals == 0.0).any()) and ws.live
+                           > lanes.size)
+            kill(ws, done, steps)
+
+        monkeypatch.setattr(batch_module._Workspace, "kill", spy_kill)
+        network = ReactionNetwork("drain", {"a": 6}, [
+            Reaction.make("drain", {"a": 1}, {}, 3.0)])
+        rng = np.random.default_rng(24)
+        targets = rng.uniform(0.2, 2.5, 32)
+        check_targets(network, [targets, targets + 1.0], method="tau",
+                      ssa_threshold=1e-9, epsilon=0.9, seed=7)
+        assert any(emptied)
+
+    def test_a_leap_that_rounds_past_its_target(self, leap_phases):
+        """``t + (target - t)`` can round one ulp past ``target`` (here
+        by two ties to even): the dead lane's span must still be
+        exactly zero while the other row leaps on."""
+        t, target = 0.3191630741737911, 1.3601964128785327
+        assert t + (target - t) > target
+        network = ReactionNetwork("slow", {"a": 10000, "b": 10000}, [
+            Reaction.make("convert", {"a": 1}, {"b": 1}, 0.001)])
+        new = BatchFlatSimulator(network, 3, seed=8, method="tau")
+        ref = BatchFlatSimulator(network, 3, seed=8, method="tau")
+        targets = np.array([target, 100.0, 100.0])
+        for sim in (new, ref):
+            sim.times[:] = t
+        new.advance_to(targets)
+        oracle_advance_to(ref, targets)
+        assert_identical(new, ref)
+        assert new.leaps[0] == 1 and (new.leaps[1:] > 1).all()
+        assert killed_with_dead(leap_phases)[:2] == [0, 1]
+
+    def test_row_rates(self, leap_phases):
+        network = neurospora_network(omega=300)
+        compiled = CompiledNetwork(network)
+        rates = np.stack([
+            compiled.rates_for({"translation": 0.2 + 0.1 * i,
+                                "transport_in": 0.3 + 0.05 * i})
+            for i in range(9)])
+        rng = np.random.default_rng(25)
+        targets = rng.uniform(0.1, 0.8, 9)
+        check_targets(network, [targets, targets + 0.4], method="tau",
+                      row_rates=rates)
+        assert max(killed_with_dead(leap_phases)) > 0
+
+    @pytest.mark.parametrize("width", [1, 2, 63, 1024])
+    def test_widths(self, width):
+        rng = np.random.default_rng(width)
+        network = neurospora_network(omega=300)
+        targets = rng.uniform(0.1, 0.6, width)
+        sim = check_targets(network, [targets, targets + 0.3], seed=width,
+                            method="tau")
+        assert sim.leaps.sum() > 0

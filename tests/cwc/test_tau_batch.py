@@ -2,9 +2,10 @@
 
 Three layers, mirroring ``test_kernels.py``:
 
-* the leap *primitives* -- plain-Python oracle loops vs the vectorized
-  numpy references (and, when installed, the numba-jitted loops) must
-  agree bit for bit on random states;
+* the leap *primitives* -- plain-Python oracle loops, the numpy
+  kernel's in-place primitives and, when installed, the numba-jitted
+  loops must agree bit for bit with the frozen numpy references of
+  ``tests/oracles/leap.py`` on random states;
 * the *engine* -- ``method="tau"|"hybrid"`` runs must preserve the
   invariants exact SSA guarantees structurally (no negative counts,
   conservation laws, quantum boundaries honoured, permanent
@@ -30,14 +31,14 @@ from repro.cwc.kernels import (
     _leap_tau,
     kernel_available,
     make_kernel,
-    numpy_leap_fire,
-    numpy_leap_tau,
 )
 from repro.models import (
     lotka_volterra_network,
     mm_enzyme_network,
     neurospora_network,
 )
+from tests.oracles.leap import leap_fire as oracle_leap_fire
+from tests.oracles.leap import leap_tau as oracle_leap_tau
 
 needs_numba = pytest.mark.skipif(not kernel_available("numba"),
                                  reason="numba is not installed")
@@ -75,7 +76,7 @@ class TestLeapPrimitiveBitIdentity:
             X = random_states(compiled)
             a = compiled.propensities_T(X)
             stoich = compiled.stoich.astype(np.float64)
-            expected = numpy_leap_tau(a, X, stoich, 0.03)
+            expected = oracle_leap_tau(a, X, stoich, 0.03)
             out = np.empty(X.shape[0])
             _leap_tau(np.ascontiguousarray(a), X, stoich, 0.03, out)
             assert out.tobytes() == expected.tobytes()
@@ -90,7 +91,7 @@ class TestLeapPrimitiveBitIdentity:
             ).astype(np.float64)
             stoich = compiled.stoich.astype(np.float64)
             X_np = X.copy()
-            ok_np = numpy_leap_fire(X_np, stoich, fires)
+            ok_np = oracle_leap_fire(X_np, stoich, fires)
             X_pl = X.copy()
             ok_pl = np.empty(X.shape[0], dtype=np.bool_)
             _leap_fire(X_pl, stoich, np.ascontiguousarray(fires), ok_pl)
@@ -101,11 +102,43 @@ class TestLeapPrimitiveBitIdentity:
             assert not ok_np.all()
             assert ok_np.any()
 
+    def test_bound_numpy_kernel_matches_the_oracle(self):
+        """The numpy kernel's in-place primitives on the working set it
+        is bound to: propensities with zeros and negative entries (so
+        every step-bound mask matters), zero populations, a leap some
+        rows reject and one every row commits."""
+        rng = np.random.default_rng(12)
+        for network in networks():
+            compiled = CompiledNetwork(network)
+            kernel = make_kernel("numpy", compiled)
+            stoich = compiled.stoich.astype(np.float64)
+            X = random_states(compiled, seed=4)
+            X[:5] = 0.0
+            own = kernel.propensities_cumsum_T(X).copy()  # binds X
+            noisy = rng.normal(0.0, 20.0, own.shape)
+            noisy[rng.random(own.shape) < 0.3] = 0.0
+            for a in (own, noisy, np.abs(noisy)):
+                expected = oracle_leap_tau(a, X, stoich, 0.03)
+                got = kernel.leap_tau(a, X, stoich, 0.03)
+                assert got.tobytes() == expected.tobytes()
+            rejecting = rng.integers(
+                0, 8, size=(X.shape[0], compiled.n_reactions)
+            ).astype(np.float64)
+            committed = []
+            for fires in (rejecting, np.zeros_like(rejecting)):
+                X_ref = X.copy()
+                ok_ref = oracle_leap_fire(X_ref, stoich, fires)
+                ok = kernel.leap_fire(X, stoich, fires)
+                assert ok.tobytes() == ok_ref.tobytes()
+                assert X.tobytes() == X_ref.tobytes()
+                committed.append(int(ok.sum()))
+            assert 0 < committed[0] < committed[1] == X.shape[0]
+
     def test_tau_inf_when_nothing_fires(self):
         compiled = CompiledNetwork(third_order_network())
         X = np.zeros((4, compiled.n_species))
         a = compiled.propensities_T(X)
-        tau = numpy_leap_tau(a, X, compiled.stoich.astype(np.float64),
+        tau = oracle_leap_tau(a, X, compiled.stoich.astype(np.float64),
                              0.03)
         assert np.isinf(tau).all()
 
@@ -116,7 +149,7 @@ class TestLeapPrimitiveBitIdentity:
         X = random_states(compiled, seed=5)
         fires = np.full((X.shape[0], compiled.n_reactions), 50.0)
         before = X.copy()
-        ok = numpy_leap_fire(X, compiled.stoich.astype(np.float64),
+        ok = oracle_leap_fire(X, compiled.stoich.astype(np.float64),
                              fires)
         rejected = ~ok
         assert rejected.any()
@@ -130,7 +163,7 @@ class TestLeapPrimitiveBitIdentity:
             X = random_states(compiled)
             a = compiled.propensities_T(X)
             stoich = compiled.stoich.astype(np.float64)
-            expected = numpy_leap_tau(a, X, stoich, 0.03)
+            expected = oracle_leap_tau(a, X, stoich, 0.03)
             got = kernel.leap_tau(a, X, stoich, 0.03)
             assert got.tobytes() == expected.tobytes()
 
@@ -146,7 +179,7 @@ class TestLeapPrimitiveBitIdentity:
             ).astype(np.float64)
             stoich = compiled.stoich.astype(np.float64)
             X_np = X.copy()
-            ok_np = numpy_leap_fire(X_np, stoich, fires)
+            ok_np = oracle_leap_fire(X_np, stoich, fires)
             X_nb = X.copy()
             ok_nb = kernel.leap_fire(X_nb, stoich, fires)
             assert ok_nb.tobytes() == ok_np.tobytes()
