@@ -11,9 +11,9 @@ existing code".  This package is the functional half of that story (the
 * :mod:`repro.distributed.net` / :mod:`repro.distributed.worker` -- the
   one out-of-process runtime (``backend="processes"`` and
   ``backend="cluster"`` are two names for it): a TCP master/worker
-  runtime with worker-resident tasks, host affinity, bounded in-flight
-  windows, heartbeat failure detection and deterministic task
-  reassignment on worker death.  It is the pool
+  runtime with worker-resident tasks, heartbeat failure detection and
+  host affinity, in-flight windows and replays on worker death kept by
+  :mod:`repro.distributed.ledger`, which does no I/O.  It is the pool
   :func:`repro.pipeline.builder.workflow_pool` puts under the simulation
   farm's engines, for runs and sweeps alike; its per-link byte and
   message counters (``net.link.w*``) are what a deployment would send;

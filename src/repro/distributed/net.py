@@ -24,23 +24,20 @@ process*, with everything really crossing the network:
   the master never unpickles task state.
 
 There is no scheduling thread: which task runs next is the emitter's
-business.  :meth:`~ClusterMaster.submit` pins and sends on the caller's
-thread, and each connection's reader thread acknowledges the results
-and resolves their futures.  What is left of scheduling here is
-**host affinity** (a task is pinned to the worker that holds it; pins
-only move when a worker dies) and a **bounded in-flight window** per
-worker (a submit whose worker has ``inflight_window`` dispatches
-outstanding waits for a slot).
+business.  What is left here is **host affinity** (a task is pinned to
+the worker that holds it until that worker dies) and a **bounded
+in-flight window** per worker, both kept by the I/O-free
+:class:`~repro.distributed.ledger.Ledger`; :meth:`~ClusterMaster.submit`
+books and sends on the caller's thread, a reader thread per connection
+books the results and resolves their futures.
 
-Fault tolerance: workers send heartbeats; the master declares a worker
-dead on connection loss or on ``heartbeat_timeout`` of silence (a send
-blocked that long counts too), re-pins that worker's in-flight tasks to
-the survivors and re-sends their checkpoints verbatim.  Because a
-checkpoint holds the complete simulator state (including the RNG state)
-and the master only replaces it when the result frame has fully
-arrived, a replayed dispatch -- the whole chain of quanta, re-run from
-the checkpoint taken before its first quantum -- is *bit-identical* to
-the lost one: killing a worker mid-run never changes the results.
+Fault tolerance: a worker is dead on connection loss or after
+``heartbeat_timeout`` of silence (a send blocked that long counts too);
+its in-flight checkpoints are re-pinned to the survivors and re-sent
+verbatim.  A checkpoint is the complete simulator state (RNG included)
+and is only replaced once a result frame has fully arrived, so a replay
+-- the whole chain, re-run from the checkpoint before its first quantum
+-- is *bit-identical* to the lost one.
 
 Tenancy: a pool shared by many runs (:mod:`repro.service.fleet`)
 submits under a ``namespace``, which becomes part of the task key, so
@@ -56,27 +53,16 @@ ride inline in it); workers that joined over the network get no prefix
 and send everything in band.
 This is also the ``processes`` backend: same master, same workers.
 
-The wire protocol (also see :mod:`repro.distributed.worker` for how to
-join remote hosts):
-
-====================  =============  =======================================
-message               direction      meaning
-====================  =============  =======================================
-:class:`Hello`        worker->master first frame after connect: register,
-                                     state the wire-protocol number
-:class:`Heartbeat`    worker->master liveness beacon, every ``interval`` s
-:class:`TaskMsg`      master->worker run quanta until a sample: of the
-                                     resident task ``key``, or of the
-                                     carried checkpoint
-:class:`ResultMsg`    worker->master checkpoint + the last quantum's result
-:class:`Forget`       master->worker drop a namespace's resident tasks
-:class:`WorkerFailure` worker->master unrecoverable worker-side error
-:class:`Shutdown`     master->worker run is over, exit cleanly
-====================  =============  =======================================
+The wire protocol is the message classes below (see
+:mod:`repro.distributed.worker` for how remote hosts join): a worker
+sends :class:`Hello`, then :class:`Heartbeat`, :class:`ResultMsg` and
+:class:`WorkerFailure` frames; the master sends :class:`TaskMsg`,
+:class:`Forget` and :class:`Shutdown`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import pickle
 import socket
 import threading
@@ -85,15 +71,12 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from repro.distributed.ledger import COUNTS, ClusterError, Ledger, Send
+from repro.distributed.ledger import in_namespace  # noqa: F401 - re-exported
 from repro.distributed.message import (FrameCodec, FrameError, StreamDecoder,
                                        send_segments)
 from repro.distributed.shm import (ShmBlock, make_prefix, map_results,
                                    sweep_orphans)
-
-
-class ClusterError(RuntimeError):
-    """Raised when the cluster cannot make progress (no workers, handshake
-    timeout, unrecoverable worker failure)."""
 
 
 # ----------------------------------------------------------------------
@@ -224,40 +207,24 @@ def _task_key(task: Any) -> Any:
     return key
 
 
-def in_namespace(key: Any, namespace: Any) -> bool:
-    """Whether ``key`` is a task key submitted under ``namespace``
-    (namespaced keys are ``(namespace, task key)``)."""
-    return isinstance(key, tuple) and key[:1] == (namespace,)
-
-
 # ----------------------------------------------------------------------
 # master side
 # ----------------------------------------------------------------------
 
 class WorkerHandle:
-    """Master-side state of one worker connection."""
+    """The master's end of one worker connection (its books are the
+    :class:`~repro.distributed.ledger.Ledger`'s)."""
 
-    def __init__(self, worker_id: int, sock: socket.socket, proc=None):
+    def __init__(self, worker_id: int, sock: socket.socket,
+                 decoder: StreamDecoder, proc=None):
         self.worker_id = worker_id
         self.sock = sock
         self.proc = proc  # local multiprocessing.Process, if spawned
-        self.codec = FrameCodec(name=f"worker{worker_id}")
-        self.decoder = StreamDecoder(codec=self.codec)
+        self.codec = decoder.codec = FrameCodec(name=f"worker{worker_id}")
+        self.decoder = decoder
         #: serialises frames onto the socket (engine threads share it)
         self.send_lock = threading.Lock()
-        self.alive = True
-        #: task key -> the checkpoint this worker was asked to advance
-        #: (the replay point if it dies before returning the result)
-        self.in_flight: dict[Any, Checkpoint] = {}
-        #: keys of the tasks resident on this worker
-        self.holds: set = set()
-        self.items_done = 0
         self.send_blocked_s = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<WorkerHandle {self.worker_id} "
-                f"{'alive' if self.alive else 'dead'} "
-                f"in-flight={len(self.in_flight)} done={self.items_done}>")
 
 
 class ClusterMaster:
@@ -265,9 +232,9 @@ class ClusterMaster:
     quanta on them through :meth:`submit` -- the executor contract
     :class:`~repro.sim.engine.SimEngineNode` takes as its ``pool``.
 
-    Book-keeping is guarded by one condition variable shared by the
-    submitting threads and the per-connection reader threads; frames go
-    out under a per-connection lock, outside it.
+    Its books are ``self.ledger`` (its counts read as attributes, e.g.
+    ``master.state_sends``), called under one condition variable; what
+    it returns goes out after, under a per-connection send lock.
 
     Parameters
     ----------
@@ -315,34 +282,21 @@ class ClusterMaster:
         self.shm_prefix = make_prefix() if spawn_local else None
 
         self.workers: dict[int, WorkerHandle] = {}
-        #: task key -> worker id (host affinity; re-pinned only on death)
-        self.assignment: dict[Any, int] = {}
-        #: dispatches sent / answered: each a chain of quanta, not a quantum
-        self.tasks_dispatched = 0
-        self.results_received = 0
-        self.reassignments = 0
-        self.workers_failed = 0
-        self.stale_results = 0
-        self.state_sends = 0
-        self.resident_sends = 0
-        self.state_bytes_in = 0
-        self.shm_blocks = 0
-        self.shm_bytes = 0
-        #: seconds submitting threads waited for an in-flight window slot
-        self.inflight_wait_s = 0.0
+        self.ledger = Ledger(inflight_window)
 
         self._cond = threading.Condition()
         #: the reader threads call ``fault_hook`` one at a time
         self._hook_lock = threading.Lock()
-        #: task key -> the future of its outstanding dispatch
-        self._futures: dict[Any, Future] = {}
-        #: why the pool is down (every later submit raises it)
-        self._error: Optional[BaseException] = None
         self._procs: dict[int, Any] = {}
         self._listener: Optional[socket.socket] = None
         self._readers: list[threading.Thread] = []
         self._started = False
         self._closed = False
+
+    def __getattr__(self, name: str) -> Any:
+        if name in COUNTS:
+            return self.ledger.counts[name]
+        raise AttributeError(name)
 
     @property
     def lanes(self) -> int:
@@ -439,11 +393,9 @@ class ClusterMaster:
         # Nothing but heartbeats can follow the Hello before a task goes
         # out, so the rest of this read is dropped
         sock.settimeout(self.heartbeat_timeout)
-        handle = WorkerHandle(hello.worker_id, sock,
-                              proc=self._procs.get(hello.worker_id))
-        handle.decoder = decoder
-        decoder.codec = handle.codec
-        self.workers[hello.worker_id] = handle
+        self.workers[hello.worker_id] = WorkerHandle(
+            hello.worker_id, sock, decoder, self._procs.get(hello.worker_id))
+        self.ledger.join(hello.worker_id)
 
     def _start_readers(self) -> None:
         for handle in self.workers.values():
@@ -456,21 +408,15 @@ class ClusterMaster:
     # -- the pool --------------------------------------------------------
     def submit(self, fn: Any, task: Any, namespace: Any = None) -> Future:
         """Dispatch ``task`` to its worker, which runs quanta until a
-        sample (:func:`~repro.sim.engine.run_quantum`); returns a future
-        of ``(Checkpoint, result item)``.
-
-        ``task`` is a live task (first dispatch: its state goes to the
+        sample (:func:`~repro.sim.engine.run_quantum`, whatever ``fn``
+        is: it is not shipped); returns a future of ``(Checkpoint,
+        result item)``.  ``task`` is a live task (its state goes to the
         worker, which keeps it) or the :class:`Checkpoint` the previous
-        dispatch's future returned (the worker holding it advances its
-        resident copy; a re-pinned one gets the checkpoint).  ``fn`` is
-        the executor contract's callable and is not shipped: a worker
-        always runs :func:`~repro.sim.engine.run_quantum`.
-        ``namespace`` scopes a live task's key to one tenant run.
-
-        Pins and sends on the calling thread, waiting while the pinned
-        worker's in-flight window is full; the connection's reader
-        thread resolves the future.
-        """
+        dispatch returned (the worker holding it advances its resident
+        copy; a re-pinned one gets the checkpoint).  ``namespace``
+        scopes a live task's key to one tenant run.  Books and sends on
+        the calling thread, waiting while the pinned worker's window is
+        full; the connection's reader thread resolves the future."""
         if isinstance(task, Checkpoint):
             checkpoint, fresh = task, False
         else:
@@ -480,60 +426,26 @@ class ClusterMaster:
             fresh = True
         future: Future = Future()
         with self._cond:
-            waited = None
+            since = None
             while True:
-                self._check_up()
-                handle = self._pin(checkpoint.key)
-                if len(handle.in_flight) < self.inflight_window:
+                if not self._started or self._closed:
+                    raise ClusterError("master is not running: start() it "
+                                       "first (a closed master stays closed)")
+                send = self.ledger.admit(
+                    checkpoint, fresh, future,
+                    0.0 if since is None else time.monotonic() - since)
+                if send is not None:
                     break
-                if waited is None:
-                    waited = time.monotonic()
+                if since is None:
+                    since = time.monotonic()
                 self._cond.wait()
-            if waited is not None:
-                self.inflight_wait_s += time.monotonic() - waited
-            self._futures[checkpoint.key] = future
-            msg = self._book(handle, checkpoint, fresh)
-        self._send(handle, msg)
+        self._send_task(send)
         return future
 
-    def _check_up(self) -> None:
-        if not self._started or self._closed:
-            raise ClusterError("master is not running: start() it first "
-                               "(a closed master stays closed)")
-        if self._error is not None:
-            raise ClusterError(f"cluster fleet is down: {self._error}")
-
-    def _pin(self, key: Any) -> WorkerHandle:
-        """The alive worker ``key`` is pinned to; an unpinned key (or one
-        pinned to a dead worker) goes to the alive worker holding the
-        fewest tasks.  Called under the lock."""
-        worker_id = self.assignment.get(key)
-        if worker_id is not None:
-            handle = self.workers[worker_id]
-            if handle.alive:
-                return handle
-            self.reassignments += 1
-        handle = min((h for h in self.workers.values() if h.alive),
-                     key=lambda h: (len(h.holds), len(h.in_flight),
-                                    h.worker_id))
-        self.assignment[key] = handle.worker_id
-        return handle
-
-    def _book(self, handle: WorkerHandle, checkpoint: Checkpoint,
-              fresh: bool) -> TaskMsg:
-        """Put ``checkpoint`` in ``handle``'s window (the replay point
-        should it die) and say what to send: the key alone if the worker
-        holds that state, else the state, to keep.  Called under the
-        lock."""
-        key = checkpoint.key
-        handle.in_flight[key] = checkpoint
-        self.tasks_dispatched += 1
-        if not fresh and key in handle.holds:
-            self.resident_sends += 1
-            return TaskMsg(None, key)
-        handle.holds.add(key)
-        self.state_sends += 1
-        return TaskMsg(checkpoint, keep=True)
+    def _send_task(self, send: Send) -> None:
+        self._send(self.workers[send.worker],
+                   TaskMsg(None, send.key) if send.checkpoint is None
+                   else TaskMsg(send.checkpoint, keep=True))
 
     def _send(self, handle: WorkerHandle, obj: Any) -> bool:
         try:
@@ -552,15 +464,9 @@ class ClusterMaster:
         tenant run that is over -- a steered stop retires tasks
         mid-horizon, and nobody asks for them again."""
         with self._cond:
-            for handle in self.workers.values():
-                handle.holds = {key for key in handle.holds
-                                if not in_namespace(key, namespace)}
-            for key in [key for key in self.assignment
-                        if in_namespace(key, namespace)]:
-                del self.assignment[key]
-            alive = [h for h in self.workers.values() if h.alive]
-        for handle in alive:
-            self._send(handle, Forget(namespace))
+            alive = self.ledger.forget(namespace)
+        for worker_id in alive:
+            self._send(self.workers[worker_id], Forget(namespace))
 
     # -- the reader threads ----------------------------------------------
     def _reader(self, handle: WorkerHandle) -> None:
@@ -601,34 +507,17 @@ class ClusterMaster:
                         f"worker {msg.worker_id} failed: {msg.error}"))
 
     def _on_result(self, handle: WorkerHandle, msg: ResultMsg) -> None:
-        """Take a result frame's checkpoint off its worker's window and
-        resolve its future.  A stale frame -- its worker declared dead
-        (the replayed dispatch supersedes it) or no longer owing that
-        task -- or a result nobody waits for gives its segment back."""
-        checkpoint = msg.task
-        key = checkpoint.key
-        results = msg.results
+        """Book a result frame and resolve its future; a frame the ledger
+        drops (stale, or nobody waits) gives its segment back."""
+        checkpoint, results = msg.task, msg.results
+        shm = isinstance(results, ShmBlock)
         with self._cond:
-            sent = (handle.in_flight.pop(key, None)
-                    if handle.alive else None)
-            if sent is None:
-                self.stale_results += 1
-                future = None
-            else:
-                handle.items_done += 1
-                self.results_received += 1
-                self.state_bytes_in += len(checkpoint.state)
-                if isinstance(results, ShmBlock) and results.name is not None:
-                    self.shm_blocks += 1
-                    self.shm_bytes += results.payload_nbytes
-                if checkpoint.done:
-                    # the worker dropped it: unpin, so the maps of a
-                    # long-lived pool cannot grow without bound
-                    handle.holds.discard(key)
-                    self.assignment.pop(key, None)
-                future = self._futures.pop(key, None)
-                self._cond.notify_all()
-        if isinstance(results, ShmBlock):
+            future = self.ledger.result(
+                handle.worker_id, checkpoint,
+                results.payload_nbytes if shm and results.name is not None
+                else None)
+            self._cond.notify_all()
+        if shm:
             results = map_results(results)
         (result,) = results
         if future is None or future.done():
@@ -638,54 +527,34 @@ class ClusterMaster:
 
     # -- failure handling ------------------------------------------------
     def _worker_dead(self, handle: WorkerHandle, reason: str) -> None:
-        """Declare ``handle`` dead and replay its in-flight dispatches on
-        the survivors from their last acknowledged checkpoints (re-pinned
-        to the least-loaded, even past a full window), from whichever
-        thread noticed; with no survivor, fail the pool."""
+        """Declare ``handle`` dead, from whichever thread noticed: send
+        the ledger's replays, or fail the pool if none survives."""
         with self._cond:
-            if not handle.alive or self._closed:
+            if (handle.worker_id not in self.ledger.alive
+                    or self._closed):
                 return
-            handle.alive = False
-            self.workers_failed += 1
-            replay = list(handle.in_flight.values())
-            handle.in_flight.clear()
-            handle.holds.clear()
-            survivors = any(h.alive for h in self.workers.values())
-            if not survivors:
-                # down before the lock is released: a submit must not
-                # find the pool up with no live worker to pin to
-                down = ClusterError(
-                    f"all workers dead (last: worker {handle.worker_id}: "
-                    f"{reason})")
-                if self._error is None:
-                    self._error = down
-            resend = []
-            if survivors and self._error is None:
-                for checkpoint in replay:
-                    target = self._pin(checkpoint.key)
-                    resend.append(
-                        (target, self._book(target, checkpoint, False)))
+            replays, failed = self.ledger.dead(handle.worker_id, reason)
             self._cond.notify_all()
         _close_socket(handle.sock)
         if handle.proc is not None:
             _kill_process(handle.proc)
-        if not survivors:
-            self._fail(down)
-        for target, msg in resend:
-            self._send(target, msg)
+        self._settle(failed)
+        for send in replays:
+            self._send_task(send)
 
     def _fail(self, exc: BaseException) -> None:
         """Take the pool down: every outstanding future and every later
         submit raises (the first cause wins)."""
         with self._cond:
-            if self._error is None:
-                self._error = exc
-            failed, self._futures = list(self._futures.values()), {}
+            failed = self.ledger.fail(exc)
             self._cond.notify_all()
+        self._settle(failed)
+
+    def _settle(self, failed: list) -> None:
         for future in failed:
             if not future.done():
                 future.set_exception(ClusterError(
-                    f"cluster fleet failed: {exc}"))
+                    f"cluster fleet failed: {self.ledger.error}"))
 
     def kill_worker(self, worker_id: int) -> None:
         """Hard-kill a locally spawned worker process (fault injection)."""
@@ -705,15 +574,9 @@ class ClusterMaster:
             if self._closed:
                 return
             self._closed = True
-            orphaned, self._futures = list(self._futures.values()), {}
-            self._cond.notify_all()
-        for future in orphaned:
-            if not future.done():
-                future.set_exception(
-                    ClusterError("master closed with dispatches in flight"))
-        for handle in self.workers.values():
-            if handle.alive:
-                self._send(handle, Shutdown())
+        self._fail(ClusterError("master closed with dispatches in flight"))
+        for worker_id in sorted(self.ledger.alive):
+            self._send(self.workers[worker_id], Shutdown())
         for handle in self.workers.values():
             _close_socket(handle.sock)
         if self._listener is not None:
@@ -738,52 +601,30 @@ class ClusterMaster:
         farm above the pool counts quanta, steps and tasks).  Every
         count here is of dispatches (one ``TaskMsg`` / ``ResultMsg``
         round trip, a chain of quanta), not of quanta."""
-        counters: dict[str, float] = {
-            # dispatches sent / answered
-            "net.tasks_dispatched": self.tasks_dispatched,
-            "net.results_received": self.results_received,
-            "net.reassignments": self.reassignments,
-            "net.workers_failed": self.workers_failed,
-            "net.stale_results": self.stale_results,
-            "net.inflight_wait_s": self.inflight_wait_s,
-            # dispatches that carried a checkpoint / named a resident
-            # task, and checkpoint bytes the workers sent back
-            "net.state_sends": self.state_sends,
-            "net.resident_sends": self.resident_sends,
-            "net.state_bytes_in": self.state_bytes_in,
-            # dispatches whose result came back through a shared segment
-            "net.shm_blocks": self.shm_blocks,
-            "net.shm_bytes": self.shm_bytes,
-        }
-        totals = {"bytes_out": 0, "bytes_in": 0,
-                  "messages_out": 0, "messages_in": 0,
-                  "bytes_pickled": 0, "bytes_oob": 0}
+        with self._cond:
+            counters = {f"net.{name}": value
+                        for name, value in self.ledger.counts.items()}
+            items = dict(self.ledger.items)
+        link = ("bytes_out", "bytes_in", "messages_out", "messages_in")
         for worker_id, handle in sorted(self.workers.items()):
-            codec = handle.codec
-            prefix = f"net.link.w{worker_id}"
-            counters[f"{prefix}.bytes_out"] = codec.bytes_out
-            counters[f"{prefix}.bytes_in"] = codec.bytes_in
-            counters[f"{prefix}.messages_out"] = codec.messages_out
-            counters[f"{prefix}.messages_in"] = codec.messages_in
-            counters[f"{prefix}.blocked_s"] = handle.send_blocked_s
-            counters[f"net.worker.{worker_id}.items"] = handle.items_done
-            for name in totals:
-                totals[name] += getattr(codec, name)
-        for name, value in totals.items():
-            counters[f"net.{name}"] = value
+            for name in link:
+                counters[f"net.link.w{worker_id}.{name}"] = getattr(
+                    handle.codec, name)
+            counters[f"net.link.w{worker_id}.blocked_s"] = \
+                handle.send_blocked_s
+            counters[f"net.worker.{worker_id}.items"] = items[worker_id]
+        for name in link + ("bytes_pickled", "bytes_oob"):
+            counters[f"net.{name}"] = sum(getattr(handle.codec, name)
+                                          for handle in self.workers.values())
         return counters
 
 
 def _close_socket(sock: socket.socket) -> None:
     """Close ``sock``, waking any thread blocked on it first."""
-    try:
+    with contextlib.suppress(OSError):
         sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass
-    try:
+    with contextlib.suppress(OSError):
         sock.close()
-    except OSError:
-        pass
 
 
 def _kill_process(proc) -> None:

@@ -1,0 +1,310 @@
+"""The cluster master's books (repro.distributed.ledger), driven without
+sockets, threads or clocks.
+
+Whatever the master's threads do is a sequence of ledger calls, so the
+books are checked here over sequences: a hypothesis state machine
+applies admits, results, deaths, forgets and failures in any order, one
+fixed schedule is cut by a death after every possible result, and the
+re-pin that once made ``state_sends`` fall one short is replayed call
+by call.
+"""
+
+from __future__ import annotations
+
+import ast
+import inspect
+from collections import deque
+
+import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, initialize,
+                                 invariant, precondition, rule)
+
+from repro.distributed import ledger as ledger_module
+from repro.distributed.ledger import ClusterError, Ledger
+from repro.distributed.net import Checkpoint
+
+
+def checkpoint(key, steps=0, done=False):
+    return Checkpoint(key, done, float(steps), steps, steps, b"state")
+
+
+def check_books(ledger, fresh):
+    """What holds after every ledger call, whatever came before it."""
+    counts = ledger.counts
+    assert counts["state_sends"] == fresh + counts["reassignments"]
+    assert (counts["state_sends"] + counts["resident_sends"]
+            == counts["tasks_dispatched"])
+    flying = [key for worker in ledger.alive
+              for key in ledger.in_flight[worker]]
+    assert len(flying) == len(set(flying)), "a key in two windows"
+    dead = ledger.in_flight.keys() - ledger.alive
+    assert not any(ledger.in_flight[w] or ledger.holds[w] for w in dead)
+    if ledger.error is not None:
+        assert ledger.futures == {}
+    else:
+        assert set(ledger.futures) == set(flying)
+
+
+class LedgerMachine(RuleBasedStateMachine):
+    """The ledger beside a model of what its workers really hold and
+    were really sent; keys are ``(namespace, n)`` so that forgetting
+    one namespace leaves the other's."""
+
+    @initialize(n_workers=st.integers(1, 3), window=st.integers(1, 2))
+    def start(self, n_workers, window):
+        self.ledger = Ledger(window)
+        self.workers = range(n_workers)
+        for worker in self.workers:
+            self.ledger.join(worker)
+        self.window = window
+        self.alive = set(self.workers)
+        #: worker -> keys whose state it was sent to keep (the truth)
+        self.resident = {worker: set() for worker in self.workers}
+        #: worker -> keys replayed onto it and still in flight there
+        self.replayed = {worker: set() for worker in self.workers}
+        #: key -> (checkpoint, fresh) not yet (re-)admitted
+        self.idle: dict = {}
+        #: key -> (worker, future) of its outstanding dispatch
+        self.flight: dict = {}
+        #: every dispatch sent, answered or not: (worker, key)
+        self.sent: list = []
+        self.unsettled: set = set()
+        self.fresh = 0
+        self.next_key = 0
+
+    @rule(namespace=st.sampled_from("ab"))
+    def new_task(self, namespace):
+        key = (namespace, self.next_key)
+        self.next_key += 1
+        self.idle[key] = (checkpoint(key), True)
+
+    @precondition(lambda self: self.idle)
+    @rule(data=st.data())
+    def admit(self, data):
+        key = data.draw(st.sampled_from(sorted(self.idle)))
+        state, fresh = self.idle[key]
+        future = object()
+        if self.ledger.error is not None:
+            with pytest.raises(ClusterError, match="fleet is down"):
+                self.ledger.admit(state, fresh, future)
+            return
+        send = self.ledger.admit(state, fresh, future)
+        if send is None:
+            pinned = self.ledger.assignment[key]
+            assert pinned in self.alive
+            assert len(self.ledger.in_flight[pinned]) >= self.window
+            return
+        assert send.worker in self.alive and send.key == key
+        if send.checkpoint is None:
+            # by name only to a worker that really holds the state
+            assert not fresh and key in self.resident[send.worker]
+        else:
+            assert send.checkpoint is state
+            self.resident[send.worker].add(key)
+        self.fresh += fresh
+        del self.idle[key]
+        self.flight[key] = (send.worker, future)
+        self.unsettled.add(future)
+        self.sent.append((send.worker, key))
+
+    @precondition(lambda self: self.sent)
+    @rule(data=st.data(), done=st.booleans())
+    def answer(self, data, done):
+        """A result frame for any dispatch ever sent: the current one,
+        or a stale one from a worker since declared dead."""
+        worker, key = self.sent.pop(
+            data.draw(st.integers(0, len(self.sent) - 1)))
+        steps = data.draw(st.integers(1, 9))
+        owed = worker in self.alive and self.flight.get(key, (None,))[0] \
+            == worker
+        stale = self.ledger.counts["stale_results"]
+        future = self.ledger.result(worker, checkpoint(key, steps, done))
+        if not owed:
+            assert future is None
+            assert self.ledger.counts["stale_results"] == stale + 1
+            return
+        _, expected = self.flight.pop(key)
+        self.replayed[worker].discard(key)
+        assert future is (expected if expected in self.unsettled else None)
+        self.unsettled.discard(expected)
+        if done:
+            self.resident[worker].discard(key)
+        else:
+            self.idle[key] = (checkpoint(key, steps), False)
+
+    @rule(worker=st.integers(0, 2))
+    def dead(self, worker):
+        if worker not in self.workers:
+            return
+        error = self.ledger.error
+        replays, failed = self.ledger.dead(worker, "test")
+        if worker not in self.alive:
+            assert (replays, failed) == ([], [])
+            return
+        self.alive.discard(worker)
+        self.resident[worker].clear()
+        self.replayed[worker].clear()
+        owed = {key for key, (w, _) in self.flight.items() if w == worker}
+        if not self.alive:
+            assert replays == [] and set(failed) == self.unsettled
+            self.unsettled.clear()
+            return
+        assert failed == []
+        if error is not None:
+            assert replays == []
+            return
+        assert {send.key for send in replays} == owed
+        for send in replays:
+            assert send.worker in self.alive
+            assert send.checkpoint is not None, "a re-pin sent by name"
+            self.resident[send.worker].add(send.key)
+            self.replayed[send.worker].add(send.key)
+            self.flight[send.key] = (send.worker, self.flight[send.key][1])
+            self.sent.append((send.worker, send.key))
+
+    @rule(namespace=st.sampled_from("ab"))
+    def forget(self, namespace):
+        assert self.ledger.forget(namespace) == sorted(self.alive)
+        for keys in self.resident.values():
+            keys -= {key for key in keys if key[0] == namespace}
+        assert not any(key[0] == namespace for key in self.ledger.assignment)
+
+    @rule()
+    def fail(self):
+        failed = self.ledger.fail(ClusterError("test"))
+        assert set(failed) == self.unsettled
+        self.unsettled.clear()
+
+    @invariant()
+    def books(self):
+        check_books(self.ledger, self.fresh)
+
+    @invariant()
+    def holds_are_the_workers(self):
+        for worker in self.alive:
+            assert self.ledger.holds[worker] == self.resident[worker]
+
+    @invariant()
+    def windows_overflow_only_by_replays(self):
+        for worker in self.alive:
+            window = self.ledger.in_flight[worker]
+            assert len(window.keys() - self.replayed[worker]) <= self.window
+
+    @invariant()
+    def a_failure_settles_everything(self):
+        if self.ledger.error is not None:
+            assert not self.unsettled
+
+
+TestLedgerMachine = LedgerMachine.TestCase
+TestLedgerMachine.settings = settings(max_examples=100,
+                                      stateful_step_count=30,
+                                      deadline=None)
+
+
+class TestReplayAccounting:
+    def test_a_task_pinned_while_waiting_is_no_reassignment(self):
+        """The ``state_sends`` shortfall a loaded processes run showed
+        about once in 15: a fresh task pinned to a worker whose window
+        is full, the worker dying before the task was ever sent there.
+        It is re-pinned, but its one state send is its first; counted
+        where the send is booked, it is no reassignment."""
+        ledger = Ledger(window=1)
+        ledger.join(0)
+        ledger.join(1)
+        assert ledger.admit(checkpoint(0), True, "f0").worker == 0
+        assert ledger.admit(checkpoint(1), True, "f1").worker == 1
+        assert ledger.admit(checkpoint(2), True, "f2") is None
+        assert ledger.assignment[2] == 0
+        replays, _ = ledger.dead(0, "killed")
+        assert [(send.worker, send.key) for send in replays] == [(1, 0)]
+        assert ledger.admit(checkpoint(2), True, "f2") is None
+        assert ledger.result(1, checkpoint(1, 1)) == "f1"
+        assert ledger.result(1, checkpoint(0, 1)) == "f0"
+        send = ledger.admit(checkpoint(2), True, "f2")
+        assert send.worker == 1 and send.checkpoint is not None
+        counts = ledger.counts
+        assert counts["reassignments"] == 1
+        assert counts["state_sends"] == 3 + counts["reassignments"]
+
+
+N_TASKS, N_DISPATCHES = 4, 3
+
+
+def run_schedule(death_after, victim):
+    """``N_TASKS`` tasks of ``N_DISPATCHES`` dispatches each on two
+    workers of window 2, frames answered in send order; ``victim`` dies
+    once ``death_after`` results are in.  Its frames already on the wire
+    still arrive, stale."""
+    ledger = Ledger(window=2)
+    ledger.join(0)
+    ledger.join(1)
+    idle = deque((checkpoint(key), True) for key in range(N_TASKS))
+    wire: deque = deque()
+    acked: dict = {key: [] for key in range(N_TASKS)}
+    resident: dict = {0: {}, 1: {}}
+    held_by_victim = None
+    while idle or wire:
+        for _ in range(len(idle)):
+            state, fresh = idle.popleft()
+            send = ledger.admit(state, fresh, (state.key, state.steps))
+            if send is None:
+                idle.append((state, fresh))
+                continue
+            if send.checkpoint is not None:
+                resident[send.worker][send.key] = send.checkpoint.steps
+            wire.append((send.worker, send.key))
+        results = ledger.counts["results_received"]
+        if held_by_victim is None and results == death_after:
+            held_by_victim = len(ledger.holds[victim])
+            replays, failed = ledger.dead(victim, "killed")
+            assert failed == []
+            for send in replays:
+                resident[send.worker][send.key] = send.checkpoint.steps
+                wire.append((send.worker, send.key))
+        check_books(ledger, N_TASKS - sum(fresh for _, fresh in idle))
+        worker, key = wire.popleft()
+        steps = resident[worker][key] + 1
+        resident[worker][key] = steps
+        done = steps == N_DISPATCHES
+        future = ledger.result(worker, checkpoint(key, steps, done))
+        if held_by_victim is not None and worker == victim:
+            assert future is None
+            continue
+        assert future == (key, steps - 1)
+        acked[key].append(steps)
+        if not done:
+            idle.append((checkpoint(key, steps), False))
+    return ledger, acked, held_by_victim
+
+
+@pytest.mark.parametrize("victim", [0, 1])
+@pytest.mark.parametrize("death_after", range(N_TASKS * N_DISPATCHES))
+def test_a_death_after_any_result(death_after, victim):
+    """Wherever the death falls, every key's checkpoints are
+    acknowledged once each, in order, to the last, and the counts add
+    up: each task the victim held crossed once more, as state."""
+    ledger, acked, held_by_victim = run_schedule(death_after, victim)
+    assert acked == {key: list(range(1, N_DISPATCHES + 1))
+                     for key in range(N_TASKS)}
+    counts = ledger.counts
+    assert counts["results_received"] == N_TASKS * N_DISPATCHES
+    assert counts["workers_failed"] == 1
+    assert counts["reassignments"] == held_by_victim
+    assert counts["state_sends"] == N_TASKS + counts["reassignments"]
+    assert (counts["state_sends"] + counts["resident_sends"]
+            == counts["tasks_dispatched"])
+    assert ledger.assignment == {} and ledger.futures == {}
+
+
+def test_the_ledger_does_no_io():
+    """No socket, no thread, no clock: its module imports none of them."""
+    tree = ast.parse(inspect.getsource(ledger_module))
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert not imported & {"socket", "threading", "time", "select",
+                           "concurrent", "multiprocessing"}

@@ -10,17 +10,17 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.distributed.ledger import Ledger
 from repro.distributed.net import (
+    Checkpoint,
     ClusterError,
     ClusterMaster,
     Hello,
     KillWorkerAfter,
     run_workflow_cluster,
 )
-from repro.distributed import net as net_module
 from repro.distributed.worker import worker_main
 from repro.pipeline import SteeringController, WorkflowConfig, run_workflow
-from repro.sim.engine import run_quantum
 from repro.sim.task import make_tasks
 from tests.distributed.pools import drive
 from tests.sim.samples import scalar_samples
@@ -134,34 +134,21 @@ class TestFaultTolerance:
         finally:
             master.close()
 
-    def test_submit_racing_the_last_death_raises_cluster_error(
-            self, neurospora_small, monkeypatch):
+    def test_submit_racing_the_last_death_raises_cluster_error(self):
         """A submit landing after the last worker is marked dead but
         before its socket is closed (the window the reader thread of a
         killed worker opens) raises ClusterError, not a ``min()`` over
-        no live worker."""
-        tasks = make_tasks(neurospora_small, 2, 6.0, 2.0, 0.5, seed=0)
-        master = ClusterMaster(n_workers=1)
-        master.start()
-        raised = []
-        close = net_module._close_socket
-
-        def close_then_submit(sock):
-            close(sock)
-            if not raised:
-                try:
-                    master.submit(run_quantum, tasks[0])
-                except Exception as exc:  # noqa: BLE001 - checked below
-                    raised.append(exc)
-        monkeypatch.setattr(net_module, "_close_socket", close_then_submit)
-        try:
-            (handle,) = master.workers.values()
-            master._worker_dead(handle, "killed by the test")
-            assert len(raised) == 1
-            assert isinstance(raised[0], ClusterError)
-            assert "all workers dead" in str(raised[0])
-        finally:
-            master.close()
+        no live worker: the death that leaves no survivor fails the
+        ledger in the same call, under the master's lock."""
+        ledger = Ledger(window=2)
+        ledger.join(0)
+        waiting = object()
+        assert ledger.admit(Checkpoint(0, False, 0., 0, 0, b""), True,
+                            waiting) is not None
+        replays, failed = ledger.dead(0, "killed by the test")
+        assert replays == [] and failed == [waiting]
+        with pytest.raises(ClusterError, match="all workers dead"):
+            ledger.admit(Checkpoint(1, False, 0., 0, 0, b""), True, object())
 
     def test_heartbeat_timeout_detects_silent_worker(self, neurospora_small):
         """A worker that connects, registers and then goes mute (no
@@ -200,7 +187,7 @@ class TestFaultTolerance:
         mute.close()
         assert not driver.is_alive()
         assert master.workers_failed == 1
-        assert not master.workers[1].alive
+        assert 1 not in master.ledger.alive
         assert master.reassignments >= 1
         # the results stream is complete despite the dead worker
         done = [r for r in results if r.done]
@@ -261,9 +248,9 @@ class TestSchedulingPolicies:
         assert master.tasks_dispatched == master.results_received == quanta
         assert master.state_sends == len(tasks)
         assert master.state_sends + master.resident_sends == quanta
-        assert sum(h.items_done for h in master.workers.values()) == quanta
+        assert sum(master.ledger.items.values()) == quanta
         assert recorder.max_in_flight <= master.inflight_window
-        assert not any(h.in_flight for h in master.workers.values())
+        assert not any(master.ledger.in_flight.values())
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="worker"):
@@ -321,7 +308,8 @@ class TestRemoteJoinCLI:
 
 
 class _Recorder:
-    """Fault-hook that only observes: per-result scheduler invariants."""
+    """Fault-hook that only observes the master's ledger: per-result
+    scheduler invariants (its maps copied whole, each in one step)."""
 
     def __init__(self, track_affinity=False):
         self.master = None
@@ -334,9 +322,10 @@ class _Recorder:
         self.master = master
         self.max_in_flight = max(
             [self.max_in_flight]
-            + [len(h.in_flight) for h in master.workers.values()])
+            + [len(window) for window in dict(master.ledger.in_flight)
+               .values()])
         if self.track_affinity:
-            for key, worker_id in master.assignment.items():
+            for key, worker_id in dict(master.ledger.assignment).items():
                 previous = self.first_pin.setdefault(key, worker_id)
                 if previous != worker_id:
                     self.pin_changes += 1

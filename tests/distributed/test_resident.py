@@ -451,6 +451,6 @@ class TestServeModeContract:
                 assert bytes(task.state) == pickle.dumps(local, 5)
                 assert scalar_samples(result) == scalar_samples(expected)
             assert master.state_sends == 1 and master.resident_sends == 1
-            assert master.workers[0].holds == {("tenant", local.task_id)}
+            assert master.ledger.holds[0] == {("tenant", local.task_id)}
         finally:
             master.close()

@@ -9,16 +9,20 @@ closing sweep reclaims; and none of this changes a single sample value.
 """
 
 import os
+import socket
 import subprocess
 import sys
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-from repro.distributed.net import (Checkpoint, ClusterMaster, ResultMsg,
-                                   WorkerHandle)
+from repro.distributed.message import encode_frame, encode_frame_oob
+from repro.distributed.net import (Checkpoint, ClusterError, ClusterMaster,
+                                   Hello, ResultMsg, WorkerFailure)
 from repro.distributed.shm import (
     SEGMENT_PREFIX,
     SHM_MIN_BYTES,
@@ -277,17 +281,35 @@ class TestMasterSegmentLifetime:
                              ids=["stale-frame", "serve-result-without-future"])
     def test_dropped_result_gives_its_segment_back(self, prefix, owed):
         """A frame for a task its worker does not owe, and one whose
-        future is gone (the pool failed or closed under it)."""
-        master = ClusterMaster(n_workers=1)
-        handle = master.workers[0] = WorkerHandle(0, sock=None)
-        handle.in_flight[owed] = Checkpoint(owed, False, 0., 0, 0, b"")
-        block = publish_results([result_block()], prefix)
-        assert leaked_segments(prefix) == [block.name]
-        master._on_result(
-            handle,
-            ResultMsg(0, Checkpoint("k", False, 1.0, 1, 1, b""), block))
-        assert master.stale_results == (owed != "k")
-        assert leaked_segments(prefix) == []
+        future is gone (the pool failed or closed under it), from a
+        worker driven by hand over a real socket."""
+        master = ClusterMaster(n_workers=1, spawn_local=False)
+        starter = threading.Thread(target=master.start)
+        starter.start()
+        while not master.port:
+            time.sleep(0.01)
+        worker = socket.create_connection(("127.0.0.1", master.port))
+        try:
+            worker.sendall(encode_frame(Hello(0, os.getpid())))
+            starter.join(timeout=30.0)
+            future = master.submit(
+                None, Checkpoint(owed, False, 0., 0, 0, b""))
+            if owed == "k":
+                worker.sendall(encode_frame(WorkerFailure(0, "test")))
+                with pytest.raises(ClusterError):
+                    future.result(timeout=30.0)
+            block = publish_results([result_block()], prefix)
+            assert leaked_segments(prefix) == [block.name]
+            worker.sendall(encode_frame_oob(ResultMsg(
+                0, Checkpoint("k", False, 1.0, 1, 1, b""), block)))
+            deadline = time.monotonic() + 30.0
+            while leaked_segments(prefix) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert master.stale_results == (owed != "k")
+            assert leaked_segments(prefix) == []
+        finally:
+            worker.close()
+            master.close()
 
 
 class TestDeadOwnerSweep:
