@@ -39,7 +39,8 @@ INTERACTIVE = {
 SWEEP = {
     "model": "lotka-volterra",
     "label": "sweep",
-    "max_inflight": 1,  # backpressure: deep backlog, one worker slot
+    "max_inflight": 1,  # backpressure: one engine, so one worker slot;
+                        # the deep backlog waits in the run's emitter
     "config": {"n_simulations": 64, "t_end": 300.0, "sample_every": 0.2,
                "quantum": 1.0, "window_size": 50, "window_slide": 50,
                "kmeans_k": 2, "seed": 7},

@@ -46,10 +46,13 @@ class Ledger:
     is fresh or its worker does not hold the task: a re-pin, counted as
     a reassignment where it is booked, so ``state_sends == fresh +
     reassignments`` after every call.  Of a checkpoint only ``key``,
-    ``done`` and ``len(state)`` are read; futures are opaque."""
+    ``done`` and ``len(state)`` are read; futures are opaque.  With a
+    ``scheduler`` (a :class:`~repro.service.fairshare.StrideScheduler`),
+    namespaced admits waiting on one worker take turns by it."""
 
     def __init__(self, window: int):
         self.window = window
+        self.scheduler: Any = None
         self.alive: set = set()
         #: worker -> {key: the checkpoint to replay should it die};
         #: worker -> keys resident on it; worker -> results returned
@@ -59,6 +62,8 @@ class Ledger:
         #: key -> worker it is pinned to; key -> its dispatch's future
         self.assignment: dict = {}
         self.futures: dict = {}
+        #: key -> namespace of each namespaced admit waiting for a slot
+        self.waiting: dict = {}
         #: why the pool is down (the first cause; later admits raise)
         self.error: Optional[BaseException] = None
         self.counts: dict[str, float] = dict.fromkeys(COUNTS, 0)
@@ -70,16 +75,24 @@ class Ledger:
         self.items[worker] = 0
 
     def admit(self, checkpoint: Any, fresh: bool, future: Any,
-              waited: float = 0.0) -> Optional[Send]:
+              waited: float = 0.0, namespace: Any = None) -> Optional[Send]:
         """Book ``checkpoint`` (``fresh``: a live task's first dispatch)
-        on its worker for ``future``; None while that window is full
-        (the pin stays).  ``waited``: seconds waited so far."""
+        on its worker for ``future``; None while that window is full, or
+        a lower-pass namespace than ``namespace`` waits on it (the pin
+        stays).  ``waited``: seconds waited so far."""
         if self.error is not None:
             raise ClusterError(f"cluster fleet is down: {self.error}")
-        worker = self._pin(checkpoint.key)
-        if len(self.in_flight[worker]) >= self.window:
+        key = checkpoint.key
+        worker = self._pin(key)
+        if namespace is not None and self.scheduler is not None:
+            self.waiting[key] = namespace
+        if len(self.in_flight[worker]) >= self.window or (
+                key in self.waiting and not self.scheduler.turn(namespace, {
+                    waiting for other, waiting in self.waiting.items()
+                    if self.assignment.get(other) == worker})):
             return None
-        self.futures[checkpoint.key] = future
+        self.waiting.pop(key, None)
+        self.futures[key] = future
         self.counts["inflight_wait_s"] += waited
         return self._book(worker, checkpoint, fresh)
 
@@ -129,7 +142,7 @@ class Ledger:
     def dead(self, worker: int, reason: str) -> tuple[list[Send], list]:
         """The replays to send (``worker``'s in-flight checkpoints,
         re-pinned, even past a full window) and the futures to fail (all,
-        with no survivor)."""
+        with no survivor).  Admits waiting on ``worker`` re-pin too."""
         if worker not in self.alive:
             return [], []
         self.alive.discard(worker)
@@ -139,6 +152,8 @@ class Ledger:
         if not self.alive:
             return [], self.fail(ClusterError(
                 f"all workers dead (last: worker {worker}: {reason})"))
+        for key in self.waiting:
+            self._pin(key)
         return [self._book(self._pin(checkpoint.key), checkpoint, False)
                 for checkpoint in replay.values() if self.error is None], []
 
@@ -149,6 +164,8 @@ class Ledger:
         self.assignment = {key: worker for key, worker
                            in self.assignment.items()
                            if not in_namespace(key, namespace)}
+        self.waiting = {key: waiting for key, waiting
+                        in self.waiting.items() if waiting != namespace}
         return sorted(self.alive)
 
     def fail(self, exc: BaseException) -> list:
@@ -156,4 +173,5 @@ class Ledger:
         if self.error is None:
             self.error = exc
         failed, self.futures = list(self.futures.values()), {}
+        self.waiting = {}
         return failed

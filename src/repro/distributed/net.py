@@ -415,8 +415,8 @@ class ClusterMaster:
         dispatch returned (the worker holding it advances its resident
         copy; a re-pinned one gets the checkpoint).  ``namespace``
         scopes a live task's key to one tenant run.  Books and sends on
-        the calling thread, waiting while the pinned worker's window is
-        full; the connection's reader thread resolves the future."""
+        the calling thread, waiting for a slot in the pinned worker's
+        window (and the namespace's turn); a reader thread resolves it."""
         if isinstance(task, Checkpoint):
             checkpoint, fresh = task, False
         else:
@@ -433,8 +433,11 @@ class ClusterMaster:
                                        "first (a closed master stays closed)")
                 send = self.ledger.admit(
                     checkpoint, fresh, future,
-                    0.0 if since is None else time.monotonic() - since)
+                    0.0 if since is None else time.monotonic() - since,
+                    namespace)
                 if send is not None:
+                    if self.ledger.waiting:  # the next turn may be due
+                        self._cond.notify_all()
                     break
                 if since is None:
                     since = time.monotonic()

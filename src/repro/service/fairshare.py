@@ -17,9 +17,9 @@ exist) and stride keeps an explicit, inspectable notion of "how far
 behind fair is this tenant" (``pass``), which the service exposes in
 its status endpoint.
 
-Thread-safety: all methods take the internal lock; :meth:`select` is
-called by the fleet's dispatcher thread while tenants join and leave
-from API threads.
+Thread-safety: all methods take the internal lock; :meth:`turn` is
+asked on the submitting engines' threads (by the fleet's gate or a
+master's ledger) while tenants join and leave from API threads.
 """
 
 from __future__ import annotations
@@ -84,19 +84,32 @@ class StrideScheduler:
         registered), charged one stride; None when no ready tenant is
         registered."""
         with self._lock:
-            best = None
-            best_pass = None
-            for key in ready:
-                p = self._pass.get(key)
-                if p is None:
-                    continue
-                if best_pass is None or p < best_pass:
-                    best, best_pass = key, p
-            if best is None:
-                return None
-            self._pass[best] = best_pass + self._stride[best]
-            self._selections[best] += 1
+            best = self._lowest(ready)
+            if best is not None:
+                self._charge(best)
             return best
+
+    def turn(self, key: object, waiting: Iterable[object]) -> bool:
+        """Whether ``key`` goes before every tenant ``waiting`` by
+        :meth:`select`'s rule, charged if so: for a slot only its caller
+        can take now.  An unregistered ``key`` is always let through."""
+        with self._lock:
+            if key not in self._pass:
+                return True
+            if self._lowest([key, *waiting]) != key:
+                return False
+            self._charge(key)
+            return True
+
+    def _lowest(self, ready: Iterable[object]) -> Optional[object]:
+        """Called under the lock."""
+        ready = set(ready)
+        return min((key for key in self._pass if key in ready),
+                   key=self._pass.__getitem__, default=None)
+
+    def _charge(self, key: object) -> None:
+        self._pass[key] += self._stride[key]
+        self._selections[key] += 1
 
     # -- inspection ------------------------------------------------------
     def _global_pass(self) -> float:

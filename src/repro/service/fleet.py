@@ -1,34 +1,27 @@
 """One shared worker fleet, many tenant runs: the service's muscle.
 
-A batch run owns its backend: ``backend="processes"`` spawns worker
-processes, runs, and tears them down.  The service inverts that: one
-:class:`SharedFleet` outlives every run, and each tenant run submits its
-simulation dispatches (each a chain of quanta until a sample, see
-:func:`~repro.sim.engine.run_quantum`) through a :class:`FleetClient`
-facade that looks exactly like an executor (``submit(fn, *args) ->
-Future``), which is what :class:`~repro.sim.engine.SimEngineNode` takes
-as its ``pool``.
+A batch run owns its backend; one :class:`SharedFleet` outlives every
+run instead.  Each tenant run submits its simulation dispatches (each a
+chain of quanta until a sample, :func:`~repro.sim.engine.run_quantum`)
+through a :class:`FleetClient`, an executor facade (``submit(fn, *args)
+-> Future``) that :class:`~repro.sim.engine.SimEngineNode` takes as its
+``pool``.
 
-Between the facade and the workers sits the fair-share layer:
+One admission point, and no thread of the fleet's own: a submit waits
+for its slot on the calling engine's thread.  A tenant runs
+``max_inflight`` engines, one dispatch out each (the per-tenant
+backpressure bound; a sweep's backlog waits in its own emitter), so the
+wait holds up no one else.  Tenants waiting for one slot take turns by
+stride (:class:`~repro.service.fairshare.StrideScheduler`):
 
-* every submission lands in its tenant's **pending queue** -- never
-  directly on the pool;
-* a tenant has at most ``max_inflight`` dispatches on workers at once
-  (the per-tenant backpressure bound: a sweep with 10k queued ones holds
-  the same number of worker slots as anyone else);
-* one dispatcher thread moves work from pending queues to the pool,
-  picking the next tenant by **stride scheduling**
-  (:class:`~repro.service.fairshare.StrideScheduler`) whenever a worker
-  slot frees up.
-
-Backends: ``"threads"`` (an in-process pool, for tests and tiny
-deployments) or a persistent :class:`~repro.distributed.net.
-ClusterMaster` (``"processes"`` and ``"cluster"`` both name it): worker
-processes spawned on this host, task keys namespaced per tenant, tasks
-resident on their worker (a tenant's engines get checkpoints back, the
-master never unpickles one), results back through the shared-memory
-ring, replay on worker death.  Releasing a tenant drops its resident
-tasks from the workers once its last dispatch has settled.
+* ``"processes"`` / ``"cluster"``: the submit and its future are a
+  persistent :class:`~repro.distributed.net.ClusterMaster`'s, under the
+  tenant's namespace; its ledger gives each worker's one slot to the
+  lowest-pass tenant waiting on *that* worker.  Tasks stay resident on
+  their worker until their tenant is released and settled.
+* ``"threads"`` (tests and tiny deployments): the dispatch runs on the
+  engine's thread under an ``n_workers``-slot gate, which also holds a
+  tenant to ``max_inflight``.
 
 Per-tenant results are **independent of dispatch order** -- each dispatch
 is a pure function of its task state -- so fair-share interleaving never
@@ -45,45 +38,41 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from repro.distributed.ledger import ClusterError
 from repro.distributed.shm import sweep_dead_owners
 from repro.service.fairshare import StrideScheduler
 
 
 class FleetClosed(RuntimeError):
-    """Submission against a closed (or closing) fleet."""
+    """Submission to a closed fleet, or by a released tenant."""
 
 
+@dataclass(eq=False)
 class _Tenant:
     """Book-keeping of one registered tenant."""
 
-    __slots__ = ("key", "weight", "max_inflight", "pending", "inflight",
-                 "submitted", "completed", "wait_s", "busy_s", "released")
-
-    def __init__(self, key: str, weight: float, max_inflight: int):
-        self.key = key
-        self.weight = weight
-        self.max_inflight = max_inflight
-        self.pending: deque = deque()
-        self.inflight = 0
-        self.submitted = 0
-        self.completed = 0
-        self.wait_s = 0.0
-        self.busy_s = 0.0
-        self.released = False
+    key: str
+    weight: float
+    max_inflight: int
+    #: submitters waiting for admission
+    waiting: int = 0
+    inflight: int = 0
+    submitted: int = 0
+    completed: int = 0
+    wait_s: float = 0.0
+    busy_s: float = 0.0
+    released: bool = False
 
 
 class FleetClient:
     """Executor facade for one tenant: what a run's engine nodes hold.
-
-    Quacks like an executor (``submit`` returning a future), which is
-    all :class:`~repro.sim.engine.SimEngineNode` asks of its pool, and
-    states its width like every pool: the fleet's ``n_workers`` run
-    dispatches at once (the run fuses its seed blocks to them), the
-    tenant's ``max_inflight`` of them are its (one engine each).
+    It states its width like every pool: the fleet's ``n_workers`` run
+    dispatches at once (the run fuses its seed blocks to them), and
+    ``lanes``, the tenant's ``max_inflight``, are its (one engine each).
     """
 
     def __init__(self, fleet: "SharedFleet", tenant: str, lanes: int):
@@ -96,7 +85,7 @@ class FleetClient:
         return self._fleet.submit(self.tenant, fn, *args)
 
     def close(self) -> None:
-        """Deregister the tenant (pending work is failed)."""
+        """Deregister the tenant (waiting submitters get FleetClosed)."""
         self._fleet.release(self.tenant)
 
 
@@ -110,10 +99,9 @@ class SharedFleet:
     backend:
         ``"threads"``, or ``"processes"`` / ``"cluster"`` (one runtime).
 
-    A tenant holds up to ``n_workers`` dispatches on worker slots at once
-    unless its client sets another bound (``max_inflight``): a lone
-    tenant saturates the fleet; under contention the stride scheduler
-    shares slots out fairly anyway.
+    A tenant runs ``max_inflight`` engines (default ``n_workers``), so
+    it holds at most that many dispatches: a lone tenant saturates the
+    fleet; under contention the stride turns share slots out fairly.
     """
 
     BACKENDS = ("threads", "processes", "cluster")
@@ -129,17 +117,16 @@ class SharedFleet:
         self.backend = backend
 
         self._sched = StrideScheduler()
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
+        self._cond = threading.Condition()
         self._tenants: dict[str, _Tenant] = {}
-        self._global_inflight = 0
         #: dispatches (chains of quanta until a sample), not quanta
         self._quanta_dispatched = 0
+        #: threads: slots taken, and seconds submitters waited for one
+        self._running = 0
+        self._wait_s = 0.0
         self._started = False
         self._closed = False
-        self._pool: Any = None
         self._master: Any = None
-        self._dispatcher: Optional[threading.Thread] = None
         self._swept_at_start: list[str] = []
 
     # -- lifecycle -------------------------------------------------------
@@ -153,42 +140,24 @@ class SharedFleet:
         if self._started:
             return self
         self._swept_at_start = sweep_dead_owners()
-        if self.backend == "threads":
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.n_workers,
-                thread_name_prefix="fleet-worker")
-        else:
+        if self.backend != "threads":
             from repro.distributed.net import ClusterMaster
-            # the dispatcher holds at most n_workers dispatches on the
-            # master: one in flight per worker
+            # one dispatch in flight per worker, taken in turns
             self._master = ClusterMaster(self.n_workers, inflight_window=1)
+            self._master.ledger.scheduler = self._sched
             self._master.start()
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, daemon=True, name="fleet-dispatch")
         self._started = True
-        self._dispatcher.start()
         return self
 
     def close(self) -> None:
-        """Tear the fleet down; idempotent.  Pending (undispatched)
-        submissions fail with :class:`FleetClosed`; in-flight ones are
-        allowed to finish so engine threads blocked on their futures
-        always wake."""
+        """Tear the fleet down; idempotent.  Submitters still waiting
+        get :class:`FleetClosed`; running dispatches end (a thread's
+        finishes, a master's fails), so every engine wakes."""
         with self._cond:
             if self._closed:
                 return
             self._closed = True
-            failed = []
-            for tenant in self._tenants.values():
-                failed.extend(tenant.pending)
-                tenant.pending.clear()
             self._cond.notify_all()
-        for _fn, _args, future, _t in failed:
-            future.set_exception(FleetClosed("fleet closed"))
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout=10.0)
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
         if self._master is not None:
             self._master.close()
 
@@ -210,28 +179,23 @@ class SharedFleet:
                 raise FleetClosed("fleet closed")
             if tenant in self._tenants:
                 raise KeyError(f"tenant {tenant!r} already registered")
+            self._sched.add(tenant, weight)
             self._tenants[tenant] = _Tenant(tenant, weight, max_inflight)
-        self._sched.add(tenant, weight)
         return FleetClient(self, tenant, max_inflight)
 
     def release(self, tenant: str) -> None:
-        """Deregister a tenant; its pending submissions fail, in-flight
-        dispatches complete normally (their futures are already bound),
-        and once the last of them has settled its resident tasks are
-        dropped from the workers (a cancelled run leaves live tasks
-        behind on a long-lived fleet)."""
+        """Deregister a tenant: its submitters waiting at the threads
+        gate get :class:`FleetClosed` (a master admits its own), and
+        once its last dispatch settles its resident tasks are dropped
+        (a cancelled run leaves live tasks behind on the workers)."""
         with self._cond:
             record = self._tenants.pop(tenant, None)
-            pending = list(record.pending) if record else []
-            if record:
-                record.pending.clear()
-                record.released = True
-            settled = record is not None and record.inflight == 0
+            if record is None:
+                return
+            record.released = True
+            self._sched.remove(tenant)
+            settled = record.inflight == 0
             self._cond.notify_all()
-        self._sched.remove(tenant)
-        for _fn, _args, future, _t in pending:
-            future.set_exception(FleetClosed(
-                f"tenant {tenant!r} released with work pending"))
         if settled:
             self._forget(tenant)
 
@@ -239,83 +203,79 @@ class SharedFleet:
         if self._master is not None:
             self._master.forget(tenant)
 
-    # -- submission ------------------------------------------------------
+    # -- admission -------------------------------------------------------
     def submit(self, tenant: str, fn: Callable, *args: Any) -> Future:
-        future: Future = Future()
+        """Admit one of ``tenant``'s dispatches on the calling thread,
+        waiting for its slot; returns its future (a threads fleet's is
+        already done)."""
+        since = time.monotonic()
         with self._cond:
             if self._closed:
                 raise FleetClosed("fleet closed")
             record = self._tenants.get(tenant)
             if record is None:
                 raise KeyError(f"unknown tenant {tenant!r}")
-            record.pending.append((fn, args, future, time.monotonic()))
             record.submitted += 1
-            self._cond.notify_all()
-        return future
-
-    # -- dispatch --------------------------------------------------------
-    def _ready_tenants(self) -> list[str]:
-        """Tenants with pending work and in-flight headroom.  Called
-        under the lock."""
-        return [key for key, t in self._tenants.items()
-                if t.pending and t.inflight < t.max_inflight]
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._cond:
-                while True:
-                    if self._closed:
-                        return
-                    ready = self._ready_tenants()
-                    if ready and self._global_inflight < self.n_workers:
-                        break
-                    self._cond.wait()
-                key = self._sched.select(ready)
-                if key is None:  # tenant released between checks
-                    continue
-                record = self._tenants[key]
-                fn, args, future, queued_at = record.pending.popleft()
-                record.inflight += 1
-                record.wait_s += time.monotonic() - queued_at
-                self._global_inflight += 1
-                self._quanta_dispatched += 1
-            self._execute(record, fn, args, future)
-
-    def _execute(self, record: _Tenant, fn: Callable, args: tuple,
-                 future: Future) -> None:
-        started = time.monotonic()
-        try:
-            if self._master is not None:
+            record.waiting += 1
+            if self._master is None:
+                self._take_slot(record, since)
+                started = self._admitted(record, since)
+        if self._master is not None:
+            try:
                 # the master runs the chain on the worker holding the
                 # task and resolves to (checkpoint, result), which the
-                # tenant's engine hands back for the next one; ``fn``
-                # never crosses the wire
-                inner = self._master.submit(fn, args[0],
-                                            namespace=record.key)
-            else:
-                inner = self._pool.submit(fn, *args)
-        except BaseException as exc:  # noqa: BLE001 - fail this caller
-            self._settle(record, started)
+                # engine hands back; ``fn`` never crosses the wire
+                future = self._master.submit(fn, args[0], namespace=tenant)
+            except BaseException as exc:
+                with self._cond:
+                    record.waiting -= 1
+                if self._closed and isinstance(exc, ClusterError):
+                    raise FleetClosed("fleet closed") from exc
+                raise
+            with self._cond:
+                started = self._admitted(record, since)
+            future.add_done_callback(lambda _: self._settle(record, started))
+            return future
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:  # noqa: BLE001 - the caller's
             future.set_exception(exc)
-            return
-        inner.add_done_callback(
-            lambda done: self._on_done(record, future, started, done))
-
-    def _on_done(self, record: _Tenant, future: Future, started: float,
-                 inner: Future) -> None:
         self._settle(record, started)
-        if inner.cancelled():
-            future.set_exception(FleetClosed("quantum cancelled"))
-            return
-        exc = inner.exception()
-        if exc is not None:
-            future.set_exception(exc)
-        else:
-            future.set_result(inner.result())
+        return future
+
+    def _take_slot(self, record: _Tenant, since: float) -> None:
+        """Wait (under the lock) for a free slot with ``record`` under
+        its bound and its turn among the tenants waiting for one."""
+        while True:
+            if self._closed or record.released:
+                record.waiting -= 1
+                raise FleetClosed("fleet closed" if self._closed else
+                                  f"tenant {record.key!r} released")
+            if (self._running < self.n_workers
+                    and record.inflight < record.max_inflight
+                    and self._sched.turn(record.key, [
+                        t.key for t in self._tenants.values()
+                        if t.waiting and t.inflight < t.max_inflight])):
+                break
+            self._cond.wait()
+        self._running += 1
+        self._wait_s += time.monotonic() - since
+        self._cond.notify_all()  # the next turn may be due
+
+    def _admitted(self, record: _Tenant, since: float) -> float:
+        """Book an admission (under the lock); returns its time."""
+        now = time.monotonic()
+        record.waiting -= 1
+        record.inflight += 1
+        record.wait_s += now - since
+        self._quanta_dispatched += 1
+        return now
 
     def _settle(self, record: _Tenant, started: float) -> None:
         with self._cond:
-            self._global_inflight -= 1
+            if self._master is None:
+                self._running -= 1
             record.inflight -= 1
             record.completed += 1
             record.busy_s += time.monotonic() - started
@@ -326,30 +286,33 @@ class SharedFleet:
 
     # -- inspection ------------------------------------------------------
     def stats(self) -> dict[str, Any]:
-        with self._lock:
+        with self._cond:
             tenants = {
                 key: {
                     "weight": t.weight,
                     "max_inflight": t.max_inflight,
-                    "pending": len(t.pending),
+                    "pending": t.waiting,
                     "inflight": t.inflight,
                     "submitted": t.submitted,
                     "completed": t.completed,
                     "wait_s": t.wait_s,
                     "busy_s": t.busy_s,
+                    "lag": self._sched.lag(key),  # strides owed
                 }
                 for key, t in self._tenants.items()
             }
             return {
                 "backend": self.backend,
                 "n_workers": self.n_workers,
-                "global_inflight": self._global_inflight,
+                "global_inflight": sum(t["inflight"]
+                                       for t in tenants.values()),
                 "quanta_dispatched": self._quanta_dispatched,
                 "swept_at_start": list(self._swept_at_start),
-                # seconds dispatches waited for a slot in their worker's
-                # in-flight window on the master
+                # seconds submitters waited for a slot: the threads
+                # gate's, or the master's for its workers' windows
                 "inflight_wait_s": (self._master.inflight_wait_s
-                                    if self._master is not None else 0.0),
+                                    if self._master is not None
+                                    else self._wait_s),
                 "tenants": tenants,
             }
 

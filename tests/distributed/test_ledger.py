@@ -3,10 +3,10 @@ sockets, threads or clocks.
 
 Whatever the master's threads do is a sequence of ledger calls, so the
 books are checked here over sequences: a hypothesis state machine
-applies admits, results, deaths, forgets and failures in any order, one
-fixed schedule is cut by a death after every possible result, and the
-re-pin that once made ``state_sends`` fall one short is replayed call
-by call.
+applies admits (two weighted tenants and un-namespaced ones), results,
+deaths, forgets and failures in any order, one fixed schedule is cut by
+a death after every possible result, and the re-pin that once made
+``state_sends`` fall one short is replayed call by call.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 
 from repro.distributed import ledger as ledger_module
-from repro.distributed.ledger import ClusterError, Ledger
+from repro.distributed.ledger import ClusterError, Ledger, in_namespace
 from repro.distributed.net import Checkpoint
+from repro.service.fairshare import STRIDE1, StrideScheduler
 
 
 def checkpoint(key, steps=0, done=False):
@@ -47,14 +48,42 @@ def check_books(ledger, fresh):
         assert set(ledger.futures) == set(flying)
 
 
+class Spy:
+    """Counts every attribute of ``inner`` looked up through it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.touched = 0
+
+    def __getattr__(self, name):
+        self.touched += 1
+        return getattr(self.inner, name)
+
+
+def namespace_of(key):
+    return key[0] if isinstance(key, tuple) else None
+
+
 class LedgerMachine(RuleBasedStateMachine):
     """The ledger beside a model of what its workers really hold and
-    were really sent; keys are ``(namespace, n)`` so that forgetting
-    one namespace leaves the other's."""
+    were really sent, and of the tenants' passes; keys are
+    ``(namespace, n)`` so that forgetting one namespace leaves the
+    other's, or a bare ``n`` for an un-namespaced (CLI) task."""
 
-    @initialize(n_workers=st.integers(1, 3), window=st.integers(1, 2))
-    def start(self, n_workers, window):
+    @initialize(n_workers=st.integers(1, 3), window=st.integers(1, 2),
+                weights=st.tuples(*[st.sampled_from([0.5, 1.0, 3.0])] * 2))
+    def start(self, n_workers, window, weights):
         self.ledger = Ledger(window)
+        scheduler = StrideScheduler()
+        for namespace, weight in zip("ab", weights):
+            scheduler.add(namespace, weight)
+        self.scheduler = self.ledger.scheduler = Spy(scheduler)
+        #: the model of the turns: each namespace's pass and stride
+        self.passes = dict.fromkeys("ab", 0)
+        self.strides = {namespace: max(1, int(STRIDE1 / weight))
+                        for namespace, weight in zip("ab", weights)}
+        #: namespaced keys whose last admit waits
+        self.waiters: set = set()
         self.workers = range(n_workers)
         for worker in self.workers:
             self.ledger.join(worker)
@@ -74,29 +103,60 @@ class LedgerMachine(RuleBasedStateMachine):
         self.fresh = 0
         self.next_key = 0
 
-    @rule(namespace=st.sampled_from("ab"))
+    @rule(namespace=st.sampled_from(["a", "b", None]))
     def new_task(self, namespace):
-        key = (namespace, self.next_key)
+        key = self.next_key if namespace is None \
+            else (namespace, self.next_key)
         self.next_key += 1
         self.idle[key] = (checkpoint(key), True)
 
     @precondition(lambda self: self.idle)
     @rule(data=st.data())
     def admit(self, data):
-        key = data.draw(st.sampled_from(sorted(self.idle)))
+        self._admit(data.draw(st.sampled_from(list(self.idle))))
+
+    @precondition(lambda self: self.idle)
+    @rule(data=st.data())
+    def wake(self, data):
+        """What the master's ``notify_all`` does: every admit not yet
+        booked tries again, in any order."""
+        for key in data.draw(st.permutations(list(self.idle))):
+            self._admit(key)
+
+    def _admit(self, key):
+        namespace = namespace_of(key)
         state, fresh = self.idle[key]
         future = object()
         if self.ledger.error is not None:
             with pytest.raises(ClusterError, match="fleet is down"):
-                self.ledger.admit(state, fresh, future)
+                self.ledger.admit(state, fresh, future, namespace=namespace)
             return
-        send = self.ledger.admit(state, fresh, future)
+        waiting = dict(self.ledger.waiting)
+        touched = self.scheduler.touched
+        send = self.ledger.admit(state, fresh, future, namespace=namespace)
+        pinned = self.ledger.assignment[key]
+        assert pinned in self.alive
+        full = len(self.ledger.in_flight[pinned]) >= self.window + (
+            send is not None)
+        if namespace is None:
+            assert self.scheduler.touched == touched, "a CLI admit's turn"
+            assert (send is None) == full
+        else:
+            # the turn: among the namespaces waiting on this worker, the
+            # lowest pass (ties to the first registered) goes first
+            rivals = {waiting[other] for other in waiting.keys() - {key}
+                      if self.ledger.assignment.get(other) == pinned}
+            first = min(rivals | {namespace},
+                        key=lambda n: (self.passes[n], "ab".index(n)))
+            assert (send is None) == (full or first != namespace)
+            if send is None:
+                self.waiters.add(key)
+                return
+            self.waiters.discard(key)
+            self.passes[namespace] += self.strides[namespace]
         if send is None:
-            pinned = self.ledger.assignment[key]
-            assert pinned in self.alive
-            assert len(self.ledger.in_flight[pinned]) >= self.window
             return
-        assert send.worker in self.alive and send.key == key
+        assert send.worker == pinned and send.key == key
         if send.checkpoint is None:
             # by name only to a worker that really holds the state
             assert not fresh and key in self.resident[send.worker]
@@ -150,6 +210,7 @@ class LedgerMachine(RuleBasedStateMachine):
         if not self.alive:
             assert replays == [] and set(failed) == self.unsettled
             self.unsettled.clear()
+            self.waiters.clear()
             return
         assert failed == []
         if error is not None:
@@ -167,15 +228,17 @@ class LedgerMachine(RuleBasedStateMachine):
     @rule(namespace=st.sampled_from("ab"))
     def forget(self, namespace):
         assert self.ledger.forget(namespace) == sorted(self.alive)
-        for keys in self.resident.values():
-            keys -= {key for key in keys if key[0] == namespace}
-        assert not any(key[0] == namespace for key in self.ledger.assignment)
+        for keys in [*self.resident.values(), self.waiters]:
+            keys -= {key for key in keys if in_namespace(key, namespace)}
+        assert not any(in_namespace(key, namespace)
+                       for key in self.ledger.assignment)
 
     @rule()
     def fail(self):
         failed = self.ledger.fail(ClusterError("test"))
         assert set(failed) == self.unsettled
         self.unsettled.clear()
+        self.waiters.clear()
 
     @invariant()
     def books(self):
@@ -196,6 +259,25 @@ class LedgerMachine(RuleBasedStateMachine):
     def a_failure_settles_everything(self):
         if self.ledger.error is not None:
             assert not self.unsettled
+
+    @invariant()
+    def waiters_wait_on_live_windows(self):
+        """Only namespaced admits wait in the books, each pinned to a
+        live worker: one waiting on a worker that died has re-pinned."""
+        assert set(self.ledger.waiting) == self.waiters
+        for key, namespace in self.ledger.waiting.items():
+            assert namespace == namespace_of(key)
+            assert self.ledger.assignment[key] in self.ledger.alive
+
+    @invariant()
+    def a_namespace_is_charged_once_per_dispatch(self):
+        """The scheduler's passes are the model's: charged only where a
+        turn was taken and its dispatch booked."""
+        floor = min(self.passes.values())
+        assert {namespace: row["pass"] for namespace, row
+                in self.scheduler.snapshot().items()} \
+            == {namespace: value - floor
+                for namespace, value in self.passes.items()}
 
 
 TestLedgerMachine = LedgerMachine.TestCase
@@ -228,6 +310,74 @@ class TestReplayAccounting:
         counts = ledger.counts
         assert counts["reassignments"] == 1
         assert counts["state_sends"] == 3 + counts["reassignments"]
+
+
+def tenants(window, n_workers, weights):
+    """A ledger whose namespaces ``a`` and ``b`` take turns."""
+    ledger = Ledger(window)
+    for worker in range(n_workers):
+        ledger.join(worker)
+    ledger.scheduler = StrideScheduler()
+    for namespace, weight in zip("ab", weights):
+        ledger.scheduler.add(namespace, weight)
+    return ledger
+
+
+def admit(ledger, key, fresh=True, steps=0):
+    return ledger.admit(checkpoint(key, steps), fresh, ("future", key),
+                        namespace=namespace_of(key))
+
+
+class TestTurns:
+    def test_a_freed_slot_goes_to_the_lowest_pass_waiting_there(self):
+        ledger = tenants(window=1, n_workers=1, weights=(1.0, 1.0))
+        assert admit(ledger, ("a", 0)).worker == 0
+        assert admit(ledger, ("b", 1)) is None  # window full
+        assert admit(ledger, ("a", 2)) is None
+        assert ledger.result(0, checkpoint(("a", 0), 1, done=True))
+        # a was served once already: the slot is b's, whoever asks first
+        assert admit(ledger, ("a", 2)) is None
+        assert admit(ledger, ("b", 1)).worker == 0
+        assert ledger.result(0, checkpoint(("b", 1), 1, done=True))
+        assert admit(ledger, ("a", 2)).worker == 0
+        assert ledger.waiting == {}
+        assert {namespace: row["selections"] for namespace, row
+                in ledger.scheduler.snapshot().items()} == {"a": 2, "b": 1}
+
+    def test_a_waiter_on_a_busy_worker_holds_up_no_other(self):
+        """``a`` is owed service but waits on worker 0; worker 1's slot
+        is ``b``'s all the same."""
+        ledger = tenants(window=1, n_workers=2, weights=(1.0, 0.5))
+        assert admit(ledger, ("a", 0)).worker == 0
+        assert admit(ledger, ("b", 1)).worker == 1
+        assert admit(ledger, ("a", 2)) is None
+        assert ledger.assignment[("a", 2)] == 0
+        assert ledger.result(1, checkpoint(("b", 1), 1))
+        send = admit(ledger, ("b", 1), fresh=False, steps=1)
+        assert send.worker == 1 and send.checkpoint is None
+
+    def test_a_waiter_on_a_dead_worker_repins(self):
+        ledger = tenants(window=1, n_workers=2, weights=(1.0, 1.0))
+        assert admit(ledger, ("a", 0)).worker == 0
+        assert admit(ledger, ("a", 1)).worker == 1
+        assert admit(ledger, ("b", 2)) is None
+        assert ledger.assignment[("b", 2)] == 0
+        replays, _ = ledger.dead(0, "killed")
+        assert [send.worker for send in replays] == [1]
+        assert ledger.assignment[("b", 2)] == 1
+        assert ledger.result(1, checkpoint(("a", 1), 1, done=True))
+        assert ledger.result(1, checkpoint(("a", 0), 1, done=True))
+        assert admit(ledger, ("b", 2)).worker == 1
+
+    def test_un_namespaced_admits_never_ask_the_scheduler(self):
+        ledger = Ledger(window=1)
+        ledger.join(0)
+        ledger.scheduler = spy = Spy(StrideScheduler())
+        assert admit(ledger, 0).worker == 0
+        assert admit(ledger, 1) is None
+        assert ledger.result(0, checkpoint(0, 1, done=True))
+        assert admit(ledger, 1).worker == 0
+        assert spy.touched == 0 and ledger.waiting == {}
 
 
 N_TASKS, N_DISPATCHES = 4, 3

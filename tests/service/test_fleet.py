@@ -1,15 +1,20 @@
 """SharedFleet semantics on the threads backend: tenancy, backpressure,
-fair share, and lifecycle.  (The processes/cluster legs are covered by
-the integration suite; the scheduling logic is backend-independent.)"""
+fair share, and lifecycle, each tenant driven by lane threads as a run's
+engines drive it.  (The processes/cluster legs are covered by the
+integration suite; the one processes test here runs over a stand-in
+master.)"""
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import wait
+import types
+from collections import deque
+from concurrent.futures import Future
 
 import pytest
 
+from repro.distributed import net
 from repro.service.fleet import FleetClosed, SharedFleet
 
 
@@ -17,6 +22,45 @@ def _fleet(**kwargs):
     kwargs.setdefault("backend", "threads")
     kwargs.setdefault("n_workers", 2)
     return SharedFleet(**kwargs).start()
+
+
+class Lanes:
+    """``n`` threads driving one tenant's client as a run's engines do:
+    each submits the next of ``jobs`` (``(fn, *args)``) and waits for
+    its result; a lane that meets an exception records it and stops."""
+
+    def __init__(self, client, jobs, n=1):
+        self.jobs = deque(jobs)
+        self.results: list = []
+        self.errors: list = []
+        self.threads = [threading.Thread(target=self._lane, args=(client,),
+                                         daemon=True) for _ in range(n)]
+        for thread in self.threads:
+            thread.start()
+
+    def _lane(self, client):
+        while True:
+            try:
+                fn, *args = self.jobs.popleft()
+            except IndexError:
+                return
+            try:
+                self.results.append(client.submit(fn, *args).result())
+            except Exception as exc:  # noqa: BLE001 - the test reads it
+                self.errors.append(exc)
+                return
+
+    def join(self, timeout=30.0):
+        for thread in self.threads:
+            thread.join(timeout)
+        assert not any(thread.is_alive() for thread in self.threads)
+
+
+def wait_for(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
 
 
 class TestLifecycle:
@@ -51,15 +95,18 @@ class TestLifecycle:
         release = threading.Event()
         fleet = _fleet(n_workers=1)
         client = fleet.client("t", max_inflight=1)
-        running = client.submit(release.wait, 10)
-        time.sleep(0.1)  # let it dispatch and occupy the only worker
-        queued = client.submit(lambda: "never")
+        running = Lanes(client, [(release.wait, 10)])
+        # the first lane occupies the only worker, the second waits
+        wait_for(lambda: fleet.tenant_stats("t")["inflight"] == 1)
+        queued = Lanes(client, [(lambda: "never",)])
+        wait_for(lambda: fleet.tenant_stats("t")["pending"] == 1)
         closer = threading.Thread(target=fleet.close)
         closer.start()
-        with pytest.raises(FleetClosed):
-            queued.result(timeout=5)
+        queued.join(timeout=5)
+        assert [type(exc) for exc in queued.errors] == [FleetClosed]
         release.set()  # the in-flight job completes normally
-        assert running.result(timeout=5) is True
+        running.join(timeout=5)
+        assert running.results == [True]
         closer.join(timeout=10)
 
 
@@ -99,14 +146,16 @@ class TestTenancy:
         fleet = _fleet(n_workers=1)
         try:
             client = fleet.client("t", max_inflight=1)
-            running = client.submit(release.wait, 10)
-            time.sleep(0.1)
-            queued = client.submit(lambda: "never")
+            running = Lanes(client, [(release.wait, 10)])
+            wait_for(lambda: fleet.tenant_stats("t")["inflight"] == 1)
+            queued = Lanes(client, [(lambda: "never",)])
+            wait_for(lambda: fleet.tenant_stats("t")["pending"] == 1)
             client.close()
-            with pytest.raises(FleetClosed):
-                queued.result(timeout=5)
+            queued.join(timeout=5)
+            assert [type(exc) for exc in queued.errors] == [FleetClosed]
             release.set()
-            assert running.result(timeout=5) is True
+            running.join(timeout=5)
+            assert running.results == [True]
         finally:
             fleet.close()
 
@@ -145,8 +194,9 @@ class TestBackpressure:
         fleet = _fleet(n_workers=4)
         try:
             client = fleet.client("t", max_inflight=1)
-            futures = [client.submit(job) for _ in range(10)]
-            wait(futures, timeout=30)
+            lanes = Lanes(client, [(job,)] * 10, n=4)
+            lanes.join()
+            assert lanes.errors == [] and len(lanes.results) == 10
             assert peak[0] == 1
         finally:
             fleet.close()
@@ -167,8 +217,10 @@ class TestBackpressure:
         fleet = _fleet(n_workers=2)
         try:
             clients = [fleet.client(f"t{i}") for i in range(4)]
-            futures = [c.submit(job) for c in clients for _ in range(5)]
-            wait(futures, timeout=30)
+            lanes = [Lanes(c, [(job,)] * 5, n=2) for c in clients]
+            for lane in lanes:
+                lane.join()
+                assert lane.errors == []
             assert peak[0] <= 2
         finally:
             fleet.close()
@@ -234,10 +286,13 @@ class TestFairShare:
         try:
             sweep = fleet.client("sweep", max_inflight=1)
             interactive = fleet.client("interactive", max_inflight=1)
-            futures = [sweep.submit(job, "s") for _ in range(20)]
+            # more lanes than slots: each tenant always has a submitter
+            # waiting, as a run whose emitter holds a backlog does
+            lanes = [Lanes(sweep, [(job, "s")] * 20, n=4)]
             time.sleep(0.05)  # sweep builds a backlog first
-            futures += [interactive.submit(job, "i") for _ in range(5)]
-            wait(futures, timeout=30)
+            lanes.append(Lanes(interactive, [(job, "i")] * 5, n=2))
+            for lane in lanes:
+                lane.join()
             # every interactive job dispatched well before the sweep
             # backlog drained: none of them sits in the final stretch
             last_i = max(i for i, tag in enumerate(order) if tag == "i")
@@ -258,8 +313,8 @@ class TestFairShare:
         try:
             heavy = fleet.client("heavy", weight=4.0, max_inflight=1)
             light = fleet.client("light", weight=1.0, max_inflight=1)
-            futures = [heavy.submit(job, "heavy") for _ in range(40)]
-            futures += [light.submit(job, "light") for _ in range(40)]
+            lanes = [Lanes(heavy, [(job, "heavy")] * 40, n=2),
+                     Lanes(light, [(job, "light")] * 40, n=2)]
             # sample mid-flight: once both backlogs are deep, dispatch
             # follows the 4:1 ticket ratio
             deadline = time.monotonic() + 30
@@ -272,7 +327,8 @@ class TestFairShare:
             with lock:
                 heavy_n, light_n = counts["heavy"], counts["light"]
             assert heavy_n > 2 * light_n, (heavy_n, light_n)
-            wait(futures, timeout=30)
+            for lane in lanes:
+                lane.join()
         finally:
             fleet.close()
 
@@ -290,4 +346,96 @@ class TestFairShare:
             assert tenant["weight"] == 2.0
             assert fleet.tenant_stats("ghost") is None
         finally:
+            fleet.close()
+
+    def test_stats_report_each_tenants_lag(self):
+        """``GET /fleet`` shows how far behind fair each tenant is."""
+        fleet = _fleet(n_workers=1)
+        try:
+            served = fleet.client("served")
+            fleet.client("idle")
+            for _ in range(3):
+                served.submit(lambda: None).result(timeout=10)
+            tenants = fleet.stats()["tenants"]
+            assert tenants["served"]["lag"] == -3.0
+            assert tenants["idle"]["lag"] == 0.0
+        finally:
+            fleet.close()
+
+    def test_inflight_wait_counts_the_threads_gate(self):
+        """``inflight_wait_s`` is seconds submitters waited for a slot
+        on every backend; a threads fleet counts its gate's."""
+        release = threading.Event()
+        fleet = _fleet(n_workers=1)
+        try:
+            client = fleet.client("t")
+            running = Lanes(client, [(release.wait, 10)])
+            wait_for(lambda: fleet.tenant_stats("t")["inflight"] == 1)
+            queued = Lanes(client, [(lambda: None,)])
+            wait_for(lambda: fleet.tenant_stats("t")["pending"] == 1)
+            time.sleep(0.05)
+            release.set()
+            running.join()
+            queued.join()
+            stats = fleet.stats()
+            assert stats["inflight_wait_s"] >= 0.05
+            assert stats["tenants"]["t"]["wait_s"] >= 0.05
+            assert stats["tenants"]["t"]["pending"] == 0
+        finally:
+            fleet.close()
+
+
+class StuckMaster:
+    """Stands in for the fleet's ClusterMaster: tenant ``a``'s dispatch
+    waits for ``busy`` to clear (its pinned worker's one slot is taken),
+    any other tenant's runs at once (its worker is idle)."""
+
+    busy = threading.Event()
+    entered = threading.Event()
+
+    def __init__(self, n_workers, inflight_window=1):
+        self.ledger = types.SimpleNamespace(scheduler=None)
+        self.inflight_wait_s = 0.0
+
+    def start(self):
+        pass
+
+    def close(self):
+        self.busy.set()
+
+    def forget(self, namespace):
+        pass
+
+    def submit(self, fn, task, namespace=None):
+        if namespace == "a":
+            self.entered.set()
+            self.busy.wait(30)
+        future: Future = Future()
+        future.set_result(fn(task))
+        StuckMaster.last = future
+        return future
+
+
+class TestIndependentWorkers:
+    def test_a_tenant_waiting_on_a_busy_worker_holds_up_no_other(
+            self, monkeypatch):
+        """One tenant's dispatch stuck behind its busy worker must not
+        stall another tenant whose worker is idle; the submit hands back
+        the master's own future."""
+        StuckMaster.busy.clear()
+        StuckMaster.entered.clear()
+        monkeypatch.setattr(net, "ClusterMaster", StuckMaster)
+        fleet = SharedFleet(2, backend="processes").start()
+        try:
+            stuck = Lanes(fleet.client("a"), [(str, "a")])
+            assert StuckMaster.entered.wait(10)
+            free = fleet.client("b").submit(str, "b")
+            assert free.result(timeout=5) == "b"
+            assert free is StuckMaster.last, "not the master's own future"
+            assert not stuck.results, "a ran before its worker freed"
+            StuckMaster.busy.set()
+            stuck.join()
+            assert stuck.results == ["a"]
+        finally:
+            StuckMaster.busy.set()
             fleet.close()
