@@ -17,7 +17,7 @@ from repro.cwc.network import FlatSimulator
 from repro.cwc.parser import parse_term
 from repro.cwc.rule import CompartmentPattern, Pattern
 from repro.cwc.multiset import Multiset
-from repro.distributed.message import decode_frame, encode_frame
+from repro.distributed.message import decode_frame, encode_frame_oob
 from repro.ff.queues import Channel
 from repro.models import (mm_enzyme_network, neurospora_cwc_model,
                           neurospora_network)
@@ -61,7 +61,11 @@ def test_batch_ssa_throughput(benchmark):
         simulator.advance(1.0)
         return simulator.total_steps
 
+    started = time.perf_counter()
     batch_steps = benchmark(batch_hour)
+    # --benchmark-disable calls batch_hour once and keeps no stats
+    batch_elapsed = (benchmark.stats.stats.min if benchmark.stats
+                     else time.perf_counter() - started)
     assert batch_steps > 100 * n
 
     # scalar reference measured inline, best of three (favour the scalar
@@ -74,7 +78,6 @@ def test_batch_ssa_throughput(benchmark):
         scalar_rate = max(scalar_rate,
                           scalar.steps / (time.perf_counter() - t0))
 
-    batch_elapsed = benchmark.stats.stats.min
     batch_rate = batch_steps / batch_elapsed
     speedup = batch_rate / scalar_rate
     benchmark.extra_info["batch_steps_per_s"] = batch_rate
@@ -163,7 +166,7 @@ def test_codec_roundtrip_cost(benchmark):
                            for g in range(40)]}
 
     def roundtrip():
-        return decode_frame(encode_frame(payload))[0]
+        return decode_frame(encode_frame_oob(payload))[0]
 
     assert benchmark(roundtrip) == payload
 

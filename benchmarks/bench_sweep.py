@@ -16,7 +16,8 @@ parameter sweep of the Neurospora clock model run
 Both paths produce the same per-point ensemble means (the verify step
 asserts exact equality on a small sweep before any timing is trusted --
 the fused plane's contract is bit-identical trajectories, so the
-speedup is pure execution efficiency, not approximation).
+speedup is pure execution efficiency, not approximation -- and that the
+columnar sweep store reads the fused sweep back unchanged).
 
 Usage::
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -38,6 +40,7 @@ import numpy as np
 from repro.models import neurospora_network
 from repro.pipeline.builder import run_workflow
 from repro.pipeline.config import WorkflowConfig
+from repro.pipeline.storage import load_sweep_store, save_sweep_store
 from repro.sweep import SweepSpec, run_sweep
 
 
@@ -83,6 +86,17 @@ def verify(network, args) -> None:
     if not np.array_equal(fused.mean, solo):
         raise AssertionError(
             "fused sweep diverged from the loop-over-solo baseline")
+    with tempfile.TemporaryDirectory() as tmp:
+        store = load_sweep_store(save_sweep_store(fused, tmp))
+        same = (np.array_equal(store.times, fused.times)
+                and SweepSpec.from_dict(store.spec_dict()) == spec)
+        for i, name in enumerate(store.observables):
+            same &= np.array_equal(store.matrix(name),
+                                   fused.point_matrix(i, "mean"))
+            same &= np.array_equal(store.point(0, name, "variance"),
+                                   fused.point_matrix(i, "variance")[0])
+        if not same:
+            raise AssertionError("the sweep store read back other numbers")
 
 
 def main(argv=None) -> int:

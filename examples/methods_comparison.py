@@ -14,6 +14,7 @@ Exercises the extension APIs around the core Gillespie engine:
 4. persistence: the ensemble statistics written to CSV and read back.
 """
 
+import pickle
 import statistics
 import tempfile
 import time
@@ -85,15 +86,13 @@ def main() -> None:
             print(f"{'':>15} ({leaper.leaps} leaps + "
                   f"{leaper.exact_steps} exact fallback steps)")
 
-    # --- checkpointing -------------------------------------------------------
+    # --- checkpointing: a checkpoint is the pickled simulator, RNG included --
     simulator = FlatSimulator(network, seed=99)
     simulator.advance(1.0)
-    checkpoint = simulator.snapshot()
+    resumed = pickle.loads(pickle.dumps(simulator))
     simulator.advance(1.0)
-    direct_continuation = simulator.observe()
-    simulator.restore(checkpoint)
-    simulator.advance(1.0)
-    assert simulator.observe() == direct_continuation
+    resumed.advance(1.0)
+    assert resumed.observe() == simulator.observe()
     print("\ncheckpoint/restore: resumed trajectory is bit-identical")
 
     # --- persistence ---------------------------------------------------------

@@ -21,7 +21,6 @@ from repro.analysis.windows import (
 )
 from repro.analysis.kmeans import kmeans, kmeans_array, KMeansResult
 from repro.analysis.filters import (
-    exponential_smoothing,
     moving_average,
     moving_average_array,
 )
@@ -29,16 +28,9 @@ from repro.analysis.peaks import (
     find_peaks,
     local_periods,
     PeriodEstimate,
-    estimate_period,
 )
 from repro.analysis.engines import StatEngineNode, WindowStatistics, GatherNode
 from repro.analysis.histogram import Histogram, histogram
-from repro.analysis.periodogram import (
-    autocorrelation,
-    autocorrelation_array,
-    period_by_autocorrelation,
-    AcfPeriod,
-)
 
 __all__ = [
     "OnlineStats",
@@ -53,18 +45,12 @@ __all__ = [
     "KMeansResult",
     "moving_average",
     "moving_average_array",
-    "exponential_smoothing",
     "find_peaks",
     "local_periods",
     "PeriodEstimate",
-    "estimate_period",
     "StatEngineNode",
     "WindowStatistics",
     "GatherNode",
     "Histogram",
     "histogram",
-    "autocorrelation",
-    "autocorrelation_array",
-    "period_by_autocorrelation",
-    "AcfPeriod",
 ]

@@ -60,9 +60,6 @@ class WindowStatistics:
     def mean_series(self, observable: int) -> list[float]:
         return [c.mean[observable] for c in self.cuts]
 
-    def time_series(self) -> list[float]:
-        return [c.time for c in self.cuts]
-
     def ci_relative(self, observable: int, floor: float = 1e-12) -> float:
         """``ci_half_width`` over ``|window_mean|`` for one observable
         (NaN-free: means below ``floor`` in magnitude use the floor)."""

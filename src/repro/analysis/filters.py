@@ -34,16 +34,3 @@ def moving_average(values: Sequence[float], width: int) -> list[float]:
     """Centred moving average; see :func:`moving_average_array`."""
     return moving_average_array(values, width).tolist()
 
-
-def exponential_smoothing(values: Sequence[float],
-                          alpha: float) -> list[float]:
-    """First-order exponential smoothing, ``alpha`` in (0, 1]."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    out: list[float] = []
-    state: float | None = None
-    for v in values:
-        state = v if state is None else alpha * v + (1 - alpha) * state
-        out.append(state)
-    return out
-

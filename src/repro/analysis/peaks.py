@@ -80,25 +80,6 @@ class PeriodEstimate:
     n_periods: int
 
 
-def estimate_period(times: Sequence[float], values: Sequence[float],
-                    min_prominence: float = 0.0,
-                    smooth_width: int = 1,
-                    discard_transient: float = 0.0) -> PeriodEstimate:
-    """Aggregate the local periods of one trajectory into one estimate.
-
-    ``discard_transient`` drops peaks before that time (initial-condition
-    transient).
-    """
-    periods = [
-        p for t, p in local_periods(times, values,
-                                    min_prominence=min_prominence,
-                                    smooth_width=smooth_width)
-        if t >= discard_transient
-    ]
-    acc = OnlineStats().extend(periods)
-    return PeriodEstimate(mean=acc.mean, std=acc.std, n_periods=acc.n)
-
-
 def ensemble_period(trajectories: Sequence[tuple[Sequence[float], Sequence[float]]],
                     min_prominence: float = 0.0,
                     smooth_width: int = 1,

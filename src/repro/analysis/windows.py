@@ -248,10 +248,6 @@ class SlidingWindowNode(Node):
             self._emit_window(count)
         self._head = self._tail = 0
 
-    @property
-    def windows_emitted(self) -> int:
-        return self._emitted
-
 
 class ScalarSlidingWindowNode(Node):
     """Reference windower over Python lists of cuts (the oracle).
@@ -303,7 +299,3 @@ class ScalarSlidingWindowNode(Node):
             self.ff_send_out(Window(self._emitted, list(self._buffer)))
             self._emitted += 1
         self._buffer = []
-
-    @property
-    def windows_emitted(self) -> int:
-        return self._emitted

@@ -494,15 +494,6 @@ def network_cache_stats() -> dict[str, int]:
         return dict(_compile_stats)
 
 
-def clear_network_cache() -> None:
-    """Drop every memoized compilation and zero the counters (tests)."""
-    with _compile_lock:
-        _compile_cache.clear()
-        _loop_cache.clear()
-        for key in _compile_stats:
-            _compile_stats[key] = 0
-
-
 #: largest population the float64 working set holds exactly
 MAX_POPULATION = float(2 ** 53)
 

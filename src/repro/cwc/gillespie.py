@@ -68,7 +68,29 @@ class SSAResult:
         return len(self.times)
 
 
-class CWCSimulator:
+class SampledSimulator:
+    """The sampling loop shared by the scalar simulators, which provide
+    ``model``, ``time``, ``steps``, ``advance``, ``observe`` and
+    ``observable_names``."""
+
+    def run(self, t_end: float, sample_every: float) -> SSAResult:
+        """Run to ``t_end``, sampling observables every ``sample_every``
+        time units (including the start and ``t_end``)."""
+        result = SSAResult(model_name=self.model.name,
+                           observable_names=self.observable_names)
+        next_sample = self.time
+        while True:
+            result.times.append(next_sample)
+            result.samples.append(self.observe())
+            if next_sample >= t_end:
+                break
+            next_sample = min(next_sample + sample_every, t_end)
+            self.advance(next_sample - self.time)
+        result.steps = self.steps
+        return result
+
+
+class CWCSimulator(SampledSimulator):
     """One stochastic trajectory of a CWC model (see module docstring)."""
 
     #: context refreshes between exact re-summations of the grand total
@@ -236,22 +258,6 @@ class CWCSimulator:
                 break
         return self.time
 
-    def run(self, t_end: float, sample_every: float) -> SSAResult:
-        """Run to ``t_end``, sampling observables every ``sample_every``
-        time units (including t=0 and t_end)."""
-        result = SSAResult(model_name=self.model.name,
-                           observable_names=self.model.observable_names)
-        next_sample = self.time
-        while True:
-            result.times.append(next_sample)
-            result.samples.append(self.observe())
-            if next_sample >= t_end:
-                break
-            next_sample = min(next_sample + sample_every, t_end)
-            self.advance(next_sample - self.time)
-        result.steps = self.steps
-        return result
-
     def observe(self) -> tuple[float, ...]:
         """Sample the model's observables at the current state."""
         return self.model.measure(self.term)
@@ -263,16 +269,6 @@ class CWCSimulator:
     # ------------------------------------------------------------------
     # checkpointing
     # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """A checkpoint of the full simulator state (term tree, clock and
-        RNG), suitable for exact resumption via :meth:`restore`."""
-        return {
-            "term": self.term.copy(),
-            "time": self.time,
-            "steps": self.steps,
-            "rng": self.rng.getstate(),
-        }
-
     def __getstate__(self) -> dict:
         # the context cache is keyed by id(term), which names nothing in
         # another process (and would make a task's pickle depend on where
@@ -287,14 +283,6 @@ class CWCSimulator:
         # with its model's and pickles to the same bytes
         self.__dict__.update((sys.intern(k), v) for k, v in state.items())
         self._cache = {id(entry[0]): entry for entry in self._cache}
-
-    def restore(self, checkpoint: dict) -> None:
-        """Resume exactly from a :meth:`snapshot`."""
-        self.term = checkpoint["term"].copy()
-        self.time = checkpoint["time"]
-        self.steps = checkpoint["steps"]
-        self.rng.setstate(checkpoint["rng"])
-        self._cache_valid = False
 
     # ------------------------------------------------------------------
     # rewriting

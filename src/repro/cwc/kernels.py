@@ -56,8 +56,8 @@ Python, every one of them.
 
 Backends degrade gracefully: requesting a kernel whose package is not
 installed raises :class:`KernelUnavailable` with the install hint, and
-:func:`available_kernels` lets callers (CLI, tests) probe without
-triggering imports at module load.
+:func:`kernel_available` lets callers probe without triggering imports
+at module load.
 
 Mass-action reactions are compiled into a :class:`MassActionPlan` --
 flat CSR-style arrays a jitted loop can walk without touching Python
@@ -763,8 +763,3 @@ def kernel_available(name: str) -> bool:
         except Exception:  # noqa: BLE001
             return False
     return False
-
-
-def available_kernels() -> dict[str, bool]:
-    """Availability of every kernel backend in this environment."""
-    return {name: kernel_available(name) for name in KERNEL_NAMES}

@@ -29,7 +29,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.cwc.batch import CompiledNetwork, compile_network
-from repro.cwc.gillespie import SSAResult
+from repro.cwc.gillespie import SampledSimulator
 from repro.cwc.kernels import NumpyKernel
 from repro.cwc.network import FlatSimulator, ReactionNetwork
 
@@ -69,7 +69,7 @@ class FirstReactionSimulator(FlatSimulator):
         return self.time
 
 
-class TauLeapSimulator:
+class TauLeapSimulator(SampledSimulator):
     """Explicit tau-leaping (approximate, accelerated).
 
     ``epsilon`` bounds the relative change of any propensity within one
@@ -111,6 +111,8 @@ class TauLeapSimulator:
         # pickle as a second network once ``compiled`` resolves through
         # the compile cache on the other side
         return self.compiled.network
+
+    model = network
 
     @property
     def counts(self) -> dict[str, int]:
@@ -184,20 +186,6 @@ class TauLeapSimulator:
     @property
     def observable_names(self) -> tuple[str, ...]:
         return self.network.observables
-
-    def run(self, t_end: float, sample_every: float) -> SSAResult:
-        result = SSAResult(model_name=self.network.name,
-                           observable_names=self.network.observables)
-        next_sample = self.time
-        while True:
-            result.times.append(next_sample)
-            result.samples.append(self.observe())
-            if next_sample >= t_end:
-                break
-            next_sample = min(next_sample + sample_every, t_end)
-            self.advance(next_sample - self.time)
-        result.steps = self.steps
-        return result
 
     def __repr__(self) -> str:
         return (f"<TauLeapSimulator {self.network.name!r} t={self.time:.4g} "

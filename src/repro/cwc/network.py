@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from repro.cwc.gillespie import SSAResult
+from repro.cwc.gillespie import SampledSimulator
 from repro.cwc.model import Model
 from repro.cwc.multiset import Multiset
 
@@ -450,7 +450,7 @@ def direct(sim, target, once{params}):
     return namespace["direct"]
 
 
-class FlatSimulator:
+class FlatSimulator(SampledSimulator):
     """Plain Gillespie direct method on a species-count vector.
 
     Exposes the same trajectory interface as
@@ -526,41 +526,6 @@ class FlatSimulator:
     @property
     def observable_names(self) -> tuple[str, ...]:
         return self.network.observables
-
-    # ------------------------------------------------------------------
-    # checkpointing
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict:
-        """A checkpoint of the full simulator state (including the RNG),
-        suitable for exact resumption via :meth:`restore`."""
-        return {
-            "counts": dict(self.counts),
-            "time": self.time,
-            "steps": self.steps,
-            "rng": self.rng.getstate(),
-        }
-
-    def restore(self, checkpoint: dict) -> None:
-        """Resume exactly from a :meth:`snapshot`."""
-        self.counts = dict(checkpoint["counts"])
-        self.time = checkpoint["time"]
-        self.steps = checkpoint["steps"]
-        self.rng.setstate(checkpoint["rng"])
-        self._props_valid = False
-
-    def run(self, t_end: float, sample_every: float) -> SSAResult:
-        result = SSAResult(model_name=self.network.name,
-                           observable_names=self.network.observables)
-        next_sample = self.time
-        while True:
-            result.times.append(next_sample)
-            result.samples.append(self.observe())
-            if next_sample >= t_end:
-                break
-            next_sample = min(next_sample + sample_every, t_end)
-            self.advance(next_sample - self.time)
-        result.steps = self.steps
-        return result
 
     def __repr__(self) -> str:
         return (f"<FlatSimulator {self.network.name!r} t={self.time:.4g} "

@@ -6,7 +6,7 @@ streams are serialised, shipped, and de-serialised "without modifying the
 existing code".  This package is the functional half of that story (the
 *timing* half lives in :mod:`repro.perfsim`):
 
-* :mod:`repro.distributed.message` -- length-prefixed, checksummed frame
+* :mod:`repro.distributed.message` -- checksummed, zero-copy frame
   codec (every task and result really round-trips through serialisation);
 * :mod:`repro.distributed.net` / :mod:`repro.distributed.worker` -- the
   one out-of-process runtime (``backend="processes"`` and
@@ -26,7 +26,6 @@ from repro.distributed.message import (
     FrameCodec,
     FrameError,
     StreamDecoder,
-    encode_frame,
     decode_frame,
 )
 from repro.distributed.net import (
@@ -40,7 +39,6 @@ __all__ = [
     "FrameCodec",
     "FrameError",
     "StreamDecoder",
-    "encode_frame",
     "decode_frame",
     "ClusterError",
     "ClusterMaster",

@@ -1,18 +1,10 @@
-"""Frame codec: length-prefixed, checksummed pickles -- with a zero-copy
-out-of-band format for array payloads.
+"""Frame codec: checksummed pickles with a zero-copy out-of-band format
+for array payloads.
 
-Two wire formats coexist on the same stream (the decoder switches on the
-magic):
-
-**Legacy frames** (magic ``CW``) -- one pickled payload, checksummed in
-full::
-
-    | magic (2) | length (4, big-endian) | crc32 (4) | payload (length) |
-
-**Out-of-band frames** (magic ``C5``) -- pickle protocol 5 splits the
-message into a small *control* pickle (object structure, scalars) and the
-raw buffer segments of its NumPy arrays, which are framed verbatim
-instead of being copied through the pickle stream::
+A frame (magic ``C5``) is pickle protocol 5 split into a small *control*
+pickle (object structure, scalars) and the raw buffer segments of its
+NumPy arrays, which are framed verbatim instead of being copied through
+the pickle stream::
 
     | magic (2) | n_buffers (2) | crc32 (4) | control_len (4) |
     | buffer_len[i] (8 each) | control pickle | pad | buffer[0] | pad | ...
@@ -43,13 +35,11 @@ from __future__ import annotations
 import pickle
 import struct
 import zlib
-from typing import Any, Iterator, Sequence, Union
+from typing import Any, Sequence, Union
 
 import numpy as np
 
-MAGIC = b"CW"
 MAGIC_OOB = b"C5"
-_HEADER = struct.Struct(">2sII")
 _HEADER_OOB = struct.Struct(">2sHII")
 _BUFLEN = struct.Struct(">Q")
 _ALIGN = 8
@@ -69,13 +59,6 @@ class FrameError(ValueError):
 
 def _pad(offset: int) -> int:
     return -offset % _ALIGN
-
-
-def encode_frame(obj: Any) -> bytes:
-    """Serialise one object into a legacy (fully checksummed) frame."""
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    checksum = zlib.crc32(payload) & 0xFFFFFFFF
-    return _HEADER.pack(MAGIC, len(payload), checksum) + payload
 
 
 def encode_frame_segments(obj: Any,
@@ -232,47 +215,17 @@ def _decode_oob(buffer, start: int, end: int) -> Any:
 
 
 def decode_frame(data: bytes) -> tuple[Any, bytes]:
-    """Decode one frame (either format) from ``data``; returns
-    ``(object, rest)``."""
-    if len(data) < 2:
-        raise FrameError(f"truncated header: {len(data)} < 2 bytes")
-    magic = data[:2]
-    if magic == MAGIC_OOB:
-        if len(data) < _HEADER_OOB.size:
-            raise FrameError(
-                f"truncated header: {len(data)} < {_HEADER_OOB.size} bytes")
-        end = _oob_frame_end(data, 0)
-        if end is None:
-            raise FrameError(
-                f"truncated out-of-band frame: have {len(data)} bytes")
-        return _decode_oob(data, 0, end), data[end:]
-    if magic != MAGIC:
-        raise FrameError(f"bad magic {magic!r}")
-    if len(data) < _HEADER.size:
+    """Decode one frame from ``data``; returns ``(object, rest)``."""
+    if len(data) >= 2 and data[:2] != MAGIC_OOB:
+        raise FrameError(f"bad magic {bytes(data[:2])!r}")
+    if len(data) < _HEADER_OOB.size:
         raise FrameError(
-            f"truncated header: {len(data)} < {_HEADER.size} bytes")
-    magic, length, checksum = _HEADER.unpack_from(data)
-    end = _HEADER.size + length
-    if len(data) < end:
+            f"truncated header: {len(data)} < {_HEADER_OOB.size} bytes")
+    end = _oob_frame_end(data, 0)
+    if end is None:
         raise FrameError(
-            f"truncated payload: have {len(data) - _HEADER.size}, "
-            f"need {length}")
-    payload = data[_HEADER.size:end]
-    if (zlib.crc32(payload) & 0xFFFFFFFF) != checksum:
-        raise FrameError("checksum mismatch (corrupted frame)")
-    try:
-        obj = pickle.loads(payload)
-    except Exception as exc:
-        raise FrameError(f"undecodable payload: {exc}") from exc
-    return obj, data[end:]
-
-
-def decode_stream(data: bytes) -> Iterator[Any]:
-    """Decode every complete frame in ``data`` (raises on trailing junk)."""
-    rest = data
-    while rest:
-        obj, rest = decode_frame(rest)
-        yield obj
+            f"truncated out-of-band frame: have {len(data)} bytes")
+    return _decode_oob(data, 0, end), data[end:]
 
 
 class StreamDecoder:
@@ -282,8 +235,7 @@ class StreamDecoder:
     behind ``socket.recv``: TCP delivers arbitrary chunks that split and
     coalesce frames freely.  ``StreamDecoder`` buffers partial reads:
     :meth:`feed` consumes one received chunk and returns every message
-    completed by it (possibly none, possibly several).  Both wire formats
-    are accepted, interleaved freely on one stream.
+    completed by it (possibly none, possibly several).
 
     A truncated header or payload is *not* an error -- the bytes wait in
     the buffer for the next read.  A bad magic or checksum *is* an error
@@ -306,45 +258,23 @@ class StreamDecoder:
         """Buffer ``data``; return all messages it completed, in order."""
         self._buffer.extend(data)
         out: list[Any] = []
-        while True:
-            if len(self._buffer) < 2:
-                break
+        while len(self._buffer) >= 2:
             magic = bytes(self._buffer[:2])
-            if magic == MAGIC_OOB:
-                end = _oob_frame_end(self._buffer, 0)
-                if end is None:
-                    break
-                (_m, n_buffers, _crc,
-                 control_len) = _HEADER_OOB.unpack_from(self._buffer)
-                obj = _decode_oob(self._buffer, 0, end)
-                del self._buffer[:end]
-                self.frames_decoded += 1
-                if self.codec is not None:
-                    pickled = (_HEADER_OOB.size
-                               + n_buffers * _BUFLEN.size + control_len)
-                    self.codec.account_in(end, pickled=pickled,
-                                          oob=end - pickled)
-                out.append(obj)
-                continue
-            if magic != MAGIC:
+            if magic != MAGIC_OOB:
                 raise FrameError(f"bad magic {magic!r} (stream desynced)")
-            if len(self._buffer) < _HEADER.size:
+            end = _oob_frame_end(self._buffer, 0)
+            if end is None:
                 break
-            magic, length, checksum = _HEADER.unpack_from(self._buffer)
-            end = _HEADER.size + length
-            if len(self._buffer) < end:
-                break
-            payload = bytes(self._buffer[_HEADER.size:end])
+            (_m, n_buffers, _crc,
+             control_len) = _HEADER_OOB.unpack_from(self._buffer)
+            obj = _decode_oob(self._buffer, 0, end)
             del self._buffer[:end]
-            if (zlib.crc32(payload) & 0xFFFFFFFF) != checksum:
-                raise FrameError("checksum mismatch (corrupted frame)")
-            try:
-                obj = pickle.loads(payload)
-            except Exception as exc:
-                raise FrameError(f"undecodable payload: {exc}") from exc
             self.frames_decoded += 1
             if self.codec is not None:
-                self.codec.account_in(end)
+                pickled = (_HEADER_OOB.size
+                           + n_buffers * _BUFLEN.size + control_len)
+                self.codec.account_in(end, pickled=pickled,
+                                      oob=end - pickled)
             out.append(obj)
         return out
 
@@ -371,13 +301,6 @@ class FrameCodec:
         self.bytes_pickled = 0
         self.bytes_oob = 0
 
-    def encode(self, obj: Any) -> bytes:
-        frame = encode_frame(obj)
-        self.messages_out += 1
-        self.bytes_out += len(frame)
-        self.bytes_pickled += len(frame)
-        return frame
-
     def encode_segments(self, obj: Any,
                         oob_threshold: int = OOB_THRESHOLD
                         ) -> list[Segment]:
@@ -392,27 +315,13 @@ class FrameCodec:
         self.bytes_oob += total - pickled
         return segments
 
-    def decode(self, frame: bytes) -> Any:
-        obj, rest = decode_frame(frame)
-        if rest:
-            raise FrameError(f"{len(rest)} trailing bytes after frame")
-        self.account_in(len(frame))
-        return obj
-
-    def account_in(self, n_bytes: int, pickled: "int | None" = None,
-                   oob: int = 0) -> None:
+    def account_in(self, n_bytes: int, pickled: int, oob: int) -> None:
         """Record one inbound message of ``n_bytes`` (used by
         :class:`StreamDecoder`, which decodes the bytes itself)."""
         self.messages_in += 1
         self.bytes_in += n_bytes
-        self.bytes_pickled += n_bytes if pickled is None else pickled
+        self.bytes_pickled += pickled
         self.bytes_oob += oob
-
-    def mean_message_size(self) -> float:
-        total = self.messages_out + self.messages_in
-        if total == 0:
-            return 0.0
-        return (self.bytes_out + self.bytes_in) / total
 
     def __repr__(self) -> str:
         return (f"<FrameCodec {self.name!r} out={self.messages_out}msg/"

@@ -32,7 +32,6 @@ from repro.ff.pipeline import Pipeline
 from repro.ff.farm import Farm, MasterWorkerEmitter
 from repro.ff.queues import Channel, ChannelStats
 from repro.ff.executor import run, SequentialExecutor, ThreadedExecutor
-from repro.ff.accelerator import Accelerator
 from repro.ff.describe import describe
 from repro.ff.trace import RunReport, Tracer
 from repro.ff.patterns import (
@@ -66,7 +65,6 @@ __all__ = [
     "run",
     "SequentialExecutor",
     "ThreadedExecutor",
-    "Accelerator",
     "describe",
     "parallel_for",
     "pmap",

@@ -259,8 +259,7 @@ class _Runner:
 
 def _thread_body(runner: _Runner,
                  record_error: Callable[[NodeError], None]) -> None:
-    """The per-node thread loop shared by :class:`ThreadedExecutor` and
-    :class:`~repro.ff.accelerator.Accelerator`."""
+    """The per-node thread loop of :class:`ThreadedExecutor`."""
     trace = runner.trace
     try:
         runner.start()

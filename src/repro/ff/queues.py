@@ -292,19 +292,9 @@ class Channel:
         with self._lock:
             return len(self._queue)
 
-    @property
-    def total_pushed(self) -> int:
-        with self._lock:
-            return self._pushed
-
-    @property
-    def total_popped(self) -> int:
-        with self._lock:
-            return self._popped
-
     def stats(self) -> ChannelStats:
         """One atomic snapshot of the channel's counters (the tracer
-        consumes this; prefer it over reading the properties separately)."""
+        consumes this)."""
         with self._lock:
             return ChannelStats(
                 name=self.name,
@@ -335,19 +325,3 @@ class Channel:
             f"high_water={st.high_water})"
         )
 
-
-class SPSCQueue(Channel):
-    """A single-producer single-consumer channel.
-
-    Semantically identical to :class:`Channel` with exactly one registered
-    producer; provided as a named building block to mirror FastFlow's
-    layering (and used as such by the pipeline pattern).
-    """
-
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, name: str = ""):
-        super().__init__(capacity=capacity, name=name)
-        self.register_producer()
-
-    def close(self) -> None:
-        """Producer-side close (sugar for ``producer_done``)."""
-        self.producer_done()

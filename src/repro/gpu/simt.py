@@ -1,8 +1,10 @@
 """The SIMT executor: functional execution + warp-lockstep timing model.
 
-``SimtDevice.launch_map`` is the building block: it applies a kernel
-function to every item (so results are *real* -- the device is a timing
-model, not a functional mock) and computes the modeled kernel duration:
+``SimtDevice.launch_map_batched`` is the building block: one callable
+advances a whole lockstep batch at once (the NumPy batch SSA engine,
+:mod:`repro.cwc.batch`) and reports per-thread work, so results are
+*real* -- the device is a timing model, not a functional mock -- and the
+modeled kernel duration follows the measured work:
 
 1. items are grouped into warps of ``warp_size`` in the given order;
 2. a warp's execution time is ``max`` over its threads' work (lockstep:
@@ -11,11 +13,6 @@ model, not a functional mock) and computes the modeled kernel duration:
    greedily to the earliest-free slot (the hardware scheduler);
 4. the kernel lasts until the last warp retires, plus launch overhead
    and unified-memory traffic.
-
-``SimtDevice.launch_map_batched`` is the vectorized variant: one callable
-advances a whole lockstep batch at once (the NumPy batch SSA engine,
-:mod:`repro.cwc.batch`) and reports per-thread work, so functional
-execution is itself SIMT-shaped instead of a per-item Python loop.
 
 Two whole-run drivers reproduce the Table I experiment:
 
@@ -80,25 +77,6 @@ class SimtDevice:
         self.kernels_launched = 0
         self.total_device_time = 0.0
         self.total_divergence_loss = 0.0
-
-    def launch_map(self, kernel: Callable[[Any], Any],
-                   items: Sequence[Any],
-                   work_of: Callable[[Any, Any], float],
-                   bytes_moved: float = 0.0) -> tuple[list[Any], KernelStats]:
-        """Execute ``kernel`` on every item; model the kernel duration.
-
-        ``work_of(item, result)`` reports the work units (SSA steps) the
-        thread executed -- measured from the *real* execution, so timing
-        follows actual behaviour.  Returns ``(results, stats)``.
-        """
-        results = []
-        work: list[float] = []
-        for item in items:
-            result = kernel(item)
-            results.append(result)
-            work.append(work_of(item, result))
-        stats = self._timing(work, bytes_moved)
-        return results, stats
 
     def launch_map_batched(self, kernel: Callable[[Any], Any],
                            batch: Any,

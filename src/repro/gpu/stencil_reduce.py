@@ -35,28 +35,23 @@ def stencil_reduce(device: SimtDevice,
     ``stencil(grid, i)`` computes the new value of cell ``i`` from the
     current grid (the neighbourhood access pattern is up to the caller).
     ``stencil_all(grid)``, when given, computes the *whole* new grid in
-    one vectorized call (e.g. a NumPy expression) and is executed through
-    the device's batched-kernel path -- same timing model, one Python
-    call per map kernel instead of one per cell.
+    one vectorized call (e.g. a NumPy expression) instead -- same timing
+    model, one Python call per map kernel instead of one per cell.
     Returns ``(final_grid, final_reduction, iterations)``.
     """
     if not grid:
         raise ValueError("stencil_reduce needs a non-empty grid")
+    if stencil_all is None:
+        def stencil_all(cells):
+            return [stencil(cells, i) for i in range(len(cells))]
     current = list(grid)
     iteration = 0
     reduced: Any = None
     while iteration < max_iterations:
         iteration += 1
-        if stencil_all is not None:
-            new_values, _ = device.launch_map_batched(
-                lambda cells: list(stencil_all(cells)), current,
-                lambda cells, _result: [work_per_cell] * len(cells))
-        else:
-            indices = range(len(current))
-            new_values, _ = device.launch_map(
-                lambda i: stencil(current, i), list(indices),
-                lambda _i, _v: work_per_cell)
-        current = new_values
+        current, _ = device.launch_map_batched(
+            lambda cells: list(stencil_all(cells)), current,
+            lambda cells, _result: [work_per_cell] * len(cells))
         # reduce kernel: tree reduction, log-depth; modeled as one kernel
         # whose per-thread work is ~log2(n)
         reduced = current[0]

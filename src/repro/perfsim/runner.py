@@ -225,55 +225,22 @@ def simulate_workflow(workload: TrajectoryWorkload,
         analysis_busy=analysis_busy[0])
 
 
-def sequential_time(workload: TrajectoryWorkload,
-                    cost: Optional[CostModel] = None,
-                    window_size: int = 20,
-                    host: Optional[HostSpec] = None) -> float:
-    """Everything on one core, no overlap: the speedup baseline."""
-    cost = cost or CostModel()
-    host = host or intel32().hosts[0]
-    n_traj = workload.n_trajectories
-    total = workload.total_steps() * cost.step_cost
-    total += n_traj * workload.n_quanta * cost.dispatch_cost
-    samples_total = sum(
-        workload.samples_in_quantum(q) for q in range(workload.n_quanta))
-    total += (samples_total * n_traj * workload.n_observables
-              * cost.align_cost_per_sample)
-    n_grid = workload.n_grid_points
-    total += n_grid * cost.cut_cost_per_trajectory * n_traj
-    total += n_grid * cost.window_cost_per_cut
-    total += n_grid * cost.stat_cost_per_cut(n_traj)
-    n_windows = _expected_windows(n_grid, window_size)
-    total += n_windows * cost.gather_cost
-    total += n_grid * n_traj * cost.io_cost_per_sample
-    return total / host.core_speed
-
-
 def speedup_curve(workload_factory, worker_counts: Sequence[int],
                   cost: Optional[CostModel] = None,
                   n_stat_workers: int = 1,
                   window_size: int = 20,
-                  host: Optional[HostSpec] = None,
-                  baseline: str = "one-worker") -> dict[int, float]:
-    """Speedup vs. number of simulation workers.
+                  host: Optional[HostSpec] = None) -> dict[int, float]:
+    """Speedup vs. number of simulation workers, relative to the same
+    pipeline with one simulation engine (the paper's Fig. 3 convention).
 
     ``workload_factory()`` must return a fresh workload (they are
-    stateless, so one instance is fine too).  ``baseline`` is
-    ``"one-worker"`` (the paper's Fig. 3 convention: relative to the same
-    pipeline with one simulation engine) or ``"sequential"`` (relative to
-    a fully sequential run).
+    stateless, so one instance is fine too).
     """
     workload = workload_factory() if callable(workload_factory) else workload_factory
-    if baseline == "one-worker":
-        base = simulate_workflow(
-            workload, cost=cost, n_sim_workers=1,
-            n_stat_workers=n_stat_workers, window_size=window_size,
-            host=host).makespan
-    elif baseline == "sequential":
-        base = sequential_time(workload, cost=cost,
-                               window_size=window_size, host=host)
-    else:
-        raise ValueError(f"unknown baseline {baseline!r}")
+    base = simulate_workflow(
+        workload, cost=cost, n_sim_workers=1,
+        n_stat_workers=n_stat_workers, window_size=window_size,
+        host=host).makespan
     out: dict[int, float] = {}
     for w in worker_counts:
         result = simulate_workflow(

@@ -29,9 +29,6 @@ from repro.pipeline.adaptive import (
 from repro.pipeline.storage import (
     save_cut_statistics,
     load_cut_statistics,
-    save_trajectories,
-    load_trajectories,
-    save_windows_json,
 )
 
 __all__ = [
@@ -49,7 +46,4 @@ __all__ = [
     "run_adaptive_sweep",
     "save_cut_statistics",
     "load_cut_statistics",
-    "save_trajectories",
-    "load_trajectories",
-    "save_windows_json",
 ]

@@ -378,12 +378,6 @@ class SweepResult:
     extra_allocated: dict[str, int]
     total_quanta: float
 
-    def by_name(self, name: str) -> PointResult:
-        for p in self.points:
-            if p.point.name == name:
-                return p
-        raise KeyError(name)
-
 
 def _variance_score(policy: ConvergenceStopPolicy) -> float:
     """Allocation weight of one point: its worst tracked-species variance

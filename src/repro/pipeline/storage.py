@@ -6,16 +6,13 @@ plain, dependency-free formats:
 
 * cut statistics -> CSV (one row per cut, mean/var/min/max/median per
   observable);
-* raw trajectories -> CSV (one row per grid point per trajectory);
-* window statistics (including k-means and histograms) -> JSON;
 * sweep summaries -> a columnar directory store: one ``.npy`` file per
   (observable, statistic) holding a ``(point, cut)`` matrix, loaded
   back memory-mapped so terabyte sweeps are minable without reading
   (or re-running) anything but the touched rows.
 
 Everything written can be read back (:func:`load_cut_statistics`,
-:func:`load_trajectories`, :func:`load_sweep_store`), so long runs can
-be mined off-line.
+:func:`load_sweep_store`), so long runs can be mined off-line.
 """
 
 from __future__ import annotations
@@ -23,14 +20,12 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.analysis.engines import WindowStatistics
 from repro.analysis.stats import CutStatistics
 from repro.pipeline.builder import WorkflowResult
-from repro.sim.trajectory import Trajectory
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from repro.sweep.runner import SweepResult
@@ -88,78 +83,6 @@ def load_cut_statistics(path: "str | Path") -> list[CutStatistics]:
                 mean=tuple(means), variance=tuple(variances),
                 minimum=tuple(mins), maximum=tuple(maxs),
                 median=tuple(medians)))
-    return out
-
-
-def save_trajectories(trajectories: Iterable[Trajectory],
-                      path: "str | Path",
-                      observable_names: Sequence[str] | None = None) -> Path:
-    """Write one CSV row per (trajectory, grid point)."""
-    path = Path(path)
-    trajectories = list(trajectories)
-    n_observables = (len(trajectories[0].samples[0])
-                     if trajectories and trajectories[0].samples else 0)
-    names = list(observable_names) if observable_names else [
-        f"obs{i}" for i in range(n_observables)]
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["trajectory", "time", *names])
-        for trajectory in trajectories:
-            for time, sample in zip(trajectory.times, trajectory.samples):
-                writer.writerow([trajectory.task_id, time, *sample])
-    return path
-
-
-def load_trajectories(path: "str | Path") -> list[Trajectory]:
-    """Read back a :func:`save_trajectories` file."""
-    path = Path(path)
-    by_id: dict[int, Trajectory] = {}
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader)  # header
-        for row in reader:
-            task_id = int(row[0])
-            trajectory = by_id.setdefault(task_id, Trajectory(task_id))
-            trajectory.times.append(float(row[1]))
-            trajectory.samples.append(tuple(float(x) for x in row[2:]))
-    return [by_id[k] for k in sorted(by_id)]
-
-
-def _window_to_dict(window: WindowStatistics) -> dict:
-    out = {
-        "window_index": window.window_index,
-        "start_time": window.start_time,
-        "end_time": window.end_time,
-        "cuts": [
-            {
-                "grid_index": c.grid_index,
-                "time": c.time,
-                "n_trajectories": c.n_trajectories,
-                "mean": list(c.mean),
-                "variance": list(c.variance),
-                "minimum": list(c.minimum),
-                "maximum": list(c.maximum),
-                "median": list(c.median),
-            }
-            for c in window.cuts
-        ],
-    }
-    if window.clusters:
-        out["clusters"] = {
-            str(obs): {
-                "centroids": result.centroids,
-                "sizes": result.cluster_sizes(),
-                "inertia": result.inertia,
-            }
-            for obs, result in window.clusters.items()
-        }
-    if window.filtered_mean:
-        out["filtered_mean"] = {
-            str(obs): series for obs, series in window.filtered_mean.items()}
-    if window.histograms:
-        out["histograms"] = {
-            str(obs): {"low": h.low, "high": h.high, "counts": h.counts}
-            for obs, h in window.histograms.items()}
     return out
 
 
@@ -261,16 +184,3 @@ class SweepStore:
 def load_sweep_store(path: "str | Path") -> SweepStore:
     """Open a sweep store directory for memory-mapped reading."""
     return SweepStore(path)
-
-
-def save_windows_json(result: WorkflowResult, path: "str | Path") -> Path:
-    """Dump every analysed window (stats + mined structures) as JSON."""
-    path = Path(path)
-    payload = {
-        "n_simulations": result.config.n_simulations,
-        "t_end": result.config.t_end,
-        "sample_every": result.config.sample_every,
-        "windows": [_window_to_dict(w) for w in result.windows],
-    }
-    path.write_text(json.dumps(payload, indent=1))
-    return path

@@ -24,7 +24,7 @@ class TestStatEngine:
         # mean of t*10+g over t=0..5 at g=0 is 25
         assert stats.cuts[0].mean[0] == pytest.approx(25.0)
         assert stats.mean_series(0)[0] == stats.cuts[0].mean[0]
-        assert stats.time_series() == [0.0, 1.0, 2.0, 3.0]
+        assert [c.time for c in stats.cuts] == [0.0, 1.0, 2.0, 3.0]
         assert engine.windows_processed == 1
 
     def test_kmeans_enabled(self):

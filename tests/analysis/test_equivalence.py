@@ -3,13 +3,12 @@
 The columnar analysis plane must reproduce the scalar reference:
 exactly where the floating-point accumulation order is preserved
 (k-means, histogram binning, moving average), and to tight tolerance
-where NumPy's pairwise summation reorders additions (per-cut statistics,
-autocorrelation).  The workflow-level tests assert ``run_workflow`` (the
+where NumPy's pairwise summation reorders additions (per-cut
+statistics).  The workflow-level tests assert ``run_workflow`` (the
 columnar plane, on every backend) against the scalar reference chain
 driven by hand from the same tasks.
 """
 
-import math
 import random
 
 import numpy as np
@@ -17,7 +16,6 @@ import pytest
 
 from repro.analysis.filters import moving_average, moving_average_array
 from repro.analysis.histogram import histogram
-from repro.analysis.periodogram import autocorrelation, autocorrelation_array
 from repro.analysis.stats import block_statistics, cut_statistics
 from repro.sim.trajectory import Cut
 
@@ -101,27 +99,6 @@ class TestFiltersHistogramExact:
         arr = np.array([0.0, 1.0, 2.0, 2.0])
         h = histogram(arr, n_bins=2)
         assert h.counts == histogram(list(arr), n_bins=2).counts
-
-
-class TestAutocorrelation:
-    def test_array_matches_scalar(self):
-        rng = random.Random(3)
-        values = [math.sin(i / 5.0) + rng.uniform(-0.1, 0.1)
-                  for i in range(200)]
-        ref = autocorrelation(values)
-        got = autocorrelation_array(values)
-        assert len(got) == len(ref)
-        assert list(got) == pytest.approx(ref, rel=1e-9, abs=1e-12)
-
-    def test_constant_series(self):
-        ref = autocorrelation([3.0] * 16)
-        got = autocorrelation_array([3.0] * 16)
-        assert list(got) == ref
-
-    def test_max_lag(self):
-        values = [float(i % 4) for i in range(32)]
-        assert list(autocorrelation_array(values, max_lag=5)) == \
-            pytest.approx(autocorrelation(values, max_lag=5), rel=1e-9)
 
 
 class _Feed:

@@ -4,10 +4,9 @@ import math
 
 import pytest
 
-from repro.analysis.filters import exponential_smoothing, moving_average
+from repro.analysis.filters import moving_average
 from repro.analysis.peaks import (
     ensemble_period,
-    estimate_period,
     find_peaks,
     local_periods,
 )
@@ -35,22 +34,6 @@ class TestMovingAverage:
     def test_width_validation(self):
         with pytest.raises(ValueError):
             moving_average([1.0], 0)
-
-
-class TestExponentialSmoothing:
-    def test_alpha_one_identity(self):
-        data = [1.0, 5.0, 2.0]
-        assert exponential_smoothing(data, 1.0) == data
-
-    def test_smooths_toward_history(self):
-        out = exponential_smoothing([0.0, 10.0], 0.5)
-        assert out == [0.0, 5.0]
-
-    def test_alpha_validation(self):
-        with pytest.raises(ValueError):
-            exponential_smoothing([1.0], 0.0)
-        with pytest.raises(ValueError):
-            exponential_smoothing([1.0], 1.5)
 
 
 def sine(period, t_end, dt, phase=0.0, amplitude=1.0, offset=2.0):
@@ -95,14 +78,14 @@ class TestPeriods:
 
     def test_estimate_period(self):
         times, values = sine(period=21.5, t_end=200.0, dt=0.25)
-        estimate = estimate_period(times, values)
+        estimate = ensemble_period([(times, values)])
         assert estimate.mean == pytest.approx(21.5, abs=0.3)
         assert estimate.n_periods >= 7
 
     def test_discard_transient(self):
         times, values = sine(period=10.0, t_end=100.0, dt=0.1)
-        full = estimate_period(times, values)
-        late = estimate_period(times, values, discard_transient=50.0)
+        full = ensemble_period([(times, values)])
+        late = ensemble_period([(times, values)], discard_transient=50.0)
         assert late.n_periods < full.n_periods
 
     def test_ensemble_pools_trajectories(self):
@@ -110,5 +93,5 @@ class TestPeriods:
                   for p in (0.0, 0.3, 0.7)]
         estimate = ensemble_period(series)
         assert estimate.mean == pytest.approx(10.0, abs=0.1)
-        single = estimate_period(*series[0])
+        single = ensemble_period(series[:1])
         assert estimate.n_periods > single.n_periods

@@ -1,91 +1,10 @@
-"""Autocorrelation period mining and population histograms."""
+"""Population histograms."""
 
 import math
 
 import pytest
 
 from repro.analysis.histogram import histogram
-from repro.analysis.periodogram import (
-    autocorrelation,
-    period_by_autocorrelation,
-)
-
-
-def sine(period, t_end, dt, noise=0.0, seed=0):
-    import random
-    rng = random.Random(seed)
-    times = [i * dt for i in range(int(t_end / dt) + 1)]
-    values = [math.sin(2 * math.pi * t / period)
-              + (rng.gauss(0, noise) if noise else 0.0) for t in times]
-    return times, values
-
-
-class TestAutocorrelation:
-    def test_lag_zero_is_one(self):
-        assert autocorrelation([1.0, 5.0, 2.0])[0] == 1.0
-
-    def test_constant_series(self):
-        acf = autocorrelation([3.0] * 10)
-        assert acf[0] == 1.0
-        assert all(v == 0.0 for v in acf[1:])
-
-    def test_alternating_series(self):
-        acf = autocorrelation([1.0, -1.0] * 20, max_lag=4)
-        assert acf[1] == pytest.approx(-0.975, abs=0.05)
-        assert acf[2] == pytest.approx(0.95, abs=0.05)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            autocorrelation([])
-
-    def test_sine_acf_peaks_at_period(self):
-        times, values = sine(10.0, 200.0, 0.5)
-        acf = autocorrelation(values)
-        lag_of_period = 20  # 10.0 / 0.5
-        assert acf[lag_of_period] > 0.9
-
-
-class TestPeriodByAcf:
-    def test_clean_sine(self):
-        times, values = sine(21.5, 120.0, 0.25)
-        result = period_by_autocorrelation(times, values, min_period=5.0)
-        assert result is not None
-        assert result.period == pytest.approx(21.5, abs=0.3)
-
-    def test_robust_to_noise(self):
-        times, values = sine(10.0, 100.0, 0.25, noise=0.5, seed=4)
-        result = period_by_autocorrelation(times, values, min_period=3.0)
-        assert result is not None
-        assert result.period == pytest.approx(10.0, abs=1.0)
-
-    def test_no_oscillation_returns_none(self):
-        import random
-        rng = random.Random(0)
-        times = [i * 0.5 for i in range(100)]
-        values = [rng.gauss(0, 1) for _ in times]
-        result = period_by_autocorrelation(times, values, min_period=5.0)
-        # white noise: either None or a weak spurious peak
-        assert result is None or result.acf_value < 0.5
-
-    def test_agrees_with_peak_counting_on_neurospora(self, neurospora_small):
-        """Two independent period estimators must agree on the real
-        stochastic circadian trajectory."""
-        from repro.analysis.peaks import estimate_period
-        from repro.cwc.network import FlatSimulator
-        result = FlatSimulator(neurospora_small, seed=6).run(96.0, 0.5)
-        m = result.column("M")
-        by_acf = period_by_autocorrelation(result.times, m, min_period=10.0)
-        by_peaks = estimate_period(result.times, m, smooth_width=5,
-                                   min_prominence=4.0)
-        assert by_acf is not None
-        assert by_acf.period == pytest.approx(by_peaks.mean, rel=0.2)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            period_by_autocorrelation([1.0], [1.0, 2.0])
-
-    def test_too_short_returns_none(self):
-        assert period_by_autocorrelation([0.0, 1.0], [1.0, 2.0]) is None
 
 
 class TestHistogram:

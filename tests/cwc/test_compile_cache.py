@@ -4,10 +4,11 @@ import pickle
 
 import pytest
 
-from repro.cwc.batch import (CompiledNetwork, clear_network_cache,
-                             compile_network, network_cache_stats)
+from repro.cwc.batch import (CompiledNetwork, compile_network,
+                             network_cache_stats)
 from repro.cwc.network import Reaction, ReactionNetwork
 from repro.models import neurospora_network
+from tests.cwc.caches import clear_network_cache
 
 
 @pytest.fixture(autouse=True)

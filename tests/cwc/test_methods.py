@@ -1,5 +1,6 @@
 """Alternative SSA methods: first-reaction and tau-leaping."""
 
+import pickle
 import statistics
 
 import pytest
@@ -119,32 +120,38 @@ class TestTauLeaping:
 
 
 class TestCheckpointing:
+    """A checkpoint is the pickled simulator, RNG state included (what
+    the runtime ships as ``net.Checkpoint``)."""
+
     def test_flat_snapshot_restore(self, neurospora_small):
         simulator = FlatSimulator(neurospora_small, seed=7)
         simulator.advance(2.0)
-        checkpoint = simulator.snapshot()
+        checkpoint = pickle.dumps(simulator)
         simulator.advance(3.0)
         after_direct = simulator.observe()
-        simulator.restore(checkpoint)
-        simulator.advance(3.0)
-        assert simulator.observe() == after_direct
+        resumed = pickle.loads(checkpoint)
+        resumed.advance(3.0)
+        assert resumed.observe() == after_direct
 
     def test_flat_snapshot_isolated(self, neurospora_small):
         simulator = FlatSimulator(neurospora_small, seed=7)
-        checkpoint = simulator.snapshot()
+        checkpoint = pickle.dumps(simulator)
+        copy = pickle.loads(checkpoint)
+        copy.advance(2.0)
+        # advancing the copy must not move the original ...
+        assert (simulator.time, simulator.steps) == (0.0, 0)
         simulator.advance(2.0)
-        # advancing must not mutate the snapshot
-        simulator.restore(checkpoint)
-        assert simulator.time == 0.0
-        assert simulator.steps == 0
+        # ... and neither run moves the checkpoint
+        restored = pickle.loads(checkpoint)
+        assert (restored.time, restored.steps) == (0.0, 0)
 
     def test_cwc_snapshot_restore(self, neurospora_cwc_small):
         from repro.cwc import CWCSimulator
         simulator = CWCSimulator(neurospora_cwc_small, seed=7)
         simulator.advance(1.0)
-        checkpoint = simulator.snapshot()
+        checkpoint = pickle.dumps(simulator)
         simulator.advance(1.0)
         after_direct = simulator.observe()
-        simulator.restore(checkpoint)
-        simulator.advance(1.0)
-        assert simulator.observe() == after_direct
+        resumed = pickle.loads(checkpoint)
+        resumed.advance(1.0)
+        assert resumed.observe() == after_direct

@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.distributed.message import (
     FrameError,
+    StreamDecoder,
     decode_frame,
-    decode_stream,
     encode_frame_oob,
 )
 from repro.distributed.net import ResultMsg
@@ -118,7 +118,7 @@ class TestCoalescedFrames:
             encode_frame_oob(ResultMsg(i, None, (make_block(
                 n_members=2 + i, seed=i),)))
             for i in order)
-        decoded = list(decode_stream(frames))
+        decoded = StreamDecoder().feed(frames)
         assert [m.worker_id for m in decoded] == list(order)
         assert [m.results[0].n_members for m in decoded] == \
             [2 + i for i in order]

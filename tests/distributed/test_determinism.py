@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from repro.distributed.message import decode_frame, encode_frame
+from repro.distributed.message import decode_frame, encode_frame_oob
 from repro.sim.task import ResultBlock, make_tasks
 from tests.sim.samples import block_samples
 
@@ -71,14 +71,14 @@ class TestProcessBoundary:
     def test_frame_codec_preserves_task_state(self, neurospora_small):
         task = make_tasks(neurospora_small, 1, 6.0, 2.0, 0.5, seed=3)[0]
         task.run_quantum()
-        clone, rest = decode_frame(encode_frame(task))
+        clone, rest = decode_frame(encode_frame_oob(task))
         assert rest == b""
         assert flat_samples(run_to_end(clone)) == flat_samples(run_to_end(task))
 
     def test_quantum_result_roundtrips(self, neurospora_small):
         task = make_tasks(neurospora_small, 1, 4.0, 2.0, 0.5, seed=1)[0]
         result = task.run_quantum()
-        clone, _ = decode_frame(encode_frame(result))
+        clone, _ = decode_frame(encode_frame_oob(result))
         assert isinstance(clone, ResultBlock)
         assert clone.task_ids == range(0, 1)
         assert (block_samples(clone), clone.done) == (

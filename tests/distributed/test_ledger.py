@@ -64,15 +64,35 @@ def namespace_of(key):
     return key[0] if isinstance(key, tuple) else None
 
 
+#: a pool: its workers, its window and the two tenants' weights
+POOL = dict(n_workers=st.integers(1, 3), window=st.integers(1, 2),
+            weights=st.tuples(*[st.sampled_from([0.5, 1.0, 3.0])] * 2))
+
+
 class LedgerMachine(RuleBasedStateMachine):
     """The ledger beside a model of what its workers really hold and
     were really sent, and of the tenants' passes; keys are
     ``(namespace, n)`` so that forgetting one namespace leaves the
-    other's, or a bare ``n`` for an un-namespaced (CLI) task."""
+    other's, or a bare ``n`` for an un-namespaced (CLI) task.
 
-    @initialize(n_workers=st.integers(1, 3), window=st.integers(1, 2),
-                weights=st.tuples(*[st.sampled_from([0.5, 1.0, 3.0])] * 2))
+    A failure is absorbing, so every call after one is checked at once
+    (:meth:`_after_failure`) and the run goes on from a fresh pool: the
+    other rules explore live books only."""
+
+    @initialize(**POOL)
     def start(self, n_workers, window, weights):
+        self._fresh(n_workers, window, weights)
+
+    @precondition(lambda self: self.ledger.error is not None)
+    @rule(**POOL)
+    def restart(self, n_workers, window, weights):
+        self._fresh(n_workers, window, weights)
+
+    @property
+    def live(self):
+        return self.ledger.error is None
+
+    def _fresh(self, n_workers, window, weights):
         self.ledger = Ledger(window)
         scheduler = StrideScheduler()
         for namespace, weight in zip("ab", weights):
@@ -103,6 +123,7 @@ class LedgerMachine(RuleBasedStateMachine):
         self.fresh = 0
         self.next_key = 0
 
+    @precondition(lambda self: self.live)
     @rule(namespace=st.sampled_from(["a", "b", None]))
     def new_task(self, namespace):
         key = self.next_key if namespace is None \
@@ -110,12 +131,12 @@ class LedgerMachine(RuleBasedStateMachine):
         self.next_key += 1
         self.idle[key] = (checkpoint(key), True)
 
-    @precondition(lambda self: self.idle)
+    @precondition(lambda self: self.live and self.idle)
     @rule(data=st.data())
     def admit(self, data):
         self._admit(data.draw(st.sampled_from(list(self.idle))))
 
-    @precondition(lambda self: self.idle)
+    @precondition(lambda self: self.live and self.idle)
     @rule(data=st.data())
     def wake(self, data):
         """What the master's ``notify_all`` does: every admit not yet
@@ -169,7 +190,7 @@ class LedgerMachine(RuleBasedStateMachine):
         self.unsettled.add(future)
         self.sent.append((send.worker, key))
 
-    @precondition(lambda self: self.sent)
+    @precondition(lambda self: self.live and self.sent)
     @rule(data=st.data(), done=st.booleans())
     def answer(self, data, done):
         """A result frame for any dispatch ever sent: the current one,
@@ -194,11 +215,11 @@ class LedgerMachine(RuleBasedStateMachine):
         else:
             self.idle[key] = (checkpoint(key, steps), False)
 
+    @precondition(lambda self: self.live)
     @rule(worker=st.integers(0, 2))
     def dead(self, worker):
         if worker not in self.workers:
             return
-        error = self.ledger.error
         replays, failed = self.ledger.dead(worker, "test")
         if worker not in self.alive:
             assert (replays, failed) == ([], [])
@@ -211,11 +232,9 @@ class LedgerMachine(RuleBasedStateMachine):
             assert replays == [] and set(failed) == self.unsettled
             self.unsettled.clear()
             self.waiters.clear()
+            self._after_failure()
             return
         assert failed == []
-        if error is not None:
-            assert replays == []
-            return
         assert {send.key for send in replays} == owed
         for send in replays:
             assert send.worker in self.alive
@@ -225,6 +244,7 @@ class LedgerMachine(RuleBasedStateMachine):
             self.flight[send.key] = (send.worker, self.flight[send.key][1])
             self.sent.append((send.worker, send.key))
 
+    @precondition(lambda self: self.live)
     @rule(namespace=st.sampled_from("ab"))
     def forget(self, namespace):
         assert self.ledger.forget(namespace) == sorted(self.alive)
@@ -233,12 +253,32 @@ class LedgerMachine(RuleBasedStateMachine):
         assert not any(in_namespace(key, namespace)
                        for key in self.ledger.assignment)
 
+    @precondition(lambda self: self.live)
     @rule()
     def fail(self):
         failed = self.ledger.fail(ClusterError("test"))
         assert set(failed) == self.unsettled
         self.unsettled.clear()
         self.waiters.clear()
+        self._after_failure()
+
+    def _after_failure(self):
+        """What every later call finds on a failed pool: the first cause
+        stays, admits raise, late results settle nothing and deaths
+        replay nothing."""
+        first = self.ledger.error
+        assert self.ledger.fail(ClusterError("again")) == []
+        assert self.ledger.error is first
+        for key in list(self.idle):
+            self._admit(key)
+        while self.sent:
+            worker, key = self.sent.pop()
+            assert self.ledger.result(worker, checkpoint(key, 1)) is None
+        for worker in sorted(self.alive)[1:]:
+            assert self.ledger.dead(worker, "late") == ([], [])
+            self.alive.discard(worker)
+            self.resident[worker].clear()
+            self.replayed[worker].clear()
 
     @invariant()
     def books(self):

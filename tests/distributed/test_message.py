@@ -10,8 +10,7 @@ from repro.distributed.message import (
     FrameError,
     StreamDecoder,
     decode_frame,
-    decode_stream,
-    encode_frame,
+    encode_frame_oob,
 )
 from tests.sim.samples import scalar_samples
 
@@ -25,7 +24,7 @@ payloads = st.recursive(
 
 class TestRoundTrip:
     def test_simple(self):
-        frame = encode_frame({"x": [1, 2.5, "three"]})
+        frame = encode_frame_oob({"x": [1, 2.5, "three"]})
         obj, rest = decode_frame(frame)
         assert obj == {"x": [1, 2.5, "three"]}
         assert rest == b""
@@ -33,46 +32,51 @@ class TestRoundTrip:
     @given(payloads)
     @settings(max_examples=60)
     def test_any_picklable(self, obj):
-        decoded, rest = decode_frame(encode_frame(obj))
+        decoded, rest = decode_frame(encode_frame_oob(obj))
         assert decoded == obj and rest == b""
 
     def test_simulation_task_roundtrips(self, neurospora_small):
         from repro.sim.task import make_tasks
         task = make_tasks(neurospora_small, 1, 5.0, 1.0, 1.0, seed=2)[0]
         task.run_quantum()
-        clone, _ = decode_frame(encode_frame(task))
+        clone, _ = decode_frame(encode_frame_oob(task))
         assert scalar_samples(clone.run_quantum()) == \
             scalar_samples(task.run_quantum())
 
     def test_concatenated_frames(self):
-        data = encode_frame(1) + encode_frame("two") + encode_frame([3])
-        assert list(decode_stream(data)) == [1, "two", [3]]
+        rest = encode_frame_oob(1) + encode_frame_oob("two") + encode_frame_oob([3])
+        out = []
+        while rest:
+            obj, rest = decode_frame(rest)
+            out.append(obj)
+        assert out == [1, "two", [3]]
 
 
 class TestCorruption:
     def test_truncated_header(self):
         with pytest.raises(FrameError, match="truncated header"):
-            decode_frame(b"CW\x00")
+            decode_frame(b"C5\x00")
 
     def test_truncated_payload(self):
-        frame = encode_frame("hello world")
-        with pytest.raises(FrameError, match="truncated payload"):
+        frame = encode_frame_oob("hello world")
+        with pytest.raises(FrameError, match="truncated out-of-band"):
             decode_frame(frame[:-3])
 
     def test_bad_magic(self):
-        frame = bytearray(encode_frame(1))
+        frame = bytearray(encode_frame_oob(1))
         frame[0] = ord("X")
         with pytest.raises(FrameError, match="magic"):
             decode_frame(bytes(frame))
 
     def test_flipped_payload_bit_detected(self):
-        frame = bytearray(encode_frame("payload data here"))
+        # no array segments: the whole payload is the checksummed control
+        frame = bytearray(encode_frame_oob("payload data here"))
         frame[-1] ^= 0xFF
         with pytest.raises(FrameError, match="checksum"):
             decode_frame(bytes(frame))
 
     def test_trailing_bytes_returned(self):
-        frame = encode_frame(7) + b"extra"
+        frame = encode_frame_oob(7) + b"extra"
         obj, rest = decode_frame(frame)
         assert obj == 7 and rest == b"extra"
 
@@ -80,19 +84,10 @@ class TestCorruption:
 class TestCodecAccounting:
     def test_counters(self):
         codec = FrameCodec("test")
-        frame = codec.encode([1, 2, 3])
-        codec.decode(frame)
+        frame = b"".join(bytes(s) for s in codec.encode_segments([1, 2, 3]))
+        assert StreamDecoder(codec).feed(frame) == [[1, 2, 3]]
         assert codec.messages_out == codec.messages_in == 1
         assert codec.bytes_out == codec.bytes_in == len(frame)
-        assert codec.mean_message_size() == len(frame)
-
-    def test_decode_rejects_trailing(self):
-        codec = FrameCodec()
-        with pytest.raises(FrameError, match="trailing"):
-            codec.decode(encode_frame(1) + b"junk")
-
-    def test_mean_size_empty(self):
-        assert FrameCodec().mean_message_size() == 0.0
 
 
 class TestStreamDecoder:
@@ -101,12 +96,12 @@ class TestStreamDecoder:
 
     def test_whole_frame(self):
         decoder = StreamDecoder()
-        assert decoder.feed(encode_frame({"a": 1})) == [{"a": 1}]
+        assert decoder.feed(encode_frame_oob({"a": 1})) == [{"a": 1}]
         assert decoder.pending_bytes == 0
 
     def test_truncated_header_buffers(self):
         decoder = StreamDecoder()
-        frame = encode_frame("hello")
+        frame = encode_frame_oob("hello")
         assert decoder.feed(frame[:4]) == []          # mid-header
         assert decoder.pending_bytes == 4
         assert decoder.feed(frame[4:]) == ["hello"]
@@ -114,34 +109,34 @@ class TestStreamDecoder:
 
     def test_truncated_payload_buffers(self):
         decoder = StreamDecoder()
-        frame = encode_frame(list(range(50)))
+        frame = encode_frame_oob(list(range(50)))
         assert decoder.feed(frame[:-7]) == []         # mid-payload
         assert decoder.feed(frame[-7:]) == [list(range(50))]
 
     def test_byte_at_a_time(self):
         decoder = StreamDecoder()
         out = []
-        for i, byte in enumerate(encode_frame(("x", 2.5))):
+        for i, byte in enumerate(encode_frame_oob(("x", 2.5))):
             out.extend(decoder.feed(bytes([byte])))
         assert out == [("x", 2.5)]
 
     def test_multi_frame_coalesced_read(self):
         decoder = StreamDecoder()
-        data = encode_frame(1) + encode_frame("two") + encode_frame([3])
+        data = encode_frame_oob(1) + encode_frame_oob("two") + encode_frame_oob([3])
         assert decoder.feed(data) == [1, "two", [3]]
         assert decoder.frames_decoded == 3
 
     def test_coalesced_plus_partial_tail(self):
         decoder = StreamDecoder()
-        tail = encode_frame("tail")
-        data = encode_frame("head") + tail[:5]
+        tail = encode_frame_oob("tail")
+        data = encode_frame_oob("head") + tail[:5]
         assert decoder.feed(data) == ["head"]
         assert decoder.pending_bytes == 5
         assert decoder.feed(tail[5:]) == ["tail"]
 
     def test_corrupted_checksum_raises(self):
         decoder = StreamDecoder()
-        frame = bytearray(encode_frame("payload data"))
+        frame = bytearray(encode_frame_oob("payload data"))
         frame[-1] ^= 0xFF
         with pytest.raises(FrameError, match="checksum"):
             decoder.feed(bytes(frame))
@@ -154,7 +149,7 @@ class TestStreamDecoder:
     def test_codec_accounting(self):
         codec = FrameCodec("rx")
         decoder = StreamDecoder(codec=codec)
-        frame = encode_frame([1, 2, 3])
+        frame = encode_frame_oob([1, 2, 3])
         decoder.feed(frame[:3])
         decoder.feed(frame[3:])
         assert codec.messages_in == 1
@@ -163,7 +158,7 @@ class TestStreamDecoder:
     @given(st.lists(payloads, max_size=5), st.integers(1, 64))
     @settings(max_examples=40, deadline=None)
     def test_any_chunking_reassembles(self, objs, chunk):
-        data = b"".join(encode_frame(o) for o in objs)
+        data = b"".join(encode_frame_oob(o) for o in objs)
         decoder = StreamDecoder()
         out = []
         for i in range(0, len(data), chunk):

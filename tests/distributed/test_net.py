@@ -180,8 +180,8 @@ class TestFaultTolerance:
             kwargs={"heartbeat_interval": 0.05}, daemon=True)
         live.start()
         mute = socket.create_connection(("127.0.0.1", master.port))
-        from repro.distributed.message import encode_frame
-        mute.sendall(encode_frame(Hello(worker_id=1, pid=0)))
+        from repro.distributed.message import encode_frame_oob
+        mute.sendall(encode_frame_oob(Hello(worker_id=1, pid=0)))
 
         driver.join(timeout=60.0)
         mute.close()

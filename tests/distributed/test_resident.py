@@ -21,8 +21,7 @@ import types
 import pytest
 
 from repro.distributed import net
-from repro.distributed.message import (StreamDecoder, encode_frame,
-                                       encode_frame_oob)
+from repro.distributed.message import StreamDecoder, encode_frame_oob
 from repro.distributed.net import (PROTOCOL, Checkpoint, ClusterError,
                                    ClusterMaster, Hello, KillWorkerAfter,
                                    ResultMsg, TaskMsg, WorkerFailure,
@@ -422,7 +421,7 @@ class TestProtocolNumber:
         while not master.port:
             time.sleep(0.01)
         with socket.create_connection(("127.0.0.1", master.port)) as sock:
-            sock.sendall(encode_frame(old_hello))
+            sock.sendall(encode_frame_oob(old_hello))
             starter.join(timeout=30.0)
         assert not starter.is_alive()
         assert len(failure) == 1

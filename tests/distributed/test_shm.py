@@ -20,7 +20,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
-from repro.distributed.message import encode_frame, encode_frame_oob
+from repro.distributed.message import encode_frame_oob
 from repro.distributed.net import (Checkpoint, ClusterError, ClusterMaster,
                                    Hello, ResultMsg, WorkerFailure)
 from repro.distributed.shm import (
@@ -290,12 +290,12 @@ class TestMasterSegmentLifetime:
             time.sleep(0.01)
         worker = socket.create_connection(("127.0.0.1", master.port))
         try:
-            worker.sendall(encode_frame(Hello(0, os.getpid())))
+            worker.sendall(encode_frame_oob(Hello(0, os.getpid())))
             starter.join(timeout=30.0)
             future = master.submit(
                 None, Checkpoint(owed, False, 0., 0, 0, b""))
             if owed == "k":
-                worker.sendall(encode_frame(WorkerFailure(0, "test")))
+                worker.sendall(encode_frame_oob(WorkerFailure(0, "test")))
                 with pytest.raises(ClusterError):
                     future.result(timeout=30.0)
             block = publish_results([result_block()], prefix)

@@ -1,14 +1,13 @@
 """Multi-worker failure aggregation and executor error equivalence.
 
-Regression for error swallowing: the threaded executor and the
-accelerator used to raise only ``errors[0]`` and silently drop every
-other node failure, making multi-worker crashes undiagnosable.
+Regression for error swallowing: the threaded executor used to raise
+only ``errors[0]`` and silently drop every other node failure, making
+multi-worker crashes undiagnosable.
 """
 
 import pytest
 
 from repro.ff import (
-    Accelerator,
     Farm,
     MultiNodeError,
     Node,
@@ -148,23 +147,3 @@ class TestSequentialEquivalence:
             run(Pipeline([BrokenSource(), lambda x: x]),
                 backend="sequential")
         assert isinstance(info.value.original, ValueError)
-
-
-class TestAcceleratorFailures:
-    def test_accelerator_aggregates_worker_errors(self):
-        acc = Accelerator(_two_bomb_farm(), capacity=2).start()
-        for i in range(20):
-            acc.offload(i)
-        with pytest.raises(NodeError) as info:
-            acc.collect()
-        err = info.value
-        assert isinstance(err, MultiNodeError)
-        assert {e.node_name for e in err.errors} == {"b0", "b1"}
-
-    def test_accelerator_single_error_plain(self):
-        acc = Accelerator(Pipeline([lambda x: 1 / x]), capacity=4).start()
-        acc.offload(0)
-        with pytest.raises(NodeError) as info:
-            acc.collect()
-        assert not isinstance(info.value, MultiNodeError)
-        assert isinstance(info.value.original, ZeroDivisionError)

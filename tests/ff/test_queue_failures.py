@@ -189,8 +189,8 @@ class TestStatsSnapshot:
         for i in range(3):
             ch.push(i)
         ch.pop()
-        assert ch.total_pushed == 3
-        assert ch.total_popped == 1
+        assert ch.stats().pushed == 3
+        assert ch.stats().popped == 1
 
     def test_high_water_survives_abandon(self):
         ch = Channel(capacity=8)

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.ff.errors import QueueClosedError
-from repro.ff.queues import Channel, EOS, GroupDone, SPSCQueue
+from repro.ff.queues import Channel, EOS, GroupDone
 
 
 class TestBasicFifo:
@@ -31,8 +31,8 @@ class TestBasicFifo:
         for i in range(3):
             ch.push(i)
         ch.pop()
-        assert ch.total_pushed == 3
-        assert ch.total_popped == 1
+        assert ch.stats().pushed == 3
+        assert ch.stats().popped == 1
 
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -164,9 +164,3 @@ class TestDrainAndSPSC:
         ch.push(2)
         ch.producer_done()
         assert list(ch.drain()) == [1, 2]
-
-    def test_spsc_close(self):
-        q = SPSCQueue(capacity=4)
-        q.push("a")
-        q.close()
-        assert list(q.drain()) == ["a"]

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.ff import (
-    Accelerator,
     Farm,
     GO_ON,
     Node,
@@ -172,20 +171,6 @@ class TestCountersAndReport:
         _, report = _traced_run("threads")
         assert isinstance(report, RunReport)
         json.dumps(report.to_dict())  # fully serialisable
-
-
-class TestAcceleratorTracing:
-    def test_offloaded_stream_traced(self):
-        tracer = Tracer()
-        with Accelerator(Pipeline([lambda x: x * 2]),
-                         trace=tracer) as acc:
-            for i in range(20):
-                acc.offload(i)
-        report = tracer.report()
-        nodes = {n["name"]: n for n in report.nodes}
-        assert nodes["<lambda>"]["items_in"] == 20
-        chans = {c["name"]: c for c in report.channels}
-        assert chans["acc-input"]["pushed"] == 20
 
 
 class TestUntracedPathUnchanged:

@@ -86,9 +86,9 @@ class TestKernelTiming:
 class TestLaunchMap:
     def test_functional_execution(self):
         dev = device()
-        results, stats = dev.launch_map(
-            lambda x: x * x, [1, 2, 3, 4, 5],
-            work_of=lambda item, result: float(item))
+        results, stats = dev.launch_map_batched(
+            lambda xs: [x * x for x in xs], [1, 2, 3, 4, 5],
+            work_of=lambda items, results: items)
         assert results == [1, 4, 9, 16, 25]
         assert stats.n_items == 5
         assert stats.n_warps == 2

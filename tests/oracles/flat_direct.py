@@ -9,8 +9,8 @@ delta and re-summing it every ``RESUM_INTERVAL`` events.  The
 mass-action propensity is a frozen copy too (:func:`propensity`), so
 the engine's generated loop is checked against code it does not share.
 
-Everything else (state layout, ``snapshot`` / ``restore``, ``observe``,
-``run``) is inherited, so an oracle and an engine seeded alike must end
+Everything else (state layout, pickling, ``observe``, ``run``) is
+inherited, so an oracle and an engine seeded alike must end
 every call with equal bytes: times, counts, ``steps``, ``_props``,
 ``_total`` and the RNG state.
 """

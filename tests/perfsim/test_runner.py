@@ -13,7 +13,6 @@ from repro.perfsim import (
 )
 from repro.perfsim.platform import HostSpec
 from repro.perfsim.runner import (
-    sequential_time,
     simulate_distributed,
     simulate_workflow,
     speedup_curve,
@@ -91,26 +90,11 @@ class TestSingleHost:
 
 
 class TestSequentialBaseline:
-    def test_sequential_slower_than_parallel(self):
-        wl = workload()
-        seq = sequential_time(wl)
-        par = simulate_workflow(wl, n_sim_workers=8).makespan
-        assert seq > par * 2
-
     def test_speedup_curve_monotone(self):
         wl = workload(n=64)
         curve = speedup_curve(wl, [1, 2, 4, 8])
         assert curve[1] == pytest.approx(1.0)
         assert curve[2] > 1.5 and curve[4] > curve[2] and curve[8] > curve[4]
-
-    def test_speedup_sequential_baseline(self):
-        wl = workload(n=64)
-        curve = speedup_curve(wl, [4], baseline="sequential")
-        assert curve[4] > 2.0
-
-    def test_unknown_baseline(self):
-        with pytest.raises(ValueError):
-            speedup_curve(workload(), [1], baseline="magic")
 
 
 class TestDistributed:

@@ -1,17 +1,9 @@
 """Result persistence (the Fig. 2 permanent-storage box)."""
 
-import json
-
 import pytest
 
 from repro.pipeline import WorkflowConfig, run_workflow
-from repro.pipeline.storage import (
-    load_cut_statistics,
-    load_trajectories,
-    save_cut_statistics,
-    save_trajectories,
-    save_windows_json,
-)
+from repro.pipeline.storage import load_cut_statistics, save_cut_statistics
 
 
 @pytest.fixture(scope="module")
@@ -48,32 +40,3 @@ class TestCutStatisticsCsv:
         with pytest.raises(ValueError):
             save_cut_statistics(result, tmp_path / "x.csv",
                                 observable_names=("only-one",))
-
-
-class TestTrajectoriesCsv:
-    def test_roundtrip(self, result, tmp_path):
-        trajectories = result.trajectories()
-        path = save_trajectories(trajectories, tmp_path / "traj.csv")
-        loaded = load_trajectories(path)
-        assert len(loaded) == len(trajectories)
-        for a, b in zip(trajectories, loaded):
-            assert a.task_id == b.task_id
-            assert a.times == b.times
-            assert a.samples == b.samples
-
-
-class TestWindowsJson:
-    def test_structure(self, result, tmp_path):
-        path = save_windows_json(result, tmp_path / "windows.json")
-        payload = json.loads(path.read_text())
-        assert payload["n_simulations"] == 5
-        assert len(payload["windows"]) == result.n_windows
-        first = payload["windows"][0]
-        assert first["window_index"] == 0
-        assert len(first["cuts"]) == 3
-        # mined structures serialised too
-        assert "clusters" in first
-        assert "histograms" in first
-        assert "filtered_mean" in first
-        hist = first["histograms"]["0"]
-        assert sum(hist["counts"]) == 5

@@ -5,7 +5,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.cwc.batch import clear_network_cache
 from repro.distributed.net import KillWorkerAfter
 from repro.distributed.shm import SEGMENT_PREFIX, leaked_segments
 from repro.ff.trace import Tracer
@@ -13,6 +12,7 @@ from repro.models import neurospora_network
 from repro.sim.trajectory import Cut, CutBlock
 from repro.sweep import SweepSpec, run_sweep
 from repro.sweep.runner import SweepAccumulator
+from tests.cwc.caches import clear_network_cache
 
 POINTS = [{"translation": 0.3}, {"translation": 0.7}]
 
