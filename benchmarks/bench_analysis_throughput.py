@@ -9,11 +9,11 @@ quantum, what scalar tasks ship), so the measurement isolates analysis
 cost from simulation and channel cost:
 
 * **scalar**:   ScalarTrajectoryAligner -> ScalarSlidingWindowNode ->
-  StatEngineNode(vectorized=False), the oracle chain: it reads each
-  block sample by sample into Python tuples;
+  ScalarStatEngineNode, the oracle chain of ``tests/oracles/analysis.py``:
+  it reads each block sample by sample into Python tuples;
 * **columnar**: TrajectoryAligner -> SlidingWindowNode ->
-  StatEngineNode(vectorized=True) — a block lands in the ring buffer
-  with one slice.
+  StatEngineNode, the runtime's chain — a block lands in the ring
+  buffer with one slice.
 
 The stream is built *outside* the timed region.  The script verifies
 the two chains agree (exact k-means/histograms, 1e-9 statistics) before
@@ -23,13 +23,13 @@ target at 1024 trajectories is 10x).
 
 It also writes the runtime trace report of a real (small) threaded
 Neurospora workflow and times the scalar chain, driven by hand from the
-same tasks (the scalar classes are reference implementations, not a
-workflow option), so the analysis-half cost of the two planes can be
-compared on real results.
+same tasks (the scalar classes are test oracles, not a workflow
+option), so the analysis-half cost of the two planes can be compared on
+real results.
 
-Usage::
+Run from the repository root, with it on the path for ``tests.oracles``::
 
-    PYTHONPATH=src python benchmarks/bench_analysis_throughput.py \
+    PYTHONPATH=src:. python benchmarks/bench_analysis_throughput.py \
         [--n-traj 1024] [--json BENCH_analysis.json] \
         [--assert-speedup 10] [--skip-trace]
 """
@@ -44,9 +44,12 @@ import time
 import numpy as np
 
 from repro.analysis.engines import StatEngineNode
-from repro.analysis.windows import ScalarSlidingWindowNode, SlidingWindowNode
-from repro.sim.alignment import ScalarTrajectoryAligner, TrajectoryAligner
+from repro.analysis.windows import SlidingWindowNode
+from repro.sim.alignment import TrajectoryAligner
 from repro.sim.task import ResultBlock
+from tests.oracles.analysis import (ScalarSlidingWindowNode,
+                                    ScalarStatEngineNode,
+                                    ScalarTrajectoryAligner)
 
 WINDOW_SIZE = 10
 WINDOW_SLIDE = 5
@@ -104,9 +107,9 @@ def build_chain(n_traj: int, columnar: bool):
                else ScalarTrajectoryAligner)(n_traj)
     window_cls = SlidingWindowNode if columnar else ScalarSlidingWindowNode
     window = window_cls(WINDOW_SIZE, WINDOW_SLIDE)
-    engine = StatEngineNode(kmeans_k=KMEANS_K, filter_width=FILTER_WIDTH,
-                            histogram_bins=HISTOGRAM_BINS,
-                            vectorized=columnar)
+    engine = (StatEngineNode if columnar else ScalarStatEngineNode)(
+        kmeans_k=KMEANS_K, filter_width=FILTER_WIDTH,
+        histogram_bins=HISTOGRAM_BINS)
     out = _Collect()
     aligner._outbox = _Feed(window)
     window._outbox = _Feed(engine)

@@ -9,7 +9,7 @@ the numbers that calibrate the performance models (steps/s feed
 import numpy as np
 import pytest
 
-from repro.analysis.kmeans import kmeans, kmeans_array
+from repro.analysis.kmeans import kmeans_array
 from repro.analysis.stats import cut_statistics
 from repro.cwc.gillespie import CWCSimulator
 from repro.cwc.matching import match_multiplicity
@@ -25,6 +25,7 @@ from repro.pipeline import WorkflowConfig, run_workflow
 from repro.sim.alignment import TrajectoryAligner
 from repro.sim.task import ResultBlock
 from repro.sim.trajectory import Cut
+from tests.oracles.analysis import kmeans
 
 
 @pytest.mark.parametrize("model", [
@@ -143,6 +144,7 @@ def test_cut_statistics_cost(benchmark):
 
 
 def test_kmeans_cost(benchmark):
+    """The list-based oracle ``kmeans_array`` is checked against."""
     import random
     rng = random.Random(0)
     points = [[rng.gauss(0, 1)] for _ in range(256)] + \

@@ -116,7 +116,7 @@ KEEP: dict[str, str] = {
     **_keep("inventory", "repro.sim.scheduler", "SimTaskEmitter.backlog_size"),
     **_keep("inventory", "repro.analysis.windows",  # S7
             "Window.n_trajectories", "Window.n_observables",
-            "Window.trajectory_matrix", "Window.__len__"),
+            "Window.__len__"),
     **_keep("inventory", "repro.analysis.engines",
             "WindowStatistics.ci_relative"),
     **_keep("inventory", "repro.pipeline.config", "WorkflowConfig.n_quanta"),
@@ -138,11 +138,6 @@ KEEP: dict[str, str] = {
             "PlatformSpec.total_cores", "PlatformSpec.n_hosts"),
     **_keep("inventory", "repro.perfsim.des", "Store.__len__"),
     # -- oracle: what a test checks the runtime against
-    **_keep("oracle", "repro.sim.alignment",
-            "ScalarTrajectoryAligner.svc_init",
-            "ScalarTrajectoryAligner.svc_end"),
-    **_keep("oracle", "repro.analysis.windows",
-            "ScalarSlidingWindowNode.svc_init"),
     **_keep("oracle", "repro.cwc.writer", "_write_atoms", "write_term",
             "_write_rate", "_write_rule", "write_model"),
     **_keep("oracle", "repro.cwc.invariants", "evaluate_law",
@@ -402,8 +397,10 @@ def run_entry_points(record_dir: Path, tmp: Path) -> list[str]:
     (site / "sitecustomize.py").write_text(SITECUSTOMIZE.replace(
         "DIR, PREFIX", f"{str(record_dir)!r}, {str(PACKAGE) + os.sep!r}", 1))
     env = dict(os.environ)
+    # the root too: the bench CLIs import their baselines from
+    # tests.oracles
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(site), str(ROOT / "src")]
+        [str(site), str(ROOT / "src"), str(ROOT)]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     failed = []
     work = tmp / "cwd"

@@ -14,12 +14,8 @@ from repro.analysis.stats import (
     block_statistics,
     cut_statistics,
 )
-from repro.analysis.windows import (
-    ScalarSlidingWindowNode,
-    SlidingWindowNode,
-    Window,
-)
-from repro.analysis.kmeans import kmeans, kmeans_array, KMeansResult
+from repro.analysis.windows import SlidingWindowNode, Window
+from repro.analysis.kmeans import kmeans_array, KMeansResult
 from repro.analysis.filters import (
     moving_average,
     moving_average_array,
@@ -39,8 +35,6 @@ __all__ = [
     "CutStatistics",
     "Window",
     "SlidingWindowNode",
-    "ScalarSlidingWindowNode",
-    "kmeans",
     "kmeans_array",
     "KMeansResult",
     "moving_average",

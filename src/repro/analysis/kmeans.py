@@ -4,23 +4,19 @@ Clustering the per-cut (or per-window) trajectory values discovers
 multi-stable behaviour on-line: for a bistable system the cuts separate
 into two clusters long before a human would spot it in raw traces.
 
-Two implementations of Lloyd's algorithm with k-means++ seeding:
-
-* :func:`kmeans` -- the scalar reference on plain Python lists;
-* :func:`kmeans_array` -- the vectorised NumPy engine (``k`` distance
-  rows, first-minimum assignment, ``bincount`` centroid updates).  It
-  consumes the RNG in the same order and accumulates floating point in
-  the same order as the scalar reference, so results are
-  **bit-identical** for a fixed seed (pinned by a property test).  Both
-  reject non-finite input, on which "nearest" is not defined.
+:func:`kmeans_array` is Lloyd's algorithm with k-means++ seeding,
+vectorised over NumPy (``k`` distance rows, first-minimum assignment,
+``bincount`` centroid updates).  It consumes the RNG and accumulates
+floating point in the same order as the list-based ``kmeans`` it
+replaced (the test oracle in ``tests/oracles/analysis.py``), so results
+are **bit-identical** to it for a fixed seed (pinned by a property
+test).  It rejects non-finite input, on which "nearest" is not defined.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -43,105 +39,11 @@ class KMeansResult:
         return sizes
 
 
-def _sq_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    return sum((x - y) * (x - y) for x, y in zip(a, b))
-
-
-def _seed_centroids(points: Sequence[Sequence[float]], k: int,
-                    rng: random.Random) -> list[list[float]]:
-    """k-means++ seeding."""
-    centroids = [list(points[rng.randrange(len(points))])]
-    while len(centroids) < k:
-        distances = [
-            min(_sq_distance(p, c) for c in centroids) for p in points]
-        total = sum(distances)
-        if total <= 0.0:
-            # all points identical to some centroid: duplicate arbitrarily
-            centroids.append(list(points[rng.randrange(len(points))]))
-            continue
-        pick = rng.random() * total
-        acc = 0.0
-        for point, d in zip(points, distances):
-            acc += d
-            if pick < acc:
-                centroids.append(list(point))
-                break
-        else:
-            centroids.append(list(points[-1]))
-    return centroids
-
-
-def kmeans(points: Sequence[Sequence[float]], k: int,
-           max_iterations: int = 50, seed: int | None = 0,
-           tolerance: float = 1e-9) -> KMeansResult:
-    """Lloyd's algorithm; deterministic for a fixed ``seed``.
-
-    ``k`` is clamped to the number of points.  Raises on empty or
-    non-finite input.
-    """
-    if not points:
-        raise ValueError("kmeans needs at least one point")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    for i, point in enumerate(points):
-        if not all(map(math.isfinite, point)):
-            raise ValueError(f"point {i} is not finite: {list(point)}")
-    k = min(k, len(points))
-    rng = random.Random(seed)
-    centroids = _seed_centroids(points, k, rng)
-    assignments = [0] * len(points)
-    best_ds = [0.0] * len(points)
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        moved = False
-        for i, point in enumerate(points):
-            best, best_d = 0, math.inf
-            for j, centroid in enumerate(centroids):
-                d = _sq_distance(point, centroid)
-                if d < best_d:
-                    best, best_d = j, d
-            best_ds[i] = best_d
-            if assignments[i] != best:
-                assignments[i] = best
-                moved = True
-        # recompute centroids
-        dims = len(points[0])
-        sums = [[0.0] * dims for _ in range(k)]
-        counts = [0] * k
-        for point, a in zip(points, assignments):
-            counts[a] += 1
-            for d in range(dims):
-                sums[a][d] += point[d]
-        shift = 0.0
-        for j in range(k):
-            if counts[j] == 0:
-                # re-seed an empty cluster at the point farthest from its
-                # assigned centroid, reusing the distances of the
-                # assignment pass (no second distance scan)
-                far_i = max(range(len(points)), key=lambda i: best_ds[i])
-                new = list(points[far_i])
-            else:
-                new = [s / counts[j] for s in sums[j]]
-            shift += _sq_distance(new, centroids[j])
-            centroids[j] = new
-        if not moved and shift <= tolerance:
-            break
-    inertia = sum(
-        _sq_distance(point, centroids[a])
-        for point, a in zip(points, assignments))
-    return KMeansResult(centroids=centroids, assignments=assignments,
-                        inertia=inertia, iterations=iterations)
-
-
-# ----------------------------------------------------------------------
-# vectorised engine
-# ----------------------------------------------------------------------
-
 def _sq_distance_rows(columns: np.ndarray, centroids: np.ndarray,
                       out: np.ndarray) -> np.ndarray:
     """``out[j, i]`` = squared distance of point ``i`` to ``centroids[j]``
     for ``columns`` of shape ``(dims, n)``.  Dimensions are added one at a
-    time like :func:`_sq_distance`; starting from the first square rather
+    time like the oracle's ``sum``; starting from the first square rather
     than from zero is exact because ``0.0 + x == x`` for ``x >= 0``.
     Row by row, because a ``(k, 1)`` broadcast is about twice as slow."""
     for row, centroid in zip(out, centroids.tolist()):
@@ -156,13 +58,14 @@ def _sq_distance_rows(columns: np.ndarray, centroids: np.ndarray,
 def kmeans_array(points, k: int, max_iterations: int = 50,
                  seed: int | None = 0,
                  tolerance: float = 1e-9) -> KMeansResult:
-    """Vectorised :func:`kmeans`; bit-identical for a fixed seed.
+    """Lloyd's algorithm; deterministic for a fixed ``seed``.
 
     ``points`` is array-like ``(n, dims)`` (1-D input is treated as
-    ``(n, 1)``).  Assignment is the first minimum over ``k`` preallocated
-    distance rows; centroid updates are per-dimension ``bincount``
-    reductions, which add members in point order exactly like the scalar
-    loop.  Raises on empty or non-finite input.
+    ``(n, 1)``); ``k`` is clamped to the number of points.  Assignment
+    is the first minimum over ``k`` preallocated distance rows; centroid
+    updates are per-dimension ``bincount`` reductions, which add members
+    in point order exactly like a scalar loop.  Raises on empty or
+    non-finite input.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -181,7 +84,7 @@ def kmeans_array(points, k: int, max_iterations: int = 50,
     dist = np.empty((k, n))
     rng = random.Random(seed)
 
-    # k-means++ seeding, RNG calls and sums as in _seed_centroids
+    # k-means++ seeding, RNG calls and sums as in the oracle's
     centroids = np.empty((k, dims))
     centroids[0] = pts[rng.randrange(n)]
     for j in range(1, k):
@@ -195,7 +98,7 @@ def kmeans_array(points, k: int, max_iterations: int = 50,
             continue
         pick = rng.random() * total
         idx = int(np.searchsorted(cumulative, pick, side="right"))
-        centroids[j] = pts[min(idx, n - 1)]  # fp tail: scalar for-else
+        centroids[j] = pts[min(idx, n - 1)]  # fp tail: the oracle's for-else
 
     assignments = np.zeros(n, dtype=np.intp)
     best = np.empty(n)
@@ -203,7 +106,7 @@ def kmeans_array(points, k: int, max_iterations: int = 50,
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         _sq_distance_rows(columns, centroids, dist)
-        # first minimum, like argmin and the scalar strict `<`: a point's
+        # first minimum, like argmin and the oracle's strict `<`: a point's
         # centroid index is the number of leading rows that miss `best`
         np.minimum.reduce(dist, axis=0, out=best)
         missed = dist[0] != best
@@ -224,7 +127,7 @@ def kmeans_array(points, k: int, max_iterations: int = 50,
         converged = False
         if not moved:
             # the shift only decides convergence; summed per centroid
-            # with sum() like _sq_distance, then across centroids
+            # with sum() like the oracle, then across centroids
             shift = 0.0
             for squares in ((new_centroids - centroids) ** 2).tolist():
                 shift += sum(squares)
@@ -233,7 +136,7 @@ def kmeans_array(points, k: int, max_iterations: int = 50,
         if converged:
             break
     _sq_distance_rows(columns, centroids, dist)
-    # cumsum accumulates left-to-right like the scalar builtin sum
+    # cumsum accumulates left-to-right like the builtin sum
     inertia = float(np.cumsum(dist[assignments, np.arange(n)])[-1])
     return KMeansResult(centroids=centroids.tolist(),
                         assignments=assignments.tolist(),

@@ -23,7 +23,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from time import monotonic, perf_counter
+from time import perf_counter
 from typing import Any, Hashable, Iterator, Optional
 
 from repro.ff.errors import QueueClosedError
@@ -167,7 +167,8 @@ class Channel:
         notified while the channel is still full waits only the remaining
         part of its budget before raising :class:`TimeoutError`.
         """
-        deadline = monotonic() + timeout if timeout is not None else None
+        # the budget starts at the first wait: an item that finds room
+        # reads no clock
         wait_started = None
         with self._not_full:
             while True:
@@ -175,29 +176,29 @@ class Channel:
                     self._record_blocked_push_locked(wait_started)
                     _discard(item)
                     return False
-                if len(self._queue) < self.capacity:
-                    self._queue.append(item)
+                queue = self._queue
+                n = len(queue) + 1  # the length once appended
+                if n <= self.capacity:
+                    queue.append(item)
                     self._pushed += 1
-                    n = len(self._queue)
                     if n > self._high_water:
                         self._high_water = n
-                    tr = self._trace
-                    if tr is not None:
+                    if self._trace is not None:
                         blocked = (perf_counter() - wait_started
                                    if wait_started is not None else 0.0)
-                        tr.record_push(n, blocked)
+                        self._trace.record_push(n, blocked)
                     self._not_empty.notify()
                     return True
+                if wait_started is None:
+                    wait_started = perf_counter()
                 remaining = None
-                if deadline is not None:
-                    remaining = deadline - monotonic()
+                if timeout is not None:
+                    remaining = wait_started + timeout - perf_counter()
                     if remaining <= 0:
                         self._record_blocked_push_locked(wait_started)
                         raise TimeoutError(
                             f"push on channel {self.name!r} timed out"
                         )
-                if self._trace is not None and wait_started is None:
-                    wait_started = perf_counter()
                 self._not_full.wait(timeout=remaining)
 
     def push_unbounded(self, item: Any) -> bool:
@@ -233,31 +234,30 @@ class Channel:
         Like :meth:`push`, ``timeout`` bounds the total blocking time with
         a deadline, not each individual wait.
         """
-        deadline = monotonic() + timeout if timeout is not None else None
-        wait_started = None
+        wait_started = None  # the budget starts as in push
         with self._not_empty:
             while True:
-                if self._queue:
-                    item = self._queue.popleft()
+                queue = self._queue
+                if queue:
+                    item = queue.popleft()
                     self._popped += 1
-                    tr = self._trace
-                    if tr is not None:
+                    if self._trace is not None:
                         blocked = (perf_counter() - wait_started
                                    if wait_started is not None else 0.0)
-                        tr.record_pop(blocked)
+                        self._trace.record_pop(blocked)
                     self._not_full.notify()
                     return item
                 if self._all_done_locked():
                     return EOS
+                if wait_started is None:
+                    wait_started = perf_counter()
                 remaining = None
-                if deadline is not None:
-                    remaining = deadline - monotonic()
+                if timeout is not None:
+                    remaining = wait_started + timeout - perf_counter()
                     if remaining <= 0:
                         raise TimeoutError(
                             f"pop on channel {self.name!r} timed out"
                         )
-                if self._trace is not None and wait_started is None:
-                    wait_started = perf_counter()
                 self._not_empty.wait(timeout=remaining)
 
     def try_pop(self) -> tuple[bool, Any]:

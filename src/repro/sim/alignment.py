@@ -10,23 +10,17 @@ footprint is bounded by the spread between the fastest and slowest
 trajectory (which the quantum-based scheduling keeps small).
 
 Every stream item is one :class:`~repro.sim.task.ResultBlock` (a scalar
-task's is a block of one trajectory).  Two implementations share the
-same observable behaviour:
-
-* :class:`TrajectoryAligner` -- the **columnar** default.  All pending
-  grid points live in one task-major ``(n_trajectories, capacity,
-  n_observables)`` NumPy ring buffer indexed by grid offset; a block's
-  members land with **one** slice assignment (no per-member or
-  per-sample Python loop) and every contiguous run of ready grid points
-  leaves as one :class:`~repro.sim.trajectory.CutBlock` (batched
-  emission amortises per-item channel overhead).  It relies on each
-  trajectory's results arriving in grid order, which every runtime
-  guarantees (see :class:`TrajectoryAligner`).
-* :class:`ScalarTrajectoryAligner` -- the original dict-of-tuples
-  implementation emitting one :class:`~repro.sim.trajectory.Cut` per grid
-  point and accepting results in any order; kept as the oracle for
-  equivalence tests and as the baseline of
-  ``benchmarks/bench_analysis_throughput.py``.
+task's is a block of one trajectory).  :class:`TrajectoryAligner` keeps
+all pending grid points in one task-major ``(n_trajectories, capacity,
+n_observables)`` NumPy ring buffer indexed by grid offset; a block's
+members land with **one** slice assignment (no per-member or per-sample
+Python loop) and every contiguous run of ready grid points leaves as one
+:class:`~repro.sim.trajectory.CutBlock` (batched emission amortises
+per-item channel overhead).  It relies on each trajectory's results
+arriving in grid order, which every runtime guarantees (see
+:class:`TrajectoryAligner`).  The dict-of-tuples aligner it replaced,
+emitting one :class:`~repro.sim.trajectory.Cut` per grid point, is the
+test oracle in ``tests/oracles/analysis.py``.
 """
 
 from __future__ import annotations
@@ -35,7 +29,7 @@ import numpy as np
 
 from repro.ff.node import GO_ON, Node
 from repro.sim.task import ResultBlock
-from repro.sim.trajectory import Cut, CutBlock
+from repro.sim.trajectory import CutBlock
 
 
 def _check_ids(block, n_trajectories: int) -> range:
@@ -58,10 +52,10 @@ class TrajectoryAligner(Node):
 
     Emits :class:`~repro.sim.trajectory.CutBlock` messages: all grid
     points that became ready during one ``svc`` call leave together.
-    ``cuts_emitted`` / ``blocks_emitted`` / ``max_buffered`` mirror the
-    scalar aligner's accounting (``max_buffered`` is the high-water mark
-    of simultaneously pending grid points -- the fast/slow trajectory
-    spread the paper bounds via the simulation quantum).
+    ``cuts_emitted`` / ``blocks_emitted`` / ``max_buffered`` count what
+    left (``max_buffered`` is the high-water mark of simultaneously
+    pending grid points -- the fast/slow trajectory spread the paper
+    bounds via the simulation quantum).
 
     The pending store is a flat ring: slot ``g - base`` of ``_data``
     belongs to grid point ``g``.  Emitted slots are reclaimed by
@@ -217,75 +211,3 @@ class TrajectoryAligner(Node):
         self._capacity = 0
         self._base = self._high = self._next_emit
 
-
-class ScalarTrajectoryAligner(Node):
-    """Reference collector emitting one :class:`Cut` per grid point.
-
-    The pre-columnar implementation, kept as the oracle the equivalence
-    tests (and the analysis-throughput benchmark baseline) compare
-    :class:`TrajectoryAligner` against.  It reads a block member by
-    member and sample by sample, and accepts results in any order.
-    """
-
-    def __init__(self, n_trajectories: int, name: str = "align"):
-        super().__init__(name=name)
-        if n_trajectories < 1:
-            raise ValueError("n_trajectories must be >= 1")
-        self.n_trajectories = n_trajectories
-        # grid index -> {task_id: values}; times recorded separately
-        self._pending: dict[int, dict[int, tuple[float, ...]]] = {}
-        self._times: dict[int, float] = {}
-        self._next_emit = 0
-        self.cuts_emitted = 0
-        self.max_buffered = 0
-
-    def svc_init(self) -> None:
-        self._pending.clear()
-        self._times.clear()
-        self._next_emit = 0
-        self.cuts_emitted = 0
-        self.max_buffered = 0
-
-    def svc(self, block: ResultBlock):
-        try:
-            ids = _check_ids(block, self.n_trajectories)
-            times = block._times.tolist()
-            for task_id, rows in zip(ids, block._values.tolist()):
-                for k, (time, values) in enumerate(zip(times, rows)):
-                    grid_index = block.grid_start + k
-                    if grid_index < self._next_emit:
-                        raise ValueError(
-                            f"task {task_id} re-reported grid point "
-                            f"{grid_index} (already emitted)")
-                    column = self._pending.setdefault(grid_index, {})
-                    if task_id in column:
-                        raise ValueError(
-                            f"task {task_id} reported grid point "
-                            f"{grid_index} twice")
-                    column[task_id] = tuple(values)
-                    self._times[grid_index] = time
-        finally:
-            if isinstance(block, ResultBlock):
-                block.release()
-        self.max_buffered = max(self.max_buffered, len(self._pending))
-        self._emit_ready()
-        return GO_ON
-
-    def _emit_ready(self) -> None:
-        while True:
-            column = self._pending.get(self._next_emit)
-            if column is None or len(column) < self.n_trajectories:
-                return
-            time = self._times.pop(self._next_emit)
-            del self._pending[self._next_emit]
-            values = [column[task_id]
-                      for task_id in range(self.n_trajectories)]
-            self.ff_send_out(Cut(grid_index=self._next_emit, time=time,
-                                 values=values))
-            self.cuts_emitted += 1
-            self.trace_incr("align.cuts", 1)
-            self._next_emit += 1
-
-    def svc_end(self) -> None:
-        self._pending.clear()
-        self._times.clear()

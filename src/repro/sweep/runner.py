@@ -23,7 +23,7 @@ from repro.cwc.network import ReactionNetwork
 from repro.ff.node import GO_ON, Node
 from repro.ff.trace import RunReport, Tracer
 from repro.sim.scheduler import TaskSource
-from repro.sim.trajectory import Cut, CutBlock
+from repro.sim.trajectory import CutBlock
 from repro.sweep.fused import make_fused_tasks
 from repro.sweep.spec import SweepSpec
 
@@ -67,7 +67,7 @@ class SweepResult:
 
 
 class SweepAccumulator(Node):
-    """Folds aligned cuts into per-point running summaries.
+    """Folds aligned cut blocks into per-point running summaries.
 
     The aligner's cut data arrives ``(n_trajectories_total,
     n_observables)`` per cut with rows in task-id order; task ids are
@@ -85,34 +85,22 @@ class SweepAccumulator(Node):
         self.variance = np.zeros((n_points, n_cuts, n_observables))
         self.cuts_seen = 0
 
-    def svc(self, item):
-        if isinstance(item, CutBlock):
-            g0 = item.grid_start
-            data = item.data  # (n_cuts, P*T, n_obs)
-            block = data.reshape(data.shape[0], self.n_points,
-                                 self.n_trajectories, data.shape[2])
-            n = data.shape[0]
-            self.times[g0:g0 + n] = item.times
-            self.mean[:, g0:g0 + n] = block.mean(axis=2).transpose(1, 0, 2)
-            ddof = 1 if self.n_trajectories > 1 else 0
-            self.variance[:, g0:g0 + n] = block.var(
-                axis=2, ddof=ddof).transpose(1, 0, 2)
-            self.cuts_seen += n
-            self.trace_incr("sweep.cuts", n)
-        elif isinstance(item, Cut):
-            data = np.asarray(item.data, dtype=float)
-            block = data.reshape(self.n_points, self.n_trajectories,
-                                 data.shape[1])
-            g = item.grid_index
-            self.times[g] = item.time
-            self.mean[:, g] = block.mean(axis=1)
-            ddof = 1 if self.n_trajectories > 1 else 0
-            self.variance[:, g] = block.var(axis=1, ddof=ddof)
-            self.cuts_seen += 1
-            self.trace_incr("sweep.cuts", 1)
-        else:
+    def svc(self, item: CutBlock):
+        if not isinstance(item, CutBlock):
             raise TypeError(
                 f"sweep accumulator received {type(item).__name__}")
+        g0 = item.grid_start
+        data = item.data  # (n_cuts, P*T, n_obs)
+        block = data.reshape(data.shape[0], self.n_points,
+                             self.n_trajectories, data.shape[2])
+        n = data.shape[0]
+        self.times[g0:g0 + n] = item.times
+        self.mean[:, g0:g0 + n] = block.mean(axis=2).transpose(1, 0, 2)
+        ddof = 1 if self.n_trajectories > 1 else 0
+        self.variance[:, g0:g0 + n] = block.var(
+            axis=2, ddof=ddof).transpose(1, 0, 2)
+        self.cuts_seen += n
+        self.trace_incr("sweep.cuts", n)
         return GO_ON
 
 

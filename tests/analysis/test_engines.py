@@ -2,16 +2,22 @@
 
 import pytest
 
+import numpy as np
+
 from repro.analysis.engines import GatherNode, StatEngineNode, WindowStatistics
+from repro.analysis.stats import block_statistics
 from repro.analysis.windows import Window
-from repro.sim.trajectory import Cut
 
 
 def window(n_cuts=4, n_traj=6, index=0):
-    cuts = [Cut(grid_index=g, time=float(g),
-                values=[(float(t * 10 + g), float(t)) for t in range(n_traj)])
-            for g in range(n_cuts)]
-    return Window(index, cuts)
+    """Observables ``(t * 10 + g, t)`` of trajectory ``t`` at grid ``g``,
+    grid ``g`` at time ``g``."""
+    g, t = np.meshgrid(np.arange(n_cuts), np.arange(n_traj), indexing="ij")
+    data = np.stack([t * 10.0 + g, t * 1.0], axis=2)
+    grids = np.arange(n_cuts)
+    times = grids.astype(float)
+    return Window(index, times, grids, data,
+                  block_statistics(grids, times, data))
 
 
 class TestStatEngine:

@@ -110,18 +110,17 @@ class _Feed:
 
 def scalar_windows(model, config):
     """The scalar reference plane -- ScalarTrajectoryAligner ->
-    ScalarSlidingWindowNode -> StatEngineNode(vectorized=False) -- fed,
-    quantum by quantum, by the tasks ``config`` describes."""
-    from repro.analysis.engines import StatEngineNode
-    from repro.analysis.windows import ScalarSlidingWindowNode
-    from repro.sim.alignment import ScalarTrajectoryAligner
+    ScalarSlidingWindowNode -> ScalarStatEngineNode -- fed, quantum by
+    quantum, by the tasks ``config`` describes."""
     from repro.sim.task import make_tasks
+    from tests.oracles.analysis import (ScalarSlidingWindowNode,
+                                        ScalarStatEngineNode,
+                                        ScalarTrajectoryAligner)
     aligner = ScalarTrajectoryAligner(config.n_simulations)
     window = ScalarSlidingWindowNode(config.window_size, config.window_slide)
-    engine = StatEngineNode(kmeans_k=config.kmeans_k,
-                            filter_width=config.filter_width,
-                            histogram_bins=config.histogram_bins,
-                            vectorized=False)
+    engine = ScalarStatEngineNode(kmeans_k=config.kmeans_k,
+                                  filter_width=config.filter_width,
+                                  histogram_bins=config.histogram_bins)
     windows = []
     aligner._outbox = _Feed(window.svc)
     window._outbox = _Feed(lambda w: windows.append(engine.svc(w)))

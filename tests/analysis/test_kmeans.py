@@ -1,6 +1,5 @@
 """k-means clustering."""
 
-import importlib
 import math
 import random
 import struct
@@ -9,10 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.analysis.kmeans import kmeans, kmeans_array
-
-# the package re-exports the function under the submodule's name
-kmeans_module = importlib.import_module("repro.analysis.kmeans")
+from repro.analysis.kmeans import kmeans_array
+from tests.oracles import analysis as oracle
+from tests.oracles.analysis import kmeans
 
 EMPTIED_MID_RUN = [
     [6.0, 9.0], [6.0, 9.0], [6.0, 6.0], [12.0, 9.0], [9.0, 10.0],
@@ -151,15 +149,14 @@ class TestVectorizedKMeans:
                 == as_bytes(kmeans(points, k, seed=seed)))
 
     def test_bitwise_equal_to_scalar(self, monkeypatch):
-        # in kmeans.py only the scalar empty-cluster re-seed calls max()
+        # the oracle's kmeans calls max() only in its empty-cluster re-seed
         reseeds = []
 
         def counting_max(*args, **kwargs):
             reseeds.append(1)
             return max(*args, **kwargs)
 
-        monkeypatch.setattr(kmeans_module, "max", counting_max,
-                            raising=False)
+        monkeypatch.setattr(oracle, "max", counting_max, raising=False)
 
         @settings(max_examples=300, deadline=None)
         @given(case=kmeans_cases())

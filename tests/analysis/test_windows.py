@@ -2,15 +2,16 @@
 
 Parametrised over the columnar ring-buffer :class:`SlidingWindowNode`
 and the scalar oracle :class:`ScalarSlidingWindowNode`: both must emit
-the same window sequence for any stream.
+the same window sequence for any stream of cut blocks.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.windows import (ScalarSlidingWindowNode,
-                                    SlidingWindowNode, Window)
-from repro.sim.trajectory import Cut, CutBlock
+from repro.analysis.windows import SlidingWindowNode, Window
+from repro.sim.trajectory import CutBlock
+from tests.oracles.analysis import ScalarSlidingWindowNode
 
 NODES = (SlidingWindowNode, ScalarSlidingWindowNode)
 
@@ -24,17 +25,29 @@ class _Capture:
         self.items.append(item)
 
 
-def cuts(n):
-    return [Cut(grid_index=g, time=float(g), values=[(float(g),)])
-            for g in range(n)]
+def blocks(n, block_len=1):
+    """``n`` one-trajectory cuts (grid ``g`` at time ``g`` with value
+    ``g``) in blocks of ``block_len``."""
+    values = np.arange(n, dtype=float)
+    return [CutBlock(g0, values[g0:g0 + block_len],
+                     values[g0:g0 + block_len, None, None])
+            for g0 in range(0, n, block_len)]
 
 
 def feed(node, n):
     out = _Capture(node)
-    for cut in cuts(n):
-        node.svc(cut)
+    for block in blocks(n):
+        node.svc(block)
     node.svc_end()
     return out.items
+
+
+def starts(windows):
+    return [int(w.grid_indices[0]) for w in windows]
+
+
+def covered(windows):
+    return [g for w in windows for g in w.grid_indices.tolist()]
 
 
 @pytest.mark.parametrize("node_cls", NODES)
@@ -48,14 +61,9 @@ class TestTumblingWindows:
         windows = feed(node_cls(size=5), 12)
         assert [len(w) for w in windows] == [5, 5, 2]
 
-    def test_partial_tail_suppressed(self, node_cls):
-        windows = feed(node_cls(size=5, emit_partial_tail=False), 12)
-        assert [len(w) for w in windows] == [5, 5]
-
     def test_windows_cover_stream_in_order(self, node_cls):
         windows = feed(node_cls(size=4), 10)
-        seen = [c.grid_index for w in windows for c in w.cuts]
-        assert seen == list(range(10))
+        assert covered(windows) == list(range(10))
 
     def test_fewer_cuts_than_window(self, node_cls):
         windows = feed(node_cls(size=100), 3)
@@ -69,14 +77,13 @@ class TestTumblingWindows:
 class TestOverlappingWindows:
     def test_slide_smaller_than_size(self, node_cls):
         windows = feed(node_cls(size=4, slide=2), 8)
-        starts = [w.cuts[0].grid_index for w in windows]
-        assert starts[:3] == [0, 2, 4]
+        assert starts(windows)[:3] == [0, 2, 4]
         assert all(len(w) == 4 for w in windows[:3])
 
     def test_overlap_shares_cuts(self, node_cls):
         windows = feed(node_cls(size=4, slide=2), 6)
-        assert [c.grid_index for c in windows[0].cuts] == [0, 1, 2, 3]
-        assert [c.grid_index for c in windows[1].cuts] == [2, 3, 4, 5]
+        assert windows[0].grid_indices.tolist() == [0, 1, 2, 3]
+        assert windows[1].grid_indices.tolist() == [2, 3, 4, 5]
 
     @given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 40))
     @settings(max_examples=60)
@@ -84,8 +91,7 @@ class TestOverlappingWindows:
         slide = min(size, 1 + slide_offset % size)
         node = node_cls(size=size, slide=slide)
         windows = feed(node, n)
-        covered = {c.grid_index for w in windows for c in w.cuts}
-        assert covered == set(range(n))
+        assert set(covered(windows)) == set(range(n))
         # window indices are consecutive
         assert [w.index for w in windows] == list(range(len(windows)))
 
@@ -98,10 +104,9 @@ class TestOverlappingWindows:
         expected_full = (n - size) // slide + 1
         assert [len(w) for w in windows[:expected_full]] == (
             [size] * expected_full)
-        starts = [w.cuts[0].grid_index for w in windows[:expected_full]]
-        assert starts == [i * slide for i in range(expected_full)]
-        covered = {c.grid_index for w in windows for c in w.cuts}
-        assert covered == set(range(n))
+        assert starts(windows[:expected_full]) == [
+            i * slide for i in range(expected_full)]
+        assert set(covered(windows)) == set(range(n))
 
 
 class TestColumnarScalarEquivalence:
@@ -114,60 +119,49 @@ class TestColumnarScalarEquivalence:
         arbitrary CutBlock batches to the ring -- yields identical
         windows."""
         slide = min(size, 1 + slide_offset % size)
-        stream = cuts(n)
         scalar = ScalarSlidingWindowNode(size=size, slide=slide)
         columnar = SlidingWindowNode(size=size, slide=slide)
         out_s = _Capture(scalar)
         out_c = _Capture(columnar)
-        for cut in stream:
-            scalar.svc(cut)
+        for block in blocks(n):
+            scalar.svc(block.cut(0))
         scalar.svc_end()
-        import numpy as np
-        start = 0
-        while start < n:
-            chunk = stream[start:start + block_len]
-            columnar.svc(CutBlock(
-                start, np.array([c.time for c in chunk]),
-                np.stack([c.data for c in chunk])))
-            start += len(chunk)
+        for block in blocks(n, block_len):
+            columnar.svc(block)
         columnar.svc_end()
         assert len(out_s.items) == len(out_c.items)
         for ws, wc in zip(out_s.items, out_c.items):
             assert ws.index == wc.index
-            assert [c.grid_index for c in ws.cuts] == \
-                [c.grid_index for c in wc.cuts]
-            assert [c.values for c in ws.cuts] == \
-                [c.values for c in wc.cuts]
+            assert ws.grid_indices.tobytes() == wc.grid_indices.tobytes()
+            assert ws.times.tobytes() == wc.times.tobytes()
+            assert ws.data.tobytes() == wc.data.tobytes()
 
     def test_ring_precomputes_stats(self):
         node = SlidingWindowNode(size=4, slide=2)
         windows = feed(node, 8)
         for window in windows:
-            assert window.cut_stats is not None
             assert len(window.cut_stats) == len(window)
-            for stat, cut in zip(window.cut_stats, window.cuts):
-                assert stat.grid_index == cut.grid_index
-                assert stat.mean == (float(cut.grid_index),)
+            for stat, grid in zip(window.cut_stats,
+                                  window.grid_indices.tolist()):
+                assert stat.grid_index == grid
+                assert stat.mean == (float(grid),)
 
     def test_type_check(self):
         with pytest.raises(TypeError):
             SlidingWindowNode(size=2).svc("nope")
+        with pytest.raises(TypeError, match="received Cut"):
+            # the aligner ships blocks only: a bare cut is refused
+            SlidingWindowNode(size=2).svc(blocks(1)[0].cut(0))
         with pytest.raises(TypeError):
             ScalarSlidingWindowNode(size=2).svc("nope")
 
 
 class TestWindowObject:
     def test_time_bounds(self):
-        window = Window(0, cuts(4))
+        times = np.arange(4, dtype=float)
+        window = Window(0, times, np.arange(4), times[:, None, None], [])
         assert window.start_time == 0.0
         assert window.end_time == 3.0
-
-    def test_trajectory_matrix(self):
-        data = [Cut(grid_index=g, time=float(g),
-                    values=[(g + 100.0,), (g + 200.0,)]) for g in range(3)]
-        window = Window(0, data)
-        matrix = window.trajectory_matrix(0)
-        assert matrix == [[100.0, 101.0, 102.0], [200.0, 201.0, 202.0]]
 
 
 @pytest.mark.parametrize("node_cls", NODES)

@@ -136,6 +136,27 @@ class LedgerMachine(RuleBasedStateMachine):
     def admit(self, data):
         self._admit(data.draw(st.sampled_from(list(self.idle))))
 
+    @precondition(lambda self: self.live)
+    @rule(worker=st.integers(0, 2),
+          namespace=st.sampled_from(["a", "b", None]))
+    def admit_on(self, worker, namespace):
+        """New tasks admitted onto a chosen live worker, each pinned
+        there as an earlier dispatch would have left it, until one
+        waits (at most ``window + 1``).  Least-load pins spread new
+        tasks out; this leaves a waiter on a full worker beside others
+        with room, where turns and re-pins can go wrong."""
+        if worker not in self.alive:
+            return
+        while True:
+            key = self.next_key if namespace is None \
+                else (namespace, self.next_key)
+            self.next_key += 1
+            self.idle[key] = (checkpoint(key), True)
+            self.ledger.assignment[key] = worker
+            self._admit(key)
+            if key in self.idle:
+                return
+
     @precondition(lambda self: self.live and self.idle)
     @rule(data=st.data())
     def wake(self, data):

@@ -12,14 +12,18 @@ import pytest
 from repro.analysis.engines import GatherNode, StatEngineNode
 from repro.analysis.windows import SlidingWindowNode
 from repro.ff import Farm, GO_ON, MasterWorkerEmitter, Node, Pipeline, run
+import numpy as np
+
 from repro.ff.node import SinkNode
-from repro.sim.trajectory import Cut
+from repro.sim.trajectory import CutBlock
 
 BACKENDS = ("sequential", "threads")
 
 
 def _cuts(n):
-    return [Cut(grid_index=g, time=float(g), values=[(float(g),)])
+    """``n`` one-trajectory cuts, one block each (grid ``g`` at time
+    ``g`` with value ``g``)."""
+    return [CutBlock(g, np.array([float(g)]), np.array([[[float(g)]]]))
             for g in range(n)]
 
 
@@ -31,18 +35,19 @@ class TestSlidingWindowReuse:
         first = run(structure, backend=backend)
         second = run(structure, backend=backend)
         assert [w.index for w in first] == [w.index for w in second]
-        assert ([[c.values for c in w.cuts] for w in first]
-                == [[c.values for c in w.cuts] for w in second])
+        assert ([w.data.tolist() for w in first]
+                == [w.data.tolist() for w in second])
         assert first[0].index == 0  # indices restart, don't continue
 
     def test_no_leaked_tail_from_previous_run(self, backend):
-        # 3 items with size=2/slide=2 leaves one cut buffered at EOS;
-        # the partial tail must not leak into the next run's windows
-        node = SlidingWindowNode(size=2, slide=2, emit_partial_tail=False)
+        # 3 items with size=2/slide=2 leave one cut buffered at EOS,
+        # which leaves as a partial tail; it must not leak into the next
+        # run, whose windows are its own [0, 1] and tail [2] again
+        node = SlidingWindowNode(size=2, slide=2)
         structure = Pipeline([_cuts(3), node])
         run(structure, backend=backend)
         second = run(structure, backend=backend)
-        assert [[c.grid_index for c in w.cuts] for w in second] == [[0, 1]]
+        assert [w.grid_indices.tolist() for w in second] == [[0, 1], [2]]
 
 
 class _Task:
@@ -93,18 +98,10 @@ class TestSinkAndEngineReuse:
         assert sink.results == [0, 2, 4, 6, 8]  # not doubled up
 
     def test_engine_counters_restart(self, backend):
-        class _Win:
-            """Minimal stand-in accepted by StatEngineNode."""
-
-            def __init__(self, index):
-                self.index = index
-                self.cuts = []
-                self.start_time = 0.0
-                self.end_time = 1.0
-
         gather = GatherNode()
         engine = StatEngineNode()
-        structure = Pipeline([[_Win(0), _Win(1)], engine, gather])
+        structure = Pipeline([_cuts(4), SlidingWindowNode(size=2), engine,
+                              gather])
         run(structure, backend=backend)
         run(structure, backend=backend)
         assert engine.windows_processed == 2

@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ff.node import Node
-from repro.sim.alignment import ScalarTrajectoryAligner, TrajectoryAligner
+from repro.sim.alignment import TrajectoryAligner
 from repro.sim.task import ResultBlock
 from repro.sim.trajectory import Cut, CutBlock, iter_cuts
+from tests.oracles.analysis import ScalarTrajectoryAligner
 
 ALIGNERS = (TrajectoryAligner, ScalarTrajectoryAligner)
 

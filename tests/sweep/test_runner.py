@@ -47,16 +47,13 @@ class TestAccumulator:
         acc.svc(CutBlock(grid_start=0, times=np.array([0.0]), data=data))
         assert np.array_equal(acc.variance[:, 0, 0], np.zeros(2))
 
-    def test_scalar_cut_path(self):
-        acc = self._make(P=2, T=2, n_cuts=2, n_obs=1)
-        cut = Cut(1, 0.5, data=np.array([[1.0], [3.0], [5.0], [7.0]]))
-        acc.svc(cut)
-        assert np.array_equal(acc.mean[:, 1, 0], [2.0, 6.0])
-        assert acc.times[1] == 0.5
-
     def test_rejects_foreign_items(self):
         with pytest.raises(TypeError, match="sweep accumulator"):
             self._make().svc(object())
+        # the aligner ships blocks only: a bare cut is refused
+        cut = Cut(0, 0.0, data=np.zeros((8, 3)))
+        with pytest.raises(TypeError, match="received Cut"):
+            self._make().svc(cut)
 
 
 class TestRunSweep:
