@@ -106,13 +106,11 @@ KEEP: dict[str, str] = {
             "TauLeapSimulator.observable_names"),
     **_keep("inventory", "repro.cwc.batch", "BatchFlatSimulator.network",
             "BatchFlatSimulator.model", "BatchFlatSimulator.observable_names",
-            "BatchFlatSimulator.observe", "BatchFlatSimulator.state_view",
-            "BatchFlatSimulator.run_all"),
+            "BatchFlatSimulator.observe", "BatchFlatSimulator.state_view"),
     **_keep("inventory", "repro.sim.trajectory",  # S6
             "Cut.n_observables", "Cut.__eq__", "CutBlock.n_trajectories",
             "CutBlock.n_observables", "Trajectory.__len__"),
-    **_keep("inventory", "repro.sim.task", "SimulationTask.n_samples_total",
-            "BatchSimulationTask.n_samples_total"),
+    **_keep("inventory", "repro.sim.task", "SimulationTask.n_samples_total"),
     **_keep("inventory", "repro.sim.scheduler", "SimTaskEmitter.backlog_size"),
     **_keep("inventory", "repro.analysis.windows",  # S7
             "Window.n_trajectories", "Window.n_observables",
@@ -209,8 +207,7 @@ KEEP: dict[str, str] = {
             "Cut.__setstate__", "CutBlock.__getstate__",
             "CutBlock.__setstate__", "Cut.__repr__", "CutBlock.__repr__"),
     **_keep("data-dependent", "repro.sim.task", "ResultBlock.__repr__",
-            "SimulationTask.__repr__", "BatchSimulationTask.__repr__"),
-    **_keep("data-dependent", "repro.sweep.fused", "FusedSweepTask.__repr__"),
+            "SimulationTask.__repr__"),
     **_keep("data-dependent", "repro.analysis.windows", "Window.__repr__"),
     # -- open items: code an open ROADMAP item is to put on a run
     **_keep("open-item 14", "repro.models.cell_population",

@@ -29,7 +29,7 @@ Stopping at a quantum boundary remains statistically exact for every
 member: the exponential clock is memoryless, so the partially elapsed
 waiting time of a trajectory that overshoots its target is discarded and
 resampled on the next call -- the same argument
-:meth:`repro.cwc.gillespie.CWCSimulator.advance` relies on.
+:meth:`repro.cwc.gillespie.SampledSimulator.advance` relies on.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.cwc.gillespie import SSAResult
 from repro.cwc.kernels import NumpyKernel, make_kernel
 from repro.cwc.model import Model
 from repro.cwc.network import ReactionNetwork, StateView, \
@@ -705,8 +704,9 @@ class BatchFlatSimulator:
     ``times``/``steps`` are per-trajectory vectors, and a single
     :class:`numpy.random.Generator` supplies all randomness.  The public
     surface mirrors the scalar engines where it can (``advance``,
-    ``observe``, ``run``) and adds batched variants (``observe_all``,
-    ``run_all``).
+    ``observe``) and is the block-of-``n`` surface a
+    :class:`~repro.sim.task.SimulationTask` drives (``n``,
+    ``advance_to``, ``observe_all``, ``total_steps``).
 
     ``method`` selects the stepping algorithm:
 
@@ -1159,29 +1159,6 @@ class BatchFlatSimulator:
         counts = {s: int(self.counts[trajectory, i])
                   for s, i in self.compiled.species_index.items()}
         return StateView(counts)
-
-    # ------------------------------------------------------------------
-    # whole-run convenience (the batched analog of FlatSimulator.run)
-    # ------------------------------------------------------------------
-    def run_all(self, t_end: float, sample_every: float) -> list[SSAResult]:
-        """Run every trajectory to ``t_end``, sampling on the shared grid;
-        returns one :class:`SSAResult` per trajectory."""
-        results = [SSAResult(model_name=self.network.name,
-                             observable_names=self.network.observables)
-                   for _ in range(self.n)]
-        next_sample = float(self.times.min())
-        while True:
-            self.advance_to(np.full(self.n, next_sample))
-            values = self.observe_all().tolist()  # plain floats
-            for i, result in enumerate(results):
-                result.times.append(next_sample)
-                result.samples.append(tuple(values[i]))
-            if next_sample >= t_end:
-                break
-            next_sample = min(next_sample + sample_every, t_end)
-        for i, result in enumerate(results):
-            result.steps = int(self.steps[i])
-        return results
 
     def __repr__(self) -> str:
         return (f"<BatchFlatSimulator {self.network.name!r} n={self.n} "

@@ -13,7 +13,7 @@ engine implements Gillespie's direct method generalised to tree terms:
 
 Two facilities match the paper's workflow:
 
-* **quantum stepping** (:meth:`CWCSimulator.advance`): run for a bounded
+* **quantum stepping** (:meth:`SampledSimulator.advance`): run for a bounded
   amount of *simulation time* and return, so a farm can interleave many
   trajectories and rebalance load after every quantum.  Stopping at a
   quantum boundary is statistically exact: the exponential clock is
@@ -69,9 +69,34 @@ class SSAResult:
 
 
 class SampledSimulator:
-    """The sampling loop shared by the scalar simulators, which provide
-    ``model``, ``time``, ``steps``, ``advance``, ``observe`` and
-    ``observable_names``."""
+    """What the scalar simulators share, given their ``model``,
+    ``time``, ``steps``, ``step``, ``observe`` and ``observable_names``:
+    the stepping loop, the sampling loop of a whole run, and the
+    block-of-``n`` surface a :class:`~repro.sim.task.SimulationTask`
+    drives (a block of one)."""
+
+    #: trajectories in the block
+    n = 1
+
+    def advance(self, quantum: float) -> float:
+        """Advance the clock by up to ``quantum`` simulation-time units
+        (the paper's *simulation quantum*).  Returns the new time."""
+        target = self.time + quantum
+        while self.time < target:
+            if not self.step(t_max=target):
+                break
+        return self.time
+
+    def advance_to(self, t: float) -> float:
+        # the target stays ``time + (t - time)``, bit for bit
+        return self.advance(t - self.time)
+
+    def observe_all(self) -> tuple[tuple[float, ...]]:
+        return (self.observe(),)
+
+    @property
+    def total_steps(self) -> int:
+        return self.steps
 
     def run(self, t_end: float, sample_every: float) -> SSAResult:
         """Run to ``t_end``, sampling observables every ``sample_every``
@@ -248,15 +273,6 @@ class CWCSimulator(SampledSimulator):
         self._apply(rule, context)
         self.steps += 1
         return True
-
-    def advance(self, quantum: float) -> float:
-        """Advance the clock by up to ``quantum`` simulation-time units
-        (the paper's *simulation quantum*).  Returns the new time."""
-        target = self.time + quantum
-        while self.time < target:
-            if not self.step(t_max=target):
-                break
-        return self.time
 
     def observe(self) -> tuple[float, ...]:
         """Sample the model's observables at the current state."""

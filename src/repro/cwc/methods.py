@@ -60,13 +60,8 @@ class FirstReactionSimulator(FlatSimulator):
         self.steps += 1
         return True
 
-    def advance(self, quantum: float) -> float:
-        # per step: the inherited advance runs the direct method's loop
-        target = self.time + quantum
-        while self.time < target:
-            if not self.step(t_max=target):
-                break
-        return self.time
+    # per step: FlatSimulator's advance runs the direct method's loop
+    advance = SampledSimulator.advance
 
 
 class TauLeapSimulator(SampledSimulator):
@@ -170,13 +165,6 @@ class TauLeapSimulator(SampledSimulator):
             tau /= 2.0  # rejected: would go negative; halve and retry
         # could not find a safe leap: take one exact step instead
         return self._exact_step(aT, total, t_max)
-
-    def advance(self, quantum: float) -> float:
-        target = self.time + quantum
-        while self.time < target:
-            if not self.step(t_max=target):
-                break
-        return self.time
 
     def observe(self) -> tuple[float, ...]:
         return tuple(

@@ -113,7 +113,9 @@ class Heartbeat:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """What the master holds of a task: its scheduling facts, its
+    """What the master holds of a task: its key (the task's
+    ``task_id``, its first trajectory id, unique in a run; scoped by a
+    tenant's namespace on a shared pool), its scheduling facts, its
     cost counters (``steps``, and ``quanta`` run, which a dispatch
     advances by its chain's length) and its complete state as an opaque
     blob (``pickle.dumps(task, 5)``, made where the live task is).  The
@@ -129,7 +131,7 @@ class Checkpoint:
 
     @classmethod
     def of(cls, task: Any, key: Any = None) -> "Checkpoint":
-        return cls(_task_key(task) if key is None else key, task.done,
+        return cls(task.task_id if key is None else key, task.done,
                    task.time, task.steps, task.quanta,
                    pickle.dumps(task, 5))
 
@@ -196,15 +198,6 @@ class Shutdown:
     """Master -> worker: the run is over, exit cleanly."""
 
     reason: str = "done"
-
-
-def _task_key(task: Any) -> Any:
-    """Stable identity of a task across pickling: its id, or the id
-    range of a :class:`~repro.sim.task.BatchSimulationTask`."""
-    key = getattr(task, "task_id", None)
-    if key is None:
-        key = task.task_ids
-    return key
 
 
 # ----------------------------------------------------------------------
@@ -420,7 +413,7 @@ class ClusterMaster:
         if isinstance(task, Checkpoint):
             checkpoint, fresh = task, False
         else:
-            key = _task_key(task)
+            key = task.task_id
             checkpoint = Checkpoint.of(
                 task, key if namespace is None else (namespace, key))
             fresh = True

@@ -36,17 +36,13 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.sim.task import BatchSimulationTask
-
 #: modeled unified-memory traffic per task per quantum, in bytes
 TASK_MESSAGE_BYTES = 2048.0
 
 
 def _member_steps(task) -> tuple[range, np.ndarray]:
     """A task's member trajectory ids and their SSA step counts so far."""
-    if isinstance(task, BatchSimulationTask):
-        return task.task_ids, task.steps_by_trajectory.copy()
-    return range(task.task_id, task.task_id + 1), np.array([task.steps])
+    return task.task_ids, np.array(task.simulator.steps, ndmin=1)
 
 
 class _Lane:

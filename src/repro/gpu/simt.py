@@ -86,8 +86,8 @@ class SimtDevice:
         """Execute one *batched* kernel; model its duration.
 
         ``kernel(batch)`` advances every thread of the batch at once (e.g.
-        one vectorized SSA quantum over a
-        :class:`~repro.sim.task.BatchSimulationTask`);
+        one vectorized SSA quantum over a lockstep
+        :class:`~repro.sim.task.SimulationTask`);
         ``work_of(batch, result)`` reports the per-thread work units
         measured from that real execution.  Returns ``(result, stats)``.
         """

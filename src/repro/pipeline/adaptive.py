@@ -81,8 +81,8 @@ class Repriority:
 
 def task_lag_key(task: Any) -> float:
     """Priority key ordering tasks by how far *behind* they are in
-    simulated time (laggards first).  Works for scalar and batch tasks:
-    both expose ``time``."""
+    simulated time (laggards first): a task's ``time``, the lockstep
+    clock of its block."""
     return task.time
 
 

@@ -7,7 +7,6 @@ into time-aligned cuts ready for on-line analysis).
 """
 
 from repro.sim.task import (
-    BatchSimulationTask,
     ResultBlock,
     SimulationTask,
     make_batch_tasks,
@@ -26,7 +25,6 @@ from repro.sim.alignment import TrajectoryAligner
 
 __all__ = [
     "SimulationTask",
-    "BatchSimulationTask",
     "ResultBlock",
     "make_tasks",
     "make_batch_tasks",

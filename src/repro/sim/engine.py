@@ -1,13 +1,13 @@
 """The *simulation engine* farm worker (the paper's ``sim eng`` boxes).
 
-Each engine receives a :class:`~repro.sim.task.SimulationTask` (or a
-:class:`~repro.sim.task.BatchSimulationTask` covering a whole block of
-lockstep trajectories), brings it forward by a *chain* of simulation
-quanta -- as many as it takes until one yields a sample or the task is
-done (:func:`run_quantum`) -- streams that quantum's one result item (a
-:class:`~repro.sim.task.ResultBlock` over the task's trajectories)
-downstream towards trajectory alignment and reschedules the task back to
-the emitter along the farm's feedback channel.  The quanta skipped
+Each engine receives a :class:`~repro.sim.task.SimulationTask` (one
+trajectory or a whole block of lockstep ones), brings it forward by a
+*chain* of simulation quanta -- as many as it takes until one yields a
+sample or the task is done (:func:`run_quantum`) -- streams that
+quantum's one result item (a :class:`~repro.sim.task.ResultBlock` over
+the task's trajectories) downstream towards trajectory alignment and
+reschedules the task back to the emitter along the farm's feedback
+channel.  The quanta skipped
 inside a chain crossed no grid point, so the item covers every grid
 point the chain crossed, and a quantum that yields no sample is never a
 stream item, a feedback hop or a round trip.  The result goes out
@@ -27,10 +27,10 @@ chain goes to the worker that holds the task.
 
 from __future__ import annotations
 
-from typing import Any, Union
+from typing import Any
 
 from repro.ff.node import GO_ON, Node
-from repro.sim.task import BatchSimulationTask, SimulationTask
+from repro.sim.task import SimulationTask
 
 
 def run_quantum(task):
@@ -72,7 +72,7 @@ class SimEngineNode(Node):
         self.quanta_executed = 0
         self.steps_executed = 0
 
-    def svc(self, task: Union[SimulationTask, BatchSimulationTask]):
+    def svc(self, task: SimulationTask):
         quanta_before, steps_before = task.quanta, task.steps
         task, result = self._advance(task)
         quanta = task.quanta - quanta_before

@@ -108,8 +108,8 @@ class TaskGenerator(TaskSource):
         counters["sim.seed_blocks"] = (
             -(-self.n_simulations // self.batch_size) if batch
             else self.n_simulations)
-        counters["sim.lockstep_rows_max"] = (
-            max(task.n for task in tasks) if batch else 1)
+        counters["sim.lockstep_rows_max"] = max(
+            len(task.task_ids) for task in tasks)
         return tasks, counters
 
 

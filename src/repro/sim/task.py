@@ -1,21 +1,19 @@
 """Simulation tasks: stochastic trajectories, executed quantum by quantum.
 
-Each task wraps a simulator instance (either engine: CWC tree terms or the
-flat fast path) plus its progress bookkeeping.  ``run_quantum`` advances
-the trajectory by one *simulation quantum* (a fixed amount of simulated
-time) and returns the observable samples that fell inside the quantum, on
-the global sampling grid -- the stream the paper calls *raw simulation
-results*.
-
-:class:`BatchSimulationTask` is the batched variant: one task owns a whole
-block of trajectories advanced in lockstep by the NumPy engine
-(:class:`~repro.cwc.batch.BatchFlatSimulator`).  Either way one quantum
-returns one item of one type, a :class:`ResultBlock` over the task's
-contiguous range of trajectory ids (a range of one for a scalar task) --
-the granularity the paper uses for its GPU offload (blocks of
-simulations as stream items).  The alignment stage writes a block's
-members with one slice, so it stays oblivious to how trajectories were
-grouped.
+One task class, :class:`SimulationTask`, over a contiguous range of
+trajectory ids.  It wraps a simulator -- a block of ``n`` trajectories:
+a scalar engine (CWC tree terms, the flat fast path, first-reaction or
+tau-leaping) is a block of one, the NumPy lockstep engine
+(:class:`~repro.cwc.batch.BatchFlatSimulator`) a block of many, seed
+blocks or sweep points fused -- plus its progress bookkeeping.
+``run_quantum`` advances the block by one *simulation quantum* (a fixed
+amount of simulated time) and returns the observable samples that fell
+inside the quantum, on the global sampling grid -- the stream the paper
+calls *raw simulation results* -- as one item of one type, a
+:class:`ResultBlock` over the task's ids: the granularity the paper
+uses for its GPU offload (blocks of simulations as stream items).  The
+alignment stage writes a block's members with one slice, so it stays
+oblivious to how trajectories were grouped.
 
 Tasks are ordinary picklable objects, so they can cross process and
 (simulated) network boundaries -- the distributed simulator serialises
@@ -25,12 +23,11 @@ exactly these.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.cwc.batch import BatchFlatSimulator, CompiledNetwork, \
-    compile_network
+from repro.cwc.batch import BatchFlatSimulator, compile_network
 from repro.cwc.gillespie import CWCSimulator
 from repro.cwc.model import Model
 from repro.cwc.network import FlatSimulator, ReactionNetwork
@@ -156,14 +153,27 @@ def _no_samples(n_members: int, n_obs: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class SimulationTask:
-    """One trajectory to simulate up to ``t_end``; see module docstring."""
+    """A contiguous range of trajectories simulated up to ``t_end``, one
+    quantum at a time; see module docstring.
 
-    def __init__(self, task_id: int,
-                 simulator: Union[CWCSimulator, FlatSimulator],
+    ``simulator`` is any block of ``n`` trajectories: ``n``,
+    ``advance_to(t)``, ``observe_all()`` (an ``(n, n_observables)``
+    matrix), ``total_steps``, ``time`` and ``observable_names``.  A
+    scalar engine is a block of one
+    (:class:`~repro.cwc.gillespie.SampledSimulator`), the NumPy engine a
+    lockstep block (:class:`~repro.cwc.batch.BatchFlatSimulator`).  The
+    task's key is its first id, ``task_id``: a run's id ranges are
+    disjoint, so it is unique.
+    """
+
+    def __init__(self, task_ids: Sequence[int], simulator: Any,
                  t_end: float, quantum: float, sample_every: float):
         if quantum <= 0 or sample_every <= 0 or t_end <= 0:
             raise ValueError("t_end, quantum and sample_every must be > 0")
-        self.task_id = task_id
+        if len(task_ids) != simulator.n:
+            raise ValueError(
+                f"{len(task_ids)} task ids for {simulator.n} trajectories")
+        self.task_id = id_range(task_ids).start
         self.simulator = simulator
         self.t_end = t_end
         self.quantum = quantum
@@ -173,12 +183,21 @@ class SimulationTask:
         self.quanta = 0
 
     @property
+    def task_ids(self) -> range:
+        return range(self.task_id, self.task_id + self.simulator.n)
+
+    @property
+    def n(self) -> int:
+        return self.simulator.n
+
+    @property
     def time(self) -> float:
         return self.simulator.time
 
     @property
     def steps(self) -> int:
-        return self.simulator.steps
+        """SSA steps across the block (for cost accounting)."""
+        return self.simulator.total_steps
 
     @property
     def done(self) -> bool:
@@ -194,137 +213,42 @@ class SimulationTask:
 
         The simulator is driven from grid point to grid point so samples
         are taken exactly on the global grid (times ``k * sample_every``).
-        The result is a one-member :class:`ResultBlock`.
+        The result is one :class:`ResultBlock` over the task's ids.
         """
+        simulator = self.simulator
         grid_start = self._next_grid
         grid_times: list[float] = []
-        rows: list[tuple[float, ...]] = []
+        rows: list = []  # one (n, n_obs) matrix per grid point crossed
         if not self.done:
             self.quanta += 1
-            target = min(self.time + self.quantum, self.t_end)
+            target = min(simulator.time + self.quantum, self.t_end)
             while True:
                 grid_time = self._next_grid * self.sample_every
                 if grid_time > target + 1e-12:
                     break
-                if grid_time > self.time:
-                    self.simulator.advance(grid_time - self.time)
+                if grid_time > simulator.time:
+                    simulator.advance_to(grid_time)
                 grid_times.append(grid_time)
-                rows.append(self.simulator.observe())
+                rows.append(simulator.observe_all())
                 self._next_grid += 1
                 if grid_time >= self.t_end - 1e-12:
                     break
-            if self.time < target:
-                self.simulator.advance(target - self.time)
-        if rows:
-            times = np.array(grid_times)
-            values = np.asarray(rows, dtype=float)[None]
-        else:
-            times, values = _no_samples(
-                1, len(self.simulator.observable_names))
-        return ResultBlock(range(self.task_id, self.task_id + 1),
-                           grid_start, times, values, self.done)
-
-    def __repr__(self) -> str:
-        return (f"<SimulationTask {self.task_id} t={self.time:.3g}/"
-                f"{self.t_end:g}>")
-
-
-class BatchSimulationTask:
-    """A block of lockstep trajectories simulated up to ``t_end``.
-
-    Mirrors :class:`SimulationTask` (``run_quantum``, ``done``, ``steps``)
-    but over a whole :class:`~repro.cwc.batch.BatchFlatSimulator`;
-    ``run_quantum`` returns one :class:`ResultBlock` carrying the member
-    task ids.
-    """
-
-    def __init__(self, task_ids: Sequence[int], batch: BatchFlatSimulator,
-                 t_end: float, quantum: float, sample_every: float):
-        if quantum <= 0 or sample_every <= 0 or t_end <= 0:
-            raise ValueError("t_end, quantum and sample_every must be > 0")
-        if len(task_ids) != batch.n:
-            raise ValueError(
-                f"{len(task_ids)} task ids for {batch.n} trajectories")
-        self.task_ids = id_range(task_ids)
-        self.batch = batch
-        self.t_end = t_end
-        self.quantum = quantum
-        self.sample_every = sample_every
-        self._next_grid = 0  # shared: members advance in lockstep
-        #: quanta run so far (one per :meth:`run_quantum` that advanced)
-        self.quanta = 0
-
-    @property
-    def n(self) -> int:
-        return self.batch.n
-
-    @property
-    def time(self) -> float:
-        return self.batch.time
-
-    @property
-    def steps(self) -> int:
-        """Total SSA steps across the block (for cost accounting)."""
-        return self.batch.total_steps
-
-    @property
-    def steps_by_trajectory(self) -> np.ndarray:
-        return self.batch.steps
-
-    @property
-    def done(self) -> bool:
-        return bool((self.batch.times >= self.t_end - 1e-12).all())
-
-    @property
-    def n_samples_total(self) -> int:
-        return int(round(self.t_end / self.sample_every)) + 1
-
-    def run_quantum(self) -> ResultBlock:
-        """Advance the whole block by one quantum and sample on the grid.
-
-        The block is driven from grid point to grid point (one vectorized
-        ``advance_to`` per grid crossing), exactly like the scalar task.
-        """
-        grid_start = self._next_grid
-        if self.done:
-            return self._block(grid_start, [], [])
-        self.quanta += 1
-        target = min(self.time + self.quantum, self.t_end)
-        rows: list[np.ndarray] = []      # one (n, n_obs) matrix per grid pt
-        grid_times: list[float] = []
-        while True:
-            grid_time = self._next_grid * self.sample_every
-            if grid_time > target + 1e-12:
-                break
-            if grid_time > self.time:
-                self.batch.advance_to(np.full(self.n, grid_time))
-            rows.append(self.batch.observe_all())
-            grid_times.append(grid_time)
-            self._next_grid += 1
-            if grid_time >= self.t_end - 1e-12:
-                break
-        if self.time < target:
-            self.batch.advance_to(np.full(self.n, target))
-        return self._block(grid_start, grid_times, rows)
-
-    def _block(self, grid_start: int, grid_times: list[float],
-               rows: list[np.ndarray]) -> ResultBlock:
-        """The quantum's stream item: ``rows`` holds one ``(n, n_obs)``
-        matrix per grid point crossed (none: a bare progress / done
-        marker)."""
+            if simulator.time < target:
+                simulator.advance_to(target)
         if rows:
             # one member-major copy of the quantum's samples
             times = np.array(grid_times)
-            values = np.ascontiguousarray(np.stack(rows).transpose(1, 0, 2))
+            values = np.ascontiguousarray(
+                np.asarray(rows, dtype=float).transpose(1, 0, 2))
         else:
             times, values = _no_samples(
-                self.n, len(self.batch.compiled.observable_columns))
+                simulator.n, len(simulator.observable_names))
         return ResultBlock(self.task_ids, grid_start, times, values,
                            self.done)
 
     def __repr__(self) -> str:
-        return (f"<BatchSimulationTask ids={self.task_ids[0]}.."
-                f"{self.task_ids[-1]} t={self.time:.3g}/{self.t_end:g}>")
+        return (f"<SimulationTask {self.task_ids} t={self.time:.3g}/"
+                f"{self.t_end:g}>")
 
 
 def make_tasks(model: Union[Model, ReactionNetwork], n_simulations: int,
@@ -342,8 +266,7 @@ def make_tasks(model: Union[Model, ReactionNetwork], n_simulations: int,
     (tree-term engine), ``"auto"`` (flat when possible) or ``"batch"``
     (the NumPy lockstep engine: trajectories are grouped into seed blocks
     of ``batch_size``, one RNG stream each, and -- when ``n_workers`` is
-    given -- consecutive seed blocks into wider
-    :class:`BatchSimulationTask` lockstep tasks, see
+    given -- consecutive seed blocks into wider lockstep tasks, see
     :func:`make_batch_tasks`).  Seeds are derived as ``seed + task_id``
     (per seed block for ``"batch"``) so runs are reproducible and
     trajectories independent.  The scalar engines ignore ``n_workers``.
@@ -372,8 +295,8 @@ def make_tasks(model: Union[Model, ReactionNetwork], n_simulations: int,
     for task_id in range(n_simulations):
         task_seed = None if seed is None else seed + task_id
         simulator = _make_simulator(model, engine, task_seed, method)
-        tasks.append(SimulationTask(task_id, simulator, t_end, quantum,
-                                    sample_every))
+        tasks.append(SimulationTask(range(task_id, task_id + 1), simulator,
+                                    t_end, quantum, sample_every))
     return tasks
 
 
@@ -419,7 +342,7 @@ def make_batch_tasks(model: Union[Model, ReactionNetwork],
                      engine_kernel: str = "numpy",
                      method: str = "exact",
                      n_workers: Optional[int] = None
-                     ) -> list[BatchSimulationTask]:
+                     ) -> list[SimulationTask]:
     """Group ``n_simulations`` trajectories into lockstep batch tasks.
 
     ``batch_size`` is the number of trajectories per *seed block*: each
@@ -468,8 +391,8 @@ def make_batch_tasks(model: Union[Model, ReactionNetwork],
                                        for block in group]}
         batch = BatchFlatSimulator(compiled, len(ids), kernel=engine_kernel,
                                    method=method, **streams)
-        tasks.append(BatchSimulationTask(ids, batch, t_end, quantum,
-                                         sample_every))
+        tasks.append(SimulationTask(ids, batch, t_end, quantum,
+                                    sample_every))
     return tasks
 
 

@@ -14,12 +14,11 @@ aligned cuts to per-point summary matrices that
 :mod:`repro.pipeline.storage` persists in a mmap-able columnar layout.
 """
 
-from repro.sweep.fused import FusedSweepTask, make_fused_tasks
+from repro.sweep.fused import make_fused_tasks
 from repro.sweep.runner import SweepResult, run_sweep
 from repro.sweep.spec import SweepSpec
 
 __all__ = [
-    "FusedSweepTask",
     "SweepResult",
     "SweepSpec",
     "make_fused_tasks",

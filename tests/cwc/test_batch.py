@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from repro.cwc.batch import BatchFlatSimulator, CompiledNetwork, batch_simulator
+from repro.cwc.batch import BatchFlatSimulator, CompiledNetwork
 from repro.cwc.network import FlatSimulator, Reaction, ReactionNetwork
 from repro.models import (
     lotka_volterra_network,
@@ -143,18 +143,6 @@ class TestBatchScalarEquivalence:
             scalar_steps.append(sim.steps)
         assert batch.steps.mean() == pytest.approx(
             np.mean(scalar_steps), rel=0.10)
-
-    def test_run_all_matches_scalar_grid(self):
-        """run_all produces the same sampling grid and plain-float samples
-        as FlatSimulator.run."""
-        network = neurospora_network(omega=10)
-        results = batch_simulator(network, 3, seed=9).run_all(3.0, 0.5)
-        reference = FlatSimulator(network, seed=9).run(3.0, 0.5)
-        assert len(results) == 3
-        for result in results:
-            assert result.times == reference.times
-            assert all(isinstance(v, float)
-                       for sample in result.samples for v in sample)
 
 
 class TestBatchApi:

@@ -10,7 +10,7 @@ from repro.gpu.device import tesla_k40
 from repro.gpu.map_cuda import DevicePool
 from repro.gpu.simt import SimtDevice
 from repro.pipeline import WorkflowConfig, run_workflow
-from repro.sim.task import BatchSimulationTask, make_tasks
+from repro.sim.task import SimulationTask, make_tasks
 from repro.sweep import SweepSpec, run_sweep
 
 
@@ -161,7 +161,7 @@ class TestDevicePool:
         future = DevicePool([k40()]).submit(fault, task)
         assert isinstance(future.exception(), RuntimeError)
 
-        monkeypatch.setattr(BatchSimulationTask, "run_quantum", fault)
+        monkeypatch.setattr(SimulationTask, "run_quantum", fault)
         with pytest.raises(NodeError, match="kernel fault"):
             pool_run(neurospora_small, config(engine="batch"))
 

@@ -32,14 +32,14 @@ class TestWithoutDevice:
 @needs_gpu
 class TestWithDevice:
     def test_batched_launch_runs_a_quantum(self, neurospora_small):
-        from repro.sim.task import BatchSimulationTask
+        from repro.sim.task import SimulationTask
         device = RealGpuDevice()
         sim = BatchFlatSimulator(neurospora_small, 32, seed=0, kernel="cupy")
-        task = BatchSimulationTask(range(32), sim, t_end=5.0,
-                                   quantum=2.5, sample_every=0.5)
+        task = SimulationTask(range(32), sim, t_end=5.0,
+                              quantum=2.5, sample_every=0.5)
         results, stats = device.launch_map_batched(
             lambda t: t.run_quantum(), task,
-            lambda t, _r: t.steps_by_trajectory)
+            lambda t, _r: t.simulator.steps)
         assert len(results) == 32
         assert stats.n_items == 32
         assert stats.duration > 0

@@ -6,7 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.sim.task import (BatchSimulationTask, ResultBlock,
+from repro.sim.task import (ResultBlock, SimulationTask,
                             make_batch_tasks, make_tasks)
 from repro.cwc.batch import BatchFlatSimulator
 from tests.sim.samples import block_samples
@@ -59,7 +59,7 @@ class TestBatchQuantumStepping:
             make_batch_tasks(neurospora_small, 4, t_end=1, quantum=1,
                              sample_every=1, batch_size=0)
         with pytest.raises(ValueError):
-            BatchSimulationTask(
+            SimulationTask(
                 (0, 1, 2), BatchFlatSimulator(neurospora_small, 2),
                 t_end=1.0, quantum=1.0, sample_every=1.0)
 
@@ -100,7 +100,7 @@ class TestOneBlockPerQuantum:
             seed=4, batch_size=4, method=method, n_workers=n_workers)
         assert [task.n for task in tasks] == widths
         for task in tasks:
-            twin = copy.deepcopy(task.batch)
+            twin = copy.deepcopy(task.simulator)
             grid, empty_quanta = 0, 0
             while not task.done:
                 times, rows = self.hand_quantum(twin, grid)
@@ -113,8 +113,8 @@ class TestOneBlockPerQuantum:
                 for i in range(task.n):
                     assert [row.tolist() for row in block._values[i]] == \
                         [np.asarray(r)[i].tolist() for r in rows]
-                assert task.batch.times.tolist() == twin.times.tolist()
-                assert task.batch.steps.tolist() == twin.steps.tolist()
+                assert task.simulator.times.tolist() == twin.times.tolist()
+                assert task.simulator.steps.tolist() == twin.steps.tolist()
                 assert block.done == task.done
                 grid += len(times)
                 empty_quanta += not times
@@ -136,7 +136,7 @@ class TestMakeBatchTasks:
     def test_engine_batch_dispatch(self, neurospora_small):
         tasks = make_tasks(neurospora_small, 10, 1.0, 1.0, 1.0,
                            engine="batch", batch_size=4)
-        assert all(isinstance(t, BatchSimulationTask) for t in tasks)
+        assert all(isinstance(t.simulator, BatchFlatSimulator) for t in tasks)
         assert sum(t.n for t in tasks) == 10
 
     def test_blocks_are_independent(self, neurospora_small):
@@ -146,7 +146,7 @@ class TestMakeBatchTasks:
         for task in tasks:
             while not task.done:
                 task.run_quantum()
-            finals.append(task.batch.counts.copy())
+            finals.append(task.simulator.counts.copy())
         assert not (finals[0] == finals[1]).all()
 
     def test_reproducible(self, neurospora_small):
@@ -174,4 +174,4 @@ class TestMakeBatchTasks:
                                 seed=6)[0]
         task.run_quantum()
         assert task.steps > 0
-        assert task.steps == sum(int(s) for s in task.steps_by_trajectory)
+        assert task.steps == sum(int(s) for s in task.simulator.steps)

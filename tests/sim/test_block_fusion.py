@@ -2,7 +2,7 @@
 
 ``batch_size`` fixes the seed blocks (one RNG stream each, seeded
 ``seed + first_task_id``); ``n_workers`` only decides how many of them
-one :class:`BatchSimulationTask` advances in lockstep.  Every test here
+one lockstep :class:`SimulationTask` advances.  Every test here
 compares a fused task list against the one-task-per-seed-block list the
 same arguments produce without ``n_workers`` -- bytewise, since every
 stream must draw exactly its solo sequence.
@@ -45,8 +45,8 @@ def tasks_for(model, n, batch_size, n_workers, method="exact",
         method=method, n_workers=n_workers)
     if kernel == "python":
         for task in tasks:
-            task.batch._kernel = PythonKernel(task.batch.compiled)
-            task.batch.kernel_name = "python"
+            task.simulator._kernel = PythonKernel(task.simulator.compiled)
+            task.simulator.kernel_name = "python"
     return tasks
 
 
@@ -56,9 +56,9 @@ def run_quantum(tasks):
     comparable tuples."""
     out = []
     for task in tasks:
-        block = task.run_quantum()
-        out.extend((task_id, block.grid_start, float(task.batch.times[i]),
-                    int(task.batch.steps[i]), block.done,
+        block, sim = task.run_quantum(), task.simulator
+        out.extend((task_id, block.grid_start, float(sim.times[i]),
+                    int(sim.steps[i]), block.done,
                     block._times.tobytes(), block._values[i].tobytes())
                    for i, task_id in enumerate(block.task_ids))
     return out
@@ -75,16 +75,16 @@ def state(tasks):
     """Everything a simulator carries between quanta, concatenated over
     the task list (so fused and unfused lists compare directly)."""
     arrays = {name: np.concatenate(
-        [getattr(task.batch, name) for task in tasks]).tobytes()
+        [getattr(task.simulator, name) for task in tasks]).tobytes()
         for name in ("counts", "times", "steps", "leaps", "exact_steps",
                      "exhausted")}
     streams = [rng.bit_generator.state
-               for task in tasks for rng in task.batch._streams]
+               for task in tasks for rng in task.simulator._streams]
     return arrays, streams
 
 
 def n_streams(task):
-    return len(task.batch._streams)
+    return len(task.simulator._streams)
 
 
 class TestByteIdentity:
@@ -102,7 +102,7 @@ class TestByteIdentity:
         assert drain(fused) == drain(plain)
         assert state(fused) == state(plain)
         if method != "exact":
-            assert sum(int(task.batch.leaps.sum()) for task in fused) > 0
+            assert sum(int(task.simulator.leaps.sum()) for task in fused) > 0
 
     def test_whole_blocks(self, neurospora_small):
         plain = tasks_for(neurospora_small, 16, 4, None)
@@ -127,7 +127,7 @@ class TestByteIdentity:
         streams = [repr(s) for s in state(fused)[1]]
         assert len(set(streams)) == 3
         drain(fused)
-        finals = fused[0].batch.counts
+        finals = fused[0].simulator.counts
         assert not (finals[:4] == finals[4:8]).all()
 
 
@@ -141,8 +141,8 @@ class TestGrouping:
             (0, 1, 2, 3), (4, 5, 6, 7), (8, 9)]
         for task, base in zip(tasks, (0, 4, 8)):
             # the historical seed= constructor, not a one-stream list
-            assert task.batch._stream_of is None
-            assert (task.batch.rng.bit_generator.state
+            assert task.simulator._stream_of is None
+            assert (task.simulator.rng.bit_generator.state
                     == np.random.default_rng(3 + base).bit_generator.state)
 
     @pytest.mark.parametrize("batch_size", [MAX_FUSED_ROWS // 2 + 1,
@@ -157,13 +157,13 @@ class TestGrouping:
         assert len(fused) == len(plain) == 2
         for a, b in zip(fused, plain):
             assert a.task_ids == b.task_ids
-            assert a.batch._stream_of is None
+            assert a.simulator._stream_of is None
         assert state(fused) == state(plain)
 
     def test_more_workers_than_blocks(self, neurospora_small):
         fused = tasks_for(neurospora_small, 10, 4, 8)
         assert [task.n for task in fused] == [4, 4, 2]
-        assert all(task.batch._stream_of is None for task in fused)
+        assert all(task.simulator._stream_of is None for task in fused)
 
     def test_cap_bounds_the_lockstep_width(self, neurospora_small):
         fused = tasks_for(neurospora_small, 1200, 100, 1)

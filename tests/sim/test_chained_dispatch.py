@@ -14,6 +14,7 @@ import pickle
 
 import pytest
 
+from repro.cwc.batch import BatchFlatSimulator
 from repro.cwc.network import FlatSimulator
 from repro.distributed.net import Checkpoint, KillWorkerAfter, \
     run_workflow_cluster
@@ -186,8 +187,8 @@ class TestTaskState:
                 blob = pickle.dumps(task, 5)
                 loaded = pickle.loads(blob)
                 assert pickle.dumps(loaded, 5) == blob, task
-                if hasattr(loaded, "batch"):
-                    assert loaded.batch._kernel is None
+                if isinstance(loaded.simulator, BatchFlatSimulator):
+                    assert loaded.simulator._kernel is None
                 elif isinstance(loaded.simulator, FlatSimulator):
                     assert loaded.simulator._loop is None
 

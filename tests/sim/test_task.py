@@ -4,9 +4,82 @@ import pickle
 
 import pytest
 
-from repro.sim.task import SimulationTask, make_tasks
+from repro.distributed.net import Checkpoint
+from repro.models import mm_enzyme_network, neurospora_cwc_model
+from repro.sim.task import SimulationTask, make_batch_tasks, make_tasks
+from repro.sweep import SweepSpec, make_fused_tasks
 from repro.cwc.network import FlatSimulator, ReactionNetwork
 from tests.sim.samples import scalar_samples
+
+#: t_end off the grid (its done marker carries no sample), quanta that
+#: cross no grid point
+T_END, QUANTUM, SAMPLE = 3.1, 0.3, 0.5
+
+
+def _enzyme():
+    return mm_enzyme_network(enzyme0=10, substrate0=50)
+
+
+def _sweep(network):
+    first = network.reactions[0].name
+    return SweepSpec([{first: 1.0}, {first: 2.0}, {first: 3.0}],
+                     n_trajectories=2, seed=3, points_per_block=2)
+
+
+#: every kind of task the factories build
+TASK_KINDS = {
+    **{f"flat-{method}": (lambda method=method: make_tasks(
+        _enzyme(), 3, T_END, QUANTUM, SAMPLE, seed=3, method=method))
+       for method in ("exact", "first", "tau", "hybrid")},
+    "cwc": lambda: make_tasks(neurospora_cwc_model(omega=5), 2, T_END,
+                              QUANTUM, SAMPLE, seed=3, engine="cwc"),
+    "batch-solo": lambda: make_batch_tasks(
+        _enzyme(), 6, T_END, QUANTUM, SAMPLE, seed=3, batch_size=2),
+    "batch-fused": lambda: make_batch_tasks(
+        _enzyme(), 6, T_END, QUANTUM, SAMPLE, seed=3, batch_size=2,
+        n_workers=2),
+    "fused-sweep": lambda: make_fused_tasks(
+        _enzyme(), _sweep(_enzyme()), T_END, QUANTUM, SAMPLE),
+}
+
+
+def _assert_pickle_fixed_point(task):
+    blob = pickle.dumps(task, 5)
+    assert pickle.dumps(pickle.loads(blob), 5) == blob, task
+
+
+@pytest.mark.parametrize("kind", sorted(TASK_KINDS))
+def test_every_task_kind_keeps_one_contract(kind):
+    """One task class, one contract: whatever simulator a factory puts
+    under it, a task covers its grid once and in order, ends with one
+    done marker, returns one row per member id and is keyed by its first
+    id everywhere a run names it."""
+    tasks = TASK_KINDS[kind]()
+    assert all(type(task) is SimulationTask for task in tasks)
+    assert len({task.task_id for task in tasks}) == len(tasks)
+    members = [i for task in tasks for i in task.task_ids]
+    assert members == list(range(len(members)))  # disjoint ranges
+    for task in tasks:
+        ids = task.task_ids
+        assert type(task.task_id) is int and task.task_id == ids.start
+        key = Checkpoint.of(task).key
+        assert type(key) is int and key == task.task_id
+        blocks = []
+        while not task.done:
+            blocks.append(task.run_quantum())
+            _assert_pickle_fixed_point(task)
+        assert [block.done for block in blocks] == \
+            [False] * (len(blocks) - 1) + [True]
+        grid = 0
+        for block in blocks:
+            assert block.task_ids == ids
+            assert block._values.shape[0] == len(ids)
+            assert block.grid_start == grid
+            assert block._times.tolist() == [
+                g * SAMPLE for g in range(grid, grid + block.n_grid)]
+            grid += block.n_grid
+        assert grid == task.n_samples_total
+        assert len(blocks[-1]) == 0  # t_end is off the grid
 
 
 class TestQuantumStepping:

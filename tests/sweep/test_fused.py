@@ -15,7 +15,7 @@ from repro.cwc.batch import BatchFlatSimulator, compile_network
 from repro.cwc.kernels import kernel_available
 from repro.pipeline.builder import run_workflow
 from repro.pipeline.config import WorkflowConfig
-from repro.sim.task import BatchSimulationTask
+from repro.sim.task import SimulationTask
 from repro.sweep import SweepSpec, make_fused_tasks, run_sweep
 from tests.cwc.test_kernels import PythonKernel
 
@@ -49,8 +49,8 @@ def member_streams(task):
                                 v + block._values[i].tobytes())
         if block.done:
             break
-    return {task_id: (t, v, float(task.batch.times[i]),
-                      int(task.batch.steps[i]))
+    return {task_id: (t, v, float(task.simulator.times[i]),
+                      int(task.simulator.steps[i]))
             for i, (task_id, (t, v)) in enumerate(streams.items())}
 
 
@@ -59,7 +59,7 @@ def run_fused(network, spec, kernel_obj=None, kernel_name="numpy"):
                              engine_kernel=kernel_name)
     if kernel_obj is not None:
         for task in tasks:
-            _use_python_kernel(task.batch)
+            _use_python_kernel(task.simulator)
     streams = {}
     for task in tasks:
         streams.update(member_streams(task))
@@ -74,7 +74,7 @@ def run_solo(network, spec, point, kernel_obj=None, kernel_name="numpy"):
         seed=spec.seed_of(point), kernel=kernel_name)
     if kernel_obj is not None:
         _use_python_kernel(batch)
-    task = BatchSimulationTask(
+    task = SimulationTask(
         range(point * T, (point + 1) * T), batch, T_END, QUANTUM, SAMPLE)
     return member_streams(task)
 
