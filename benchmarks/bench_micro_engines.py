@@ -163,6 +163,16 @@ def test_kmeans_array_cost(benchmark):
     assert result.k == 4
 
 
+def test_kmeans_array_nonintegral_cost(benchmark):
+    """The same call on a non-integral column: prefix sums over the
+    sorted column would not be exact, so centroid sums take the
+    point-order ``bincount`` path every iteration."""
+    rng = np.random.default_rng(0)
+    values = rng.normal(6000.0, 300.0, size=2048)
+    result = benchmark(kmeans_array, values, 4, 50, 0)
+    assert result.k == 4
+
+
 def test_codec_roundtrip_cost(benchmark):
     payload = {"samples": [(g, float(g), (1.0, 2.0, 3.0))
                            for g in range(40)]}

@@ -11,6 +11,7 @@ the user interface / storage.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Optional
 
 from repro.analysis.filters import moving_average
@@ -125,6 +126,8 @@ class StatEngineNode(Node):
             ci_confidence=self.confidence)
         n_observables = len(stats[0].mean) if stats else 0
         if self.kmeans_k is not None and stats:
+            # the clock is read only for a traced run
+            started = perf_counter() if self._tracer is not None else None
             for obs in range(n_observables):
                 clustered = kmeans_array(
                     window.data[-1, :, obs], self.kmeans_k,
@@ -132,6 +135,9 @@ class StatEngineNode(Node):
                 result.clusters[obs] = clustered
                 self.trace_incr("analysis.kmeans_iterations",
                                 clustered.iterations)
+            if started is not None:
+                self.trace_incr("analysis.kmeans_s",
+                                perf_counter() - started)
         if self.filter_width is not None:
             for obs in range(n_observables):
                 result.filtered_mean[obs] = moving_average(

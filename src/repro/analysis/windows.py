@@ -8,10 +8,10 @@ the cut stream and emits overlapping :class:`Window` objects of ``size``
 cuts every ``slide`` cuts, each independently analysable (hence
 parallelisable across the statistical-engine farm).
 
-:class:`SlidingWindowNode` is columnar: cuts land in a
-preallocated ring buffer (one ``(capacity, n_trajectories,
-n_observables)`` array), a slide is a pointer bump (amortised O(1), no
-per-slide matrix rebuild), :class:`~repro.sim.trajectory.CutBlock`
+:class:`SlidingWindowNode` is columnar: cuts land in a ring
+buffer (one ``(capacity, n_trajectories, n_observables)`` slab), a
+window is a read-only view of it, a slide is a pointer bump (amortised
+O(1), no per-slide matrix rebuild), :class:`~repro.sim.trajectory.CutBlock`
 batches are bulk-copied in one slice assignment, and per-cut statistics
 are computed **incrementally** -- once per arriving cut, vectorised over
 each block -- instead of being recomputed over the whole window at every
@@ -77,12 +77,15 @@ class Window:
 class SlidingWindowNode(Node):
     """Re-frame the cut stream into overlapping windows (columnar).
 
-    Accepts :class:`CutBlock` inputs.  The buffer is a preallocated
-    array of ``2 * size`` rows used as a compacting ring: a block
-    appends at the tail in one slice copy, a slide advances the head
-    pointer, and when the tail hits capacity the live rows are moved to
-    the front in one ``memmove``-style copy -- amortised O(1) per cut,
-    never a per-slide rebuild.
+    Accepts :class:`CutBlock` inputs.  The buffer is a slab of
+    ``2 * size`` rows used as a compacting ring: a block appends at the
+    tail in one slice copy, a slide advances the head pointer, and when
+    the tail hits capacity the live rows move to the front of a fresh
+    slab in one copy -- amortised O(1) per cut, never a per-slide
+    rebuild.  A slab's rows are written once, so a window is a read-only
+    view of them, not a copy; the windows still in flight keep their
+    slab alive (NumPy's own reference count), and it is freed with the
+    last of them.
 
     Per-cut statistics are computed once per arriving cut -- vectorised
     per block -- and emitted on each window (``Window.cut_stats``), so
@@ -133,14 +136,18 @@ class SlidingWindowNode(Node):
         self._stats = [None] * self._capacity
 
     def _compact(self) -> None:
-        """Move the live rows to the front (amortised O(1) per cut)."""
+        """Move the live rows to the front of a fresh slab (amortised O(1)
+        per cut).  Emitted windows are views of the old slab, which they
+        keep alive until the last of them is dropped."""
         head, tail = self._head, self._tail
         count = tail - head
-        if head == 0:
-            return
-        self._data[:count] = self._data[head:tail]
-        self._times[:count] = self._times[head:tail]
-        self._grids[:count] = self._grids[head:tail]
+        data, times, grids = self._data, self._times, self._grids
+        self._data = np.empty_like(data)
+        self._times = np.empty_like(times)
+        self._grids = np.empty_like(grids)
+        self._data[:count] = data[head:tail]
+        self._times[:count] = times[head:tail]
+        self._grids[:count] = grids[head:tail]
         self._stats[:count] = self._stats[head:tail]
         self._head = 0
         self._tail = count
@@ -180,12 +187,12 @@ class SlidingWindowNode(Node):
 
     def _emit_window(self, length: int) -> None:
         lo, hi = self._head, self._head + length
-        window = Window(
-            self._emitted,
-            times=self._times[lo:hi].copy(),
-            grid_indices=self._grids[lo:hi].copy(),
-            data=self._data[lo:hi].copy(),
-            cut_stats=list(self._stats[lo:hi]))
+        times, grids, data = (self._times[lo:hi], self._grids[lo:hi],
+                              self._data[lo:hi])
+        for view in (times, grids, data):
+            view.flags.writeable = False
+        window = Window(self._emitted, times=times, grid_indices=grids,
+                        data=data, cut_stats=list(self._stats[lo:hi]))
         self.ff_send_out(window)
         self._emitted += 1
         self.trace_incr("analysis.windows", 1)

@@ -409,8 +409,10 @@ class RunReport:
             for name in sorted(self.counters):
                 value = self.counters[name]
                 rate = value / wall if wall > 0 else 0.0
-                lines.append(f"{name:<32}{value:>14.0f}  "
-                             f"({rate:,.0f}/s)")
+                # counts print whole; a seconds counter keeps its ms
+                shown = (f"{value:>14.0f}" if float(value).is_integer()
+                         else f"{value:>14.3f}")
+                lines.append(f"{name:<32}{shown}  ({rate:,.0f}/s)")
         lines.append("")
         lines.append("bottleneck: " + self.bottleneck()["diagnosis"])
         return "\n".join(lines)

@@ -4,9 +4,11 @@ import pytest
 
 import numpy as np
 
+import repro.analysis.engines as engines
 from repro.analysis.engines import GatherNode, StatEngineNode, WindowStatistics
 from repro.analysis.stats import block_statistics
 from repro.analysis.windows import Window
+from repro.ff.trace import Tracer
 
 
 def window(n_cuts=4, n_traj=6, index=0):
@@ -57,6 +59,18 @@ class TestStatEngine:
         a = StatEngineNode(kmeans_k=2, kmeans_seed=5).svc(window())
         b = StatEngineNode(kmeans_k=2, kmeans_seed=5).svc(window())
         assert a.clusters[0].assignments == b.clusters[0].assignments
+
+    def test_kmeans_time_is_traced(self, monkeypatch):
+        engine = StatEngineNode(kmeans_k=2)
+        engine._tracer = Tracer()
+        engine.svc(window())
+        counters = engine._tracer.report().counters
+        assert counters["analysis.kmeans_s"] > 0.0
+        assert counters["analysis.kmeans_iterations"] >= 2
+        # untraced, the clock is not read at all
+        monkeypatch.setattr(engines, "perf_counter", None)
+        engine._tracer = None
+        assert StatEngineNode(kmeans_k=2).svc(window()).clusters
 
 
 class TestGather:

@@ -156,6 +156,51 @@ class TestColumnarScalarEquivalence:
             ScalarSlidingWindowNode(size=2).svc("nope")
 
 
+class TestWindowViews:
+    """Windows are read-only views of the ring's slabs, not copies."""
+
+    def test_views_are_read_only(self):
+        windows = feed(SlidingWindowNode(size=4, slide=2), 20)
+        assert windows
+        for window in windows:
+            for array in (window.data, window.times, window.grid_indices):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+
+    def test_held_windows_outlive_compactions(self):
+        """Every window of a long slide-1 stream, all held to the end,
+        still equals the oracle's byte for byte, and they pin at most one
+        slab per ``size - slide + 1`` windows (plus the live one): the
+        memory bound of a backed-up stat farm, without timing."""
+        size, slide, n = 8, 1, 600
+        rng = np.random.default_rng(7)
+        data = rng.normal(100.0, 20.0, size=(n, 3, 2))
+        times = np.arange(n) * 0.25
+        ring = SlidingWindowNode(size=size, slide=slide)
+        scalar = ScalarSlidingWindowNode(size=size, slide=slide)
+        held, expected = _Capture(ring), _Capture(scalar)
+        g0 = 0
+        while g0 < n:
+            g1 = min(n, g0 + int(rng.integers(1, 12)))
+            block = CutBlock(g0, times[g0:g1], data[g0:g1])
+            ring.svc(block)
+            for i in range(len(block)):
+                scalar.svc(block.cut(i))
+            g0 = g1
+        ring.svc_end()
+        scalar.svc_end()
+        assert len(held.items) == len(expected.items) == n - size + 1
+        for got, want in zip(held.items, expected.items):
+            assert got.index == want.index
+            assert got.data.tobytes() == want.data.tobytes()
+            assert got.times.tobytes() == want.times.tobytes()
+            assert got.grid_indices.tobytes() == want.grid_indices.tobytes()
+        slabs = {id(window.data.base) for window in held.items}
+        bound = -(-len(held.items) // (size - slide + 1)) + 1
+        assert 1 < len(slabs) <= bound
+
+
 class TestWindowObject:
     def test_time_bounds(self):
         times = np.arange(4, dtype=float)
